@@ -68,17 +68,19 @@ type Split struct {
 	// i starts at 0 (i == 0) or ends[i-1]+1 (skipping the joining space).
 	ends []int
 
-	// tokOnce guards the lazy per-sentence token streams behind WindowVecs.
-	tokOnce sync.Once
-	// toks is the content-token stream of Joined; tokEnds[i] is the number
-	// of tokens in sentences 0..i, so sentence i's tokens are
-	// toks[tokEnds[i-1]:tokEnds[i]].
-	toks    []string
-	tokEnds []int
+	// dimsOnce guards the lazy per-sentence hashed dimensions behind
+	// WindowVecs.
+	dimsOnce sync.Once
+	// dims holds the hashed dimension of every content token of Joined, in
+	// token order (text.ContentDims); dimEnds[i] is the number of tokens in
+	// sentences 0..i, so sentence i's dimensions are
+	// dims[dimEnds[i-1]:dimEnds[i]].
+	dims    []int32
+	dimEnds []int
 }
 
 // NewSplit segments text once. The result is immutable apart from the lazy
-// token cache and safe for concurrent use.
+// dimension cache and safe for concurrent use.
 func NewSplit(t string) *Split {
 	sents := SplitSentences(t)
 	if len(sents) == 0 {
@@ -133,24 +135,24 @@ func (sp *Split) Windows(docID string, window int) []Chunk {
 	return out
 }
 
-// tokenize builds the per-sentence token streams once.
-func (sp *Split) tokenize() {
-	sp.tokOnce.Do(func() {
-		sp.tokEnds = make([]int, len(sp.ends))
+// hashDims hashes the per-sentence content tokens once.
+func (sp *Split) hashDims() {
+	sp.dimsOnce.Do(func() {
+		sp.dimEnds = make([]int, len(sp.ends))
 		for i := range sp.ends {
-			sp.toks = append(sp.toks, text.ContentTokens(sp.Joined[sp.start(i):sp.ends[i]])...)
-			sp.tokEnds[i] = len(sp.toks)
+			sp.dims = text.ContentDims(sp.Joined[sp.start(i):sp.ends[i]], sp.dims)
+			sp.dimEnds[i] = len(sp.dims)
 		}
 	})
 }
 
 // WindowVecs returns the sparse embedding of every window of `window`
-// sentences, built from a single tokenize pass over the document: window
-// vectors reuse the per-sentence token streams instead of re-tokenizing the
-// overlapping text window-times. Each vector is bit-identical to
-// text.SparseEmbed of the matching Windows chunk text (tokens never span
-// the sentence-joining space, and SparseEmbedTokens is insensitive to token
-// order within the stream).
+// sentences, built from a single kernel pass over the document: each window
+// sorts a copy of its range of the per-sentence dimensions instead of
+// re-tokenizing the overlapping text window-times. Each vector is
+// bit-identical to text.SparseEmbed of the matching Windows chunk text
+// (tokens never span the sentence-joining space, and SparseEmbedDims is
+// insensitive to dimension order).
 func (sp *Split) WindowVecs(window int) []text.SparseVector {
 	if window <= 0 {
 		window = DefaultWindow
@@ -159,19 +161,26 @@ func (sp *Split) WindowVecs(window int) []text.SparseVector {
 	if n == 0 {
 		return nil
 	}
-	sp.tokenize()
-	tokStart := func(i int) int {
+	sp.hashDims()
+	dimStart := func(i int) int {
 		if i == 0 {
 			return 0
 		}
-		return sp.tokEnds[i-1]
+		return sp.dimEnds[i-1]
+	}
+	// SparseEmbedDims sorts its input in place and never aliases it, so
+	// every window sorts a copy in one reused scratch slice.
+	var scratch []int32
+	embed := func(dims []int32) text.SparseVector {
+		scratch = append(scratch[:0], dims...)
+		return text.SparseEmbedDims(scratch)
 	}
 	if n <= window {
-		return []text.SparseVector{text.SparseEmbedTokens(sp.toks)}
+		return []text.SparseVector{embed(sp.dims)}
 	}
 	out := make([]text.SparseVector, 0, n-window+1)
 	for i := 0; i+window <= n; i++ {
-		out = append(out, text.SparseEmbedTokens(sp.toks[tokStart(i):sp.tokEnds[i+window-1]]))
+		out = append(out, embed(sp.dims[dimStart(i):sp.dimEnds[i+window-1]]))
 	}
 	return out
 }

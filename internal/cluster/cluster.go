@@ -47,16 +47,19 @@ func NewEmbedder(seed string) *Embedder {
 	return &Embedder{projection: proj}
 }
 
-// Embed returns the reduced, L2-normalised vector of s.
+// Embed returns the reduced, L2-normalised vector of s. Each projection
+// row is dotted with the sparse embedding of s: its non-zero dimensions
+// ascending are exactly the terms the dense product adds, in the same
+// order, so the result is bit-identical to projecting text.Embed(s).
 func (e *Embedder) Embed(s string) []float64 {
-	tv := text.Embed(s)
+	tv := text.SparseEmbed(s)
 	out := make([]float64, ReducedDim)
 	var norm float64
 	for i, row := range e.projection {
 		var dot float64
-		for j, w := range row {
-			if w != 0 && tv[j] != 0 {
-				dot += w * float64(tv[j])
+		for k, j := range tv.Dims {
+			if w := row[j]; w != 0 {
+				dot += w * float64(tv.Weights[k])
 			}
 		}
 		out[i] = dot

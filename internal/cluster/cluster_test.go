@@ -2,8 +2,11 @@ package cluster
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
+
+	"factcheck/internal/text"
 )
 
 func TestEmbedderDeterministic(t *testing.T) {
@@ -14,6 +17,46 @@ func TestEmbedderDeterministic(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("embeddings differ at dim %d", i)
+		}
+	}
+}
+
+// denseProject is the retired dense projection of text.Embed, kept as the
+// differential reference for the sparse one.
+func denseProject(e *Embedder, s string) []float64 {
+	tv := text.Embed(s)
+	out := make([]float64, ReducedDim)
+	var norm float64
+	for i, row := range e.projection {
+		var dot float64
+		for j, w := range row {
+			if w != 0 && tv[j] != 0 {
+				dot += w * float64(tv[j])
+			}
+		}
+		out[i] = dot
+		norm += dot * dot
+	}
+	if norm > 0 {
+		inv := 1 / math.Sqrt(norm)
+		for i := range out {
+			out[i] *= inv
+		}
+	}
+	return out
+}
+
+func TestEmbedderMatchesDenseProjection(t *testing.T) {
+	e := NewEmbedder("seed")
+	for _, s := range []string{
+		"",
+		"the was of",
+		"the stated place conflicts with the known location of the person",
+		"Records of awards and identifiers for Entity 17 do not mention Award 3.",
+		"repeated repeated repeated terms terms",
+	} {
+		if got, want := e.Embed(s), denseProject(e, s); !reflect.DeepEqual(got, want) {
+			t.Errorf("Embed(%q) = %v, dense projection = %v", s, got, want)
 		}
 	}
 }

@@ -15,8 +15,8 @@
 package corpus
 
 import (
-	"fmt"
 	"math"
+	"strconv"
 	"strings"
 
 	"factcheck/internal/dataset"
@@ -202,58 +202,108 @@ func (g *Generator) Docs(f *dataset.Fact) []*Document {
 	n := g.PoolSize(f)
 	out := make([]*Document, 0, n)
 	ps, pr, pn := g.stanceMix(f)
+	fm := newFactMeta(f)
 	for i := 0; i < n; i++ {
-		out = append(out, g.doc(f, i, ps, pr, pn))
+		out = append(out, g.doc(fm, i, ps, pr, pn))
 	}
 	return out
 }
 
-func (g *Generator) doc(f *dataset.Fact, i int, ps, pr, pn float64) *Document {
-	id := fmt.Sprintf("%s-d%04d", f.ID, i)
-	u := det.Uniform("stance", id)
-	var st Stance
-	switch {
-	case u < ps:
-		st = StanceSupport
-	case u < ps+pr:
-		st = StanceRefute
-	case u < ps+pr+pn:
-		st = StanceNeutral
-	default:
-		st = StanceUnrelated
+// factMeta holds the strings every document of one fact's pool shares,
+// built once per fact instead of once per document.
+type factMeta struct {
+	f *dataset.Fact
+	// slug is the URL path segment of the subject.
+	slug string
+	// recordTitle and profileTitle are the titles of stance-bearing and
+	// neutral documents.
+	recordTitle, profileTitle string
+}
+
+func newFactMeta(f *dataset.Fact) *factMeta {
+	return &factMeta{
+		f:            f,
+		slug:         slug(f.Subject.Label),
+		recordTitle:  f.Subject.Label + " and " + f.Object.Label + ": the record",
+		profileTitle: f.Subject.Label + " - profile and notes",
 	}
-	fromSKG := det.Bool(g.SKGRate, "skg", id)
-	host := hosts[1+det.IntN(len(hosts)-1, "host", id)]
+}
+
+// seqID returns factID + marker + seq, with seq zero-padded to four digits
+// as fmt's %04d renders a non-negative int.
+func seqID(factID, marker string, seq int) string {
+	var num [20]byte
+	b := num[:0]
+	for p := 1000; p > 1 && seq < p; p /= 10 {
+		b = append(b, '0')
+	}
+	return factID + marker + string(strconv.AppendInt(b, int64(seq), 10))
+}
+
+// DocID returns the ID of the fact's seq-th pool document: the fact ID,
+// "-d" and seq zero-padded to four digits, the form retrieval routes back
+// to its fact. Generated pools and live ingestion share it.
+func DocID(factID string, seq int) string { return seqID(factID, "-d", seq) }
+
+// classify draws a document's stance, source and extraction outcome, all
+// keyed by its ID.
+func (g *Generator) classify(id string, ps, pr, pn float64) (st Stance, fromSKG, empty bool) {
+	st = drawStance(id, ps, pr, pn)
+	fromSKG = det.Bool(g.SKGRate, "skg", id)
 	if fromSKG {
-		host = hosts[0]
 		// KG source pages always support the KG's (possibly wrong) claim —
 		// that is precisely the circularity the filter exists to break.
 		st = StanceSupport
 	}
-	empty := det.Bool(g.EmptyRate, "empty", id)
-	title := g.title(f, st, id)
+	return st, fromSKG, det.Bool(g.EmptyRate, "empty", id)
+}
+
+// drawStance draws a document's stance from the fact's stance mix.
+func drawStance(id string, ps, pr, pn float64) Stance {
+	u := det.Uniform("stance", id)
+	switch {
+	case u < ps:
+		return StanceSupport
+	case u < ps+pr:
+		return StanceRefute
+	case u < ps+pr+pn:
+		return StanceNeutral
+	default:
+		return StanceUnrelated
+	}
+}
+
+func (g *Generator) doc(fm *factMeta, i int, ps, pr, pn float64) *Document {
+	id := DocID(fm.f.ID, i)
+	st, fromSKG, empty := g.classify(id, ps, pr, pn)
+	host := hosts[1+det.IntN(len(hosts)-1, "host", id)]
+	if fromSKG {
+		host = hosts[0]
+	}
 	return &Document{
 		ID:      id,
-		URL:     fmt.Sprintf("https://%s/%s/%s", host, slug(f.Subject.Label), fmt.Sprintf("p%04d", i)),
+		URL:     "https://" + host + "/" + fm.slug + "/p" + id[len(fm.f.ID)+len("-d"):],
 		Host:    host,
-		Title:   title,
+		Title:   fm.title(st, id),
 		Stance:  st,
 		Empty:   empty,
 		FromSKG: fromSKG,
 		Seq:     i,
-		FactID:  f.ID,
+		FactID:  fm.f.ID,
 	}
 }
 
-func (g *Generator) title(f *dataset.Fact, st Stance, id string) string {
+// fillerTitles are the titles of unrelated documents.
+var fillerTitles = [...]string{"Regional news roundup", "Archive digest", "Weekly miscellany", "Site index", "Community bulletin"}
+
+func (fm *factMeta) title(st Stance, id string) string {
 	switch st {
 	case StanceSupport, StanceRefute:
-		return fmt.Sprintf("%s and %s: the record", f.Subject.Label, f.Object.Label)
+		return fm.recordTitle
 	case StanceNeutral:
-		return fmt.Sprintf("%s - profile and notes", f.Subject.Label)
+		return fm.profileTitle
 	default:
-		fillers := []string{"Regional news roundup", "Archive digest", "Weekly miscellany", "Site index", "Community bulletin"}
-		return fillers[det.IntN(len(fillers), "title", id)]
+		return fillerTitles[det.IntN(len(fillerTitles), "title", id)]
 	}
 }
 
@@ -262,46 +312,64 @@ func (g *Generator) title(f *dataset.Fact, st Stance, id string) string {
 // the true value (when the world knows one) and explicitly contradict the
 // claim; neutral documents mention the subject only.
 func (g *Generator) Text(f *dataset.Fact, d *Document) string {
+	return g.newFactBody(f).text(d)
+}
+
+// factBody holds the stance-specific openings of one fact's document
+// bodies, built once per fact: verbalising the fact and looking up its
+// true object are per-fact work.
+type factBody struct {
+	subj                     string
+	support, refute, neutral string
+}
+
+func (g *Generator) newFactBody(f *dataset.Fact) *factBody {
+	subj := f.Subject.Label
+	refute := ""
+	if trueObj := g.trueObjectLabel(f); trueObj != "" {
+		refute = subj + " " + f.Relation.Phrase + " " + trueObj + ". "
+	}
+	return &factBody{
+		subj:    subj,
+		support: verbalize.Sentence(f) + " Multiple records agree on this point. ",
+		refute: refute + "Contrary to some claims, it is not the case that " +
+			subj + " " + f.Relation.Phrase + " " + f.Object.Label + ". ",
+		neutral: subj + " is discussed in this article. ",
+	}
+}
+
+// text generates d's body.
+func (b *factBody) text(d *Document) string {
 	if d.Empty {
 		return ""
 	}
-	var b strings.Builder
-	sentence := verbalize.Sentence(f)
-	filler := func(k string) string {
-		subj := f.Subject.Label
-		options := []string{
-			subj + " has been covered by several publications over the years.",
-			"Archivists consider the records about " + subj + " largely consistent.",
-			"This page is part of a curated collection of reference material.",
-			"Readers frequently consult this entry for background information.",
-			subj + " appears in multiple regional registries.",
-		}
-		return options[det.IntN(len(options), "filler", d.ID, k)]
-	}
 	switch d.Stance {
 	case StanceSupport:
-		b.WriteString(sentence)
-		b.WriteString(" ")
-		b.WriteString("Multiple records agree on this point. ")
-		b.WriteString(filler("a"))
+		return b.support + b.filler(d, "a")
 	case StanceRefute:
-		trueObj := g.trueObjectLabel(f)
-		if trueObj != "" {
-			b.WriteString(fmt.Sprintf("%s %s %s. ", f.Subject.Label, f.Relation.Phrase, trueObj))
-		}
-		b.WriteString(fmt.Sprintf("Contrary to some claims, it is not the case that %s %s %s. ",
-			f.Subject.Label, f.Relation.Phrase, f.Object.Label))
-		b.WriteString(filler("b"))
+		return b.refute + b.filler(d, "b")
 	case StanceNeutral:
-		b.WriteString(fmt.Sprintf("%s is discussed in this article. ", f.Subject.Label))
-		b.WriteString(filler("c"))
-		b.WriteString(" ")
-		b.WriteString(filler("d"))
+		return b.neutral + b.filler(d, "c") + " " + b.filler(d, "d")
 	default:
-		b.WriteString("General interest material unrelated to the query. ")
-		b.WriteString(filler("e"))
+		return "General interest material unrelated to the query. " + b.filler(d, "e")
 	}
-	return b.String()
+}
+
+// filler returns the background sentence drawn for slot k of d, building
+// only the option it picks.
+func (b *factBody) filler(d *Document, k string) string {
+	switch det.IntN(5, "filler", d.ID, k) {
+	case 0:
+		return b.subj + " has been covered by several publications over the years."
+	case 1:
+		return "Archivists consider the records about " + b.subj + " largely consistent."
+	case 2:
+		return "This page is part of a curated collection of reference material."
+	case 3:
+		return "Readers frequently consult this entry for background information."
+	default:
+		return b.subj + " appears in multiple regional registries."
+	}
 }
 
 // trueObjectLabel returns the label of a true object for the fact's
@@ -323,40 +391,36 @@ func (g *Generator) trueObjectLabel(f *dataset.Fact) string {
 	return strings.ReplaceAll(best, "_", " ")
 }
 
-// Materialized is one pool document with its generated body text and term
-// stream. Terms are the content tokens of "Title + body" — the exact token
-// stream text.Embed would produce for the document — emitted here so the
-// search index can be built with a single tokenize pass instead of
-// re-tokenizing every materialised document.
+// Materialized is one pool document with its generated body text and its
+// embedding.
 type Materialized struct {
 	Doc  *Document
 	Text string
-	// Terms is the stopword-filtered token stream of Title + " " + Text;
-	// text.EmbedTokens(Terms) equals text.Embed(Title + " " + Text) bit for
-	// bit, which is the determinism contract the indexed ranking relies on.
-	Terms []string
-	// Vec is the precomputed sparse embedding of the term stream —
-	// bit-identical to text.SparseEmbed(Title + " " + Text) — so the index
-	// builder and the document reranker consume it instead of re-embedding
-	// the document per query or per fact.
+	// Vec is the sparse embedding of Title + " " + Text, bit-identical to
+	// text.SparseEmbed of that string, so the index builder and the
+	// document reranker consume it instead of re-embedding the document per
+	// query or per fact.
 	Vec text.SparseVector
 }
 
-// Materialize generates the fact's full pool — metadata, body text and term
-// streams — in pool order. It is the bulk entry point the search engine's
-// shard store uses; Docs/Text remain for callers that only need one side.
+// Materialize generates the fact's full pool — metadata, body text and
+// embeddings — in pool order. It is the bulk entry point the search
+// engine's shard store uses; Docs/Text remain for callers that only need
+// one side. Per-fact strings are built once for the whole pool, and each
+// document is embedded in one kernel pass over its title and body, with no
+// token strings and no concatenated copy.
 func (g *Generator) Materialize(f *dataset.Fact) []Materialized {
 	docs := g.Docs(f)
+	body := g.newFactBody(f)
 	out := make([]Materialized, len(docs))
+	var dims []int32
 	for i, d := range docs {
-		body := g.Text(f, d)
-		terms := text.ContentTokens(d.Title + " " + body)
-		out[i] = Materialized{
-			Doc:   d,
-			Text:  body,
-			Terms: terms,
-			Vec:   text.SparseEmbedTokens(terms),
-		}
+		txt := body.text(d)
+		// Tokens never span a space, so the title's dimensions followed by
+		// the body's are those of Title + " " + Text.
+		dims = text.ContentDims(d.Title, dims[:0])
+		dims = text.ContentDims(txt, dims)
+		out[i] = Materialized{Doc: d, Text: txt, Vec: text.SparseEmbedDims(dims)}
 	}
 	return out
 }
@@ -379,27 +443,16 @@ type StreamDoc struct {
 // byte-identical documents — the property the incremental-vs-cold golden
 // gate rests on.
 func (g *Generator) Stream(f *dataset.Fact, i int) StreamDoc {
-	id := fmt.Sprintf("%s-s%04d", f.ID, i)
+	id := seqID(f.ID, "-s", i)
 	ps, pr, pn := g.stanceMix(f)
-	u := det.Uniform("stance", id)
-	var st Stance
-	switch {
-	case u < ps:
-		st = StanceSupport
-	case u < ps+pr:
-		st = StanceRefute
-	case u < ps+pr+pn:
-		st = StanceNeutral
-	default:
-		st = StanceUnrelated
-	}
+	st := drawStance(id, ps, pr, pn)
 	host := hosts[1+det.IntN(len(hosts)-1, "host", id)]
-	title := g.title(f, st, id)
+	fm := newFactMeta(f)
 	d := &Document{ID: id, Stance: st, FactID: f.ID}
 	return StreamDoc{
-		URL:   fmt.Sprintf("https://%s/%s/s%04d", host, slug(f.Subject.Label), i),
+		URL:   "https://" + host + "/" + fm.slug + "/s" + id[len(f.ID)+len("-s"):],
 		Host:  host,
-		Title: title,
+		Title: fm.title(st, id),
 		Text:  g.Text(f, d),
 	}
 }
@@ -414,18 +467,21 @@ type Meta struct {
 	SKG     int
 }
 
-// MetaFor computes pool metadata for the fact.
+// MetaFor computes pool metadata for the fact. It draws each document's
+// stance, source and extraction outcome exactly as Docs does, without
+// building URLs or titles.
 func (g *Generator) MetaFor(f *dataset.Fact) Meta {
-	var m Meta
-	for _, d := range g.Docs(f) {
-		m.Count++
-		if d.Empty {
+	m := Meta{Count: g.PoolSize(f)}
+	ps, pr, pn := g.stanceMix(f)
+	for i := 0; i < m.Count; i++ {
+		st, fromSKG, empty := g.classify(DocID(f.ID, i), ps, pr, pn)
+		if empty {
 			m.Empty++
 		}
-		if d.FromSKG {
+		if fromSKG {
 			m.SKG++
 		}
-		switch d.Stance {
+		switch st {
 		case StanceSupport:
 			m.Support++
 		case StanceRefute:

@@ -1,6 +1,8 @@
 package corpus
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -177,22 +179,34 @@ func TestDocURLsWellFormed(t *testing.T) {
 	}
 }
 
+// TestMetaMatchesDocs pins MetaFor, which classifies documents without
+// building them, against counting the full Docs pool.
 func TestMetaMatchesDocs(t *testing.T) {
 	_, ds, g := fixture(t)
-	f := ds[dataset.DBpedia].Facts[0]
-	m := g.MetaFor(f)
-	docs := g.Docs(f)
-	if m.Count != len(docs) {
-		t.Fatalf("meta count %d != docs %d", m.Count, len(docs))
-	}
-	sup := 0
-	for _, d := range docs {
-		if d.Stance == StanceSupport {
-			sup++
+	for _, d := range ds {
+		for _, f := range d.Facts[:10] {
+			var want Meta
+			for _, doc := range g.Docs(f) {
+				want.Count++
+				if doc.Empty {
+					want.Empty++
+				}
+				if doc.FromSKG {
+					want.SKG++
+				}
+				switch doc.Stance {
+				case StanceSupport:
+					want.Support++
+				case StanceRefute:
+					want.Refute++
+				case StanceNeutral:
+					want.Neutral++
+				}
+			}
+			if got := g.MetaFor(f); got != want {
+				t.Fatalf("%s: MetaFor = %+v, counted %+v", f.ID, got, want)
+			}
 		}
-	}
-	if m.Support != sup {
-		t.Fatalf("meta support %d != counted %d", m.Support, sup)
 	}
 }
 
@@ -231,34 +245,66 @@ func TestSlug(t *testing.T) {
 }
 
 // TestMaterializeMatchesDocsAndText asserts Materialize is the bulk form of
-// Docs+Text, and that its term streams reproduce exactly what an embedder
-// tokenizing Title+" "+body would see (the search index's input contract).
+// Docs+Text, and that each precomputed vector is exactly the embedding of
+// Title+" "+body (the search index's input contract), across facts of every
+// dataset so every stance and the refutation path are covered.
 func TestMaterializeMatchesDocsAndText(t *testing.T) {
 	_, ds, g := fixture(t)
-	f := ds[dataset.FactBench].Facts[0]
-	ms := g.Materialize(f)
-	docs := g.Docs(f)
-	if len(ms) != len(docs) {
-		t.Fatalf("Materialize returned %d docs, Docs returned %d", len(ms), len(docs))
-	}
-	for i, m := range ms {
-		if m.Doc.ID != docs[i].ID {
-			t.Fatalf("doc %d: id %q != %q", i, m.Doc.ID, docs[i].ID)
-		}
-		if want := g.Text(f, docs[i]); m.Text != want {
-			t.Errorf("doc %d: text differs from Text()", i)
-		}
-		want := text.ContentTokens(m.Doc.Title + " " + m.Text)
-		if len(m.Terms) != len(want) {
-			t.Fatalf("doc %d: %d terms, want %d", i, len(m.Terms), len(want))
-		}
-		for j := range want {
-			if m.Terms[j] != want[j] {
-				t.Fatalf("doc %d term %d: %q != %q", i, j, m.Terms[j], want[j])
+	for _, dn := range []dataset.Name{dataset.FactBench, dataset.YAGO, dataset.DBpedia} {
+		for _, f := range ds[dn].Facts[:4] {
+			ms := g.Materialize(f)
+			docs := g.Docs(f)
+			if len(ms) != len(docs) {
+				t.Fatalf("%s: Materialize returned %d docs, Docs returned %d", f.ID, len(ms), len(docs))
+			}
+			for i, m := range ms {
+				if !reflect.DeepEqual(*m.Doc, *docs[i]) {
+					t.Fatalf("%s doc %d: %+v != %+v", f.ID, i, *m.Doc, *docs[i])
+				}
+				if want := g.Text(f, docs[i]); m.Text != want {
+					t.Errorf("%s doc %d: text differs from Text()", f.ID, i)
+				}
+				if want := text.SparseEmbed(m.Doc.Title + " " + m.Text); !reflect.DeepEqual(m.Vec, want) {
+					t.Errorf("%s doc %d: Vec differs from SparseEmbed(title+body)", f.ID, i)
+				}
 			}
 		}
-		if text.EmbedTokens(m.Terms) != text.Embed(m.Doc.Title+" "+m.Text) {
-			t.Errorf("doc %d: EmbedTokens(Terms) differs from Embed(title+body)", i)
+	}
+}
+
+// TestDocIDsMatchSprintf pins the concatenated document IDs and URLs
+// against the fmt.Sprintf forms they replaced, across the zero-padding
+// boundaries and past four digits.
+func TestDocIDsMatchSprintf(t *testing.T) {
+	_, ds, g := fixture(t)
+	f := ds[dataset.FactBench].Facts[0]
+	fm := newFactMeta(f)
+	ps, pr, pn := g.stanceMix(f)
+	for _, seq := range []int{0, 9, 10, 999, 1000, 9999, 10000} {
+		if got, want := DocID(f.ID, seq), fmt.Sprintf("%s-d%04d", f.ID, seq); got != want {
+			t.Errorf("DocID(%d) = %q, want %q", seq, got, want)
 		}
+		d := g.doc(fm, seq, ps, pr, pn)
+		if want := fmt.Sprintf("%s-d%04d", f.ID, seq); d.ID != want {
+			t.Errorf("doc %d: ID = %q, want %q", seq, d.ID, want)
+		}
+		if want := fmt.Sprintf("https://%s/%s/%s", d.Host, slug(f.Subject.Label), fmt.Sprintf("p%04d", seq)); d.URL != want {
+			t.Errorf("doc %d: URL = %q, want %q", seq, d.URL, want)
+		}
+		sd := g.Stream(f, seq)
+		if want := fmt.Sprintf("https://%s/%s/s%04d", sd.Host, slug(f.Subject.Label), seq); sd.URL != want {
+			t.Errorf("stream doc %d: URL = %q, want %q", seq, sd.URL, want)
+		}
+	}
+}
+
+func BenchmarkMaterialize(b *testing.B) {
+	w := world.New(world.SmallConfig())
+	facts := dataset.Build(w, dataset.FactBench, 0.2).Facts[:8]
+	g := NewGenerator(w)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.Materialize(facts[i%len(facts)])
 	}
 }

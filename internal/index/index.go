@@ -90,25 +90,32 @@ type Index struct {
 }
 
 // Builder accumulates documents into an Index. Documents must be added in
-// pool order; the builder is not safe for concurrent use.
+// pool order; the builder is not safe for concurrent use. Adding a document
+// only appends its vector to the forward store; Build inverts the store
+// into posting lists in one counting pass, so the postings of a whole pool
+// live in one exactly sized array instead of growing per dimension.
 type Builder struct {
-	dims      map[int32]*dimList
 	ids       []string
 	docOff    []int32
 	docDims   []int32
 	docWts    []float32
-	n         int
 	blockSize int
 }
 
 // NewBuilder returns a builder sized for about capHint documents.
 func NewBuilder(capHint int) *Builder {
 	return &Builder{
-		dims:      make(map[int32]*dimList),
 		ids:       make([]string, 0, capHint),
 		docOff:    append(make([]int32, 0, capHint+1), 0),
 		blockSize: DefaultBlockSize,
 	}
+}
+
+// Grow pre-sizes the forward store for n more postings (the summed NNZ of
+// the vectors still to be added), so adding them never regrows it.
+func (b *Builder) Grow(n int) {
+	b.docDims = slices.Grow(b.docDims, n)
+	b.docWts = slices.Grow(b.docWts, n)
 }
 
 // WithBlockSize overrides the posting-block length (tests use tiny blocks
@@ -122,8 +129,8 @@ func (b *Builder) WithBlockSize(n int) *Builder {
 }
 
 // Add indexes one document from its term stream (content tokens of
-// title + body, as corpus.Materialized carries). The document's weights are
-// derived via text.SparseEmbedTokens, bit-identical to the dense vector the
+// title + body). The document's weights are derived via
+// text.SparseEmbedTokens, bit-identical to the dense vector the
 // linear-scan engine embedded.
 func (b *Builder) Add(docID string, terms []string) {
 	b.AddVec(docID, text.SparseEmbedTokens(terms))
@@ -131,31 +138,58 @@ func (b *Builder) Add(docID string, terms []string) {
 
 // AddVec indexes one document from its precomputed sparse embedding (the
 // vector corpus.Materialized carries), skipping the embed pass entirely.
-// Sparse dims are ascending and posting lists grow in doc order, so the
-// index is identical to the one Add builds.
+// Its dimensions must lie in [0, text.VectorDim), as every text embedding's
+// do. Build fills posting lists in doc order, so the index is identical to
+// the one Add builds.
 func (b *Builder) AddVec(docID string, v text.SparseVector) {
-	doc := int32(len(b.ids))
 	b.ids = append(b.ids, docID)
-	for i, dim := range v.Dims {
-		dl, ok := b.dims[dim]
-		if !ok {
-			dl = &dimList{}
-			b.dims[dim] = dl
-		}
-		dl.postings = append(dl.postings, Posting{Doc: doc, Weight: v.Weights[i]})
-		b.n++
-	}
 	b.docDims = append(b.docDims, v.Dims...)
 	b.docWts = append(b.docWts, v.Weights...)
 	b.docOff = append(b.docOff, int32(len(b.docDims)))
 }
 
-// Build finalises the index: per-dimension maxima and the impact-ordered
-// block layout are computed here, once, so every later query prunes against
-// immutable metadata. The builder must not be reused afterwards.
+// Build finalises the index: it inverts the forward store into posting
+// lists, then computes per-dimension maxima and the impact-ordered block
+// layout, once, so every later query prunes against immutable metadata.
+// The builder must not be reused afterwards.
 func (b *Builder) Build() *Index {
+	// Count each dimension's postings, carve its list out of one shared
+	// array, then fill the lists document by document: every list comes out
+	// document-ascending and exactly sized.
+	var counts [text.VectorDim]int32
+	for _, d := range b.docDims {
+		counts[d]++
+	}
+	nDims := 0
+	for _, c := range counts {
+		if c > 0 {
+			nDims++
+		}
+	}
+	flat := make([]Posting, len(b.docDims))
+	lists := make([]dimList, 0, nDims)
+	dims := make(map[int32]*dimList, nDims)
+	var byDim [text.VectorDim]*dimList
+	off := int32(0)
+	for d, c := range counts {
+		if c == 0 {
+			continue
+		}
+		lists = append(lists, dimList{postings: flat[off : off : off+c]})
+		dl := &lists[len(lists)-1]
+		byDim[d] = dl
+		dims[int32(d)] = dl
+		off += c
+	}
+	for doc := range b.ids {
+		for j := b.docOff[doc]; j < b.docOff[doc+1]; j++ {
+			dl := byDim[b.docDims[j]]
+			dl.postings = append(dl.postings, Posting{Doc: int32(doc), Weight: b.docWts[j]})
+		}
+	}
+
 	bs := int32(b.blockSize)
-	for _, dl := range b.dims {
+	for _, dl := range dims {
 		n := int32(len(dl.postings))
 		dl.blocks = make([]block, 0, (n+bs-1)/bs)
 		for off := int32(0); off < n; off += bs {
@@ -186,14 +220,13 @@ func (b *Builder) Build() *Index {
 		dl.max = dl.blocks[0].Max
 	}
 	ix := &Index{
-		dims:      b.dims,
+		dims:      dims,
 		ids:       b.ids,
 		docOff:    b.docOff,
 		docDims:   b.docDims,
 		docWts:    b.docWts,
-		nPostings: b.n,
+		nPostings: len(b.docDims),
 	}
-	b.dims = nil
 	b.ids = nil
 	b.docOff = nil
 	b.docDims = nil
@@ -218,6 +251,17 @@ func (ix *Index) Blocks() int {
 
 // ID returns the doc ID at pool position i.
 func (ix *Index) ID(i int) string { return ix.ids[i] }
+
+// Vec returns the sparse vector of the document at pool position i, as
+// the forward store holds it: equal to the vector added, aliasing the
+// index, and not to be modified.
+func (ix *Index) Vec(i int) text.SparseVector {
+	lo, hi := ix.docOff[i], ix.docOff[i+1]
+	if lo == hi {
+		return text.SparseVector{}
+	}
+	return text.SparseVector{Dims: ix.docDims[lo:hi:hi], Weights: ix.docWts[lo:hi:hi]}
+}
 
 // Hit is one scored document of a top-k selection.
 type Hit struct {

@@ -53,6 +53,7 @@ func TestAddVecMatchesAdd(t *testing.T) {
 	docs := [][]string{
 		text.ContentTokens("alpha beta gamma"),
 		text.ContentTokens("beta beta delta"),
+		text.ContentTokens("the of"),
 		text.ContentTokens("epsilon"),
 	}
 	a := NewBuilder(len(docs))
@@ -66,6 +67,12 @@ func TestAddVecMatchesAdd(t *testing.T) {
 	if ia.Postings() != iv.Postings() || ia.Docs() != iv.Docs() {
 		t.Fatalf("shape mismatch: %d/%d postings, %d/%d docs",
 			ia.Postings(), iv.Postings(), ia.Docs(), iv.Docs())
+	}
+	// The forward store hands back each document's vector as added.
+	for i, terms := range docs {
+		if got, want := iv.Vec(i), text.SparseEmbedTokens(terms); !reflect.DeepEqual(got, want) {
+			t.Errorf("Vec(%d) = %v, added %v", i, got, want)
+		}
 	}
 	q := text.SparseEmbed("alpha beta delta epsilon")
 	if got, want := iv.TopKSparse(q, 3, nil, nil), ia.TopKSparse(q, 3, nil, nil); !reflect.DeepEqual(got, want) {

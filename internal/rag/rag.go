@@ -392,7 +392,7 @@ func (p *Pipeline) retrieve(ctx context.Context, f *dataset.Fact) (*Evidence, er
 		ev    search.DocEvidence // sparse path only
 		score float64
 	}
-	var docs []scoredDoc
+	docs := make([]scoredDoc, 0, len(serpItems))
 	for _, it := range serpItems {
 		if fetchVec {
 			de, err := fetcher.FetchEvidence(it.DocID)

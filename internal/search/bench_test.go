@@ -51,6 +51,10 @@ func newMutexedFrontend(e *Engine, facts []*dataset.Fact) (*mutexedFrontend, err
 	return m, nil
 }
 
+// mutexedMemoBound is the retired query-vector memo's admission bound,
+// kept so the baseline reproduces the front end it measured.
+const mutexedMemoBound = 4096
+
 func (m *mutexedFrontend) queryVec(q string) text.SparseVector {
 	m.qvMu.RLock()
 	v, ok := m.qv[q]
@@ -60,7 +64,7 @@ func (m *mutexedFrontend) queryVec(q string) text.SparseVector {
 	}
 	v = text.SparseEmbed(q)
 	m.qvMu.Lock()
-	if len(m.qv) < maxCachedQueryVecs {
+	if len(m.qv) < mutexedMemoBound {
 		m.qv[q] = v
 	}
 	m.qvMu.Unlock()

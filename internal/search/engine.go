@@ -76,7 +76,7 @@ type Warmer interface {
 // concurrently).
 type PoolSource interface {
 	// Materialize generates the fact's full pool — metadata, body text and
-	// term streams — in pool order.
+	// document embeddings — in pool order.
 	Materialize(f *dataset.Fact) []corpus.Materialized
 }
 
@@ -113,9 +113,6 @@ type Engine struct {
 
 	// snap is the live snapshot. Never mutated after publication.
 	snap atomic.Pointer[snapshot]
-	// qv is the per-epoch query-embedding memo: an immutable map swapped
-	// by CAS on insert and rebuilt from empty on every ingestion epoch.
-	qv atomic.Pointer[qvMap]
 
 	// mu serialises snapshot publication: materialisation bookkeeping,
 	// ingestion folds and eviction. Never taken on the warm read path.
@@ -160,11 +157,6 @@ type snapshot struct {
 	// an XOR fold over per-fact ingestion chains: order-independent
 	// across facts, order-sensitive within one fact's stream.
 	digests map[dataset.Name]uint64
-}
-
-// qvMap is one immutable generation of the query-embedding memo.
-type qvMap struct {
-	m map[string]text.SparseVector
 }
 
 // retrievalCounters aggregates the pruned path's work counters.
@@ -259,7 +251,6 @@ func NewEngine(gen PoolSource, ds ...*dataset.Dataset) *Engine {
 		epochs:  map[string]uint64{},
 		digests: map[dataset.Name]uint64{},
 	})
-	e.qv.Store(&qvMap{m: map[string]text.SparseVector{}})
 	return e
 }
 
@@ -386,8 +377,8 @@ func evictOver(pools map[string]*factPool) int64 {
 }
 
 // materialize generates the fact's pool from the source, replays its
-// ingestion log on top, and builds the inverted index from the corpus term
-// streams (a single tokenize pass per document).
+// ingestion log on top, and builds the inverted index from the embeddings
+// the source computed (one kernel pass per document).
 func (e *Engine) materialize(f *dataset.Fact, appended []*pooledDoc, epoch uint64) *factPool {
 	ms := e.gen.Materialize(f)
 	n := len(ms) + len(appended)
@@ -396,33 +387,46 @@ func (e *Engine) materialize(f *dataset.Fact, appended []*pooledDoc, epoch uint6
 		byID:  make(map[string]*pooledDoc, n),
 		epoch: epoch,
 	}
-	b := index.NewBuilder(n)
-	for _, m := range ms {
-		vec := m.Vec
-		if vec.NNZ() == 0 && len(m.Terms) > 0 {
-			// Pool sources other than corpus.Generator may fill only the
-			// term stream; embed it here so the doc table always carries a
-			// usable vector.
-			vec = text.SparseEmbedTokens(m.Terms)
-		}
+	// The generated rows share one allocation: a pool is published and
+	// evicted as a whole.
+	rows := make([]pooledDoc, len(ms))
+	for i, m := range ms {
 		full := m.Doc.Title + " " + m.Text
-		d := &pooledDoc{
+		rows[i] = pooledDoc{
 			doc:  m.Doc,
 			full: full,
 			text: full[len(m.Doc.Title)+1:],
-			vec:  vec,
+			vec:  m.Vec,
 		}
-		p.docs = append(p.docs, d)
-		p.byID[m.Doc.ID] = d
-		b.AddVec(m.Doc.ID, vec)
+		p.docs = append(p.docs, &rows[i])
+		p.byID[m.Doc.ID] = &rows[i]
 	}
 	for _, d := range appended {
 		p.docs = append(p.docs, d)
 		p.byID[d.doc.ID] = d
+	}
+	p.idx = buildIndex(p.docs)
+	// The generated rows read their vectors from the index's forward store,
+	// so the pool holds each vector once. Ingested rows keep their own:
+	// every pool version built from the ingestion log shares them.
+	for i := range rows {
+		rows[i].vec = p.idx.Vec(i)
+	}
+	return p
+}
+
+// buildIndex indexes the pool's documents in pool order.
+func buildIndex(docs []*pooledDoc) *index.Index {
+	b := index.NewBuilder(len(docs))
+	nnz := 0
+	for _, d := range docs {
+		nnz += d.vec.NNZ()
+	}
+	b.Grow(nnz)
+	for _, d := range docs {
 		b.AddVec(d.doc.ID, d.vec)
 	}
-	p.idx = b.Build()
-	return p
+	return b.Build()
 }
 
 // foldPool extends a pool with newly ingested documents, rebuilding the
@@ -441,11 +445,7 @@ func foldPool(p *factPool, appended []*pooledDoc, epoch uint64) *factPool {
 		np.docs = append(np.docs, d)
 		np.byID[d.doc.ID] = d
 	}
-	b := index.NewBuilder(len(np.docs))
-	for _, d := range np.docs {
-		b.AddVec(d.doc.ID, d.vec)
-	}
-	np.idx = b.Build()
+	np.idx = buildIndex(np.docs)
 	return np
 }
 
@@ -455,40 +455,6 @@ func foldPool(p *factPool, appended []*pooledDoc, epoch uint64) *factPool {
 func (e *Engine) Warm(factID string) error {
 	_, err := e.pool(factID)
 	return err
-}
-
-// maxCachedQueryVecs bounds the query-embedding memo. The memo is an
-// immutable copy-on-write map: once full it simply stops admitting new
-// queries until the next ingestion epoch rebuilds it from empty —
-// correctness never depends on a hit, and a hard ceiling beats LRU
-// bookkeeping on a lock-free path.
-const maxCachedQueryVecs = 4096
-
-// queryVec returns the sparse embedding of q, memoised across queries
-// within one ingestion epoch. The warm path is one atomic load and one
-// immutable map lookup; misses copy the map and CAS the new generation in.
-func (e *Engine) queryVec(q string) text.SparseVector {
-	if v, ok := e.qv.Load().m[q]; ok {
-		return v
-	}
-	v := text.SparseEmbed(q)
-	for {
-		old := e.qv.Load()
-		if _, ok := old.m[q]; ok {
-			return v // another writer published it; embeddings are pure
-		}
-		if len(old.m) >= maxCachedQueryVecs {
-			return v
-		}
-		m := make(map[string]text.SparseVector, len(old.m)+1)
-		for k, ov := range old.m {
-			m[k] = ov
-		}
-		m[q] = v
-		if e.qv.CompareAndSwap(old, &qvMap{m: m}) {
-			return v
-		}
-	}
 }
 
 // serpJitterScale is the magnitude of the deterministic SERP perturbation,
@@ -519,7 +485,7 @@ func (e *Engine) Search(factID, query string, n int) ([]SERPItem, error) {
 		queryHist.Observe(time.Since(start))
 		return nil, err
 	}
-	qv := e.queryVec(query)
+	qv := text.SparseEmbed(query)
 	// One partial hash covers the ("serp", query) prefix for the whole
 	// pool; each document extends it with its ID only. Values are identical
 	// to serpJitter(query, docID).
@@ -553,7 +519,7 @@ func (e *Engine) IndexedSearch(factID, query string, n int) ([]SERPItem, error) 
 	if err != nil {
 		return nil, err
 	}
-	qv := e.queryVec(query)
+	qv := text.SparseEmbed(query)
 	key := det.NewKey("serp", query)
 	a := e.arena()
 	hits := p.idx.TopKSparse(qv, n, func(docID string) float64 {
@@ -672,7 +638,7 @@ func (d DocEvidence) Chunks(window int) []chunk.Chunk {
 }
 
 // ChunkVecs returns the sparse embeddings of the document's windows of
-// `window` sentences, built from the split's single tokenize pass; entry i
+// `window` sentences, built from the split's single kernel pass; entry i
 // is bit-identical to text.SparseEmbed(Chunks(window)[i].Text).
 func (d DocEvidence) ChunkVecs(window int) []text.SparseVector {
 	return d.pooled.sentenceSplit().WindowVecs(window)
@@ -744,11 +710,9 @@ type Stats struct {
 	Misses      int64 `json:"misses"`
 	Evicted     int64 `json:"evicted"`
 	// Epoch is the snapshot publication sequence number; IngestedDocs
-	// counts live-ingested documents across all facts, and
-	// CachedQueryVecs is the current size of the per-epoch query memo.
-	Epoch           uint64 `json:"epoch"`
-	IngestedDocs    int    `json:"ingested_docs"`
-	CachedQueryVecs int    `json:"cached_query_vecs"`
+	// counts live-ingested documents across all facts.
+	Epoch        uint64 `json:"epoch"`
+	IngestedDocs int    `json:"ingested_docs"`
 	// SearchQueries counts Search calls (the pruned production path);
 	// PostingsTouched, BlocksSkipped and DocsScored accumulate its pruning
 	// counters — the asymptotic story of every query served so far.
@@ -767,7 +731,6 @@ func (e *Engine) Stats() Stats {
 		Facts:           len(e.facts),
 		CachedFacts:     len(sn.pools),
 		Epoch:           sn.gen,
-		CachedQueryVecs: len(e.qv.Load().m),
 		Hits:            e.hits.Load(),
 		Misses:          e.misses.Load(),
 		Evicted:         e.evicted.Load(),

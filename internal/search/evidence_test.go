@@ -6,11 +6,8 @@ import (
 	"testing"
 
 	"factcheck/internal/chunk"
-	"factcheck/internal/corpus"
-	"factcheck/internal/dataset"
 	"factcheck/internal/text"
 	"factcheck/internal/verbalize"
-	"factcheck/internal/world"
 )
 
 // TestFetchEvidenceMatchesFetch pins the vector-aware fetch against plain
@@ -72,53 +69,6 @@ func TestFetchEvidenceErrors(t *testing.T) {
 	}
 	if _, err := e.FetchEvidence(d.Facts[0].ID + "-d9999"); !errors.Is(err, ErrUnknownDoc) {
 		t.Errorf("unknown doc: got %v, want ErrUnknownDoc", err)
-	}
-}
-
-// termsOnlySource strips the precomputed vectors from a real generator's
-// pools, modelling a PoolSource that fills only the term streams.
-type termsOnlySource struct{ inner PoolSource }
-
-func (s termsOnlySource) Materialize(f *dataset.Fact) []corpus.Materialized {
-	ms := s.inner.Materialize(f)
-	for i := range ms {
-		ms[i].Vec = text.SparseVector{}
-	}
-	return ms
-}
-
-// TestTermsOnlyPoolSourceStillSearchable is the regression test for the
-// vector-fallback path: a source that fills Terms but not Vec must produce
-// the same index (same postings, same SERPs) as the full generator — not
-// silently unsearchable documents.
-func TestTermsOnlyPoolSourceStillSearchable(t *testing.T) {
-	w := world.New(world.SmallConfig())
-	d := dataset.Build(w, dataset.FactBench, 0.2)
-	gen := corpus.NewGenerator(w)
-	full := NewEngine(gen, d)
-	stripped := NewEngine(termsOnlySource{inner: gen}, d)
-	f := d.Facts[0]
-	q := verbalize.Sentence(f)
-	want, err := full.Search(f.ID, q, 25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := stripped.Search(f.ID, q, 25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want) == 0 {
-		t.Fatal("no results from full engine")
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("terms-only source SERP differs:\ngot:  %v\nwant: %v", got, want)
-	}
-	de, err := stripped.FetchEvidence(want[0].DocID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wantVec := text.SparseEmbed(de.Full); !reflect.DeepEqual(de.Vec, wantVec) {
-		t.Fatal("terms-only source doc-table vector not rebuilt from terms")
 	}
 }
 

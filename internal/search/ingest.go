@@ -13,7 +13,7 @@ import (
 // ingestSeqBase is the first document sequence number assigned to live
 // ingestion. Generated base pools stay far below it (corpus.Generator caps
 // pools at a few hundred documents), so ingested doc IDs — which share the
-// "%s-d%04d" shape with generated ones to keep factIDOfDoc routing uniform
+// corpus.DocID shape with generated ones to keep factIDOfDoc routing uniform
 // — can never collide with the base corpus.
 const ingestSeqBase = 1000
 
@@ -46,11 +46,10 @@ const defaultIngestHost = "live.factcheck.invalid"
 // one fresh epoch snapshot covering the whole batch: per-fact epochs
 // advance, per-dataset corpus digests fold the new content in, already
 // materialised pools are extended incrementally (index rebuilt over the
-// combined doc sequence — byte-identical to a cold build), and the
-// query-vector memo resets. Readers never block: they keep the old
-// snapshot until the single pointer store, and see the whole batch or
-// none of it. Unknown facts fail the batch atomically, before any state
-// changes.
+// combined doc sequence — byte-identical to a cold build). Readers never
+// block: they keep the old snapshot until the single pointer store, and
+// see the whole batch or none of it. Unknown facts fail the batch
+// atomically, before any state changes.
 func (e *Engine) Ingest(docs []IngestDoc) (IngestResult, error) {
 	if len(docs) == 0 {
 		return IngestResult{}, fmt.Errorf("search: ingest: empty batch")
@@ -113,10 +112,6 @@ func (e *Engine) Ingest(docs []IngestDoc) (IngestResult, error) {
 		epochs:  epochs,
 		digests: digests,
 	})
-	// New epoch, new memo: query embeddings are corpus-independent, but
-	// resetting here is what keeps the memo's bound per-epoch rather than
-	// process-lifetime.
-	e.qv.Store(&qvMap{m: map[string]text.SparseVector{}})
 	return res, nil
 }
 
@@ -124,14 +119,14 @@ func (e *Engine) Ingest(docs []IngestDoc) (IngestResult, error) {
 // document, embedding its content exactly as materialize embeds generated
 // documents (sparse embedding of "Title + body").
 func newIngestedDoc(f *dataset.Fact, in IngestDoc, seq int) *pooledDoc {
-	id := fmt.Sprintf("%s-d%04d", f.ID, seq)
+	id := corpus.DocID(f.ID, seq)
 	host := in.Host
 	if host == "" {
 		host = defaultIngestHost
 	}
 	url := in.URL
 	if url == "" {
-		url = fmt.Sprintf("https://%s/ingest/%s", host, id)
+		url = "https://" + host + "/ingest/" + id
 	}
 	doc := &corpus.Document{
 		ID:     id,

@@ -165,25 +165,24 @@ func TestIngestValidation(t *testing.T) {
 	}
 }
 
-// TestQueryVecMemoBound: the per-epoch query-vector memo admits at most
-// maxCachedQueryVecs entries, and an ingest resets it (embeddings can stay
-// per-epoch-stable only if the memo never outlives the epoch).
-func TestQueryVecMemoBound(t *testing.T) {
-	e, d := fixture(t)
+// TestIngestedDocIDsMatchSprintf pins ingested document IDs and default
+// URLs against the fmt.Sprintf forms they replaced. Ingested seqs start at
+// ingestSeqBase and pass four digits once a fact has taken 9,000 documents.
+func TestIngestedDocIDsMatchSprintf(t *testing.T) {
+	_, d := fixture(t)
 	f := d.Facts[0]
-	for i := 0; i < maxCachedQueryVecs+64; i++ {
-		if _, err := e.Search(f.ID, fmt.Sprintf("query variant %d", i), 1); err != nil {
-			t.Fatal(err)
+	for _, seq := range []int{0, 9, 10, 999, ingestSeqBase, 9999, 10000} {
+		pd := newIngestedDoc(f, IngestDoc{FactID: f.ID, Title: "t", Text: "x"}, seq)
+		id := fmt.Sprintf("%s-d%04d", f.ID, seq)
+		if pd.doc.ID != id {
+			t.Errorf("seq %d: ID = %q, want %q", seq, pd.doc.ID, id)
 		}
-	}
-	if got := e.Stats().CachedQueryVecs; got > maxCachedQueryVecs {
-		t.Fatalf("query-vector memo grew to %d, bound %d", got, maxCachedQueryVecs)
-	}
-	if _, err := e.Ingest([]IngestDoc{{FactID: f.ID, Title: "t", Text: "x"}}); err != nil {
-		t.Fatal(err)
-	}
-	if got := e.Stats().CachedQueryVecs; got != 0 {
-		t.Fatalf("memo holds %d entries after ingest, want 0 (epoch reset)", got)
+		if want := fmt.Sprintf("https://%s/ingest/%s", defaultIngestHost, id); pd.doc.URL != want {
+			t.Errorf("seq %d: URL = %q, want %q", seq, pd.doc.URL, want)
+		}
+		if got, ok := factIDOfDoc(pd.doc.ID); !ok || got != f.ID {
+			t.Errorf("seq %d: factIDOfDoc(%q) = %q, %v", seq, pd.doc.ID, got, ok)
+		}
 	}
 }
 

@@ -1415,7 +1415,6 @@ func (s *Service) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	p.Counter("factcheck_retrieval_evicted_total", "Shards evicted from the search-engine cache.", uint64(r.Evicted))
 	p.Gauge("factcheck_retrieval_epoch", "Corpus snapshot publication sequence number.", float64(r.Epoch))
 	p.Gauge("factcheck_retrieval_ingested_docs", "Live-ingested documents across all facts.", float64(r.IngestedDocs))
-	p.Gauge("factcheck_retrieval_cached_query_vecs", "Entries in the per-epoch query-vector memo.", float64(r.CachedQueryVecs))
 	p.Counter("factcheck_retrieval_search_queries_total", "Search calls served by the pruned top-k path.", uint64(r.SearchQueries))
 	p.Counter("factcheck_retrieval_postings_touched_total", "Postings read by the pruned top-k path.", uint64(r.PostingsTouched))
 	p.Counter("factcheck_retrieval_blocks_skipped_total", "Posting blocks skipped by max-score pruning.", uint64(r.BlocksSkipped))

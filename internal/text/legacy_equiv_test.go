@@ -6,9 +6,21 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"testing/quick"
 	"unicode"
 )
+
+// EmbedTokens is the retired token-string form of Embed, over a
+// stopword-filtered term stream, kept as the differential reference for
+// the ContentDims kernel: EmbedTokens(ContentTokens(s)) must equal
+// Embed(s) bit for bit.
+func EmbedTokens(toks []string) Vector {
+	var v Vector
+	for _, t := range toks {
+		v[HashToken(t)]++
+	}
+	v.normalise()
+	return v
+}
 
 // legacyTokenize is the retired strings.Builder + strings.ToLower
 // implementation, kept as the differential reference for the
@@ -85,22 +97,39 @@ func FuzzTokenizeMatchesLegacy(f *testing.F) {
 // TestCountTokensMatchesFields pins the in-place word count against the
 // retired strings.Fields-based implementation.
 func TestCountTokensMatchesFields(t *testing.T) {
-	ref := func(s string) int {
-		if s == "" {
-			return 0
-		}
-		return int(math.Ceil(float64(len(strings.Fields(s))) * 1.3))
-	}
 	cases := append(append([]string{}, tokenizeCases...),
 		"   leading", "trailing   ", " \t\n ", "one", "a b", "a b")
 	for _, s := range cases {
-		if got, want := CountTokens(s), ref(s); got != want {
+		if got, want := CountTokens(s), countTokensFields(s); got != want {
 			t.Errorf("CountTokens(%q) = %d, Fields reference = %d", s, got, want)
 		}
 	}
-	if err := quick.Check(func(s string) bool { return CountTokens(s) == ref(s) }, nil); err != nil {
-		t.Error(err)
+}
+
+// countTokensFields is the retired strings.Fields-based CountTokens.
+func countTokensFields(s string) int {
+	if s == "" {
+		return 0
 	}
+	return int(math.Ceil(float64(len(strings.Fields(s))) * 1.3))
+}
+
+// FuzzCountTokensMatchesFields checks the byte-classified word count
+// against strings.Fields over arbitrary bytes: every ASCII and Unicode
+// space, invalid UTF-8 included.
+func FuzzCountTokensMatchesFields(f *testing.F) {
+	for _, s := range tokenizeCases {
+		f.Add(s)
+	}
+	for _, s := range []string{"a\u00a0b", "a\u0085b\u2003c", "\xff \xfe", "\v\f\r",
+		"abcdefg hijklmno\t\n\v\f\r\x08\x0e  x y\x1f!~\x7f", "1234567\u00a0890 abcdefgh ijklmnop"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		if got, want := CountTokens(s), countTokensFields(s); got != want {
+			t.Fatalf("CountTokens(%q) = %d, Fields reference = %d", s, got, want)
+		}
+	})
 }
 
 // TestHashTokenMatchesFNV pins the inlined token hash against the original
@@ -118,5 +147,16 @@ func TestHashTokenMatchesFNV(t *testing.T) {
 				t.Errorf("HashToken(%q) = %d, want %d", tok, got, want)
 			}
 		}
+	}
+}
+
+// countBody is an evidence-shaped prompt body: what CountTokens sees on
+// every simulated call.
+var countBody = strings.Repeat("Marie Curie was married to Pierre Curie. Multiple records agree on this point.\n", 24)
+
+func BenchmarkCountTokens(b *testing.B) {
+	b.SetBytes(int64(len(countBody)))
+	for i := 0; i < b.N; i++ {
+		CountTokens(countBody)
 	}
 }

@@ -32,29 +32,65 @@ func (v SparseVector) Dense() Vector {
 }
 
 // SparseEmbed is Embed producing a SparseVector: Dense() of the result is
-// bit-identical to Embed(s).
+// bit-identical to Embed(s). It runs the ContentDims kernel into stack
+// scratch, so the only allocations are the result's two slices.
 func SparseEmbed(s string) SparseVector {
-	return SparseEmbedTokens(ContentTokens(s))
+	var scratch [embedScratch]int32
+	return SparseEmbedDims(ContentDims(s, scratch[:0]))
 }
 
-// SparseEmbedTokens is EmbedTokens producing a SparseVector (stopwords must
-// already be removed). The weights are computed in ascending dimension
-// order — the order EmbedTokens' dense loops visit non-zero entries — so
-// every float operation matches the dense path and the result is
-// bit-identical.
+// SparseEmbedTokens is SparseEmbed over an already-tokenised term stream
+// (stopwords must already be removed): the token-string reference for
+// SparseEmbed.
 func SparseEmbedTokens(toks []string) SparseVector {
-	if len(toks) == 0 {
-		return SparseVector{}
-	}
 	dims := make([]int32, len(toks))
 	for i, t := range toks {
 		dims[i] = int32(HashToken(t))
 	}
+	return SparseEmbedDims(dims)
+}
+
+// smallTFWeights caches tfWeight for the term frequencies nearly every
+// term has.
+var smallTFWeights = func() (w [16]float32) {
+	for tf := 1; tf < len(w); tf++ {
+		w[tf] = float32(1 + math.Log(float64(float32(tf))))
+	}
+	return w
+}()
+
+// tfWeight is the damped weight 1+log(tf) of a term seen tf times, before
+// normalisation. Dense Embed counts tf by float32 increments; integer run
+// lengths convert to the same float32 values exactly.
+func tfWeight(tf int) float32 {
+	if tf < len(smallTFWeights) {
+		return smallTFWeights[tf]
+	}
+	return float32(1 + math.Log(float64(float32(tf))))
+}
+
+// SparseEmbedDims is the tail every sparse embedder shares: given the
+// hashed dimension of each content token (ContentDims output, any order),
+// it sorts dims in place, run-length counts the terms and normalises. The
+// weights are computed in ascending dimension order — the order Embed's
+// dense loops visit non-zero entries — so every float
+// operation matches the dense path and the result is bit-identical. The
+// result never aliases dims, so callers may pass reusable scratch.
+func SparseEmbedDims(dims []int32) SparseVector {
+	if len(dims) == 0 {
+		return SparseVector{}
+	}
 	slices.Sort(dims)
+	nnz := 1
+	for i := 1; i < len(dims); i++ {
+		if dims[i] != dims[i-1] {
+			nnz++
+		}
+	}
 
 	out := SparseVector{
-		Dims:    dims[:0],
-		Weights: make([]float32, 0, len(dims)),
+		Dims:    make([]int32, 0, nnz),
+		Weights: make([]float32, 0, nnz),
 	}
 	var norm float64
 	for i := 0; i < len(dims); {
@@ -62,9 +98,7 @@ func SparseEmbedTokens(toks []string) SparseVector {
 		for j < len(dims) && dims[j] == dims[i] {
 			j++
 		}
-		// Dense Embed counts tf by float32 increments; integer run lengths
-		// convert to the same float32 values exactly.
-		w := float32(1 + math.Log(float64(float32(j-i))))
+		w := tfWeight(j - i)
 		out.Dims = append(out.Dims, dims[i])
 		out.Weights = append(out.Weights, w)
 		norm += float64(w) * float64(w)

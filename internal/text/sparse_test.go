@@ -3,6 +3,8 @@ package text
 import (
 	"fmt"
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -176,6 +178,57 @@ func FuzzSparseMatchesDense(f *testing.F) {
 			t.Fatalf("cosine mismatch for (%q, %q): %v vs %v", a, b, got, want)
 		}
 	})
+}
+
+// kernelSeeds are the shapes the kernel embeds in production — corpus
+// document titles and bodies, verbalised facts, KG identifiers — plus the
+// inputs where its ASCII fast path hands over to the unicode tables:
+// invalid UTF-8, and non-ASCII letters and digits whose case mapping or
+// class differs from ASCII (İ lower-cases to ASCII i, ǅ is title case, Σ
+// has a context-free lower form, ٣ is an Arabic-Indic digit).
+var kernelSeeds = []string{
+	"Alexander III of Russia and Maria Feodorovna: the record",
+	"Alexander III of Russia - profile and notes",
+	"Regional news roundup",
+	"Marie Curie was married to Pierre Curie. Multiple records agree on this point. Marie Curie appears in multiple regional registries.",
+	"Contrary to some claims, it is not the case that Lionel Messi plays for Real Madrid. This page is part of a curated collection of reference material.",
+	"General interest material unrelated to the query. Readers frequently consult this entry for background information.",
+	"isMarriedTo birthPlace award3 N01 HTTPServer",
+	"\xff\xfe broken \xc3 utf8 \xe2\x82",
+	"İstanbul İSTANBUL ǅemal ǅ ΣΊΣΥΦΟΣ σίσυφος ٣ abc٣def ٣٣x",
+	"ＦＵＬＬwidth Ⅻ ½ ²³ ǈǋ ß ẞ",
+	strings.Repeat("echo ", 15) + strings.Repeat("chamber ", 16) + strings.Repeat("reverb ", 40),
+}
+
+// FuzzSparseEmbedMatchesTokens checks the allocation-free kernel against
+// the token-string path it replaced: for arbitrary bytes, SparseEmbed must
+// equal SparseEmbedTokens(ContentTokens(s)), and its dense form must equal
+// Embed (itself a kernel consumer) and EmbedTokens (the string reference).
+func FuzzSparseEmbedMatchesTokens(f *testing.F) {
+	for _, s := range append(append([]string{}, sparseCases...), kernelSeeds...) {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		toks := ContentTokens(s)
+		got := SparseEmbed(s)
+		if want := SparseEmbedTokens(toks); !reflect.DeepEqual(got, want) {
+			t.Fatalf("SparseEmbed(%q) = %v, token path = %v", s, got, want)
+		}
+		if got.Dense() != Embed(s) {
+			t.Fatalf("SparseEmbed(%q).Dense() != Embed", s)
+		}
+		if Embed(s) != EmbedTokens(toks) {
+			t.Fatalf("Embed(%q) != EmbedTokens(ContentTokens)", s)
+		}
+	})
+}
+
+// TestSparseEmbedAllocs pins the kernel's allocation budget: the result's
+// Dims and Weights slices, and nothing per token.
+func TestSparseEmbedAllocs(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() { SparseEmbed(benchPair[1]) }); n > 3 {
+		t.Errorf("SparseEmbed allocates %v times per call, want at most 3", n)
+	}
 }
 
 func ExampleSparseEmbed() {
