@@ -91,35 +91,48 @@ const Noise = -1
 // neighbours within eps seeds a cluster that expands through
 // density-reachable points; the rest is Noise. Labels are returned
 // per-point; cluster ids are dense, starting at 0, assigned in scan order
-// so results are deterministic.
+// so results are deterministic. All points must have the same dimension.
+//
+// The neighbourhood test is Euclidean(p, q) <= eps decided without the
+// square root: the squared distance, summed exactly as Euclidean sums it,
+// is compared with the largest s whose square root is within eps
+// (sqThreshold), which makes every decision the same.
 func DBSCAN(points [][]float64, eps float64, minPts int) []int {
 	n := len(points)
 	labels := make([]int, n)
 	for i := range labels {
 		labels[i] = Noise
 	}
-	visited := make([]bool, n)
-	cluster := 0
-	neighbors := func(i int) []int {
-		var out []int
-		for j := 0; j < n; j++ {
-			if j != i && Euclidean(points[i], points[j]) <= eps {
-				out = append(out, j)
-			}
-		}
-		return out
+	if n == 0 {
+		return labels
 	}
+	dim := len(points[0])
+	flat := make([]float64, 0, n*dim)
+	for _, p := range points {
+		if len(p) != dim {
+			panic("cluster: DBSCAN points of unequal dimension")
+		}
+		flat = append(flat, p...)
+	}
+	thr := sqThreshold(eps)
+	visited := make([]bool, n)
+	// queued[j] == cluster+1 once j joined the current cluster's queue: a
+	// second entry would find its label already set, so it is never added.
+	queued := make([]int, n)
+	var nb, queue []int
+	cluster := 0
 	for i := 0; i < n; i++ {
 		if visited[i] {
 			continue
 		}
 		visited[i] = true
-		nb := neighbors(i)
+		nb = neighbors(flat, n, dim, i, thr, nb[:0])
 		if len(nb)+1 < minPts {
 			continue // noise (may later be absorbed as a border point)
 		}
 		labels[i] = cluster
-		queue := append([]int(nil), nb...)
+		queued[i] = cluster + 1
+		queue = enqueue(queue[:0], nb, queued, cluster+1)
 		for k := 0; k < len(queue); k++ {
 			j := queue[k]
 			if labels[j] == Noise {
@@ -130,14 +143,119 @@ func DBSCAN(points [][]float64, eps float64, minPts int) []int {
 			}
 			visited[j] = true
 			labels[j] = cluster
-			nb2 := neighbors(j)
-			if len(nb2)+1 >= minPts {
-				queue = append(queue, nb2...)
+			nb = neighbors(flat, n, dim, j, thr, nb[:0])
+			if len(nb)+1 >= minPts {
+				queue = enqueue(queue, nb, queued, cluster+1)
 			}
 		}
 		cluster++
 	}
 	return labels
+}
+
+// enqueue appends the points of nb not yet stamped into the queue, stamping
+// them.
+func enqueue(queue, nb, queued []int, stamp int) []int {
+	for _, j := range nb {
+		if queued[j] != stamp {
+			queued[j] = stamp
+			queue = append(queue, j)
+		}
+	}
+	return queue
+}
+
+// neighbors appends to out, ascending, every j != i whose squared distance
+// to point i is at most thr. flat holds the n points' coordinates row by
+// row. Four candidates are summed per step, each sum in Euclidean's own
+// left-to-right order, so every sum is bit-identical to Euclidean's. A
+// partial sum of non-negative terms never decreases under rounding, so
+// once all four exceed thr halfway through, the step is decided.
+func neighbors(flat []float64, n, dim, i int, thr float64, out []int) []int {
+	p := flat[i*dim : (i+1)*dim]
+	half := len(p) / 2
+	j := 0
+	for ; j+4 <= n; j += 4 {
+		q0 := flat[j*dim:][:len(p)]
+		q1 := flat[(j+1)*dim:][:len(p)]
+		q2 := flat[(j+2)*dim:][:len(p)]
+		q3 := flat[(j+3)*dim:][:len(p)]
+		var s0, s1, s2, s3 float64
+		for k, x := range p[:half] {
+			d0 := x - q0[k]
+			s0 += d0 * d0
+			d1 := x - q1[k]
+			s1 += d1 * d1
+			d2 := x - q2[k]
+			s2 += d2 * d2
+			d3 := x - q3[k]
+			s3 += d3 * d3
+		}
+		if s0 > thr && s1 > thr && s2 > thr && s3 > thr {
+			continue
+		}
+		for k := half; k < len(p); k++ {
+			x := p[k]
+			d0 := x - q0[k]
+			s0 += d0 * d0
+			d1 := x - q1[k]
+			s1 += d1 * d1
+			d2 := x - q2[k]
+			s2 += d2 * d2
+			d3 := x - q3[k]
+			s3 += d3 * d3
+		}
+		if s0 <= thr && j != i {
+			out = append(out, j)
+		}
+		if s1 <= thr && j+1 != i {
+			out = append(out, j+1)
+		}
+		if s2 <= thr && j+2 != i {
+			out = append(out, j+2)
+		}
+		if s3 <= thr && j+3 != i {
+			out = append(out, j+3)
+		}
+	}
+	for ; j < n; j++ {
+		q := flat[j*dim:][:len(p)]
+		var s float64
+		for k, x := range p {
+			d := x - q[k]
+			s += d * d
+		}
+		if s <= thr && j != i {
+			out = append(out, j)
+		}
+	}
+	return out
+}
+
+// sqThreshold returns the largest s >= 0 with math.Sqrt(s) <= eps, or -1
+// when there is none (eps negative or NaN). math.Sqrt is correctly
+// rounded and so monotone, so for every s >= 0 (and NaN)
+// math.Sqrt(s) <= eps exactly when s <= sqThreshold(eps). Non-negative
+// float64s order like their bit patterns, so the bound is found by
+// bisecting those.
+func sqThreshold(eps float64) float64 {
+	ok := func(bits uint64) bool { return math.Sqrt(math.Float64frombits(bits)) <= eps }
+	lo, hi := uint64(0), math.Float64bits(math.Inf(1))
+	switch {
+	case !ok(lo):
+		return -1
+	case ok(hi):
+		return math.Inf(1)
+	}
+	for hi-lo > 1 { // invariant: ok(lo) && !ok(hi)
+		mid := lo + (hi-lo)/2
+		if ok(mid) {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return math.Float64frombits(lo)
 }
 
 // Sizes returns cluster id -> member count (excluding Noise), plus the

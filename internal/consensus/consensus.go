@@ -153,15 +153,26 @@ func Decide(ctx context.Context, f *dataset.Fact, outcomes []strategy.Outcome, a
 		if arb == nil {
 			return Decision{}, fmt.Errorf("consensus: tie on %s with no arbiter", f.ID)
 		}
-		v, lat, err := arb.Break(ctx, f)
-		if err != nil {
+		if err := BreakTie(ctx, &d, f, arb); err != nil {
 			return Decision{}, err
 		}
-		d.ArbiterVerdict = v.Bool()
-		d.Final = d.ArbiterVerdict
-		d.LatencySeconds += lat
 	}
 	return d, nil
+}
+
+// BreakTie settles a tied decision with arb: Final becomes the arbiter's
+// verdict and the arbiter's latency is added to LatencySeconds. Callers
+// that decide a fact once and arbitrate it several ways apply it to a copy
+// of the tied Decision per arbiter.
+func BreakTie(ctx context.Context, d *Decision, f *dataset.Fact, arb Arbiter) error {
+	v, lat, err := arb.Break(ctx, f)
+	if err != nil {
+		return err
+	}
+	d.ArbiterVerdict = v.Bool()
+	d.Final = d.ArbiterVerdict
+	d.LatencySeconds += lat
+	return nil
 }
 
 // AlignmentReport holds per-model CA_M scores and the tie rate for one

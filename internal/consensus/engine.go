@@ -2,6 +2,7 @@ package consensus
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -14,16 +15,32 @@ import (
 	"factcheck/internal/strategy"
 )
 
-// tierHists caches per-tier wave histograms so Decide records with a
-// single atomic add per wave. Plans never exceed a handful of tiers (tier
-// 0 is a quorum, each escalation adds one voter); deeper waves collapse
-// into the last slot.
-var tierHists = func() (h [8]*obs.Histogram) {
-	for i := range h {
-		h[i] = obs.Layer("consensus_tier" + strconv.Itoa(i))
+// tierNames and tierHists cache per-tier wave span names and histograms
+// so Decide names a wave without allocating and records it with a single
+// atomic add. Plans never exceed a handful of tiers (tier 0 is a quorum,
+// each escalation adds one voter); deeper waves build their span name and
+// collapse into the last histogram slot.
+var (
+	tierNames = func() (n [8]string) {
+		for i := range n {
+			n[i] = "consensus_tier" + strconv.Itoa(i)
+		}
+		return
+	}()
+	tierHists = func() (h [8]*obs.Histogram) {
+		for i := range h {
+			h[i] = obs.Layer(tierNames[i])
+		}
+		return
+	}()
+)
+
+func tierName(wi int) string {
+	if wi < len(tierNames) {
+		return tierNames[wi]
 	}
-	return
-}()
+	return "consensus_tier" + strconv.Itoa(wi)
+}
 
 func tierHist(wi int) *obs.Histogram {
 	if wi >= len(tierHists) {
@@ -105,7 +122,8 @@ func NewPlan(voters []string, cost func(string) float64) Plan {
 }
 
 // Fetch resolves one voter's outcome for the fact under decision. The
-// engine calls it concurrently within a wave (except under ModeSerial);
+// engine calls it for the votes Engine.Lookup does not hold, concurrently
+// when a wave has two or more of them (except under ModeSerial);
 // implementations route it through whatever verdict stack they own (the
 // serving layer's LRU/store/executor, a precomputed result set, ...).
 type Fetch func(ctx context.Context, model string) (strategy.Outcome, error)
@@ -141,7 +159,18 @@ type Engine struct {
 	// (retry-exhausted) and semantic failures error regardless; only
 	// dependency unavailability is survivable.
 	Degrade bool
+	// Lookup, when set, resolves the votes the caller already holds (a
+	// precomputed result set, a warm cache) before any Fetch: a vote it
+	// finds is resolved inline, and only the misses go to Fetch —
+	// concurrently only when a wave has two or more of them. Lookup runs on
+	// the calling goroutine. Verdicts, skip sets and latencies are
+	// identical with and without it.
+	Lookup func(model string) (strategy.Outcome, bool)
 }
+
+// errPending marks a wave slot Lookup did not resolve: the vote still
+// needs a Fetch.
+var errPending = errors.New("consensus: vote pending")
 
 // Decide runs the engine for one fact. Every mode yields identical
 // Final/Tie verdicts; they differ in which votes are fetched when, and in
@@ -177,15 +206,31 @@ func (e *Engine) Decide(ctx context.Context, f *dataset.Fact, fetch Fetch) (Deci
 		}
 		wouts := make([]strategy.Outcome, len(wave))
 		werrs := make([]error, len(wave))
-		wctx, endWave := obs.StartSpan(ctx, "consensus_tier"+strconv.Itoa(wi))
+		wctx, endWave := obs.StartSpan(ctx, tierName(wi))
 		waveStart := time.Now()
-		if e.Mode == ModeSerial || len(wave) == 1 {
+		misses := 0
+		for i, m := range wave {
+			if e.Lookup != nil {
+				if o, ok := e.Lookup(m); ok {
+					wouts[i] = o
+					continue
+				}
+			}
+			werrs[i] = errPending
+			misses++
+		}
+		if e.Mode == ModeSerial || misses < 2 {
 			for i, m := range wave {
-				wouts[i], werrs[i] = fetch(wctx, m)
+				if werrs[i] == errPending {
+					wouts[i], werrs[i] = fetch(wctx, m)
+				}
 			}
 		} else {
 			var wg sync.WaitGroup
 			for i, m := range wave {
+				if werrs[i] != errPending {
+					continue
+				}
 				wg.Add(1)
 				go func(i int, m string) {
 					defer wg.Done()
@@ -251,13 +296,9 @@ func (e *Engine) Decide(ctx context.Context, f *dataset.Fact, fetch Fetch) (Deci
 		switch {
 		case e.Arbiter != nil:
 			st.ArbiterCalls++
-			v, lat, err := e.Arbiter.Break(ctx, f)
-			if err != nil {
+			if err := BreakTie(ctx, &d, f, e.Arbiter); err != nil {
 				return Decision{}, st, err
 			}
-			d.ArbiterVerdict = v.Bool()
-			d.Final = d.ArbiterVerdict
-			d.LatencySeconds += lat
 		case !e.AllowTie:
 			return Decision{}, st, fmt.Errorf("consensus: tie on %s with no arbiter", f.ID)
 		}

@@ -225,30 +225,37 @@ func (e *MissingCellError) Error() string {
 }
 
 // PerFact regroups a cell list of model names into per-fact outcome slices:
-// result[i][j] is model j's outcome on fact i. A model whose cell is absent
+// result[i][j] is model j's outcome on fact i. The rows share one backing
+// array (each capped at its own length). A model whose cell is absent
 // yields a *MissingCellError (renderers fail loudly instead of silently
 // emitting empty artifacts); cells of mismatched length are likewise
 // rejected.
 func (r *ResultSet) PerFact(d dataset.Name, m llm.Method, models []string) ([][]strategy.Outcome, error) {
-	var per [][]strategy.Outcome
+	if len(models) == 0 {
+		return nil, nil
+	}
+	cols := make([][]strategy.Outcome, len(models))
 	for j, name := range models {
 		cell := Cell{Dataset: d, Method: m, Model: name}
 		outs, ok := r.Outcomes[cell]
 		if !ok {
 			return nil, &MissingCellError{Cell: cell}
 		}
-		if per == nil {
-			per = make([][]strategy.Outcome, len(outs))
-		} else if len(outs) != len(per) {
+		if j > 0 && len(outs) != len(cols[0]) {
 			return nil, fmt.Errorf("core: cell %s/%s/%s has %d outcomes, want %d",
-				d, m, name, len(outs), len(per))
+				d, m, name, len(outs), len(cols[0]))
 		}
-		for i := range outs {
-			if j == 0 {
-				per[i] = make([]strategy.Outcome, 0, len(models))
-			}
-			per[i] = append(per[i], outs[i])
+		cols[j] = outs
+	}
+	k := len(models)
+	flat := make([]strategy.Outcome, len(cols[0])*k)
+	per := make([][]strategy.Outcome, len(cols[0]))
+	for i := range per {
+		row := flat[i*k : (i+1)*k : (i+1)*k]
+		for j, outs := range cols {
+			row[j] = outs[i]
 		}
+		per[i] = row
 	}
 	return per, nil
 }

@@ -9,6 +9,7 @@ import (
 	"factcheck/internal/dataset"
 	"factcheck/internal/eval"
 	"factcheck/internal/llm"
+	"factcheck/internal/sched"
 	"factcheck/internal/strategy"
 )
 
@@ -44,6 +45,10 @@ func (b *Benchmark) RunConsensus(ctx context.Context, rs *ResultSet, dn dataset.
 // Results and tables); adaptive changes only which votes are consulted and
 // the honesty of the Latency column (decided-at time instead of
 // slowest-of-all when the early-stop bound skipped voters).
+//
+// Each fact is decided once, its votes resolved inline from rs through
+// Engine.Lookup; the three arbiters then break only the ties, arbiter by
+// arbiter and in fact order, each on its own copy of the tied decision.
 func (b *Benchmark) RunConsensusMode(ctx context.Context, rs *ResultSet, dn dataset.Name, method llm.Method, mode consensus.Mode) (*ConsensusCell, error) {
 	models := openModels(b.Config.Models)
 	perFact, err := rs.PerFact(dn, method, models)
@@ -58,25 +63,44 @@ func (b *Benchmark) RunConsensusMode(ctx context.Context, rs *ResultSet, dn data
 	if err != nil {
 		return nil, err
 	}
-	plan := consensus.NewPlan(models, llm.Cost)
-	d := b.Datasets[dn]
-	var lats []float64
-	for _, arb := range []consensus.Arbiter{up, down, commercial} {
-		eng := &consensus.Engine{Plan: plan, Mode: mode, Arbiter: arb}
-		var conf eval.Confusion
-		for i, outs := range perFact {
-			outs := outs
-			fetch := func(_ context.Context, model string) (strategy.Outcome, error) {
-				for _, o := range outs {
-					if o.Model == model {
-						return o, nil
-					}
+	facts := b.Datasets[dn].Facts
+	// The fact under decision and its votes.
+	var (
+		fact *dataset.Fact
+		outs []strategy.Outcome
+	)
+	fetch := func(_ context.Context, model string) (strategy.Outcome, error) {
+		return strategy.Outcome{}, fmt.Errorf("core: no %s outcome for fact %s", model, fact.ID)
+	}
+	eng := &consensus.Engine{
+		Plan:     consensus.NewPlan(models, llm.Cost),
+		Mode:     mode,
+		AllowTie: true,
+		Lookup: func(model string) (strategy.Outcome, bool) {
+			for _, o := range outs {
+				if o.Model == model {
+					return o, true
 				}
-				return strategy.Outcome{}, fmt.Errorf("core: no %s outcome for fact %s", model, d.Facts[i].ID)
 			}
-			dec, _, err := eng.Decide(ctx, d.Facts[i], fetch)
-			if err != nil {
-				return nil, err
+			return strategy.Outcome{}, false
+		},
+	}
+	decs := make([]consensus.Decision, len(perFact))
+	for i := range perFact {
+		fact, outs = facts[i], perFact[i]
+		if decs[i], _, err = eng.Decide(ctx, fact, fetch); err != nil {
+			return nil, err
+		}
+	}
+	lats := make([]float64, 0, len(decs))
+	for _, arb := range []consensus.Arbiter{up, down, commercial} {
+		var conf eval.Confusion
+		for i := range decs {
+			dec := decs[i]
+			if dec.Tie {
+				if err := consensus.BreakTie(ctx, &dec, facts[i], arb); err != nil {
+					return nil, err
+				}
 			}
 			conf.Add(dec.Gold, dec.Final, true)
 			if arb.Name() == ArbiterLabels[0] {
@@ -104,17 +128,28 @@ func (b *Benchmark) RunAllConsensus(ctx context.Context, rs *ResultSet) (*Consen
 }
 
 // RunAllConsensusMode computes consensus for every (dataset, method) pair
-// under an explicit engine mode.
+// under an explicit engine mode. The pairs are independent and run on a
+// pool of Config.Parallelism workers; the report is identical at any
+// parallelism.
 func (b *Benchmark) RunAllConsensusMode(ctx context.Context, rs *ResultSet, mode consensus.Mode) (*ConsensusReport, error) {
-	rep := &ConsensusReport{Cells: map[Cell]*ConsensusCell{}}
+	var pairs []Cell
 	for _, dn := range b.Config.Datasets {
 		for _, method := range b.Config.Methods {
-			cell, err := b.RunConsensusMode(ctx, rs, dn, method, mode)
-			if err != nil {
-				return nil, err
-			}
-			rep.Cells[Cell{Dataset: dn, Method: method}] = cell
+			pairs = append(pairs, Cell{Dataset: dn, Method: method})
 		}
+	}
+	cells := make([]*ConsensusCell, len(pairs))
+	err := sched.New(b.Config.Parallelism).Run(ctx, len(pairs), func(ctx context.Context, i int) error {
+		var err error
+		cells[i], err = b.RunConsensusMode(ctx, rs, pairs[i].Dataset, pairs[i].Method, mode)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	rep := &ConsensusReport{Cells: make(map[Cell]*ConsensusCell, len(pairs))}
+	for i, c := range pairs {
+		rep.Cells[c] = cells[i]
 	}
 	return rep, nil
 }

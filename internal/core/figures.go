@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -9,6 +10,7 @@ import (
 	"factcheck/internal/dataset"
 	"factcheck/internal/eval"
 	"factcheck/internal/llm"
+	"factcheck/internal/sched"
 	"factcheck/internal/strategy"
 )
 
@@ -200,26 +202,35 @@ func (b *Benchmark) Figure4(rs *ResultSet) (string, error) {
 }
 
 // Table9 runs the error-clustering study (paper Table 9): per dataset and
-// model, bucket incorrect DKA predictions into E1–E6 and report the
-// per-dataset unique ratio.
+// model, bucket incorrect predictions of the method into E1–E6 and report
+// the per-dataset unique ratio. The (dataset, model) error sets cluster
+// independently on a pool of Config.Parallelism workers and render in
+// order.
 func (b *Benchmark) Table9(rs *ResultSet, method llm.Method) string {
 	models := openModels(b.Config.Models)
+	results := make([]analysis.ClusterResult, len(b.Config.Datasets)*len(models))
+	// The tasks never fail and the context is never cancelled.
+	_ = sched.New(b.Config.Parallelism).Run(context.Background(), len(results), func(_ context.Context, i int) error {
+		dn, m := b.Config.Datasets[i/len(models)], models[i%len(models)]
+		var records []analysis.ErrorRecord
+		for _, o := range rs.Get(dn, method, m) {
+			if o.Correct || o.Verdict == strategy.Invalid {
+				continue
+			}
+			records = append(records, analysis.ErrorRecord{
+				Model: m, FactID: o.FactID, Explanation: o.Explanation,
+			})
+		}
+		results[i] = analysis.ClusterErrors(records)
+		return nil
+	})
 	var sb strings.Builder
 	sb.WriteString("Table 9: Dataset-wise error clustering based on LLM-generated reasoning.\n")
 	fmt.Fprintf(&sb, "%-11s%-12s%6s%6s%6s%6s%6s%6s%8s\n", "Dataset", "Model", "E1", "E2", "E3", "E4", "E5", "E6", "Total")
-	for _, dn := range b.Config.Datasets {
+	for di, dn := range b.Config.Datasets {
 		perModel := map[string]analysis.ClusterResult{}
-		for _, m := range models {
-			var records []analysis.ErrorRecord
-			for _, o := range rs.Get(dn, method, m) {
-				if o.Correct || o.Verdict == strategy.Invalid {
-					continue
-				}
-				records = append(records, analysis.ErrorRecord{
-					Model: m, FactID: o.FactID, Explanation: o.Explanation,
-				})
-			}
-			res := analysis.ClusterErrors(records)
+		for mi, m := range models {
+			res := results[di*len(models)+mi]
 			perModel[m] = res
 			fmt.Fprintf(&sb, "%-11s%-12s", dn, shortModel(m))
 			for _, cat := range analysis.Categories {

@@ -27,34 +27,36 @@ type CellMetrics struct {
 }
 
 // Metrics computes CellMetrics from outcomes.
-func Metrics(outs []strategy.Outcome) CellMetrics {
+func Metrics(outs []strategy.Outcome) CellMetrics { return MergedMetrics(outs) }
+
+// MergedMetrics pools outcomes of several cells (e.g. across datasets) into
+// one micro-averaged metric set. It walks the cells in place, in order,
+// without concatenating them.
+func MergedMetrics(cells ...[]strategy.Outcome) CellMetrics {
+	n := 0
+	for _, c := range cells {
+		n += len(c)
+	}
 	var cm CellMetrics
-	var lats []time.Duration
+	lats := make([]time.Duration, 0, n)
 	var pt, ct int
-	for _, o := range outs {
-		cm.Confusion.Add(o.Gold, o.Verdict.Bool(), o.Verdict != strategy.Invalid)
-		lats = append(lats, o.Latency)
-		pt += o.PromptTokens
-		ct += o.CompletionTokens
+	for _, c := range cells {
+		for i := range c {
+			o := &c[i]
+			cm.Confusion.Add(o.Gold, o.Verdict.Bool(), o.Verdict != strategy.Invalid)
+			lats = append(lats, o.Latency)
+			pt += o.PromptTokens
+			ct += o.CompletionTokens
+		}
 	}
 	cm.F1True = cm.Confusion.F1True()
 	cm.F1False = cm.Confusion.F1False()
 	cm.ThetaMean = eval.MeanResponseTime(lats)
-	if n := float64(len(outs)); n > 0 {
-		cm.PromptTokens = float64(pt) / n
-		cm.CompletionTokens = float64(ct) / n
+	if n > 0 {
+		cm.PromptTokens = float64(pt) / float64(n)
+		cm.CompletionTokens = float64(ct) / float64(n)
 	}
 	return cm
-}
-
-// MergedMetrics pools outcomes of several cells (e.g. across datasets) into
-// one micro-averaged metric set.
-func MergedMetrics(cells ...[]strategy.Outcome) CellMetrics {
-	var all []strategy.Outcome
-	for _, c := range cells {
-		all = append(all, c...)
-	}
-	return Metrics(all)
 }
 
 // Table2 renders the dataset summary (paper Table 2).

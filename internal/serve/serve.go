@@ -369,16 +369,31 @@ func (s *Service) StartDrain() { s.draining.Store(true) }
 func (s *Service) verdict(ctx context.Context, cell core.Cell, f *dataset.Fact, idx int) (strategy.Outcome, string, error) {
 	view := s.bench.Engine.EpochView()
 	key := verdictKey{cell: cell, factID: f.ID, epoch: view.FactEpoch(f.ID)}
+	if out, hit := s.probe(ctx, key); hit {
+		return out, "lru", nil
+	}
+	return s.miss(ctx, key, view, cell, f, idx)
+}
+
+// probe is the verdict stack's LRU layer: one lookup under an "lru" span,
+// timed into the lru histogram and counted in lruHits on a hit.
+func (s *Service) probe(ctx context.Context, key verdictKey) (strategy.Outcome, bool) {
+	_, endLRU := obs.StartSpan(ctx, "lru")
+	lruStart := time.Now()
+	out, hit := s.cache.get(key)
+	lruHist.Observe(time.Since(lruStart))
+	endLRU()
+	if hit {
+		s.stats.lruHits.Add(1)
+	}
+	return out, hit
+}
+
+// miss resolves a verdict the LRU just missed: it joins or leads the
+// key's singleflight call. A follower whose leader died of its own
+// client's cancellation probes the LRU again and retries.
+func (s *Service) miss(ctx context.Context, key verdictKey, view search.EpochView, cell core.Cell, f *dataset.Fact, idx int) (strategy.Outcome, string, error) {
 	for {
-		_, endLRU := obs.StartSpan(ctx, "lru")
-		lruStart := time.Now()
-		out, hit := s.cache.get(key)
-		lruHist.Observe(time.Since(lruStart))
-		endLRU()
-		if hit {
-			s.stats.lruHits.Add(1)
-			return out, "lru", nil
-		}
 		s.flightMu.Lock()
 		if c, ok := s.flight[key]; ok {
 			s.flightMu.Unlock()
@@ -395,6 +410,9 @@ func (s *Service) verdict(ctx context.Context, cell core.Cell, f *dataset.Fact, 
 				// the new leader) instead of inheriting the 500.
 				if c.err != nil && ctx.Err() == nil &&
 					(errors.Is(c.err, context.Canceled) || errors.Is(c.err, context.DeadlineExceeded)) {
+					if out, hit := s.probe(ctx, key); hit {
+						return out, "lru", nil
+					}
 					continue
 				}
 				return c.out, c.src, c.err
@@ -1248,8 +1266,9 @@ func (s *Service) handleConsensus(w http.ResponseWriter, r *http.Request) {
 // Consensus decides one fact through the §3.3 consensus engine under the
 // given mode. Per-voter votes resolve through the same verdict stack as
 // /v1/verify (LRU, singleflight, store snapshots, executor-bounded
-// verification) and fan out concurrently within each tier, so concurrent
-// consensus requests for one fact coalesce per (cell, fact) vote. Rate
+// verification): LRU hits inline, as the engine's Lookup, and the misses
+// fanned out concurrently within each tier, so concurrent consensus
+// requests for one fact coalesce per (cell, fact) vote. Rate
 // limiting and admission are the HTTP handler's business, not this
 // method's.
 func (s *Service) Consensus(ctx context.Context, factID string, mode consensus.Mode) (*ConsensusResponse, error) {
@@ -1261,10 +1280,21 @@ func (s *Service) Consensus(ctx context.Context, factID string, mode consensus.M
 	if !ok {
 		return nil, &apiError{status: http.StatusNotFound, msg: "unknown fact " + factID}
 	}
-	eng := &consensus.Engine{Plan: s.plan, Mode: mode, AllowTie: true, Degrade: true}
+	// Every vote reads one EpochView: the LRU probe (the engine's Lookup,
+	// resolving warm votes inline) and, on a miss, the rest of the verdict
+	// stack (the engine's Fetch) answer for the same corpus version.
+	view := s.bench.Engine.EpochView()
+	epoch := view.FactEpoch(f.ID)
+	eng := &consensus.Engine{
+		Plan: s.plan, Mode: mode, AllowTie: true, Degrade: true,
+		Lookup: func(model string) (strategy.Outcome, bool) {
+			cell := core.Cell{Dataset: f.Dataset, Method: llm.MethodDKA, Model: model}
+			return s.probe(ctx, verdictKey{cell: cell, factID: f.ID, epoch: epoch})
+		},
+	}
 	fetch := func(ctx context.Context, model string) (strategy.Outcome, error) {
 		cell := core.Cell{Dataset: f.Dataset, Method: llm.MethodDKA, Model: model}
-		out, _, err := s.verdict(ctx, cell, f, idx)
+		out, _, err := s.miss(ctx, verdictKey{cell: cell, factID: f.ID, epoch: epoch}, view, cell, f, idx)
 		return out, err
 	}
 	dec, st, err := eng.Decide(ctx, f, fetch)

@@ -1172,3 +1172,53 @@ func TestCacheLRUEviction(t *testing.T) {
 		t.Fatal("newest entry evicted")
 	}
 }
+
+// TestConsensusProbesLRUOncePerVote: consensus probes the verdict LRU
+// once per dispatched vote — through the engine's Lookup — whether the
+// vote hits or misses, so the lru histogram, lruHits and the source
+// counters read as if each vote were a /v1/verify call. Warm votes never
+// reach the verifier.
+func TestConsensusProbesLRUOncePerVote(t *testing.T) {
+	svc := newTestService(t, permissive())
+	defer svc.Drain()
+	var verifies atomic.Int64
+	svc.verify = func(_ context.Context, cell core.Cell, f *dataset.Fact) (strategy.Outcome, error) {
+		verifies.Add(1)
+		return stubOutcome(cell, f), nil
+	}
+	f := firstFact(dataset.FactBench)
+	ctx := context.Background()
+	voters := uint64(len(svc.plan.Order))
+	probes := func() uint64 { return lruHist.Snapshot().Count }
+
+	before := probes()
+	if _, err := svc.Consensus(ctx, f.ID, consensus.ModeEager); err != nil {
+		t.Fatal(err)
+	}
+	st := svc.Stats()
+	if got := probes() - before; got != voters {
+		t.Fatalf("cold consensus: %d LRU probes, want %d (one per vote)", got, voters)
+	}
+	if st.LRUHits != 0 || st.Computed != voters || verifies.Load() != int64(voters) {
+		t.Fatalf("cold consensus: lru hits %d, computed %d, verifies %d; want 0, %d, %d",
+			st.LRUHits, st.Computed, verifies.Load(), voters, voters)
+	}
+
+	for _, mode := range []consensus.Mode{consensus.ModeSerial, consensus.ModeEager, consensus.ModeAdaptive} {
+		before, hits := probes(), svc.Stats().LRUHits
+		resp, err := svc.Consensus(ctx, f.ID, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dispatched := uint64(len(resp.Votes))
+		if got := probes() - before; got != dispatched {
+			t.Fatalf("warm %s consensus: %d LRU probes, want %d", mode, got, dispatched)
+		}
+		if got := svc.Stats().LRUHits - hits; got != dispatched {
+			t.Fatalf("warm %s consensus: %d LRU hits, want %d", mode, got, dispatched)
+		}
+	}
+	if verifies.Load() != int64(voters) {
+		t.Fatalf("warm consensus reached the verifier: %d verifies, want %d", verifies.Load(), voters)
+	}
+}
