@@ -19,13 +19,10 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"factcheck/internal/accuracy"
-	"factcheck/internal/consensus"
 	"factcheck/internal/core"
-	"factcheck/internal/corpus"
 	"factcheck/internal/dataset"
 	"factcheck/internal/det"
 	"factcheck/internal/eval"
@@ -39,7 +36,6 @@ import (
 	"factcheck/internal/serve"
 	"factcheck/internal/strategy"
 	"factcheck/internal/text"
-	"factcheck/internal/world"
 )
 
 var (
@@ -282,7 +278,6 @@ func BenchmarkAblationQuestionSelection(b *testing.B) {
 		for _, tau := range []float64{0.3, 0.5, 0.7} {
 			for _, nq := range []int{1, 3, 5} {
 				p := rag.New(bench.Engine)
-				p.DisableCache = true
 				p.Config.Tau = tau
 				p.Config.SelectedQuestions = nq
 				f1t, f1f := ablationF1(b, bench, p, facts)
@@ -304,14 +299,12 @@ func BenchmarkAblationDocSelection(b *testing.B) {
 		out = ""
 		for _, kd := range []int{2, 5, 10, 20} {
 			p := rag.New(bench.Engine)
-			p.DisableCache = true
 			p.Config.SelectedDocs = kd
 			f1t, f1f := ablationF1(b, bench, p, facts)
 			out += fmt.Sprintf("k_d=%-2d window=3 -> F1(T)=%.2f F1(F)=%.2f\n", kd, f1t, f1f)
 		}
 		for _, win := range []int{1, 3, 5} {
 			p := rag.New(bench.Engine)
-			p.DisableCache = true
 			p.Config.Window = win
 			f1t, f1f := ablationF1(b, bench, p, facts)
 			out += fmt.Sprintf("k_d=10 window=%d -> F1(T)=%.2f F1(F)=%.2f\n", win, f1t, f1f)
@@ -332,7 +325,6 @@ func BenchmarkAblationSourceFilter(b *testing.B) {
 		out = ""
 		for _, filter := range []bool{true, false} {
 			p := rag.New(bench.Engine)
-			p.DisableCache = true
 			p.Config.FilterSKG = filter
 			f1t, f1f := ablationF1(b, bench, p, facts)
 			out += fmt.Sprintf("filterSKG=%-5v -> F1(T)=%.2f F1(F)=%.2f\n", filter, f1t, f1f)
@@ -685,74 +677,6 @@ func BenchmarkSearchEngine(b *testing.B) {
 	}
 }
 
-// --- retrieval substrate benches ----------------------------------------
-
-// searchOnce issues one SERP query over the named retrieval path: "scan"
-// (dense cosine + full sort), "indexed" (posting lists + top-k heap,
-// exhaustive) or "pruned" (impact-ordered blocks + max-score skipping, the
-// production path). All three return byte-identical results (see the golden
-// ladder in internal/search); only the cost differs.
-func searchOnce(e *search.Engine, mode, factID, q string, n int) error {
-	var err error
-	switch mode {
-	case "scan":
-		_, err = e.ScanSearch(factID, q, n)
-	case "indexed":
-		_, err = e.IndexedSearch(factID, q, n)
-	default:
-		_, err = e.Search(factID, q, n)
-	}
-	return err
-}
-
-// benchmarkSearchPath measures steady-state SERP query cost — pools warmed
-// outside the timer — over one retrieval path, with `par` goroutines
-// issuing queries concurrently.
-func benchmarkSearchPath(b *testing.B, mode string, par int) {
-	bench, _, _ := grid(b)
-	facts := ablationFacts(bench, 16)
-	queries := []string{
-		"who founded the company",
-		"award winner record",
-		"married in the capital",
-		"regional registry profile",
-	}
-	for _, f := range facts {
-		// Warm both paths' per-pool state: index shards and scan vectors.
-		if _, err := bench.Engine.Search(f.ID, queries[0], 1); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := bench.Engine.ScanSearch(f.ID, queries[0], 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-	// Exactly par worker goroutines drain a shared iteration counter
-	// (b.RunParallel would multiply par by GOMAXPROCS, mislabelling the
-	// stream count on multi-core hosts).
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	b.ResetTimer()
-	for g := 0; g < par; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1))
-				if i > b.N {
-					return
-				}
-				f := facts[i%len(facts)]
-				q := queries[i%len(queries)]
-				if err := searchOnce(bench.Engine, mode, f.ID, q, search.DefaultSERPSize); err != nil {
-					b.Error(err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 // --- sparse scoring substrate benches ------------------------------------
 
 // benchmarkRerankDocs measures phase 4a of the RAG pipeline in isolation:
@@ -843,7 +767,10 @@ func benchmarkColdCell(b *testing.B, dense bool) {
 	cfg := core.Config{Scale: 0.05, Small: true}
 	ctx := context.Background()
 	bench := core.NewBenchmark(cfg)
-	bench.Pipeline.DenseScoring = dense
+	if dense {
+		bench.Pipeline.QuestionRanker = rerank.DenseOnly(bench.Pipeline.QuestionRanker)
+		bench.Pipeline.DocRanker = rerank.DenseOnly(bench.Pipeline.DocRanker)
+	}
 	// Warm pools and indexes; verification state is re-cooled per iteration.
 	if _, err := bench.RunCell(ctx, dataset.FactBench, llm.MethodRAG, llm.Gemma2); err != nil {
 		b.Fatal(err)
@@ -866,170 +793,3 @@ func BenchmarkColdCell(b *testing.B) {
 	b.Run("dense", func(b *testing.B) { benchmarkColdCell(b, true) })
 	b.Run("sparse", func(b *testing.B) { benchmarkColdCell(b, false) })
 }
-
-// corpusScaleEngine builds a standalone search engine whose per-fact pools
-// follow `scale`× the paper's size distribution (mean ≈155·scale docs), so
-// the scan/indexed/pruned asymptotics separate as the corpus grows. Pools
-// for the benched facts are materialised (and both paths' per-pool state
-// warmed) outside the timer.
-func corpusScaleEngine(b *testing.B, scale int) (*search.Engine, []*dataset.Fact) {
-	b.Helper()
-	w := world.New(world.SmallConfig())
-	d := dataset.Build(w, dataset.FactBench, 0.2)
-	gen := corpus.NewGenerator(w)
-	gen.MeanDocs *= float64(scale)
-	gen.StdDocs *= float64(scale)
-	gen.MaxDocs *= scale
-	e := search.NewEngine(gen, d)
-	facts := d.Facts
-	if len(facts) > 4 {
-		facts = facts[:4]
-	}
-	for _, f := range facts {
-		if _, err := e.Search(f.ID, "warm", 1); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := e.ScanSearch(f.ID, "warm", 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-	return e, facts
-}
-
-// benchmarkSearchScale runs steady-state SERP queries over one retrieval
-// path at a given corpus scale. Queries are fact-derived, like the RAG
-// pipeline's (the claim sentence and its entity labels) — the production
-// retrieval workload, where query terms overlap the fact's pool.
-func benchmarkSearchScale(b *testing.B, mode string, scale int) {
-	e, facts := corpusScaleEngine(b, scale)
-	type job struct{ factID, query string }
-	var jobs []job
-	for _, f := range facts {
-		c := strategy.ClaimFor(f)
-		for _, q := range []string{
-			c.Sentence,
-			f.Subject.Label + " " + f.Object.Label,
-			"evidence about " + c.Sentence,
-			"the record " + f.Object.Label,
-		} {
-			jobs = append(jobs, job{f.ID, q})
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		j := jobs[i%len(jobs)]
-		if err := searchOnce(e, mode, j.factID, j.query, search.DefaultSERPSize); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// searchBench enumerates one path's sub-benchmarks: 1 and 8 concurrent
-// query streams over the shared grid fixture, plus single-stream runs at
-// growing corpus scales. The corpus-scale series is where the pruned path's
-// sublinear behaviour shows: scan grows linearly with pool size, indexed
-// with postings per query dimension, pruned only with the blocks that can
-// still beat the heap floor.
-func searchBench(b *testing.B, mode string) {
-	b.Run("par1", func(b *testing.B) { benchmarkSearchPath(b, mode, 1) })
-	b.Run("par8", func(b *testing.B) { benchmarkSearchPath(b, mode, 8) })
-	for _, scale := range []int{1, 10, 100} {
-		b.Run(fmt.Sprintf("corpus%dx", scale), func(b *testing.B) { benchmarkSearchScale(b, mode, scale) })
-	}
-}
-
-// --- consensus engine benches ---------------------------------------------
-
-// benchmarkConsensus times one full consensus decision per iteration through
-// the serving layer's exported Consensus entry point, under one execution
-// mode and temperature. Config.Pace makes every simulated voter call really
-// occupy (a scaled-down copy of) its simulated latency, so the structural
-// difference between the modes is wall-clock measurable even though all
-// three produce identical verdicts:
-//
-//	serial    pays the SUM of the four voter latencies (the old loop)
-//	eager     pays the slowest voter (concurrent fan-out)
-//	adaptive  pays only the cheap quorum tier on unanimous facts,
-//	          escalating to the full ensemble only on disagreement
-//
-// cold rotates through every fact once and rebuilds the service when the
-// instance is exhausted, so each timed decision pays full verification for
-// each dispatched vote; lru-warm primes every vote of a small working set
-// with an eager pass first, so each timed decision is pure engine + cache
-// cost (the steady state for a zipf-hot fact).
-func benchmarkConsensus(b *testing.B, mode consensus.Mode, warm bool) {
-	cfg := core.Config{Scale: 0.05, Small: true, Pace: 0.02}
-	ctx := context.Background()
-	scfg := serve.Config{Rate: 1e12, Burst: 1e12, QueueDepth: 64, Workers: 8}
-	newSvc := func() (*serve.Service, []*dataset.Fact) {
-		bench := core.NewBenchmark(cfg)
-		return serve.New(bench, core.NewMemoryStore(), scfg), bench.Datasets[dataset.FactBench].Facts
-	}
-	svc, facts := newSvc()
-	if warm {
-		if len(facts) > 16 {
-			facts = facts[:16]
-		}
-		// An eager pass fetches the full ensemble for every fact, so all
-		// four votes of the working set are LRU hits in the timed loop.
-		for _, f := range facts {
-			if _, err := svc.Consensus(ctx, f.ID, consensus.ModeEager); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	j := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !warm && j == len(facts) {
-			// Every fact has been decided once; a fresh service restores
-			// genuinely cold voter caches.
-			b.StopTimer()
-			svc.Drain()
-			svc, facts = newSvc()
-			j = 0
-			b.StartTimer()
-		}
-		f := facts[j%len(facts)]
-		j++
-		if _, err := svc.Consensus(ctx, f.ID, mode); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	svc.Drain()
-}
-
-// consensusBench enumerates one mode's temperatures.
-func consensusBench(b *testing.B, mode consensus.Mode) {
-	b.Run("cold", func(b *testing.B) { benchmarkConsensus(b, mode, false) })
-	b.Run("lru-warm", func(b *testing.B) { benchmarkConsensus(b, mode, true) })
-}
-
-// BenchmarkConsensusSerial times the retired one-vote-at-a-time loop: the
-// latency baseline for the consensus engine.
-func BenchmarkConsensusSerial(b *testing.B) { consensusBench(b, consensus.ModeSerial) }
-
-// BenchmarkConsensusEager times the concurrent full-ensemble fan-out; the
-// gap versus BenchmarkConsensusSerial is the critical-path win.
-func BenchmarkConsensusEager(b *testing.B) { consensusBench(b, consensus.ModeEager) }
-
-// BenchmarkConsensusAdaptive times the production path: cost-ordered tiers
-// with early-stop majority voting. The gap versus BenchmarkConsensusEager is
-// the early-stop win (most facts are unanimous, so the expensive tier is
-// usually skipped); verdicts stay identical across all three modes
-// (differential-tested in internal/serve).
-func BenchmarkConsensusAdaptive(b *testing.B) { consensusBench(b, consensus.ModeAdaptive) }
-
-// BenchmarkSearchScan times the retired linear-scan ranking (O(pool·dims)
-// cosine + full sort).
-func BenchmarkSearchScan(b *testing.B) { searchBench(b, "scan") }
-
-// BenchmarkSearchIndexed times the exhaustive posting-list + bounded-heap
-// ranking; the gap versus BenchmarkSearchScan is PR 2's win.
-func BenchmarkSearchIndexed(b *testing.B) { searchBench(b, "indexed") }
-
-// BenchmarkSearchPruned times the production path: impact-ordered block
-// postings with max-score early termination. The gap versus
-// BenchmarkSearchIndexed is this PR's win and widens with corpus scale.
-func BenchmarkSearchPruned(b *testing.B) { searchBench(b, "pruned") }

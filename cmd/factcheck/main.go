@@ -10,15 +10,17 @@
 //
 // Flags:
 //
-//	-scale    dataset scale factor (1.0 = published sizes; default 0.25)
+//	-scale    dataset scale factor (1.0 = published sizes; default 0.25;
+//	          must be positive and finite)
 //	-small    use the miniature test world
 //	-models   comma-separated model list (default: the paper's five)
 //	-methods  comma-separated method list (DKA,GIV-Z,GIV-F,RAG)
-//	-datasets comma-separated dataset list (FactBench,YAGO,DBpedia)
+//	-datasets comma-separated dataset list (FactBench,YAGO,DBpedia; any
+//	          other name is rejected)
 //	-par      grid worker-pool parallelism (default GOMAXPROCS)
-//	-consensus consensus engine mode for tables 6/7: serial, eager or
-//	          adaptive (default eager — the run-everything golden baseline;
-//	          verdicts are identical in every mode)
+//	-consensus consensus engine mode for tables 6/7: eager or adaptive
+//	          (default eager — the run-everything golden baseline;
+//	          verdicts are identical in both modes)
 //	-progress stream per-cell completion to stderr as the grid drains
 //	-store    result-store directory: completed grid cells are persisted
 //	          and reused, so interrupted runs resume where they died and
@@ -44,7 +46,9 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -65,7 +69,7 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("factcheck", flag.ContinueOnError)
-	scale := fs.Float64("scale", 0.25, "dataset scale factor (1.0 = published sizes)")
+	scale := fs.Float64("scale", 0.25, "dataset scale factor (1.0 = published sizes; must be positive and finite)")
 	small := fs.Bool("small", false, "use the miniature test world")
 	modelsFlag := fs.String("models", "", "comma-separated models (default: paper's five)")
 	methodsFlag := fs.String("methods", "", "comma-separated methods (default: DKA,GIV-Z,GIV-F,RAG)")
@@ -73,12 +77,36 @@ func run(args []string) error {
 	par := fs.Int("par", 0, "grid worker-pool parallelism (default GOMAXPROCS)")
 	progress := fs.Bool("progress", false, "stream per-cell completion to stderr")
 	storeDir := fs.String("store", "", "result store directory (resume interrupted runs, reuse across config deltas)")
-	consensusFlag := fs.String("consensus", "eager", "consensus engine mode for tables 6/7 (serial, eager or adaptive; verdicts are identical, adaptive reports decided-at latency)")
+	consensusFlag := fs.String("consensus", "eager", "consensus engine mode for tables 6/7 (eager or adaptive; verdicts are identical, adaptive reports decided-at latency)")
 	docsFile := fs.String("docs", "", "JSONL live-document file to ingest before the grid runs")
 	ingestBatches := fs.Int("ingest-batches", 1, "sequential ingestion batches for -docs (>1 exercises the incremental fold path)")
 	profFlags := prof.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if !(*scale > 0) || math.IsInf(*scale, 1) {
+		return fmt.Errorf("-scale %g: must be positive and finite", *scale)
+	}
+	consensusMode, err := consensus.ParseMode(*consensusFlag)
+	if err != nil {
+		return fmt.Errorf("-consensus: %w", err)
+	}
+	cfg := core.Config{Scale: *scale, Small: *small, Parallelism: *par}
+	if *modelsFlag != "" {
+		cfg.Models = strings.Split(*modelsFlag, ",")
+	}
+	if *methodsFlag != "" {
+		for _, m := range strings.Split(*methodsFlag, ",") {
+			cfg.Methods = append(cfg.Methods, llm.Method(m))
+		}
+	}
+	if *datasetsFlag != "" {
+		for _, d := range strings.Split(*datasetsFlag, ",") {
+			if !slices.Contains(dataset.AllNames, dataset.Name(d)) {
+				return fmt.Errorf("-datasets: unknown dataset %q (want one of %v)", d, dataset.AllNames)
+			}
+			cfg.Datasets = append(cfg.Datasets, dataset.Name(d))
+		}
 	}
 	stopProf, profErr := profFlags.Start()
 	if profErr != nil {
@@ -92,25 +120,6 @@ func run(args []string) error {
 	artifacts := fs.Args()
 	if len(artifacts) == 0 {
 		artifacts = []string{"all"}
-	}
-	consensusMode, err := consensus.ParseMode(*consensusFlag)
-	if err != nil {
-		return fmt.Errorf("-consensus: %w", err)
-	}
-
-	cfg := core.Config{Scale: *scale, Small: *small, Parallelism: *par}
-	if *modelsFlag != "" {
-		cfg.Models = strings.Split(*modelsFlag, ",")
-	}
-	if *methodsFlag != "" {
-		for _, m := range strings.Split(*methodsFlag, ",") {
-			cfg.Methods = append(cfg.Methods, llm.Method(m))
-		}
-	}
-	if *datasetsFlag != "" {
-		for _, d := range strings.Split(*datasetsFlag, ",") {
-			cfg.Datasets = append(cfg.Datasets, dataset.Name(d))
-		}
 	}
 
 	start := time.Now()

@@ -28,8 +28,17 @@ func TestRunSmallArtifacts(t *testing.T) {
 }
 
 func TestRunRejectsBadFlags(t *testing.T) {
-	if err := run([]string{"-scale", "not-a-number"}); err == nil {
-		t.Error("bad flag accepted")
+	for _, args := range [][]string{
+		{"-scale", "not-a-number"},
+		{"-scale", "-1"},
+		{"-scale", "0"},
+		{"-scale", "NaN"},
+		{"-small", "-scale", "0.05", "-datasets", "nope"},
+		{"-small", "-scale", "0.05", "-consensus", "serial"},
+	} {
+		if err := run(args); err == nil {
+			t.Errorf("run(%v) accepted", args)
+		}
 	}
 }
 

@@ -23,7 +23,7 @@
 //
 // Endpoints: POST /v1/verify, POST /v1/verify/batch, POST /v1/documents,
 // GET /v1/verdict/{dataset}/{method}/{model}/{fact},
-// GET /v1/consensus/{fact}?mode=serial|eager|adaptive, GET /v1/facts,
+// GET /v1/consensus/{fact}?mode=eager|adaptive, GET /v1/facts,
 // GET /v1/trace/{id}, GET /healthz, GET /statsz, GET /metricsz.
 //
 // -trace-sample enables per-request tracing (see internal/obs): sampled
@@ -121,17 +121,17 @@ func parseFlags(args []string) (options, error) {
 	fs.IntVar(&o.resil.ProbeEvery, "breaker-probe-every", 0, "while open, admit every Nth rejected call as a half-open probe (default 4)")
 	fs.IntVar(&o.resil.ProbeSuccesses, "breaker-probes", 0, "consecutive probe successes that close the breaker again (default 2)")
 	fill := fs.Bool("fill", true, "persist on-demand verdicts back to the store via background whole-cell fills")
-	consensusMode := fs.String("consensus", "", "default /v1/consensus execution mode: serial, eager or adaptive (default adaptive; ?mode= overrides per request)")
+	consensusMode := fs.String("consensus", "", "default /v1/consensus execution mode: eager or adaptive (default adaptive; ?mode= overrides per request)")
 	if err := fs.Parse(args); err != nil {
 		return o, err
 	}
 	if fs.NArg() > 0 {
 		return o, fmt.Errorf("unexpected arguments: %v", fs.Args())
 	}
-	if o.scale <= 0 || o.scale > 1 {
+	if !(o.scale > 0 && o.scale <= 1) {
 		return o, fmt.Errorf("-scale %g out of range (0, 1]", o.scale)
 	}
-	if o.cfg.TraceSample < 0 || o.cfg.TraceSample > 1 {
+	if !(o.cfg.TraceSample >= 0 && o.cfg.TraceSample <= 1) {
 		return o, fmt.Errorf("-trace-sample %g out of range [0, 1]", o.cfg.TraceSample)
 	}
 	if o.cfg.TraceRing < 0 {

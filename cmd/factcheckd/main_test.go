@@ -39,9 +39,12 @@ func TestParseFlags(t *testing.T) {
 		{"-scale", "0"},
 		{"-scale", "-1"},
 		{"-scale", "1.5"},
+		{"-scale", "NaN"},
 		{"-trace-sample", "1.5"},
+		{"-trace-sample", "NaN"},
 		{"-trace-sample", "-0.1"},
 		{"-trace-ring", "-1"},
+		{"-consensus", "serial"},
 		{"positional"},
 		{"-nope"},
 	} {

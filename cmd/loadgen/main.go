@@ -18,7 +18,7 @@
 //	         singleflight coalescing
 //	batch    the same uniform draw grouped into /v1/verify/batch calls
 //	consensus  GET /v1/consensus lookups drawn uniformly, executed under
-//	         -consensus (serial, eager or adaptive); digest lines carry only
+//	         -consensus (eager or adaptive); digest lines carry only
 //	         the mode-independent verdict (final/tie/gold), so an eager run
 //	         and an adaptive run over the same plan must digest identically
 //	         — the early-stop engine's cross-mode equivalence gate
@@ -77,6 +77,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"factcheck/internal/consensus"
 	"factcheck/internal/llm"
 	"factcheck/internal/prof"
 	"factcheck/internal/search"
@@ -176,11 +177,6 @@ func buildPlan(mix string, seed int64, targets []target, models []string, method
 			done += size
 		}
 	case "consensus":
-		switch consensusMode {
-		case "serial", "eager", "adaptive":
-		default:
-			return nil, fmt.Errorf("-consensus %q (want serial, eager or adaptive)", consensusMode)
-		}
 		for i := 0; i < n; i++ {
 			p := pairs[rng.Intn(len(pairs))]
 			jobs = append(jobs, job{consensusFact: p.fact, consensusMode: consensusMode})
@@ -703,6 +699,9 @@ func run(args []string, out io.Writer) error {
 	if n <= 0 || c <= 0 {
 		return fmt.Errorf("-n and -c must be positive")
 	}
+	if _, err := consensus.ParseMode(consensusMode); err != nil {
+		return fmt.Errorf("-consensus: %w", err)
+	}
 	stopProf, profErr := fs.prof.Start()
 	if profErr != nil {
 		return profErr
@@ -921,7 +920,7 @@ func newFlagSet() *flags {
 		models:       fs.String("models", strings.Join(llm.BenchmarkModels, ","), "comma-separated models to draw from"),
 		batch:        fs.Int("batch", 16, "requests per batch call (batch mix)"),
 		zipfS:        fs.Float64("zipf", 1.2, "zipf skew exponent (zipf mix; > 1)"),
-		consensus:    fs.String("consensus", "adaptive", "consensus execution mode (consensus mix): serial, eager or adaptive"),
+		consensus:    fs.String("consensus", "adaptive", "consensus execution mode (consensus mix): eager or adaptive"),
 		ingestEvery:  fs.Int("ingestevery", 8, "replace every Nth job with a document ingestion (ingest mix; >= 2)"),
 		scenario:     fs.String("scenario", "", "run a named chaos scenario from this JSON file (see scenarios/); its fields override plan flags"),
 		digest:       fs.String("digest", "", "write the verdict digest to this file"),

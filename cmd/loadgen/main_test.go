@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -400,15 +401,24 @@ func TestConsensusModeMismatchViolation(t *testing.T) {
 
 // TestRunFlagsValidation covers the driver's own validation.
 func TestRunFlagsValidation(t *testing.T) {
+	// Bad flags must fail before any request reaches the server.
+	var requests atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) { requests.Add(1) }))
+	defer srv.Close()
 	for _, args := range [][]string{
 		{"-n", "0"},
 		{"-c", "0"},
+		{"-consensus", "serial"},
+		{"-mix", "consensus", "-consensus", "serial"},
 		{"-nope"},
 		{"positional"},
 	} {
-		if err := run(args, &bytes.Buffer{}); err == nil {
+		if err := run(append([]string{"-addr", srv.URL}, args...), &bytes.Buffer{}); err == nil {
 			t.Errorf("run(%v) succeeded, want error", args)
 		}
+	}
+	if n := requests.Load(); n != 0 {
+		t.Errorf("flag errors reached the server with %d requests", n)
 	}
 }
 

@@ -57,9 +57,6 @@ func tierHist(wi int) *obs.Histogram {
 type Mode string
 
 const (
-	// ModeSerial fetches every vote one at a time, in plan order: the
-	// retired pre-engine behaviour, kept as the wall-clock baseline.
-	ModeSerial Mode = "serial"
 	// ModeEager fetches every vote concurrently and waits for all of
 	// them: the run-everything golden baseline (the package-level Decide
 	// semantics, fanned out).
@@ -74,10 +71,10 @@ const (
 // ParseMode validates a mode string (e.g. a ?mode= query parameter).
 func ParseMode(s string) (Mode, error) {
 	switch m := Mode(s); m {
-	case ModeSerial, ModeEager, ModeAdaptive:
+	case ModeEager, ModeAdaptive:
 		return m, nil
 	}
-	return "", fmt.Errorf("consensus: unknown mode %q (want serial, eager or adaptive)", s)
+	return "", fmt.Errorf("consensus: unknown mode %q (want eager or adaptive)", s)
 }
 
 // Plan is a deterministic dispatch schedule over a voter set. Build it
@@ -123,9 +120,9 @@ func NewPlan(voters []string, cost func(string) float64) Plan {
 
 // Fetch resolves one voter's outcome for the fact under decision. The
 // engine calls it for the votes Engine.Lookup does not hold, concurrently
-// when a wave has two or more of them (except under ModeSerial);
-// implementations route it through whatever verdict stack they own (the
-// serving layer's LRU/store/executor, a precomputed result set, ...).
+// when a wave has two or more of them; implementations route it through
+// whatever verdict stack they own (the serving layer's LRU/store/executor,
+// a precomputed result set, ...).
 type Fetch func(ctx context.Context, model string) (strategy.Outcome, error)
 
 // RunStats counts the work one Decide actually performed, for the serving
@@ -186,7 +183,7 @@ func (e *Engine) Decide(ctx context.Context, f *dataset.Fact, fetch Fetch) (Deci
 	}
 	var waves [][]string
 	switch e.Mode {
-	case ModeSerial, ModeEager:
+	case ModeEager:
 		waves = [][]string{e.Plan.Order}
 	case ModeAdaptive:
 		waves = e.Plan.Tiers
@@ -219,7 +216,7 @@ func (e *Engine) Decide(ctx context.Context, f *dataset.Fact, fetch Fetch) (Deci
 			werrs[i] = errPending
 			misses++
 		}
-		if e.Mode == ModeSerial || misses < 2 {
+		if misses < 2 {
 			for i, m := range wave {
 				if werrs[i] == errPending {
 					wouts[i], werrs[i] = fetch(wctx, m)
@@ -268,9 +265,7 @@ func (e *Engine) Decide(ctx context.Context, f *dataset.Fact, fetch Fetch) (Deci
 			} else {
 				falses++
 			}
-			if s := o.Latency.Seconds(); e.Mode == ModeSerial {
-				lat += s // a serial wave pays the sum of its members
-			} else if s > lat {
+			if s := o.Latency.Seconds(); s > lat {
 				lat = s // a fanned-out wave pays its critical path
 			}
 		}

@@ -16,13 +16,13 @@ import (
 )
 
 func TestParseMode(t *testing.T) {
-	for _, s := range []string{"serial", "eager", "adaptive"} {
+	for _, s := range []string{"eager", "adaptive"} {
 		m, err := ParseMode(s)
 		if err != nil || string(m) != s {
 			t.Errorf("ParseMode(%q) = (%q, %v)", s, m, err)
 		}
 	}
-	for _, s := range []string{"", "greedy", "Serial", "eager "} {
+	for _, s := range []string{"", "greedy", "serial", "eager "} {
 		if _, err := ParseMode(s); err == nil {
 			t.Errorf("ParseMode(%q) accepted", s)
 		}
@@ -277,34 +277,6 @@ func TestEngineTieArbitration(t *testing.T) {
 	eng = &Engine{Plan: fourPlan(), Mode: ModeEager}
 	if _, _, err := eng.Decide(context.Background(), f, planFetch(f, verdicts, lats)); err == nil {
 		t.Fatal("tie without arbiter accepted")
-	}
-}
-
-func TestEngineSerialLatencyIsSum(t *testing.T) {
-	f := synthFact()
-	verdicts := map[string]strategy.Verdict{"a": strategy.True, "b": strategy.True, "c": strategy.True, "d": strategy.True}
-	lats := map[string]time.Duration{"a": time.Second, "b": 2 * time.Second, "c": 3 * time.Second, "d": 10 * time.Second}
-	fetch := planFetch(f, verdicts, lats)
-
-	serial := &Engine{Plan: fourPlan(), Mode: ModeSerial, AllowTie: true}
-	dec, st, err := serial.Decide(context.Background(), f, fetch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dec.LatencySeconds != 16 {
-		t.Fatalf("serial latency = %v, want 16 (sum of all)", dec.LatencySeconds)
-	}
-	if st.Dispatched != 4 || st.Skipped != 0 {
-		t.Fatalf("serial stats = %+v", st)
-	}
-
-	eager := &Engine{Plan: fourPlan(), Mode: ModeEager, AllowTie: true}
-	dec, _, err = eager.Decide(context.Background(), f, fetch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dec.LatencySeconds != 10 {
-		t.Fatalf("eager latency = %v, want 10 (critical path)", dec.LatencySeconds)
 	}
 }
 

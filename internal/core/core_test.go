@@ -251,9 +251,9 @@ func TestConsensusCellStructure(t *testing.T) {
 
 // TestConsensusModeInvariance: the engine's execution strategy must never
 // change what is decided — for every (dataset, method) cell, the adaptive
-// and serial reports carry exactly the eager (run-everything golden
-// baseline) confusion matrices and alignment. Only the Latency column may
-// differ (adaptive reports decided-at time).
+// report carries exactly the eager (run-everything golden baseline)
+// confusion matrices and alignment. Only the Latency column may differ
+// (adaptive reports decided-at time).
 func TestConsensusModeInvariance(t *testing.T) {
 	b, rs := benchFixture(t)
 	ctx := context.Background()
@@ -263,21 +263,19 @@ func TestConsensusModeInvariance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, mode := range []consensus.Mode{consensus.ModeSerial, consensus.ModeAdaptive} {
-				got, err := b.RunConsensusMode(ctx, rs, dn, method, mode)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got.Results, eager.Results) {
-					t.Fatalf("%s/%s: %s confusion matrices differ from eager:\n%v\nvs\n%v",
-						dn, method, mode, got.Results, eager.Results)
-				}
-				if !reflect.DeepEqual(got.Alignment, eager.Alignment) {
-					t.Fatalf("%s/%s: %s alignment differs from eager", dn, method, mode)
-				}
-				if got.Latency <= 0 {
-					t.Fatalf("%s/%s: %s consensus latency not positive", dn, method, mode)
-				}
+			got, err := b.RunConsensusMode(ctx, rs, dn, method, consensus.ModeAdaptive)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.Results, eager.Results) {
+				t.Fatalf("%s/%s: adaptive confusion matrices differ from eager:\n%v\nvs\n%v",
+					dn, method, got.Results, eager.Results)
+			}
+			if !reflect.DeepEqual(got.Alignment, eager.Alignment) {
+				t.Fatalf("%s/%s: adaptive alignment differs from eager", dn, method)
+			}
+			if got.Latency <= 0 {
+				t.Fatalf("%s/%s: adaptive consensus latency not positive", dn, method)
 			}
 		}
 	}

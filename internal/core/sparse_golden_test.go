@@ -6,14 +6,16 @@ import (
 	"testing"
 
 	"factcheck/internal/llm"
+	"factcheck/internal/rerank"
 )
 
 // TestGridSparseScoringMatchesDense is the end-to-end golden test for the
 // sparse scoring substrate: a whole small grid — every method, one model,
 // all datasets — run on the sparse production path must produce outcomes
-// (verdicts, reasons, token counts, latencies) deeply equal to the retired
-// dense scoring path. This is the grid-level guarantee behind the CLI's
-// byte-identical stdout and the serving layer's unchanged verdicts.
+// (verdicts, reasons, token counts, latencies) deeply equal to the dense
+// scoring path, selected by wrapping both rankers in rerank.DenseOnly.
+// This is the grid-level guarantee behind the CLI's byte-identical stdout
+// and the serving layer's unchanged verdicts.
 func TestGridSparseScoringMatchesDense(t *testing.T) {
 	cfg := Config{Scale: 0.05, Small: true, Models: []string{llm.Gemma2}}
 	ctx := context.Background()
@@ -25,7 +27,8 @@ func TestGridSparseScoringMatchesDense(t *testing.T) {
 	}
 
 	dense := NewBenchmark(cfg)
-	dense.Pipeline.DenseScoring = true
+	dense.Pipeline.QuestionRanker = rerank.DenseOnly(dense.Pipeline.QuestionRanker)
+	dense.Pipeline.DocRanker = rerank.DenseOnly(dense.Pipeline.DocRanker)
 	rsDense, err := dense.Run(ctx)
 	if err != nil {
 		t.Fatal(err)

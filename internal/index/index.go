@@ -7,13 +7,14 @@
 // bounded min-heap, replacing the full O(pool · log pool) sort with
 // O(pool · log k).
 //
-// Beyond the exhaustive paths (TopK over a dense query, TopKSparse over a
-// sparse one), the index carries an impact-ordered block layout — each
-// dimension's posting list cut into fixed-size blocks with per-block and
-// per-dimension max weights, blocks visited in descending-max order — that
-// powers TopKPruned, a max-score/WAND-style early-termination top-k which
-// skips whole blocks provably unable to reach the running heap floor (see
-// pruned.go for the provable-skip invariant).
+// Retrieval runs through one path, TopKPruned: the index carries an
+// impact-ordered block layout — each dimension's posting list cut into
+// fixed-size blocks with per-block and per-dimension max weights, blocks
+// visited in descending-max order — over which a max-score/WAND-style
+// early-termination top-k skips whole blocks provably unable to reach the
+// running heap floor (see pruned.go for the provable-skip invariant). The
+// exhaustive paths it replaced (accumulate every posting of a dense or a
+// sparse query) live on in the package tests as its references.
 //
 // Determinism contract: for any query q and document d, the accumulated
 // score equals text.Cosine(text.Embed(q), text.Embed(title+" "+body)) bit
@@ -22,7 +23,7 @@
 // contribute exactly +0.0, which is an identity under IEEE-754 addition for
 // the non-negative partial sums involved. The selected top k under the
 // total order (score desc, doc ID asc) is therefore byte-identical to
-// sorting the full pool and truncating — for all three paths.
+// sorting the full pool and truncating.
 package index
 
 import (
@@ -60,8 +61,7 @@ type block struct {
 
 // dimList is one dimension's postings plus its pruning metadata.
 type dimList struct {
-	// postings is the full list, document ascending (the exhaustive paths
-	// scan it directly).
+	// postings is the full list, document ascending; blocks index into it.
 	postings []Posting
 	// blocks is the impact-ordered block layout: sorted by (Max desc,
 	// Off asc), covering postings exactly.
@@ -120,7 +120,7 @@ func (b *Builder) Grow(n int) {
 
 // WithBlockSize overrides the posting-block length (tests use tiny blocks
 // to force cross-block boundaries on small pools). Must be called before
-// the first Add; returns the builder for chaining.
+// Build; returns the builder for chaining.
 func (b *Builder) WithBlockSize(n int) *Builder {
 	if n > 0 {
 		b.blockSize = n
@@ -128,19 +128,10 @@ func (b *Builder) WithBlockSize(n int) *Builder {
 	return b
 }
 
-// Add indexes one document from its term stream (content tokens of
-// title + body). The document's weights are derived via
-// text.SparseEmbedTokens, bit-identical to the dense vector the
-// linear-scan engine embedded.
-func (b *Builder) Add(docID string, terms []string) {
-	b.AddVec(docID, text.SparseEmbedTokens(terms))
-}
-
 // AddVec indexes one document from its precomputed sparse embedding (the
 // vector corpus.Materialized carries), skipping the embed pass entirely.
 // Its dimensions must lie in [0, text.VectorDim), as every text embedding's
-// do. Build fills posting lists in doc order, so the index is identical to
-// the one Add builds.
+// do. Build fills posting lists in doc order.
 func (b *Builder) AddVec(docID string, v text.SparseVector) {
 	b.ids = append(b.ids, docID)
 	b.docDims = append(b.docDims, v.Dims...)
@@ -273,8 +264,7 @@ type Hit struct {
 	Score float64
 }
 
-// PruneStats counts the work of one TopKPruned call. The exhaustive paths
-// leave it zero.
+// PruneStats counts the work of one TopKPruned call.
 type PruneStats struct {
 	// PostingsTouched counts postings read: block postings examined plus
 	// forward-store entries consumed while exact-scoring candidates.
@@ -288,9 +278,8 @@ type PruneStats struct {
 	DocsScored int
 }
 
-// Arena holds the per-query scratch state of the top-k paths: dense
-// accumulators, the bounded heap, the pruned path's candidate keys and
-// floor histograms. Reusing one arena across queries makes warm top-k
+// Arena holds the per-query scratch state of TopKPruned: dense
+// accumulators, the bounded heap, the candidate keys and floor histograms. Reusing one arena across queries makes warm top-k
 // calls allocation-free; the engine pools arenas behind a sync.Pool. An
 // Arena is not safe for concurrent use, and the hit slice a top-k call
 // returns aliases the arena — copy it out before the next call on the
@@ -335,97 +324,6 @@ func (a *Arena) heap(k int) []Hit {
 		a.hits = make([]Hit, 0, k)
 	}
 	return a.hits[:0]
-}
-
-// TopK scores every pool document against the query vector and returns the
-// k best under (score desc, doc ID asc). perturb, when non-nil, adds an
-// extra per-document score component (the engine's deterministic SERP
-// jitter) after the cosine is clamped to [0,1] — every document receives
-// it, including those sharing no term with the query. a may be nil (a
-// temporary arena is allocated); when non-nil the returned slice aliases
-// it.
-func (ix *Index) TopK(q text.Vector, k int, perturb func(docID string) float64, a *Arena) []Hit {
-	n := len(ix.ids)
-	if k > n {
-		k = n
-	}
-	if k <= 0 || n == 0 {
-		return nil
-	}
-	if a == nil {
-		a = &Arena{}
-	}
-	// Term-at-a-time accumulation, query dimensions ascending: each
-	// document's accumulator receives exactly the non-zero products of the
-	// dense cosine loop, in the same order.
-	acc := a.accumulator(n)
-	for dim := 0; dim < text.VectorDim; dim++ {
-		qw := q[dim]
-		if qw == 0 {
-			continue
-		}
-		dl, ok := ix.dims[int32(dim)]
-		if !ok {
-			continue
-		}
-		for _, p := range dl.postings {
-			acc[p.Doc] += float64(qw) * float64(p.Weight)
-		}
-	}
-	return ix.selectTopK(acc, k, perturb, a)
-}
-
-// TopKSparse is TopK over a sparse query vector: accumulation skips the
-// dense 1024-dimension sweep and visits only the query's non-zero
-// dimensions — already ascending in a SparseVector — so the accumulated
-// scores, and therefore the selected top k, are bit-identical to TopK over
-// the dense equivalent.
-func (ix *Index) TopKSparse(q text.SparseVector, k int, perturb func(docID string) float64, a *Arena) []Hit {
-	n := len(ix.ids)
-	if k > n {
-		k = n
-	}
-	if k <= 0 || n == 0 {
-		return nil
-	}
-	if a == nil {
-		a = &Arena{}
-	}
-	acc := a.accumulator(n)
-	for i, dim := range q.Dims {
-		dl, ok := ix.dims[dim]
-		if !ok {
-			continue
-		}
-		qw := q.Weights[i]
-		for _, p := range dl.postings {
-			acc[p.Doc] += float64(qw) * float64(p.Weight)
-		}
-	}
-	return ix.selectTopK(acc, k, perturb, a)
-}
-
-// selectTopK turns the accumulated cosines into the k best hits under
-// (score desc, doc ID asc), applying the clamp and the perturbation.
-func (ix *Index) selectTopK(acc []float64, k int, perturb func(docID string) float64, a *Arena) []Hit {
-	n := len(ix.ids)
-	// Bounded min-heap of the k best seen so far; the root is the current
-	// worst, ordered by (score asc, doc ID desc) so "worse than root" means
-	// "not in the top k".
-	h := a.heap(k)
-	for i := 0; i < n; i++ {
-		s := acc[i]
-		// Mirror text.Cosine's clamp before the perturbation is applied.
-		if s > 1 {
-			s = 1
-		}
-		id := ix.ids[i]
-		if perturb != nil {
-			s += perturb(id)
-		}
-		h = pushHit(h, k, Hit{Doc: i, ID: id, Score: s})
-	}
-	return sortHits(h, a)
 }
 
 // pushHit offers a hit to the bounded min-heap, evicting the current floor

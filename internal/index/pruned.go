@@ -83,10 +83,11 @@ func siftDownKey(keys []uint64, i int) {
 	}
 }
 
-// TopKPruned returns exactly TopKSparse(q, k, perturb) — byte-identical
-// hits — while exact-scoring only the documents that can still matter: a
-// max-score/WAND-style early-termination top-k over the impact-ordered
-// block layout.
+// TopKPruned returns exactly the exhaustive top k (every posting of every
+// query dimension accumulated, the k best selected under (score desc, doc
+// ID asc)) — byte-identical hits — while exact-scoring only the documents
+// that can still matter: a max-score/WAND-style early-termination top-k
+// over the impact-ordered block layout.
 //
 // perturbBound must satisfy perturb(id) <= perturbBound for every document
 // ID (0 is implied when perturb is nil); the engine passes its SERP-jitter

@@ -97,15 +97,6 @@ type Pipeline struct {
 	QuestionRanker rerank.Scorer
 	DocRanker      rerank.Scorer
 	Config         Config
-	// DisableCache turns off evidence caching (used by ablation benches
-	// that mutate Config between calls).
-	DisableCache bool
-	// DenseScoring forces the retired dense scoring path: every rerank call
-	// re-embeds both strings and chunking re-splits fetched text. It is the
-	// differential baseline — golden tests pin the sparse path (precomputed
-	// doc vectors, reference embedded once per fact) byte-identical to it,
-	// and the cold-cell benches measure the gap.
-	DenseScoring bool
 
 	cache evidenceCache
 }
@@ -215,9 +206,6 @@ func (p *Pipeline) Retrieve(f *dataset.Fact) (*Evidence, error) {
 // never cancels a retrieval — evidence is shared across callers, so the
 // owner always runs to completion.
 func (p *Pipeline) RetrieveCtx(ctx context.Context, f *dataset.Fact) (*Evidence, error) {
-	if p.DisableCache {
-		return p.retrieve(ctx, f)
-	}
 	s := p.cache.shard(f.ID)
 	s.mu.Lock()
 	e, ok := s.entries[f.ID]
@@ -258,16 +246,8 @@ func (p *Pipeline) RetrieveCtx(ctx context.Context, f *dataset.Fact) (*Evidence,
 // singleflight path as Retrieve. It is the prefetch entry point the grid
 // scheduler uses to retrieve once per fact before fanning models out.
 // Warming builds the fact's index shard as a side effect (the engine
-// materialises pool + posting lists on first query); with evidence caching
-// disabled, Warm still builds the index shard when the searcher supports it
-// instead of wasting a full retrieval.
+// materialises pool + posting lists on first query).
 func (p *Pipeline) Warm(f *dataset.Fact) error {
-	if p.DisableCache {
-		if w, ok := p.Searcher.(search.Warmer); ok {
-			return w.Warm(f.ID)
-		}
-		return nil
-	}
 	_, err := p.Retrieve(f)
 	return err
 }
@@ -287,9 +267,10 @@ func (p *Pipeline) Invalidate(factID string) {
 // retrieve runs phases 1–4. The sparse path is the production one:
 // the sentence is embedded once, document vectors come precomputed from the
 // engine's doc table, and chunking reuses the doc table's sentence splits.
-// DenseScoring (or a searcher/ranker without vector support) falls back to
-// the dense reference path; both produce byte-identical Evidence — golden
-// tested, since result-store fingerprints and served verdicts flow from it.
+// A searcher or ranker without vector support (the HTTP client searcher, a
+// ranker wrapped in rerank.DenseOnly) falls back to the dense path; both
+// produce byte-identical Evidence — golden tested, since result-store
+// fingerprints and served verdicts flow from it.
 func (p *Pipeline) retrieve(ctx context.Context, f *dataset.Fact) (*Evidence, error) {
 	cfg := p.Config
 	ev := &Evidence{}
@@ -301,9 +282,6 @@ func (p *Pipeline) retrieve(ctx context.Context, f *dataset.Fact) (*Evidence, er
 	// accelerates; stages degrade to the dense path independently.
 	qRanker, qVec := p.QuestionRanker.(rerank.VecScorer)
 	dRanker, dVec := p.DocRanker.(rerank.VecScorer)
-	if p.DenseScoring {
-		qVec, dVec = false, false
-	}
 	var sentVec text.SparseVector
 	if qVec || dVec {
 		sentVec = text.SparseEmbed(ev.Sentence)
@@ -325,7 +303,7 @@ func (p *Pipeline) retrieve(ctx context.Context, f *dataset.Fact) (*Evidence, er
 		}
 		ranked = rerank.RankVecs(qRanker, sentVec, ev.Sentence, cands)
 	} else {
-		ranked = rerank.Rank(rerank.DenseOnly(p.QuestionRanker), ev.Sentence, texts)
+		ranked = rerank.Rank(p.QuestionRanker, ev.Sentence, texts)
 	}
 	for _, r := range ranked {
 		qs[r.Index].Score = r.Score
@@ -372,8 +350,7 @@ func (p *Pipeline) retrieve(ctx context.Context, f *dataset.Fact) (*Evidence, er
 	// sparse path each candidate's vector comes precomputed from the doc
 	// table — no document is ever re-embedded — and the batch scorer
 	// amortises the reference's noise-key prefix across the whole pool.
-	// dVec is already false under DenseScoring, which keeps the dense
-	// baseline on plain Fetch as well.
+	// A dense doc ranker keeps retrieval on plain Fetch as well.
 	endRerank := phaseSpan(ctx, "rag_rerank", rerankHist)
 	fetcher, fetchVec := p.Searcher.(search.EvidenceFetcher)
 	fetchVec = fetchVec && dVec

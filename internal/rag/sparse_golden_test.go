@@ -6,25 +6,28 @@ import (
 
 	"factcheck/internal/corpus"
 	"factcheck/internal/dataset"
+	"factcheck/internal/rerank"
 	"factcheck/internal/search"
 	"factcheck/internal/world"
 )
 
 // goldenPipelines builds two pipelines over the same engine: the sparse
-// production path and the retired dense reference path. Evidence caching is
-// off so each call exercises retrieval in full.
-func goldenPipelines(t *testing.T) (sparse, dense *Pipeline, d *dataset.Dataset) {
-	t.Helper()
-	w := world.New(world.SmallConfig())
-	d = dataset.Build(w, dataset.FactBench, 0.1)
-	gen := corpus.NewGenerator(w)
-	e := search.NewEngine(gen, d)
+// production path and the dense reference path, whose rankers are wrapped
+// in rerank.DenseOnly so every rerank call re-embeds both strings and
+// retrieval falls back to plain Fetch and chunk.Sliding.
+func goldenPipelines(e *search.Engine) (sparse, dense *Pipeline) {
 	sparse = New(e)
-	sparse.DisableCache = true
 	dense = New(e)
-	dense.DisableCache = true
-	dense.DenseScoring = true
-	return sparse, dense, d
+	dense.QuestionRanker = rerank.DenseOnly(dense.QuestionRanker)
+	dense.DocRanker = rerank.DenseOnly(dense.DocRanker)
+	return sparse, dense
+}
+
+// goldenEngine builds the engine the golden pipelines share.
+func goldenEngine() (*search.Engine, *dataset.Dataset) {
+	w := world.New(world.SmallConfig())
+	d := dataset.Build(w, dataset.FactBench, 0.1)
+	return search.NewEngine(corpus.NewGenerator(w), d), d
 }
 
 // TestSparseRetrieveMatchesDenseGolden is the pipeline-level golden test:
@@ -33,7 +36,8 @@ func goldenPipelines(t *testing.T) (sparse, dense *Pipeline, d *dataset.Dataset)
 // latency — must equal the dense path's bit for bit. Result-store
 // fingerprints, PR 3/4 snapshots and served verdicts all hang off this.
 func TestSparseRetrieveMatchesDenseGolden(t *testing.T) {
-	sparse, dense, d := goldenPipelines(t)
+	e, d := goldenEngine()
+	sparse, dense := goldenPipelines(e)
 	if len(d.Facts) < 3 {
 		t.Fatalf("fixture has %d facts, need >= 3", len(d.Facts))
 	}
@@ -54,9 +58,10 @@ func TestSparseRetrieveMatchesDenseGolden(t *testing.T) {
 
 // TestSparseRetrieveMatchesDenseAcrossConfigs sweeps the config axes that
 // steer the rewired stages (window size, candidate cap, selected docs,
-// question threshold) and pins sparse == dense under each.
+// question threshold) and pins sparse == dense under each, on fresh
+// pipelines per configuration so no evidence is cached across them.
 func TestSparseRetrieveMatchesDenseAcrossConfigs(t *testing.T) {
-	sparse, dense, d := goldenPipelines(t)
+	e, d := goldenEngine()
 	mutate := []func(*Config){
 		func(c *Config) { c.Window = 1 },
 		func(c *Config) { c.Window = 5 },
@@ -67,10 +72,9 @@ func TestSparseRetrieveMatchesDenseAcrossConfigs(t *testing.T) {
 	}
 	f := d.Facts[1]
 	for i, m := range mutate {
-		scfg, dcfg := DefaultConfig(), DefaultConfig()
-		m(&scfg)
-		m(&dcfg)
-		sparse.Config, dense.Config = scfg, dcfg
+		sparse, dense := goldenPipelines(e)
+		m(&sparse.Config)
+		m(&dense.Config)
 		sev, err := sparse.Retrieve(f)
 		if err != nil {
 			t.Fatal(err)

@@ -179,8 +179,9 @@ func sortRanked(out []Ranked) {
 
 // DenseOnly wraps a scorer so it exposes only the dense Score path, hiding
 // any VecScorer fast path from Rank. It exists for the differential
-// baseline: benches and golden tests run the retired dense pipeline through
-// it and pin the sparse path byte-identical.
+// baseline: wrapping both rankers of a rag.Pipeline selects the dense
+// scoring path, which benches and golden tests pin the sparse path
+// byte-identical to.
 func DenseOnly(s Scorer) Scorer { return denseOnly{s} }
 
 type denseOnly struct{ s Scorer }

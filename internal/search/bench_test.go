@@ -10,6 +10,7 @@ import (
 	"factcheck/internal/dataset"
 	"factcheck/internal/det"
 	"factcheck/internal/text"
+	"factcheck/internal/verbalize"
 	"factcheck/internal/world"
 )
 
@@ -145,3 +146,70 @@ func BenchmarkSearchWarmParallel(b *testing.B) {
 	b.Run("mutexed", run(mf.search))
 	b.Run("snapshot", run(e.Search))
 }
+
+// corpusScaleEngine builds a standalone search engine whose per-fact pools
+// follow scale× the paper's size distribution (mean ≈155·scale docs), so
+// the scan and pruned asymptotics separate as the corpus grows, plus the
+// fact-derived queries the RAG pipeline issues (the claim sentence and its
+// entity labels) for the four benched facts. Pools, and the scan
+// reference's dense vectors, are materialised outside the timer.
+func corpusScaleEngine(b *testing.B, scale int) (*Engine, [][2]string) {
+	b.Helper()
+	w := world.New(world.SmallConfig())
+	d := dataset.Build(w, dataset.FactBench, 0.2)
+	gen := corpus.NewGenerator(w)
+	gen.MeanDocs *= float64(scale)
+	gen.StdDocs *= float64(scale)
+	gen.MaxDocs *= scale
+	e := NewEngine(gen, d)
+	facts := d.Facts
+	if len(facts) > 4 {
+		facts = facts[:4]
+	}
+	var jobs [][2]string
+	for _, f := range facts {
+		if _, err := e.Search(f.ID, "warm", 1); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := e.ScanSearch(f.ID, "warm", 1); err != nil {
+			b.Fatal(err)
+		}
+		sentence := verbalize.Sentence(f)
+		for _, q := range []string{
+			sentence,
+			f.Subject.Label + " " + f.Object.Label,
+			"evidence about " + sentence,
+			"the record " + f.Object.Label,
+		} {
+			jobs = append(jobs, [2]string{f.ID, q})
+		}
+	}
+	return e, jobs
+}
+
+// searchScaleBench runs steady-state SERP queries over one ranking path at
+// 1× and 10× corpus scale. BenchmarkSearchIndexed in internal/index runs
+// the exhaustive index path over the same pools and queries.
+func searchScaleBench(b *testing.B, search func(e *Engine, factID, query string, n int) ([]SERPItem, error)) {
+	for _, scale := range []int{1, 10} {
+		b.Run(fmt.Sprintf("corpus%dx", scale), func(b *testing.B) {
+			e, jobs := corpusScaleEngine(b, scale)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				j := jobs[i%len(jobs)]
+				if _, err := search(e, j[0], j[1], DefaultSERPSize); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkSearchScan times the retired linear-scan ranking (O(pool·dims)
+// cosine + full sort).
+func BenchmarkSearchScan(b *testing.B) { searchScaleBench(b, (*Engine).ScanSearch) }
+
+// BenchmarkSearchPruned times the production path: impact-ordered block
+// postings with max-score early termination. Its gap to the exhaustive
+// BenchmarkSearchIndexed widens with corpus scale.
+func BenchmarkSearchPruned(b *testing.B) { searchScaleBench(b, (*Engine).Search) }

@@ -61,15 +61,6 @@ type Searcher interface {
 	Fetch(docID string) (DocPayload, error)
 }
 
-// Warmer is implemented by searchers that can materialise per-fact state
-// (document pool, inverted index) ahead of queries. Prefetch stages use it
-// to build index shards before model fan-out needs them.
-type Warmer interface {
-	// Warm materialises the fact's pool and index; it is safe to call
-	// concurrently and redundantly.
-	Warm(factID string) error
-}
-
 // PoolSource supplies per-fact document pools. corpus.Generator is the
 // production implementation; tests substitute instrumented sources to prove
 // scheduling properties (e.g. that unrelated facts materialise
@@ -185,11 +176,9 @@ type factEntry struct {
 }
 
 // factPool is a fully materialised fact: the pool-ordered documents, an
-// O(1) fetch table, and the inverted index. Everything except the two
-// lazily-computed caches (scan vectors, sentence splits) and the lastUsed
-// clock is immutable after construction. scanVecs lazily holds the dense
-// embedding of every document for ScanSearch, the linear-scan reference
-// path; the production path never materialises them.
+// O(1) fetch table, and the inverted index. Everything except the
+// documents' lazily built sentence splits and the lastUsed clock is
+// immutable after construction.
 type factPool struct {
 	docs []*pooledDoc
 	byID map[string]*pooledDoc
@@ -203,9 +192,6 @@ type factPool struct {
 	// phase issues one cheap atomic store per pool per epoch, not per
 	// query; eviction compares generations at publish time.
 	lastUsed atomic.Uint64
-
-	scanOnce sync.Once
-	scanVecs []text.Vector
 }
 
 // pooledDoc is one doc-table row: the document, its body, the full
@@ -449,24 +435,17 @@ func foldPool(p *factPool, appended []*pooledDoc, epoch uint64) *factPool {
 	return np
 }
 
-// Warm implements Warmer: it materialises the fact's pool and index so
-// later queries hit a warm snapshot. Prefetch stages call it once per fact
-// ahead of model fan-out.
+// Warm materialises the fact's pool and index so later queries hit a warm
+// snapshot; it is safe to call concurrently and redundantly.
 func (e *Engine) Warm(factID string) error {
 	_, err := e.pool(factID)
 	return err
 }
 
-// serpJitterScale is the magnitude of the deterministic SERP perturbation,
-// shared by the production path (which pre-hashes the query prefix) and
-// the scan reference.
-const serpJitterScale = 0.05
-
-// serpJitter is the deterministic per-(query,doc) score perturbation:
+// serpJitterScale is the magnitude of the deterministic per-(query, doc)
+// SERP perturbation, serpJitterScale·det.Uniform("serp", query, docID):
 // SERPs rank by more than lexical relevance (authority, freshness).
-func serpJitter(query, docID string) float64 {
-	return serpJitterScale * det.Uniform("serp", query, docID)
-}
+const serpJitterScale = 0.05
 
 // Search implements Searcher. Ranking is cosine relevance of the query to
 // title+body with a small deterministic tie-break jitter, mimicking the
@@ -474,7 +453,9 @@ func serpJitter(query, docID string) float64 {
 // block postings with max-score/WAND early termination (index.TopKPruned):
 // blocks provably unable to reach the heap floor are never read, and the
 // jitter magnitude is folded into every upper bound, so results stay
-// byte-identical to the exhaustive paths (see IndexedSearch/ScanSearch).
+// byte-identical to an exhaustive ranking: cosine of the query against
+// every pool document, jitter added, fully sorted by (score desc, doc ID
+// asc) and truncated.
 func (e *Engine) Search(factID, query string, n int) ([]SERPItem, error) {
 	start := time.Now()
 	if n <= 0 {
@@ -488,7 +469,7 @@ func (e *Engine) Search(factID, query string, n int) ([]SERPItem, error) {
 	qv := text.SparseEmbed(query)
 	// One partial hash covers the ("serp", query) prefix for the whole
 	// pool; each document extends it with its ID only. Values are identical
-	// to serpJitter(query, docID).
+	// to det.Uniform("serp", query, docID).
 	key := det.NewKey("serp", query)
 	a := e.arena()
 	// key.Uniform is in [0,1), so the jitter never exceeds serpJitterScale
@@ -503,30 +484,6 @@ func (e *Engine) Search(factID, query string, n int) ([]SERPItem, error) {
 	e.retrieval.docsScored.Add(int64(a.Stats.DocsScored))
 	e.release(a)
 	queryHist.Observe(time.Since(start))
-	return out, nil
-}
-
-// IndexedSearch is the exhaustive posting-list ranking the pruned path
-// replaced: term-at-a-time accumulation over every posting of every query
-// dimension, bounded-heap selection. Kept as the mid-rung of the golden
-// differential ladder (Search == IndexedSearch == ScanSearch, byte for
-// byte) and as the bench baseline the pruning win is measured against.
-func (e *Engine) IndexedSearch(factID, query string, n int) ([]SERPItem, error) {
-	if n <= 0 {
-		n = DefaultSERPSize
-	}
-	p, err := e.pool(factID)
-	if err != nil {
-		return nil, err
-	}
-	qv := text.SparseEmbed(query)
-	key := det.NewKey("serp", query)
-	a := e.arena()
-	hits := p.idx.TopKSparse(qv, n, func(docID string) float64 {
-		return serpJitterScale * key.Uniform(docID)
-	}, a)
-	out := serpItems(p, hits)
-	e.release(a)
 	return out, nil
 }
 
@@ -546,61 +503,6 @@ func serpItems(p *factPool, hits []index.Hit) []SERPItem {
 		}
 	}
 	return out
-}
-
-// ScanSearch is the retired linear-scan ranking, kept as the differential
-// reference for the indexed path: cosine of the query against every pool
-// document's dense embedding, full sort, truncate. Golden tests assert
-// Search == ScanSearch byte for byte, and the bench suite compares their
-// cost. Dense vectors are materialised lazily on first use and cached per
-// pool, so repeated calls measure steady-state scan cost as the old engine
-// paid it.
-func (e *Engine) ScanSearch(factID, query string, n int) ([]SERPItem, error) {
-	if n <= 0 {
-		n = DefaultSERPSize
-	}
-	p, err := e.pool(factID)
-	if err != nil {
-		return nil, err
-	}
-	p.scanOnce.Do(func() {
-		p.scanVecs = make([]text.Vector, len(p.docs))
-		for i, d := range p.docs {
-			p.scanVecs[i] = text.Embed(d.full)
-		}
-	})
-	qv := text.Embed(query)
-	type scored struct {
-		d *pooledDoc
-		s float64
-	}
-	items := make([]scored, 0, len(p.docs))
-	for i, d := range p.docs {
-		s := text.Cosine(qv, p.scanVecs[i])
-		s += serpJitter(query, d.doc.ID)
-		items = append(items, scored{d: d, s: s})
-	}
-	sort.SliceStable(items, func(i, j int) bool {
-		if items[i].s != items[j].s {
-			return items[i].s > items[j].s
-		}
-		return items[i].d.doc.ID < items[j].d.doc.ID
-	})
-	if len(items) > n {
-		items = items[:n]
-	}
-	out := make([]SERPItem, len(items))
-	for i, it := range items {
-		out[i] = SERPItem{
-			DocID: it.d.doc.ID,
-			URL:   it.d.doc.URL,
-			Host:  it.d.doc.Host,
-			Title: it.d.doc.Title,
-			Rank:  i + 1,
-			Score: it.s,
-		}
-	}
-	return out, nil
 }
 
 // Fetch implements Searcher with an O(1) doc-table lookup.

@@ -745,7 +745,7 @@ func (s *Service) Stats() Stats {
 //	POST /v1/verify/batch                              -> BatchResponse
 //	POST /v1/documents                                 -> IngestResponse (202; async fold)
 //	GET  /v1/verdict/{dataset}/{method}/{model}/{fact} -> VerdictResponse (no compute; 404 when absent)
-//	GET  /v1/consensus/{fact}[?mode=serial|eager|adaptive] -> ConsensusResponse
+//	GET  /v1/consensus/{fact}[?mode=eager|adaptive]    -> ConsensusResponse (400 for any other mode)
 //	GET  /v1/facts                                     -> fact IDs per dataset
 //	GET  /v1/trace/{id}                                -> one sampled trace's spans
 //	GET  /healthz (liveness), GET /readyz (readiness; 503 while draining)
@@ -1212,7 +1212,9 @@ func (s *Service) handleVerdict(w http.ResponseWriter, r *http.Request) {
 
 // handleConsensus answers the DKA majority vote of the open-source models
 // (the paper's §3.3 consensus without arbitration; ties are reported).
-// ?mode=serial|eager|adaptive overrides the configured execution strategy.
+// ?mode=eager|adaptive overrides the configured execution strategy; any
+// other mode is a 400 carrying consensus.ParseMode's error, which names the
+// two.
 func (s *Service) handleConsensus(w http.ResponseWriter, r *http.Request) {
 	mode := s.cfg.ConsensusMode
 	if q := r.URL.Query().Get("mode"); q != "" {

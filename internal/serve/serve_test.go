@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -568,7 +569,7 @@ func TestConsensusEndpoint(t *testing.T) {
 	h := svc.Handler()
 	planOrder := svc.plan.Order
 
-	for _, mode := range []string{"serial", "eager", "adaptive"} {
+	for _, mode := range []string{"eager", "adaptive"} {
 		resp, w := getConsensus(t, h, f.ID, mode)
 		if resp == nil {
 			t.Fatalf("%s: %d %s", mode, w.Code, w.Body.String())
@@ -590,7 +591,7 @@ func TestConsensusEndpoint(t *testing.T) {
 			}
 		}
 		switch mode {
-		case "serial", "eager":
+		case "eager":
 			if len(resp.Votes) != len(planOrder) || len(resp.Skipped) != 0 {
 				t.Fatalf("%s: %d votes, %d skipped; want full ensemble", mode, len(resp.Votes), len(resp.Skipped))
 			}
@@ -621,16 +622,21 @@ func TestConsensusEndpoint(t *testing.T) {
 	if resp.Mode != string(consensus.ModeAdaptive) {
 		t.Fatalf("default mode = %q, want adaptive", resp.Mode)
 	}
-	// An unknown mode is a 400, before any charging or verification.
-	if _, w := getConsensus(t, h, f.ID, "bogus"); w.Code != http.StatusBadRequest {
-		t.Fatalf("?mode=bogus: %d, want 400", w.Code)
+	// An unknown or retired mode is a 400, before any charging or
+	// verification, naming the modes that remain.
+	for _, mode := range []string{"bogus", "serial"} {
+		_, w := getConsensus(t, h, f.ID, mode)
+		if body := w.Body.String(); w.Code != http.StatusBadRequest ||
+			!strings.Contains(body, "eager") || !strings.Contains(body, "adaptive") {
+			t.Fatalf("?mode=%s: %d %s, want 400 naming eager and adaptive", mode, w.Code, body)
+		}
 	}
 }
 
 // TestConsensusModesAgree is the serving-layer differential gate: for every
-// fact of every dataset, eager (run everything — the golden baseline),
-// serial and adaptive must agree on Final and Tie; adaptive must skip
-// voters on a majority of the unanimous facts.
+// fact of every dataset, eager and adaptive must agree on Final and Tie
+// with the serial reference loop; adaptive must skip voters on a majority
+// of the unanimous facts.
 func TestConsensusModesAgree(t *testing.T) {
 	svc := newTestService(t, permissive())
 	defer svc.Drain()
@@ -644,21 +650,22 @@ func TestConsensusModesAgree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			serial, err := svc.Consensus(ctx, f.ID, consensus.ModeSerial)
-			if err != nil {
-				t.Fatal(err)
-			}
 			adaptive, err := svc.Consensus(ctx, f.ID, consensus.ModeAdaptive)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if serial.Final != eager.Final || serial.Tie != eager.Tie {
-				t.Fatalf("%s: serial (final %v tie %v) != eager (final %v tie %v)",
-					f.ID, serial.Final, serial.Tie, eager.Final, eager.Tie)
+			serial, err := serialConsensus(ctx, svc, f.ID)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if adaptive.Final != eager.Final || adaptive.Tie != eager.Tie {
-				t.Fatalf("%s: adaptive (final %v tie %v) != eager (final %v tie %v)",
-					f.ID, adaptive.Final, adaptive.Tie, eager.Final, eager.Tie)
+			for _, got := range []*ConsensusResponse{eager, adaptive} {
+				if got.Final != serial.Final || got.Tie != serial.Tie {
+					t.Fatalf("%s: %s (final %v tie %v) != serial (final %v tie %v)",
+						f.ID, got.Mode, got.Final, got.Tie, serial.Final, serial.Tie)
+				}
+			}
+			if !reflect.DeepEqual(eager.Votes, serial.Votes) {
+				t.Fatalf("%s: eager votes %v != serial votes %v", f.ID, eager.Votes, serial.Votes)
 			}
 			if len(adaptive.Skipped) > 0 {
 				skippedFacts++
@@ -1204,7 +1211,7 @@ func TestConsensusProbesLRUOncePerVote(t *testing.T) {
 			st.LRUHits, st.Computed, verifies.Load(), voters, voters)
 	}
 
-	for _, mode := range []consensus.Mode{consensus.ModeSerial, consensus.ModeEager, consensus.ModeAdaptive} {
+	for _, mode := range []consensus.Mode{consensus.ModeEager, consensus.ModeAdaptive} {
 		before, hits := probes(), svc.Stats().LRUHits
 		resp, err := svc.Consensus(ctx, f.ID, mode)
 		if err != nil {
