@@ -197,14 +197,16 @@ func (g *Generator) stanceMix(f *dataset.Fact) (support, refute, neutral float64
 	return support, refute, neutral
 }
 
-// Docs generates the full metadata pool for the fact.
+// Docs generates the full metadata pool for the fact. The documents sit
+// in one backing array.
 func (g *Generator) Docs(f *dataset.Fact) []*Document {
-	n := g.PoolSize(f)
-	out := make([]*Document, 0, n)
+	docs := make([]Document, g.PoolSize(f))
+	out := make([]*Document, len(docs))
 	ps, pr, pn := g.stanceMix(f)
 	fm := newFactMeta(f)
-	for i := 0; i < n; i++ {
-		out = append(out, g.doc(fm, i, ps, pr, pn))
+	for i := range docs {
+		g.doc(&docs[i], fm, i, ps, pr, pn)
+		out[i] = &docs[i]
 	}
 	return out
 }
@@ -273,37 +275,45 @@ func drawStance(id string, ps, pr, pn float64) Stance {
 	}
 }
 
-func (g *Generator) doc(fm *factMeta, i int, ps, pr, pn float64) *Document {
+// doc fills d with the fact's i-th pool document and returns the title
+// draw behind its title (see title).
+func (g *Generator) doc(d *Document, fm *factMeta, i int, ps, pr, pn float64) (titleDraw int) {
 	id := DocID(fm.f.ID, i)
 	st, fromSKG, empty := g.classify(id, ps, pr, pn)
 	host := hosts[1+det.IntN(len(hosts)-1, "host", id)]
 	if fromSKG {
 		host = hosts[0]
 	}
-	return &Document{
+	title, titleDraw := fm.title(st, id)
+	*d = Document{
 		ID:      id,
 		URL:     "https://" + host + "/" + fm.slug + "/p" + id[len(fm.f.ID)+len("-d"):],
 		Host:    host,
-		Title:   fm.title(st, id),
+		Title:   title,
 		Stance:  st,
 		Empty:   empty,
 		FromSKG: fromSKG,
 		Seq:     i,
 		FactID:  fm.f.ID,
 	}
+	return titleDraw
 }
 
 // fillerTitles are the titles of unrelated documents.
 var fillerTitles = [...]string{"Regional news roundup", "Archive digest", "Weekly miscellany", "Site index", "Community bulletin"}
 
-func (fm *factMeta) title(st Stance, id string) string {
+// title returns the title of a document with stance st and ID id, and the
+// fillerTitles index it drew (-1 for the record and profile titles, which
+// draw nothing).
+func (fm *factMeta) title(st Stance, id string) (string, int) {
 	switch st {
 	case StanceSupport, StanceRefute:
-		return fm.recordTitle
+		return fm.recordTitle, -1
 	case StanceNeutral:
-		return fm.profileTitle
+		return fm.profileTitle, -1
 	default:
-		return fillerTitles[det.IntN(len(fillerTitles), "title", id)]
+		i := det.IntN(len(fillerTitles), "title", id)
+		return fillerTitles[i], i
 	}
 }
 
@@ -340,25 +350,54 @@ func (g *Generator) newFactBody(f *dataset.Fact) *factBody {
 
 // text generates d's body.
 func (b *factBody) text(d *Document) string {
+	x, y := bodyDraws(d)
+	return b.build(d, x, y)
+}
+
+// numFillers is the number of background sentences filler chooses from.
+const numFillers = 5
+
+// bodyDraws returns the filler draws d's body uses: one for support, refute
+// and unrelated bodies, two for neutral ones, none for empty ones (-1 marks
+// an unused draw). Each slot draws under its own key.
+func bodyDraws(d *Document) (x, y int) {
+	draw := func(k string) int { return det.IntN(numFillers, "filler", d.ID, k) }
+	if d.Empty {
+		return -1, -1
+	}
+	switch d.Stance {
+	case StanceSupport:
+		return draw("a"), -1
+	case StanceRefute:
+		return draw("b"), -1
+	case StanceNeutral:
+		return draw("c"), draw("d")
+	default:
+		return draw("e"), -1
+	}
+}
+
+// build generates the body of a document with d's stance and extraction
+// outcome from the filler draws x and y (bodyDraws).
+func (b *factBody) build(d *Document, x, y int) string {
 	if d.Empty {
 		return ""
 	}
 	switch d.Stance {
 	case StanceSupport:
-		return b.support + b.filler(d, "a")
+		return b.support + b.filler(x)
 	case StanceRefute:
-		return b.refute + b.filler(d, "b")
+		return b.refute + b.filler(x)
 	case StanceNeutral:
-		return b.neutral + b.filler(d, "c") + " " + b.filler(d, "d")
+		return b.neutral + b.filler(x) + " " + b.filler(y)
 	default:
-		return "General interest material unrelated to the query. " + b.filler(d, "e")
+		return "General interest material unrelated to the query. " + b.filler(x)
 	}
 }
 
-// filler returns the background sentence drawn for slot k of d, building
-// only the option it picks.
-func (b *factBody) filler(d *Document, k string) string {
-	switch det.IntN(5, "filler", d.ID, k) {
+// filler returns background sentence i, building only that option.
+func (b *factBody) filler(i int) string {
+	switch i {
 	case 0:
 		return b.subj + " has been covered by several publications over the years."
 	case 1:
@@ -391,36 +430,93 @@ func (g *Generator) trueObjectLabel(f *dataset.Fact) string {
 	return strings.ReplaceAll(best, "_", " ")
 }
 
-// Materialized is one pool document with its generated body text and its
-// embedding.
+// Materialized is one pool document with its generated body text, its
+// rerank-candidate string and that string's embedding. Documents of one
+// pool whose draws select the same (title, body) variant share Text, Full
+// and Vec.
 type Materialized struct {
-	Doc  *Document
+	Doc *Document
+	// Text is the body, the tail of Full.
 	Text string
-	// Vec is the sparse embedding of Title + " " + Text, bit-identical to
-	// text.SparseEmbed of that string, so the index builder and the
-	// document reranker consume it instead of re-embedding the document per
-	// query or per fact.
+	// Full is Title + " " + Text, the string retrieval indexes and
+	// document rerankers score.
+	Full string
+	// Vec is the sparse embedding of Full, bit-identical to
+	// text.SparseEmbed(Full), so the index builder and the document
+	// reranker consume it instead of re-embedding the document per query
+	// or per fact.
 	Vec text.SparseVector
+}
+
+// A document's title and body follow from its extraction outcome, its
+// stance and its title and filler draws, so a pool has at most numVariants
+// distinct (title, body) pairs. variant numbers them: empty bodies first,
+// by title (0 the record title, 1 the profile title, 2+t filler title t),
+// then the support, refute, neutral and unrelated bodies by their draws.
+const (
+	supportVariant   = 2 + len(fillerTitles)
+	refuteVariant    = supportVariant + numFillers
+	neutralVariant   = refuteVariant + numFillers
+	unrelatedVariant = neutralVariant + numFillers*numFillers
+	numVariants      = unrelatedVariant + len(fillerTitles)*numFillers
+)
+
+// variant returns the number of the (title, body) pair that d's stance,
+// extraction outcome, title draw t and filler draws x and y select.
+func variant(d *Document, t, x, y int) int {
+	if d.Empty {
+		switch d.Stance {
+		case StanceSupport, StanceRefute:
+			return 0
+		case StanceNeutral:
+			return 1
+		default:
+			return 2 + t
+		}
+	}
+	switch d.Stance {
+	case StanceSupport:
+		return supportVariant + x
+	case StanceRefute:
+		return refuteVariant + x
+	case StanceNeutral:
+		return neutralVariant + numFillers*x + y
+	default:
+		return unrelatedVariant + numFillers*t + x
+	}
 }
 
 // Materialize generates the fact's full pool — metadata, body text and
 // embeddings — in pool order. It is the bulk entry point the search
 // engine's shard store uses; Docs/Text remain for callers that only need
-// one side. Per-fact strings are built once for the whole pool, and each
-// document is embedded in one kernel pass over its title and body, with no
-// token strings and no concatenated copy.
+// one side. Per-fact strings are built once for the whole pool, the
+// documents sit in one backing array, and each distinct (title, body)
+// variant is built and embedded once, keyed by the draws that select it,
+// then shared by every document that draws it.
 func (g *Generator) Materialize(f *dataset.Fact) []Materialized {
-	docs := g.Docs(f)
-	body := g.newFactBody(f)
+	docs := make([]Document, g.PoolSize(f))
 	out := make([]Materialized, len(docs))
+	ps, pr, pn := g.stanceMix(f)
+	fm := newFactMeta(f)
+	body := g.newFactBody(f)
+	// built[v] is 1 + the position of the first document of variant v,
+	// 0 while v is unbuilt.
+	var built [numVariants]int32
 	var dims []int32
-	for i, d := range docs {
-		txt := body.text(d)
-		// Tokens never span a space, so the title's dimensions followed by
-		// the body's are those of Title + " " + Text.
-		dims = text.ContentDims(d.Title, dims[:0])
-		dims = text.ContentDims(txt, dims)
-		out[i] = Materialized{Doc: d, Text: txt, Vec: text.SparseEmbedDims(dims)}
+	for i := range docs {
+		d := &docs[i]
+		t := g.doc(d, fm, i, ps, pr, pn)
+		x, y := bodyDraws(d)
+		v := variant(d, t, x, y)
+		if j := built[v]; j > 0 {
+			m := &out[j-1]
+			out[i] = Materialized{Doc: d, Text: m.Text, Full: m.Full, Vec: m.Vec}
+			continue
+		}
+		full := d.Title + " " + body.build(d, x, y)
+		dims = text.ContentDims(full, dims[:0])
+		out[i] = Materialized{Doc: d, Text: full[len(d.Title)+1:], Full: full, Vec: text.SparseEmbedDims(dims)}
+		built[v] = int32(i + 1)
 	}
 	return out
 }
@@ -449,10 +545,11 @@ func (g *Generator) Stream(f *dataset.Fact, i int) StreamDoc {
 	host := hosts[1+det.IntN(len(hosts)-1, "host", id)]
 	fm := newFactMeta(f)
 	d := &Document{ID: id, Stance: st, FactID: f.ID}
+	title, _ := fm.title(st, id)
 	return StreamDoc{
 		URL:   "https://" + host + "/" + fm.slug + "/s" + id[len(f.ID)+len("-s"):],
 		Host:  host,
-		Title: fm.title(st, id),
+		Title: title,
 		Text:  g.Text(f, d),
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"factcheck/internal/dataset"
 	"factcheck/internal/text"
@@ -245,28 +246,47 @@ func TestSlug(t *testing.T) {
 }
 
 // TestMaterializeMatchesDocsAndText asserts Materialize is the bulk form of
-// Docs+Text, and that each precomputed vector is exactly the embedding of
-// Title+" "+body (the search index's input contract), across facts of every
-// dataset so every stance and the refutation path are covered.
+// Docs+Text, that each Full is exactly Title+" "+body, and that each
+// precomputed vector is exactly the embedding of Full (the search index's
+// input contract), for every document of every fact of every dataset, so
+// every stance, every variant and the refutation path are covered. It also
+// checks that documents of one variant share their strings and vector.
 func TestMaterializeMatchesDocsAndText(t *testing.T) {
 	_, ds, g := fixture(t)
 	for _, dn := range []dataset.Name{dataset.FactBench, dataset.YAGO, dataset.DBpedia} {
-		for _, f := range ds[dn].Facts[:4] {
+		for _, f := range ds[dn].Facts {
 			ms := g.Materialize(f)
 			docs := g.Docs(f)
 			if len(ms) != len(docs) {
 				t.Fatalf("%s: Materialize returned %d docs, Docs returned %d", f.ID, len(ms), len(docs))
 			}
+			fulls := map[string]int{}
 			for i, m := range ms {
 				if !reflect.DeepEqual(*m.Doc, *docs[i]) {
 					t.Fatalf("%s doc %d: %+v != %+v", f.ID, i, *m.Doc, *docs[i])
 				}
 				if want := g.Text(f, docs[i]); m.Text != want {
-					t.Errorf("%s doc %d: text differs from Text()", f.ID, i)
+					t.Fatalf("%s doc %d: text differs from Text()", f.ID, i)
 				}
-				if want := text.SparseEmbed(m.Doc.Title + " " + m.Text); !reflect.DeepEqual(m.Vec, want) {
-					t.Errorf("%s doc %d: Vec differs from SparseEmbed(title+body)", f.ID, i)
+				if want := m.Doc.Title + " " + m.Text; m.Full != want {
+					t.Fatalf("%s doc %d: Full = %q, want %q", f.ID, i, m.Full, want)
 				}
+				if want := text.SparseEmbed(m.Full); !reflect.DeepEqual(m.Vec, want) {
+					t.Fatalf("%s doc %d: Vec differs from SparseEmbed(Full)", f.ID, i)
+				}
+				j, seen := fulls[m.Full]
+				if !seen {
+					fulls[m.Full] = i
+					continue
+				}
+				if unsafe.StringData(m.Full) != unsafe.StringData(ms[j].Full) ||
+					unsafe.StringData(m.Text) != unsafe.StringData(ms[j].Text) ||
+					(m.Vec.NNZ() > 0 && &m.Vec.Dims[0] != &ms[j].Vec.Dims[0]) {
+					t.Fatalf("%s docs %d and %d: same variant, separately built", f.ID, j, i)
+				}
+			}
+			if len(fulls) > numVariants {
+				t.Fatalf("%s: %d distinct variants, at most %d exist", f.ID, len(fulls), numVariants)
 			}
 		}
 	}
@@ -284,7 +304,8 @@ func TestDocIDsMatchSprintf(t *testing.T) {
 		if got, want := DocID(f.ID, seq), fmt.Sprintf("%s-d%04d", f.ID, seq); got != want {
 			t.Errorf("DocID(%d) = %q, want %q", seq, got, want)
 		}
-		d := g.doc(fm, seq, ps, pr, pn)
+		d := new(Document)
+		g.doc(d, fm, seq, ps, pr, pn)
 		if want := fmt.Sprintf("%s-d%04d", f.ID, seq); d.ID != want {
 			t.Errorf("doc %d: ID = %q, want %q", seq, d.ID, want)
 		}

@@ -2,7 +2,7 @@ package llm
 
 import (
 	"context"
-	"fmt"
+	"strconv"
 	"strings"
 	"time"
 
@@ -206,7 +206,7 @@ func (s *Sim) Generate(ctx context.Context, req Request) (Response, error) {
 		conf = 1
 	}
 	conf = clamp01(conf + float64(req.Attempt)*ConformanceRetryBoost)
-	conformant := det.Bool(conf, s.p.Name, c.Key, string(req.Method), "conform", fmt.Sprint(req.Attempt))
+	conformant := det.Bool(conf, s.p.Name, c.Key, string(req.Method), "conform", strconv.Itoa(req.Attempt))
 
 	out := s.render(req, verdict, conformant)
 	usage := s.usage(req, out)
@@ -244,7 +244,7 @@ func (s *Sim) readEvidence(req Request) (bool, bool) {
 		if st == 0 {
 			continue
 		}
-		if det.Bool(misread, s.p.Name, c.Key, "read", fmt.Sprint(i)) {
+		if det.Bool(misread, s.p.Name, c.Key, "read", strconv.Itoa(i)) {
 			st = -st // misreading inverts the chunk's contribution
 		}
 		score += st
@@ -284,22 +284,23 @@ func ReadStance(c Claim, chunkText string) int {
 // JSON schema; non-conformant ones ramble. DKA answers are free text.
 func (s *Sim) render(req Request, verdict, conformant bool) string {
 	c := req.Claim
-	label := "FALSE"
+	label, lower := "FALSE", "false"
 	if verdict {
-		label = "TRUE"
+		label, lower = "TRUE", "true"
 	}
 	reason := s.reason(c, verdict, req.Method)
 	switch req.Method {
 	case MethodGIVZ, MethodGIVF:
 		if !conformant {
-			return fmt.Sprintf("Well, considering the statement about %s, one could argue it %s. %s",
-				c.SubjectLabel, strings.ToLower(label), reason)
+			return "Well, considering the statement about " + c.SubjectLabel +
+				", one could argue it " + lower + ". " + reason
 		}
-		return fmt.Sprintf(`{"verdict": %q, "reason": %q}`, strings.ToLower(label), reason)
+		// strconv.Quote renders a string exactly as fmt's %q does.
+		return `{"verdict": "` + lower + `", "reason": ` + strconv.Quote(reason) + `}`
 	case MethodRAG:
-		return fmt.Sprintf("%s. Based on the provided context: %s", label, reason)
+		return label + ". Based on the provided context: " + reason
 	default:
-		return fmt.Sprintf("%s. %s", label, reason)
+		return label + ". " + reason
 	}
 }
 

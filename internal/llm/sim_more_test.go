@@ -2,6 +2,7 @@ package llm
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -145,5 +146,64 @@ func TestSlowResponseTail(t *testing.T) {
 	mean := base / n
 	if maxLat < 2*mean {
 		t.Errorf("no slow tail: max %.3fs vs mean %.3fs", maxLat, mean)
+	}
+}
+
+// fmtRender is the fmt-based body of Sim.render that the concatenating one
+// replaced, kept as the byte-for-byte reference.
+func fmtRender(s *Sim, req Request, verdict, conformant bool) string {
+	c := req.Claim
+	label := "FALSE"
+	if verdict {
+		label = "TRUE"
+	}
+	reason := s.reason(c, verdict, req.Method)
+	switch req.Method {
+	case MethodGIVZ, MethodGIVF:
+		if !conformant {
+			return fmt.Sprintf("Well, considering the statement about %s, one could argue it %s. %s",
+				c.SubjectLabel, strings.ToLower(label), reason)
+		}
+		return fmt.Sprintf(`{"verdict": %q, "reason": %q}`, strings.ToLower(label), reason)
+	case MethodRAG:
+		return fmt.Sprintf("%s. Based on the provided context: %s", label, reason)
+	default:
+		return fmt.Sprintf("%s. %s", label, reason)
+	}
+}
+
+// TestRenderMatchesFmt pins Sim.render to fmtRender for every method,
+// verdict and conformance outcome, over reasons carrying quotes,
+// backslashes, control characters, non-ASCII text and invalid UTF-8 (the
+// reasons quote the claim's labels).
+func TestRenderMatchesFmt(t *testing.T) {
+	s := MustNew(Gemma2)
+	labels := []string{
+		"Ada Example",
+		`The "Quoted" Band`,
+		`Back\slash \n Ltd`,
+		"Ctrl\x00\x01\t\r\n\x7f Entity",
+		"Zoë Ångström 東京 😀",
+		"bad \xff\xfe utf8",
+		"100% %s %q",
+	}
+	categories := []string{"geo", "relationship", "role", "genre", "identifier", "other"}
+	for i, subj := range labels {
+		for _, m := range []Method{MethodDKA, MethodGIVZ, MethodGIVF, MethodRAG} {
+			for _, verdict := range []bool{false, true} {
+				for _, conformant := range []bool{false, true} {
+					for k, cat := range categories {
+						c := claim(verdict)
+						c.Key = fmt.Sprintf("k%d-%d", i, k)
+						c.SubjectLabel, c.ObjectLabel, c.Category = subj, labels[(i+1)%len(labels)], cat
+						req := Request{Claim: c, Method: m}
+						if got, want := s.render(req, verdict, conformant), fmtRender(s, req, verdict, conformant); got != want {
+							t.Errorf("render(%s, %q, verdict=%v, conformant=%v) = %q, want %q",
+								m, subj, verdict, conformant, got, want)
+						}
+					}
+				}
+			}
+		}
 	}
 }

@@ -8,7 +8,7 @@ package prompt
 
 import (
 	"encoding/json"
-	"fmt"
+	"strconv"
 	"strings"
 
 	"factcheck/internal/llm"
@@ -79,41 +79,67 @@ func ConstraintsFor(ds string) string {
 
 // DKA renders the Direct Knowledge Assessment prompt.
 func DKA(c llm.Claim) (system, user string) {
-	return DKASystem, fmt.Sprintf("Is the following statement true or false?\n%s", c.Sentence)
+	return DKASystem, "Is the following statement true or false?\n" + c.Sentence
 }
+
+// fewShotBlock is GIV-F's exemplar block, rendered once from
+// FewShotExamples when the package initialises.
+var fewShotBlock = renderFewShot()
+
+func renderFewShot() string {
+	var b strings.Builder
+	b.WriteString("Examples:\n")
+	for _, ex := range FewShotExamples {
+		b.WriteString("Statement: " + ex.Statement + "\nAnswer: {\"verdict\": " + strconv.Quote(ex.Verdict) +
+			", \"reason\": " + strconv.Quote(ex.Reason) + "}\n")
+	}
+	b.WriteString("\n")
+	return b.String()
+}
+
+// givRetry is the non-compliance flag of a GIV re-prompt.
+const givRetry = "Your previous answer did not conform to the required JSON schema. Reply with ONLY the JSON object.\n\n"
 
 // GIV renders the Guided Iterative Verification prompt. fewShot selects the
 // GIV-F variant; attempt > 0 adds the explicit non-compliance flag the
 // paper's re-prompting protocol sends.
 func GIV(c llm.Claim, fewShot bool, attempt int) (system, user string) {
-	var b strings.Builder
-	if cons := ConstraintsFor(c.Dataset); cons != "" {
-		b.WriteString(cons)
-		b.WriteString("\n\n")
+	cons, sep := ConstraintsFor(c.Dataset), ""
+	if cons != "" {
+		sep = "\n\n"
 	}
+	examples := ""
 	if fewShot {
-		b.WriteString("Examples:\n")
-		for _, ex := range FewShotExamples {
-			b.WriteString(fmt.Sprintf("Statement: %s\nAnswer: {\"verdict\": %q, \"reason\": %q}\n",
-				ex.Statement, ex.Verdict, ex.Reason))
-		}
-		b.WriteString("\n")
+		examples = fewShotBlock
 	}
+	retry := ""
 	if attempt > 0 {
-		b.WriteString("Your previous answer did not conform to the required JSON schema. Reply with ONLY the JSON object.\n\n")
+		retry = givRetry
 	}
-	b.WriteString(fmt.Sprintf("Statement: %s\nAnswer:", c.Sentence))
-	return GIVSystem, b.String()
+	return GIVSystem, cons + sep + examples + retry + "Statement: " + c.Sentence + "\nAnswer:"
 }
 
 // RAG renders the retrieval-augmented prompt over the given context chunks.
 func RAG(c llm.Claim, chunks []string) (system, user string) {
-	var b strings.Builder
-	b.WriteString("Context passages:\n")
-	for i, ch := range chunks {
-		b.WriteString(fmt.Sprintf("[%d] %s\n", i+1, ch))
+	const head, statement, tail = "Context passages:\n", "\nStatement: ", "\nIs the statement true or false?"
+	n := len(head) + len(statement) + len(c.Sentence) + len(tail)
+	for _, ch := range chunks {
+		n += len("[0000] \n") + len(ch)
 	}
-	b.WriteString(fmt.Sprintf("\nStatement: %s\nIs the statement true or false?", c.Sentence))
+	var b strings.Builder
+	b.Grow(n)
+	b.WriteString(head)
+	var num [20]byte
+	for i, ch := range chunks {
+		b.WriteByte('[')
+		b.Write(strconv.AppendInt(num[:0], int64(i+1), 10))
+		b.WriteString("] ")
+		b.WriteString(ch)
+		b.WriteByte('\n')
+	}
+	b.WriteString(statement)
+	b.WriteString(c.Sentence)
+	b.WriteString(tail)
 	return RAGSystem, b.String()
 }
 

@@ -1,6 +1,7 @@
 package prompt
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -144,5 +145,87 @@ func TestGIVRoundTripWithSim(t *testing.T) {
 	out := `{"verdict": "false", "reason": "The stated place conflicts with known records."}`
 	if _, _, ok := ParseGIV(out); !ok {
 		t.Error("canonical sim output does not parse")
+	}
+}
+
+// fmtDKA, fmtGIV and fmtRAG are the fmt-based renderers DKA, GIV and RAG
+// replaced, kept as the byte-for-byte reference.
+func fmtDKA(c llm.Claim) string {
+	return fmt.Sprintf("Is the following statement true or false?\n%s", c.Sentence)
+}
+
+func fmtGIV(c llm.Claim, fewShot bool, attempt int) string {
+	var b strings.Builder
+	if cons := ConstraintsFor(c.Dataset); cons != "" {
+		b.WriteString(cons)
+		b.WriteString("\n\n")
+	}
+	if fewShot {
+		b.WriteString("Examples:\n")
+		for _, ex := range FewShotExamples {
+			b.WriteString(fmt.Sprintf("Statement: %s\nAnswer: {\"verdict\": %q, \"reason\": %q}\n",
+				ex.Statement, ex.Verdict, ex.Reason))
+		}
+		b.WriteString("\n")
+	}
+	if attempt > 0 {
+		b.WriteString("Your previous answer did not conform to the required JSON schema. Reply with ONLY the JSON object.\n\n")
+	}
+	b.WriteString(fmt.Sprintf("Statement: %s\nAnswer:", c.Sentence))
+	return b.String()
+}
+
+func fmtRAG(c llm.Claim, chunks []string) string {
+	var b strings.Builder
+	b.WriteString("Context passages:\n")
+	for i, ch := range chunks {
+		b.WriteString(fmt.Sprintf("[%d] %s\n", i+1, ch))
+	}
+	b.WriteString(fmt.Sprintf("\nStatement: %s\nIs the statement true or false?", c.Sentence))
+	return b.String()
+}
+
+// awkwardSentences exercise fmt verbs, quotes, backslashes and non-ASCII
+// text in the claim.
+var awkwardSentences = []string{
+	"Ada Example was born in Sampletown.",
+	`100% of "quoted" \ claims %d %s %!`,
+	"Zoë Ångström wurde in Köln geboren — 東京   tab\there.",
+	"",
+}
+
+// TestPromptsMatchFmt pins DKA, GIV (zero- and few-shot, attempts 0 and 1,
+// every dataset and an unknown one) and RAG (0, 1 and 20 chunks) to the
+// fmt-based renderers they replaced, byte for byte.
+func TestPromptsMatchFmt(t *testing.T) {
+	for _, ds := range []string{"FactBench", "YAGO", "DBpedia", "other"} {
+		for _, sent := range awkwardSentences {
+			c := testClaim()
+			c.Dataset, c.Sentence = ds, sent
+			if _, got := DKA(c); got != fmtDKA(c) {
+				t.Errorf("DKA(%s, %q) = %q, want %q", ds, sent, got, fmtDKA(c))
+			}
+			for _, fewShot := range []bool{false, true} {
+				for _, attempt := range []int{0, 1} {
+					if _, got := GIV(c, fewShot, attempt); got != fmtGIV(c, fewShot, attempt) {
+						t.Errorf("GIV(%s, %q, fewShot=%v, attempt=%d) = %q, want %q",
+							ds, sent, fewShot, attempt, got, fmtGIV(c, fewShot, attempt))
+					}
+				}
+			}
+		}
+	}
+	var chunks []string
+	for i := 0; i < 20; i++ {
+		chunks = append(chunks, fmt.Sprintf(`chunk %d: 50%% "sure" \ naïve café 😀 %%s`, i))
+	}
+	for _, n := range []int{0, 1, 20} {
+		for _, sent := range awkwardSentences {
+			c := testClaim()
+			c.Sentence = sent
+			if _, got := RAG(c, chunks[:n]); got != fmtRAG(c, chunks[:n]) {
+				t.Errorf("RAG(%q, %d chunks) = %q, want %q", sent, n, got, fmtRAG(c, chunks[:n]))
+			}
+		}
 	}
 }

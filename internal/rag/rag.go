@@ -321,18 +321,20 @@ func (p *Pipeline) retrieve(ctx context.Context, f *dataset.Fact) (*Evidence, er
 
 	// Phase 3: document retrieval and filtering.
 	endSearch := phaseSpan(ctx, "rag_search", searchHist)
-	seen := map[string]bool{}
-	var serpItems []search.SERPItem
+	// The first SERP alone fills both to cfg.SERPSize; later queries
+	// mostly return documents already seen.
+	seen := make(map[string]struct{}, cfg.SERPSize)
+	serpItems := make([]search.SERPItem, 0, cfg.SERPSize)
 	for _, q := range ev.Queries {
 		items, err := p.Searcher.Search(f.ID, q, cfg.SERPSize)
 		if err != nil {
 			return nil, fmt.Errorf("rag: search %q: %w", q, err)
 		}
 		for _, it := range items {
-			if seen[it.DocID] {
+			if _, ok := seen[it.DocID]; ok {
 				continue
 			}
-			seen[it.DocID] = true
+			seen[it.DocID] = struct{}{}
 			if cfg.FilterSKG && isSKGSource(it.Host) {
 				ev.FilteredSKG++
 				continue
@@ -364,9 +366,10 @@ func (p *Pipeline) retrieve(ctx context.Context, f *dataset.Fact) (*Evidence, er
 			}
 		}
 	}
+	// A scored candidate carries one DocEvidence: the full one on the
+	// sparse path, only its DocPayload on the others.
 	type scoredDoc struct {
-		doc   search.DocPayload
-		ev    search.DocEvidence // sparse path only
+		ev    search.DocEvidence
 		score float64
 	}
 	docs := make([]scoredDoc, 0, len(serpItems))
@@ -379,7 +382,7 @@ func (p *Pipeline) retrieve(ctx context.Context, f *dataset.Fact) (*Evidence, er
 			if de.Empty || de.Text == "" {
 				continue // extraction failures carry no usable evidence
 			}
-			docs = append(docs, scoredDoc{doc: de.DocPayload, ev: de, score: scoreVec(de.Vec, de.Full)})
+			docs = append(docs, scoredDoc{ev: de, score: scoreVec(de.Vec, de.Full)})
 			continue
 		}
 		d, err := p.Searcher.Fetch(it.DocID)
@@ -399,10 +402,10 @@ func (p *Pipeline) retrieve(ctx context.Context, f *dataset.Fact) (*Evidence, er
 		} else {
 			s = p.DocRanker.Score(ev.Sentence, d.Title+" "+d.Text)
 		}
-		docs = append(docs, scoredDoc{doc: d, score: s})
+		docs = append(docs, scoredDoc{ev: search.DocEvidence{DocPayload: d}, score: s})
 	}
-	// Sort an index permutation instead of the fat entries (a scoredDoc
-	// carries two payload structs; swapping them dominated the sort).
+	// Sort an index permutation instead of the fat entries (swapping a
+	// scoredDoc's evidence struct dominated the sort).
 	// (score desc, doc ID asc) is a total order over unique doc IDs, so the
 	// permutation equals the retired sort.SliceStable's order exactly.
 	order := make([]int, len(docs))
@@ -416,7 +419,7 @@ func (p *Pipeline) retrieve(ctx context.Context, f *dataset.Fact) (*Evidence, er
 		case docs[a].score < docs[b].score:
 			return 1
 		}
-		return strings.Compare(docs[a].doc.DocID, docs[b].doc.DocID)
+		return strings.Compare(docs[a].ev.DocID, docs[b].ev.DocID)
 	})
 	if len(order) > cfg.SelectedDocs {
 		order = order[:cfg.SelectedDocs]
@@ -428,11 +431,11 @@ func (p *Pipeline) retrieve(ctx context.Context, f *dataset.Fact) (*Evidence, er
 	endChunk := phaseSpan(ctx, "rag_chunk", chunkHist)
 	for _, i := range order {
 		sd := &docs[i]
-		ev.Docs = append(ev.Docs, sd.doc)
+		ev.Docs = append(ev.Docs, sd.ev.DocPayload)
 		if fetchVec {
 			ev.Chunks = append(ev.Chunks, sd.ev.Chunks(cfg.Window)...)
 		} else {
-			ev.Chunks = append(ev.Chunks, chunk.Sliding(sd.doc.DocID, sd.doc.Text, cfg.Window)...)
+			ev.Chunks = append(ev.Chunks, chunk.Sliding(sd.ev.DocID, sd.ev.Text, cfg.Window)...)
 		}
 	}
 	if len(ev.Chunks) > cfg.MaxChunks {

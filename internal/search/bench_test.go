@@ -42,7 +42,7 @@ func newMutexedFrontend(e *Engine, facts []*dataset.Fact) (*mutexedFrontend, err
 	}
 	sn := e.snap.Load()
 	for _, f := range facts {
-		p, ok := sn.pools[f.ID]
+		p, ok := sn.pools.get(f.ID)
 		if !ok {
 			return nil, fmt.Errorf("pool %s not warmed", f.ID)
 		}

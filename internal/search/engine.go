@@ -67,8 +67,10 @@ type Searcher interface {
 // concurrently).
 type PoolSource interface {
 	// Materialize generates the fact's full pool — metadata, body text and
-	// document embeddings — in pool order.
+	// document embeddings — in pool order. Document i's Seq is i.
 	Materialize(f *dataset.Fact) []corpus.Materialized
+	// PoolSize returns len(Materialize(f)) without generating the pool.
+	PoolSize(f *dataset.Fact) int
 }
 
 // DefaultSERPSize is the paper's n_max = 100 results per query.
@@ -90,6 +92,11 @@ var (
 // In-flight materialisations live outside the snapshot and are never
 // evicted, so the singleflight guarantee holds.
 const MaxCachedFacts = 512
+
+// poolShards is the number of shards a snapshot's pool table is split
+// into. A publish copies only the shards it changes (about
+// MaxCachedFacts/poolShards entries each), not the whole table.
+const poolShards = 64
 
 // Engine is the in-process search engine. All materialised state lives in
 // an immutable snapshot reachable through one atomic pointer (RCU): warm
@@ -141,13 +148,76 @@ type snapshot struct {
 	// recency without any read-side list maintenance.
 	gen uint64
 	// pools holds the materialised facts.
-	pools map[string]*factPool
+	pools poolTable
 	// epochs counts ingestion batches applied per fact (0 = pristine).
 	epochs map[string]uint64
 	// digests is the per-dataset corpus content digest (0 = pristine),
 	// an XOR fold over per-fact ingestion chains: order-independent
 	// across facts, order-sensitive within one fact's stream.
 	digests map[dataset.Name]uint64
+}
+
+// poolTable is a snapshot's fact-ID -> pool table, split into shards by a
+// hash of the fact ID. Published shards are immutable; a writer edits a
+// copy of the table value, whose shard array is copied whole (poolShards
+// map pointers) while each shard map is copied only when first written.
+type poolTable struct {
+	shards [poolShards]map[string]*factPool
+	// n is the number of pools across all shards.
+	n int
+	// copied marks the shards this edit has already copied (bit i for
+	// shard i); zero in every published table.
+	copied uint64
+}
+
+// poolShard maps a fact ID to its shard: FNV-1a, inline so the warm read
+// path allocates nothing.
+func poolShard(factID string) int {
+	h := uint32(2166136261)
+	for i := 0; i < len(factID); i++ {
+		h ^= uint32(factID[i])
+		h *= 16777619
+	}
+	return int(h % poolShards)
+}
+
+// get returns the fact's pool.
+func (t *poolTable) get(factID string) (*factPool, bool) {
+	p, ok := t.shards[poolShard(factID)][factID]
+	return p, ok
+}
+
+// writable returns shard i of an unpublished table, copying it from the
+// published table it was cloned from on first use.
+func (t *poolTable) writable(i int) map[string]*factPool {
+	if t.copied&(1<<i) == 0 {
+		old := t.shards[i]
+		m := make(map[string]*factPool, len(old)+1)
+		for k, v := range old {
+			m[k] = v
+		}
+		t.shards[i] = m
+		t.copied |= 1 << i
+	}
+	return t.shards[i]
+}
+
+// put installs or replaces the fact's pool in an unpublished table.
+func (t *poolTable) put(factID string, p *factPool) {
+	m := t.writable(poolShard(factID))
+	if _, ok := m[factID]; !ok {
+		t.n++
+	}
+	m[factID] = p
+}
+
+// del removes the fact's pool from an unpublished table.
+func (t *poolTable) del(factID string) {
+	m := t.writable(poolShard(factID))
+	if _, ok := m[factID]; ok {
+		delete(m, factID)
+		t.n--
+	}
 }
 
 // retrievalCounters aggregates the pruned path's work counters.
@@ -175,14 +245,18 @@ type factEntry struct {
 	pool *factPool
 }
 
-// factPool is a fully materialised fact: the pool-ordered documents, an
-// O(1) fetch table, and the inverted index. Everything except the
-// documents' lazily built sentence splits and the lastUsed clock is
-// immutable after construction.
+// factPool is a fully materialised fact: the pool-ordered documents and
+// the inverted index. Everything except the documents' lazily built
+// sentence splits and the lastUsed clock is immutable after construction.
+// A doc ID resolves to its row through the sequence number it ends in
+// (see doc), so the pool needs no ID map.
 type factPool struct {
+	// docs holds the generated documents in sequence order, then the
+	// ingested ones in arrival order.
 	docs []*pooledDoc
-	byID map[string]*pooledDoc
-	idx  *index.Index
+	// generated is the number of generated documents, docs[:generated].
+	generated int
+	idx       *index.Index
 	// epoch is the fact's ingestion epoch this pool was built at.
 	epoch uint64
 
@@ -195,12 +269,12 @@ type factPool struct {
 }
 
 // pooledDoc is one doc-table row: the document, its body, the full
-// "Title + body" rerank-candidate string (body aliases its tail, so the
-// concatenation costs no extra memory), the sparse embedding precomputed by
-// corpus.Materialize, and the lazily built sentence split serving sliding
-// windows of any size. The split is built only for fetched documents, so
-// the extra memory stays bounded by the fetch traffic within the
-// MaxCachedFacts budget.
+// "Title + body" rerank-candidate string (body aliases its tail, and the
+// generated rows of one (title, body) variant share both strings), the
+// sparse embedding precomputed by corpus.Materialize, and the lazily built
+// sentence split serving sliding windows of any size. The split is built
+// only for fetched documents, so the extra memory stays bounded by the
+// fetch traffic within the MaxCachedFacts budget.
 type pooledDoc struct {
 	doc  *corpus.Document
 	full string // Title + " " + body
@@ -233,7 +307,6 @@ func NewEngine(gen PoolSource, ds ...*dataset.Dataset) *Engine {
 		}
 	}
 	e.snap.Store(&snapshot{
-		pools:   map[string]*factPool{},
 		epochs:  map[string]uint64{},
 		digests: map[dataset.Name]uint64{},
 	})
@@ -262,7 +335,7 @@ func (e *Engine) FactIDs() []string {
 // serialised slow path.
 func (e *Engine) pool(factID string) (*factPool, error) {
 	sn := e.snap.Load()
-	if p, ok := sn.pools[factID]; ok {
+	if p, ok := sn.pools.get(factID); ok {
 		e.hits.Add(1)
 		if p.lastUsed.Load() != sn.gen {
 			p.lastUsed.Store(sn.gen)
@@ -281,7 +354,7 @@ func (e *Engine) poolSlow(factID string) (*factPool, error) {
 	e.mu.Lock()
 	// Re-check under the lock: the pool may have been published while we
 	// waited for the writer mutex.
-	if p, ok := e.snap.Load().pools[factID]; ok {
+	if p, ok := e.snap.Load().pools.get(factID); ok {
 		e.mu.Unlock()
 		e.hits.Add(1)
 		return p, nil
@@ -323,40 +396,41 @@ func (e *Engine) poolSlow(factID string) (*factPool, error) {
 }
 
 // publish installs the pool into a fresh snapshot, evicting over-budget
-// pools, and swaps it live. Callers hold e.mu.
+// pools, and swaps it live. Only the shards the pool and any eviction
+// victims land in are copied. Callers hold e.mu.
 func (e *Engine) publish(factID string, p *factPool) {
 	old := e.snap.Load()
-	pools := make(map[string]*factPool, len(old.pools)+1)
-	for k, v := range old.pools {
-		pools[k] = v
-	}
-	pools[factID] = p
+	pools := old.pools
+	pools.put(factID, p)
 	next := &snapshot{
 		gen:     old.gen + 1,
-		pools:   pools,
 		epochs:  old.epochs,
 		digests: old.digests,
 	}
 	p.lastUsed.Store(next.gen)
-	e.evicted.Add(evictOver(pools))
+	e.evicted.Add(evictOver(&pools))
+	pools.copied = 0
+	next.pools = pools
 	e.snap.Store(next)
 }
 
-// evictOver drops least-recently-used pools until the map fits the budget,
-// breaking generation ties by fact ID so eviction order is deterministic.
-// The map is not yet published, so mutation is safe.
-func evictOver(pools map[string]*factPool) int64 {
+// evictOver drops least-recently-used pools until the table fits the
+// budget, breaking generation ties by fact ID so eviction order is
+// deterministic. The table is not yet published, so mutation is safe.
+func evictOver(pools *poolTable) int64 {
 	var n int64
-	for len(pools) > MaxCachedFacts {
+	for pools.n > MaxCachedFacts {
 		victim := ""
 		var vGen uint64
-		for id, p := range pools {
-			g := p.lastUsed.Load()
-			if victim == "" || g < vGen || (g == vGen && id < victim) {
-				victim, vGen = id, g
+		for _, shard := range pools.shards {
+			for id, p := range shard {
+				g := p.lastUsed.Load()
+				if victim == "" || g < vGen || (g == vGen && id < victim) {
+					victim, vGen = id, g
+				}
 			}
 		}
-		delete(pools, victim)
+		pools.del(victim)
 		n++
 	}
 	return n
@@ -364,33 +438,22 @@ func evictOver(pools map[string]*factPool) int64 {
 
 // materialize generates the fact's pool from the source, replays its
 // ingestion log on top, and builds the inverted index from the embeddings
-// the source computed (one kernel pass per document).
+// the source computed (one kernel pass per distinct document variant).
 func (e *Engine) materialize(f *dataset.Fact, appended []*pooledDoc, epoch uint64) *factPool {
 	ms := e.gen.Materialize(f)
-	n := len(ms) + len(appended)
 	p := &factPool{
-		docs:  make([]*pooledDoc, 0, n),
-		byID:  make(map[string]*pooledDoc, n),
-		epoch: epoch,
+		docs:      make([]*pooledDoc, 0, len(ms)+len(appended)),
+		generated: len(ms),
+		epoch:     epoch,
 	}
 	// The generated rows share one allocation: a pool is published and
 	// evicted as a whole.
 	rows := make([]pooledDoc, len(ms))
 	for i, m := range ms {
-		full := m.Doc.Title + " " + m.Text
-		rows[i] = pooledDoc{
-			doc:  m.Doc,
-			full: full,
-			text: full[len(m.Doc.Title)+1:],
-			vec:  m.Vec,
-		}
+		rows[i] = pooledDoc{doc: m.Doc, full: m.Full, text: m.Text, vec: m.Vec}
 		p.docs = append(p.docs, &rows[i])
-		p.byID[m.Doc.ID] = &rows[i]
 	}
-	for _, d := range appended {
-		p.docs = append(p.docs, d)
-		p.byID[d.doc.ID] = d
-	}
+	p.docs = append(p.docs, appended...)
 	p.idx = buildIndex(p.docs)
 	// The generated rows read their vectors from the index's forward store,
 	// so the pool holds each vector once. Ingested rows keep their own:
@@ -420,17 +483,9 @@ func buildIndex(docs []*pooledDoc) *index.Index {
 // sequence a cold build would see keeps the incremental index
 // byte-identical to a from-scratch materialisation.
 func foldPool(p *factPool, appended []*pooledDoc, epoch uint64) *factPool {
-	docs := make([]*pooledDoc, len(p.docs), len(p.docs)+len(appended))
-	copy(docs, p.docs)
-	byID := make(map[string]*pooledDoc, len(p.byID)+len(appended))
-	for k, v := range p.byID {
-		byID[k] = v
-	}
-	np := &factPool{docs: docs, byID: byID, epoch: epoch}
-	for _, d := range appended {
-		np.docs = append(np.docs, d)
-		np.byID[d.doc.ID] = d
-	}
+	docs := make([]*pooledDoc, 0, len(p.docs)+len(appended))
+	docs = append(append(docs, p.docs...), appended...)
+	np := &factPool{docs: docs, generated: p.generated, epoch: epoch}
 	np.idx = buildIndex(np.docs)
 	return np
 }
@@ -572,7 +627,7 @@ func (e *Engine) FetchEvidence(docID string) (DocEvidence, error) {
 
 // lookup resolves a doc ID to its doc-table row.
 func (e *Engine) lookup(docID string) (*pooledDoc, error) {
-	factID, ok := factIDOfDoc(docID)
+	factID, seq, ok := parseDocID(docID)
 	if !ok {
 		return nil, fmt.Errorf("search: %w %q", ErrMalformedDocID, docID)
 	}
@@ -580,11 +635,30 @@ func (e *Engine) lookup(docID string) (*pooledDoc, error) {
 	if err != nil {
 		return nil, err
 	}
-	d, ok := p.byID[docID]
+	d, ok := p.doc(docID, seq)
 	if !ok {
 		return nil, fmt.Errorf("search: %w %q", ErrUnknownDoc, docID)
 	}
 	return d, nil
+}
+
+// doc returns the row of docID, whose sequence number is seq (-1 when its
+// digits overflow). Generated documents sit at their sequence number;
+// ingested ones follow in sequence order from the first ingested
+// document's number. The exact ID comparison rejects every other spelling
+// of a number (extra or missing zero padding).
+func (p *factPool) doc(docID string, seq int) (*pooledDoc, bool) {
+	i := seq
+	if seq >= p.generated && p.generated < len(p.docs) {
+		i = p.generated + seq - p.docs[p.generated].doc.Seq
+		if i < p.generated {
+			return nil, false
+		}
+	}
+	if i < 0 || i >= len(p.docs) || p.docs[i].doc.ID != docID {
+		return nil, false
+	}
+	return p.docs[i], true
 }
 
 // payload builds the wire-form document.
@@ -631,7 +705,7 @@ func (e *Engine) Stats() Stats {
 	sn := e.snap.Load()
 	st := Stats{
 		Facts:           len(e.facts),
-		CachedFacts:     len(sn.pools),
+		CachedFacts:     sn.pools.n,
 		Epoch:           sn.gen,
 		Hits:            e.hits.Load(),
 		Misses:          e.misses.Load(),
@@ -641,9 +715,11 @@ func (e *Engine) Stats() Stats {
 		BlocksSkipped:   e.retrieval.blocksSkipped.Load(),
 		DocsScored:      e.retrieval.docsScored.Load(),
 	}
-	for _, p := range sn.pools {
-		st.IndexedDocs += p.idx.Docs()
-		st.Postings += p.idx.Postings()
+	for _, shard := range sn.pools.shards {
+		for _, p := range shard {
+			st.IndexedDocs += p.idx.Docs()
+			st.Postings += p.idx.Postings()
+		}
 	}
 	e.mu.Lock()
 	st.CachedFacts += len(e.inflight)
@@ -654,11 +730,16 @@ func (e *Engine) Stats() Stats {
 	return st
 }
 
-// factIDOfDoc strips the "-dNNNN" suffix corpus.Generator appends. It
-// requires a non-empty fact ID followed by a "-d" marker and at least one
-// digit, rejecting malformed IDs such as "", "x-", "x-q1", "x-d" and IDs
-// with a trailing dash.
-func factIDOfDoc(docID string) (string, bool) {
+// maxDocSeq bounds the sequence numbers parseDocID reports; larger
+// numbers name no document.
+const maxDocSeq = 1 << 40
+
+// parseDocID splits the "-dNNNN" suffix corpus.DocID appends off a doc ID,
+// returning the fact ID and the sequence number (-1 when it exceeds
+// maxDocSeq). It requires a non-empty fact ID followed by a "-d" marker
+// and at least one digit, rejecting malformed IDs such as "", "x-",
+// "x-q1", "x-d" and IDs with a trailing dash.
+func parseDocID(docID string) (factID string, seq int, ok bool) {
 	i := len(docID) - 1
 	for i >= 0 && docID[i] != '-' {
 		i--
@@ -666,12 +747,19 @@ func factIDOfDoc(docID string) (string, bool) {
 	// Need a non-empty fact ID before the dash, a 'd' after it, and ≥1
 	// digit after the 'd'.
 	if i <= 0 || i+2 >= len(docID) || docID[i+1] != 'd' {
-		return "", false
+		return "", 0, false
 	}
 	for j := i + 2; j < len(docID); j++ {
-		if docID[j] < '0' || docID[j] > '9' {
-			return "", false
+		c := docID[j]
+		if c < '0' || c > '9' {
+			return "", 0, false
+		}
+		if seq >= 0 {
+			seq = seq*10 + int(c-'0')
+			if seq > maxDocSeq {
+				seq = -1
+			}
 		}
 	}
-	return docID[:i], true
+	return docID[:i], seq, true
 }

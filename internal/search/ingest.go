@@ -11,11 +11,17 @@ import (
 )
 
 // ingestSeqBase is the first document sequence number assigned to live
-// ingestion. Generated base pools stay far below it (corpus.Generator caps
-// pools at a few hundred documents), so ingested doc IDs — which share the
-// corpus.DocID shape with generated ones to keep factIDOfDoc routing uniform
-// — can never collide with the base corpus.
+// ingestion into a generated pool of at most ingestSeqBase documents;
+// ingestion into a larger pool starts at the pool's size (ingestBase).
+// Ingested doc IDs share the corpus.DocID shape with generated ones, so
+// parseDocID routes both alike, and they never collide with the base
+// corpus.
 const ingestSeqBase = 1000
+
+// ingestBase returns the first sequence number of documents ingested into
+// a fact whose generated pool holds n documents: ingestSeqBase, or n when
+// the pool reaches past it.
+func ingestBase(n int) int { return max(ingestSeqBase, n) }
 
 // IngestDoc is one live document append, the wire shape POST /v1/documents
 // accepts. FactID routes the document into that fact's retrieval pool; the
@@ -78,7 +84,7 @@ func (e *Engine) Ingest(docs []IngestDoc) (IngestResult, error) {
 	touched := map[string][]*pooledDoc{}
 	for _, in := range docs {
 		f := e.facts[in.FactID]
-		pd := newIngestedDoc(f, in, ingestSeqBase+len(e.log[f.ID]))
+		pd := newIngestedDoc(f, in, ingestBase(e.gen.PoolSize(f))+len(e.log[f.ID]))
 		e.log[f.ID] = append(e.log[f.ID], pd)
 		touched[f.ID] = append(touched[f.ID], pd)
 		res.DocIDs = append(res.DocIDs, pd.doc.ID)
@@ -93,19 +99,17 @@ func (e *Engine) Ingest(docs []IngestDoc) (IngestResult, error) {
 		digests[f.Dataset] ^= det.Hash64("ingest-fact", f.ID, u64hex(next))
 		e.factDigests[f.ID] = next
 	}
-	pools := make(map[string]*factPool, len(old.pools))
-	for k, v := range old.pools {
-		pools[k] = v
-	}
+	pools := old.pools
 	for factID, pds := range touched {
 		epochs[factID]++
 		res.Epochs[factID] = epochs[factID]
-		if p, ok := pools[factID]; ok {
+		if p, ok := old.pools.get(factID); ok {
 			np := foldPool(p, pds, epochs[factID])
 			np.lastUsed.Store(p.lastUsed.Load())
-			pools[factID] = np
+			pools.put(factID, np)
 		}
 	}
+	pools.copied = 0
 	e.snap.Store(&snapshot{
 		gen:     old.gen + 1,
 		pools:   pools,

@@ -180,8 +180,8 @@ func TestIngestedDocIDsMatchSprintf(t *testing.T) {
 		if want := fmt.Sprintf("https://%s/ingest/%s", defaultIngestHost, id); pd.doc.URL != want {
 			t.Errorf("seq %d: URL = %q, want %q", seq, pd.doc.URL, want)
 		}
-		if got, ok := factIDOfDoc(pd.doc.ID); !ok || got != f.ID {
-			t.Errorf("seq %d: factIDOfDoc(%q) = %q, %v", seq, pd.doc.ID, got, ok)
+		if got, n, ok := parseDocID(pd.doc.ID); !ok || got != f.ID || n != seq {
+			t.Errorf("seq %d: parseDocID(%q) = %q, %d, %v", seq, pd.doc.ID, got, n, ok)
 		}
 	}
 }

@@ -136,25 +136,30 @@ func TestFactIDOfDoc(t *testing.T) {
 	tests := []struct {
 		in   string
 		want string
+		seq  int
 		ok   bool
 	}{
-		{"factbench-000105-d0100", "factbench-000105", true},
-		{"yago-000001-d0", "yago-000001", true},
-		{"x-d7", "x", true},
-		{"", "", false},             // empty
-		{"nodashsuffix", "", false}, // no dash at all
-		{"x-", "", false},           // dash with nothing after
-		{"x-q1", "", false},         // non-d marker
-		{"x-d", "", false},          // marker with no digits
-		{"x-dxyz", "", false},       // marker with non-digit suffix
-		{"x-d01-", "", false},       // trailing dash
-		{"-d0001", "", false},       // empty fact id
-		{"fact-x9999", "", false},
+		{"factbench-000105-d0100", "factbench-000105", 100, true},
+		{"yago-000001-d0", "yago-000001", 0, true},
+		{"x-d7", "x", 7, true},
+		{"x-d00001", "x", 1, true},                       // non-canonical padding still parses
+		{"x-d1099511627776", "x", 1 << 40, true},         // maxDocSeq itself
+		{"x-d1099511627777", "x", -1, true},              // past maxDocSeq
+		{"x-d99999999999999999999999999", "x", -1, true}, // overflows int64
+		{"", "", 0, false},                               // empty
+		{"nodashsuffix", "", 0, false},                   // no dash at all
+		{"x-", "", 0, false},                             // dash with nothing after
+		{"x-q1", "", 0, false},                           // non-d marker
+		{"x-d", "", 0, false},                            // marker with no digits
+		{"x-dxyz", "", 0, false},                         // marker with non-digit suffix
+		{"x-d01-", "", 0, false},                         // trailing dash
+		{"-d0001", "", 0, false},                         // empty fact id
+		{"fact-x9999", "", 0, false},
 	}
 	for _, tc := range tests {
-		id, ok := factIDOfDoc(tc.in)
-		if id != tc.want || ok != tc.ok {
-			t.Errorf("factIDOfDoc(%q) = (%q, %v), want (%q, %v)", tc.in, id, ok, tc.want, tc.ok)
+		id, seq, ok := parseDocID(tc.in)
+		if id != tc.want || seq != tc.seq || ok != tc.ok {
+			t.Errorf("parseDocID(%q) = (%q, %d, %v), want (%q, %d, %v)", tc.in, id, seq, ok, tc.want, tc.seq, tc.ok)
 		}
 	}
 }
@@ -232,7 +237,7 @@ func TestRetrievalCounters(t *testing.T) {
 // if the engine serialised materialisation (the old global-mutex behaviour)
 // the second arrival would never happen.
 type barrierSource struct {
-	inner   PoolSource
+	PoolSource
 	arrived chan string
 	release chan struct{}
 }
@@ -240,7 +245,7 @@ type barrierSource struct {
 func (b *barrierSource) Materialize(f *dataset.Fact) []corpus.Materialized {
 	b.arrived <- f.ID
 	<-b.release
-	return b.inner.Materialize(f)
+	return b.PoolSource.Materialize(f)
 }
 
 // TestMaterializeConcurrentFacts is the regression test for the old engine
@@ -250,9 +255,9 @@ func TestMaterializeConcurrentFacts(t *testing.T) {
 	w := world.New(world.SmallConfig())
 	d := dataset.Build(w, dataset.FactBench, 0.2)
 	src := &barrierSource{
-		inner:   corpus.NewGenerator(w),
-		arrived: make(chan string, 2),
-		release: make(chan struct{}),
+		PoolSource: corpus.NewGenerator(w),
+		arrived:    make(chan string, 2),
+		release:    make(chan struct{}),
 	}
 	e := NewEngine(src, d)
 
@@ -283,7 +288,7 @@ func TestSingleflightMaterialization(t *testing.T) {
 	w := world.New(world.SmallConfig())
 	d := dataset.Build(w, dataset.FactBench, 0.2)
 	var calls atomic.Int64
-	src := &countingSource{inner: corpus.NewGenerator(w), calls: &calls}
+	src := &countingSource{PoolSource: corpus.NewGenerator(w), calls: &calls}
 	e := NewEngine(src, d)
 	f := d.Facts[0]
 
@@ -304,13 +309,13 @@ func TestSingleflightMaterialization(t *testing.T) {
 }
 
 type countingSource struct {
-	inner PoolSource
+	PoolSource
 	calls *atomic.Int64
 }
 
 func (c *countingSource) Materialize(f *dataset.Fact) []corpus.Materialized {
 	c.calls.Add(1)
-	return c.inner.Materialize(f)
+	return c.PoolSource.Materialize(f)
 }
 
 func TestEngineCacheEviction(t *testing.T) {
@@ -326,8 +331,8 @@ func TestEngineCacheEviction(t *testing.T) {
 	if st.CachedFacts > MaxCachedFacts {
 		t.Fatalf("store grew to %d facts, cap %d", st.CachedFacts, MaxCachedFacts)
 	}
-	if sn := e.snap.Load(); len(sn.pools) != st.CachedFacts {
-		t.Errorf("snapshot holds %d pools but stats report %d cached facts", len(sn.pools), st.CachedFacts)
+	if sn := e.snap.Load(); sn.pools.n != st.CachedFacts {
+		t.Errorf("snapshot holds %d pools but stats report %d cached facts", sn.pools.n, st.CachedFacts)
 	}
 	if len(d.Facts) > MaxCachedFacts && st.Evicted == 0 {
 		t.Errorf("%d facts searched over cap %d but nothing evicted", len(d.Facts), MaxCachedFacts)
@@ -347,7 +352,7 @@ func TestEvictOver(t *testing.T) {
 		p.lastUsed.Store(gen)
 		return p
 	}
-	pools := map[string]*factPool{}
+	var pools poolTable
 	// MaxCachedFacts+2 pools: two must go. f0000 and f0001 share the oldest
 	// generation with f0002; the ID tie-break drops the lexicographically
 	// smallest first.
@@ -356,22 +361,29 @@ func TestEvictOver(t *testing.T) {
 		if i < 3 {
 			gen = 1
 		}
-		pools[fmt.Sprintf("f%04d", i)] = mk(gen)
+		pools.put(fmt.Sprintf("f%04d", i), mk(gen))
 	}
-	if n := evictOver(pools); n != 2 {
+	if n := evictOver(&pools); n != 2 {
 		t.Fatalf("evicted %d pools, want 2", n)
 	}
-	if _, ok := pools["f0000"]; ok {
+	if _, ok := pools.get("f0000"); ok {
 		t.Error("oldest pool f0000 survived")
 	}
-	if _, ok := pools["f0001"]; ok {
+	if _, ok := pools.get("f0001"); ok {
 		t.Error("second-oldest pool f0001 survived")
 	}
-	if _, ok := pools["f0002"]; !ok {
+	if _, ok := pools.get("f0002"); !ok {
 		t.Error("f0002 evicted although only two slots were over budget")
 	}
-	if len(pools) != MaxCachedFacts {
-		t.Errorf("len(pools) = %d, want %d", len(pools), MaxCachedFacts)
+	if pools.n != MaxCachedFacts {
+		t.Errorf("pools.n = %d, want %d", pools.n, MaxCachedFacts)
+	}
+	total := 0
+	for _, shard := range pools.shards {
+		total += len(shard)
+	}
+	if total != MaxCachedFacts {
+		t.Errorf("shards hold %d pools, want %d", total, MaxCachedFacts)
 	}
 }
 
@@ -388,7 +400,7 @@ func TestPoolReadRefreshesClock(t *testing.T) {
 		t.Fatal(err)
 	}
 	sn := e.snap.Load()
-	p0 := sn.pools[f0.ID]
+	p0, _ := sn.pools.get(f0.ID)
 	if p0.lastUsed.Load() == sn.gen {
 		t.Fatal("f0's clock already current; fixture lost its staleness")
 	}
