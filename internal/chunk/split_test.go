@@ -4,8 +4,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-
-	"factcheck/internal/text"
 )
 
 // slidingJoin is the retired strings.Join implementation of Sliding, kept
@@ -72,37 +70,6 @@ func TestSplitWindowsShareBacking(t *testing.T) {
 	}
 	if sp.Sentences() != 5 {
 		t.Errorf("Sentences = %d, want 5", sp.Sentences())
-	}
-}
-
-// TestWindowVecsMatchSparseEmbed pins each precomputed window vector
-// bit-identical to sparse-embedding the matching chunk text directly.
-func TestWindowVecsMatchSparseEmbed(t *testing.T) {
-	for _, tc := range splitCases {
-		for _, w := range []int{1, 2, 3, 7} {
-			sp := NewSplit(tc)
-			chunks := sp.Windows("d", w)
-			vecs := sp.WindowVecs(w)
-			if len(chunks) != len(vecs) {
-				t.Fatalf("case %q w=%d: %d chunks vs %d vecs", tc, w, len(chunks), len(vecs))
-			}
-			for i := range chunks {
-				want := text.SparseEmbed(chunks[i].Text)
-				if !reflect.DeepEqual(vecs[i], want) {
-					t.Errorf("case %q w=%d chunk %d: vec mismatch", tc, w, i)
-				}
-			}
-		}
-	}
-}
-
-func TestWindowVecsDefaultAndEmpty(t *testing.T) {
-	if got := NewSplit("").WindowVecs(3); got != nil {
-		t.Errorf("empty WindowVecs = %v, want nil", got)
-	}
-	sp := NewSplit("A one. B two. C three. D four.")
-	if got := sp.WindowVecs(0); len(got) != 2 { // window defaults to 3
-		t.Errorf("default window vecs = %d, want 2", len(got))
 	}
 }
 

@@ -120,7 +120,8 @@ func (p *Plan) Parse(spec string) error {
 	touched := false
 	rate := func(k, v string) (float64, error) {
 		r, err := strconv.ParseFloat(v, 64)
-		if err != nil || r < 0 || r > 1 {
+		// Written so that NaN, which compares false with everything, fails.
+		if err != nil || !(r >= 0 && r <= 1) {
 			return 0, fmt.Errorf("fault: %s=%q is not a rate in [0, 1]", k, v)
 		}
 		return r, nil

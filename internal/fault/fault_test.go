@@ -105,6 +105,21 @@ func TestParse(t *testing.T) {
 		{"err=0.1,model=a"},                    // model after the clauses it should scope
 		{"model=a,err=0.1", "model=a,err=0.2"}, // conflicting respecification
 	}
+	// NaN compares false with every bound, so each rate clause must reject
+	// it explicitly; once accepted it injected nothing, and a repeated
+	// identical spec conflicted with itself.
+	for _, k := range []string{"err", "spike-rate", "stall", "store-corrupt", "ingest-err"} {
+		for _, v := range []string{"NaN", "nan", "-nan", "+Inf", "-Inf"} {
+			var p Plan
+			err := p.Parse(k + "=" + v)
+			if err == nil || !strings.Contains(err.Error(), "is not a rate in [0, 1]") {
+				t.Errorf("Parse(%s=%s) = %v, want the rate error", k, v, err)
+			}
+			if !p.Empty() {
+				t.Errorf("Parse(%s=%s) left a non-empty plan %s", k, v, p)
+			}
+		}
+	}
 	for _, specs := range invalid {
 		var p Plan
 		var err error
@@ -117,6 +132,43 @@ func TestParse(t *testing.T) {
 			t.Errorf("Parse(%v) accepted", specs)
 		}
 	}
+}
+
+// FuzzFaultPlanParse: parsing never panics, an accepted plan holds only
+// rates in [0, 1], and an accepted spec parsed again into the same plan is
+// accepted (repeating a -fault flag is not a conflict).
+func FuzzFaultPlanParse(f *testing.F) {
+	for _, s := range []string{
+		"err=0.1,spike=50ms,spike-rate=0.2",
+		"model=mistral:7b,down",
+		"fail-first=3,stall=0.5",
+		"store-corrupt=0.5,ingest-err=0.25",
+		"err=NaN",
+		"model=a,err=1e-3,err=0x1p-2",
+		" , ,model=*,stall=-0",
+		"err=0.1,model=a",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		var p Plan
+		if p.Parse(spec) != nil {
+			return
+		}
+		_ = p.String()
+		inRange := func(r float64) bool { return r >= 0 && r <= 1 }
+		for m, ms := range p.Models {
+			if !inRange(ms.ErrRate) || !inRange(ms.SpikeRate) || !inRange(ms.StallRate) {
+				t.Fatalf("Parse(%q): model %s has a rate outside [0, 1]: %+v", spec, m, ms)
+			}
+		}
+		if !inRange(p.CorruptRate) || !inRange(p.IngestRate) {
+			t.Fatalf("Parse(%q): plan-wide rate outside [0, 1]: %+v", spec, p)
+		}
+		if err := p.Parse(spec); err != nil {
+			t.Fatalf("Parse(%q) accepted once, then rejected: %v", spec, err)
+		}
+	})
 }
 
 func TestEmptyPlanAndNilInjector(t *testing.T) {

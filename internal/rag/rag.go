@@ -264,13 +264,16 @@ func (p *Pipeline) Invalidate(factID string) {
 	p.cache.invalidate(factID)
 }
 
-// retrieve runs phases 1–4. The sparse path is the production one:
-// the sentence is embedded once, document vectors come precomputed from the
-// engine's doc table, and chunking reuses the doc table's sentence splits.
-// A searcher or ranker without vector support (the HTTP client searcher, a
-// ranker wrapped in rerank.DenseOnly) falls back to the dense path; both
-// produce byte-identical Evidence — golden tested, since result-store
-// fingerprints and served verdicts flow from it.
+// retrieve runs phases 1–4. The by-reference path is the production one:
+// when the searcher hands out pool snapshots (search.PoolSearcher, the
+// in-process engine) and the doc ranker scores in batches, phases 3–4 rank
+// and read rows of one pinned snapshot in place (retrieveRows), and only
+// the k_d kept documents become wire-form payloads. Every other searcher
+// or ranker — the HTTP client, wrappers that hide PoolSearcher, a ranker
+// wrapped in rerank.DenseOnly — takes the wire path (retrieveWire) over
+// SERP items and fetched documents. All paths produce byte-identical
+// Evidence — golden tested, since result-store fingerprints and served
+// verdicts flow from it.
 func (p *Pipeline) retrieve(ctx context.Context, f *dataset.Fact) (*Evidence, error) {
 	cfg := p.Config
 	ev := &Evidence{}
@@ -319,6 +322,109 @@ func (p *Pipeline) retrieve(ctx context.Context, f *dataset.Fact) (*Evidence, er
 	}
 	endQuestions()
 
+	ps, byRef := p.Searcher.(search.PoolSearcher)
+	bs, batch := p.DocRanker.(rerank.BatchScorer)
+	var err error
+	if byRef && batch {
+		err = p.retrieveRows(ctx, f, ev, ps, bs.ScoreBatch(sentVec, ev.Sentence))
+	} else {
+		err = p.retrieveWire(ctx, f, ev, sentVec, dRanker, dVec)
+	}
+	if err != nil {
+		return nil, err
+	}
+	ev.Latency = p.retrievalLatency(f, len(ev.Queries), ev.Candidates)
+	return ev, nil
+}
+
+// retrieveRows runs phases 3–4 by reference. Every query runs against one
+// snapshot of the fact's pool, taken once, so the evidence is a function
+// of a single corpus epoch even while ingestion lands. Candidates are
+// pool rows, deduplicated in a bitset; the S_KG filter, the usability
+// check, scoring and the (score desc, doc ID asc) order all read rows in
+// place, and payloads and chunks are built only for the rows kept.
+func (p *Pipeline) retrieveRows(ctx context.Context, f *dataset.Fact, ev *Evidence, ps search.PoolSearcher, score func(cand text.SparseVector, candText string) float64) error {
+	cfg := p.Config
+
+	// Phase 3: document retrieval and filtering.
+	endSearch := phaseSpan(ctx, "rag_search", searchHist)
+	pool, err := ps.Pool(f.ID)
+	if err != nil {
+		return fmt.Errorf("rag: search %q: %w", ev.Queries[0], err)
+	}
+	seen := make([]uint64, (pool.Len()+63)/64)
+	hits := make([]search.Hit, 0, cfg.SERPSize)
+	rows := make([]int, 0, pool.Len())
+	for _, q := range ev.Queries {
+		hits = pool.Search(q, cfg.SERPSize, hits[:0])
+		for _, h := range hits {
+			w, bit := h.Row/64, uint64(1)<<(h.Row%64)
+			if seen[w]&bit != 0 {
+				continue
+			}
+			seen[w] |= bit
+			if cfg.FilterSKG && isSKGSource(pool.Host(h.Row)) {
+				ev.FilteredSKG++
+				continue
+			}
+			rows = append(rows, h.Row)
+		}
+	}
+	ev.Candidates = len(rows)
+	if len(rows) > cfg.CandidateCap {
+		rows = rows[:cfg.CandidateCap]
+	}
+	endSearch()
+
+	// Phase 4a: rerank the usable candidates against the sentence from
+	// their precomputed vectors.
+	endRerank := phaseSpan(ctx, "rag_rerank", rerankHist)
+	scored := make([]search.Hit, 0, len(rows))
+	for _, r := range rows {
+		if pool.Usable(r) {
+			scored = append(scored, search.Hit{Row: r, Score: score(pool.Vec(r), pool.Full(r))})
+		}
+	}
+	// (score desc, doc ID asc) is a total order: doc IDs are unique.
+	slices.SortFunc(scored, func(a, b search.Hit) int {
+		switch {
+		case a.Score > b.Score:
+			return -1
+		case a.Score < b.Score:
+			return 1
+		}
+		return strings.Compare(pool.ID(a.Row), pool.ID(b.Row))
+	})
+	if len(scored) > cfg.SelectedDocs {
+		scored = scored[:cfg.SelectedDocs]
+	}
+	endRerank()
+
+	// Phase 4b: sliding-window chunking from the doc table's cached
+	// sentence splits.
+	endChunk := phaseSpan(ctx, "rag_chunk", chunkHist)
+	if len(scored) > 0 {
+		ev.Docs = make([]search.DocPayload, 0, len(scored))
+	}
+	for _, h := range scored {
+		ev.Docs = append(ev.Docs, pool.Payload(h.Row))
+		ev.Chunks = append(ev.Chunks, pool.Chunks(h.Row, cfg.Window)...)
+	}
+	if len(ev.Chunks) > cfg.MaxChunks {
+		ev.Chunks = ev.Chunks[:cfg.MaxChunks]
+	}
+	endChunk()
+	return nil
+}
+
+// retrieveWire runs phases 3–4 over wire-form values: SERP items, then
+// one fetch per candidate. A searcher that is also a search.EvidenceFetcher
+// serves precomputed vectors and sentence splits to a vector-aware ranker;
+// otherwise each candidate is fetched and embedded (or densely scored) on
+// the fly.
+func (p *Pipeline) retrieveWire(ctx context.Context, f *dataset.Fact, ev *Evidence, sentVec text.SparseVector, dRanker rerank.VecScorer, dVec bool) error {
+	cfg := p.Config
+
 	// Phase 3: document retrieval and filtering.
 	endSearch := phaseSpan(ctx, "rag_search", searchHist)
 	// The first SERP alone fills both to cfg.SERPSize; later queries
@@ -328,7 +434,7 @@ func (p *Pipeline) retrieve(ctx context.Context, f *dataset.Fact) (*Evidence, er
 	for _, q := range ev.Queries {
 		items, err := p.Searcher.Search(f.ID, q, cfg.SERPSize)
 		if err != nil {
-			return nil, fmt.Errorf("rag: search %q: %w", q, err)
+			return fmt.Errorf("rag: search %q: %w", q, err)
 		}
 		for _, it := range items {
 			if _, ok := seen[it.DocID]; ok {
@@ -377,7 +483,7 @@ func (p *Pipeline) retrieve(ctx context.Context, f *dataset.Fact) (*Evidence, er
 		if fetchVec {
 			de, err := fetcher.FetchEvidence(it.DocID)
 			if err != nil {
-				return nil, fmt.Errorf("rag: fetch %s: %w", it.DocID, err)
+				return fmt.Errorf("rag: fetch %s: %w", it.DocID, err)
 			}
 			if de.Empty || de.Text == "" {
 				continue // extraction failures carry no usable evidence
@@ -387,7 +493,7 @@ func (p *Pipeline) retrieve(ctx context.Context, f *dataset.Fact) (*Evidence, er
 		}
 		d, err := p.Searcher.Fetch(it.DocID)
 		if err != nil {
-			return nil, fmt.Errorf("rag: fetch %s: %w", it.DocID, err)
+			return fmt.Errorf("rag: fetch %s: %w", it.DocID, err)
 		}
 		if d.Empty || d.Text == "" {
 			continue
@@ -442,9 +548,7 @@ func (p *Pipeline) retrieve(ctx context.Context, f *dataset.Fact) (*Evidence, er
 		ev.Chunks = ev.Chunks[:cfg.MaxChunks]
 	}
 	endChunk()
-
-	ev.Latency = p.retrievalLatency(f, len(ev.Queries), ev.Candidates)
-	return ev, nil
+	return nil
 }
 
 // retrievalLatency models the wall-clock cost of phase 3 and 4: one SERP

@@ -18,8 +18,9 @@
 // single map probe.
 //
 // On disk a store is a flat directory of snapshot files, one per cell,
-// named "<fingerprint>.cell" and written atomically (temp file + rename),
-// so a killed run leaves either a complete snapshot or none. Snapshots
+// named "<fingerprint>.cell" and written atomically and durably (synced
+// temp file, rename, synced directory), so a killed run or a lost machine
+// leaves either a complete snapshot or none. Snapshots
 // carry a magic header, a format version, the embedded fingerprint and a
 // trailing checksum; files that are truncated, corrupt, misnamed or of a
 // foreign version are rejected at load time and treated as missing (the
@@ -214,8 +215,11 @@ func (s *Store) Get(fp Fingerprint) ([]strategy.Outcome, bool) {
 }
 
 // Put stores the outcomes under the fingerprint, persisting the snapshot
-// atomically (temp file + rename) when the store is disk-backed. The store
-// retains the slice; callers must not mutate it afterwards.
+// atomically and durably when the store is disk-backed: the temp file is
+// synced before the rename publishes it, and the directory after, so a
+// crash or power loss at any instant leaves the complete snapshot or
+// none. The store retains the slice; callers must not mutate it
+// afterwards.
 func (s *Store) Put(fp Fingerprint, outs []strategy.Outcome) error {
 	if s.dir != "" {
 		data := Encode(fp, outs)
@@ -231,6 +235,11 @@ func (s *Store) Put(fp Fingerprint, outs []strategy.Outcome) error {
 			os.Remove(tmp.Name())
 			return fmt.Errorf("results: writing snapshot: %w", err)
 		}
+		if err := tmp.Sync(); err != nil {
+			tmp.Close()
+			os.Remove(tmp.Name())
+			return fmt.Errorf("results: syncing snapshot: %w", err)
+		}
 		if err := tmp.Close(); err != nil {
 			os.Remove(tmp.Name())
 			return fmt.Errorf("results: closing snapshot: %w", err)
@@ -240,9 +249,25 @@ func (s *Store) Put(fp Fingerprint, outs []strategy.Outcome) error {
 			os.Remove(tmp.Name())
 			return fmt.Errorf("results: publishing snapshot: %w", err)
 		}
+		if err := syncDir(s.dir); err != nil {
+			return fmt.Errorf("results: syncing store dir: %w", err)
+		}
 	}
 	s.mu.Lock()
 	s.cells[fp] = outs
 	s.mu.Unlock()
 	return nil
+}
+
+// syncDir flushes a directory's entries, making a rename into it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	if err := d.Sync(); err != nil {
+		d.Close()
+		return err
+	}
+	return d.Close()
 }

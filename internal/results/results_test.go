@@ -326,3 +326,34 @@ func TestMemoryStoreWritesNothing(t *testing.T) {
 		t.Errorf("Open(\"\") = %v, %v", s2, err)
 	}
 }
+
+// FuzzResultsDecode feeds Decode mutated snapshot bodies under a freshly
+// computed checksum, so inputs get past the checksum to the record
+// decoder. Decoding must never panic, and an accepted snapshot must
+// re-encode to bytes that decode and re-encode to the same bytes. Bytes
+// are compared, not values: a decoded Popularity can be NaN.
+func FuzzResultsDecode(f *testing.F) {
+	for _, outs := range [][]strategy.Outcome{nil, testOutcomes(), testOutcomes()[1:]} {
+		data := Encode(testKey().Fingerprint(), outs)
+		f.Add(data[:len(data)-8])
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		e := &encoder{buf: append([]byte{}, body...)}
+		e.u64(checksum(body))
+		fp, outs, err := Decode(e.buf)
+		if err != nil {
+			if !errors.Is(err, ErrSnapshot) {
+				t.Fatalf("Decode error %v does not wrap ErrSnapshot", err)
+			}
+			return
+		}
+		once := Encode(fp, outs)
+		fp2, outs2, err := Decode(once)
+		if err != nil {
+			t.Fatalf("re-encoded snapshot rejected: %v", err)
+		}
+		if twice := Encode(fp2, outs2); !bytes.Equal(once, twice) {
+			t.Fatalf("re-encoding is not stable:\n%x\n%x", once, twice)
+		}
+	})
+}

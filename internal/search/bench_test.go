@@ -89,7 +89,11 @@ func (m *mutexedFrontend) search(factID, query string, n int) ([]SERPItem, error
 	hits := p.idx.TopKPruned(qv, n, func(docID string) float64 {
 		return serpJitterScale * key.Uniform(docID)
 	}, serpJitterScale, a)
-	out := serpItems(p, hits)
+	out := make([]SERPItem, len(hits))
+	for i, h := range hits {
+		d := p.docs[h.Doc].doc
+		out[i] = SERPItem{DocID: d.ID, URL: d.URL, Host: d.Host, Title: d.Title, Rank: i + 1, Score: h.Score}
+	}
 	m.e.release(a)
 	return out, nil
 }

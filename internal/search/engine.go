@@ -4,7 +4,9 @@
 // behind a pointer, so warm reads touch no mutex — and the paper's mock
 // web-search API (§4.1), an HTTP service with SERP-style endpoints
 // returning identical results across runs, plus a client so the RAG
-// pipeline can run either in-process or over HTTP.
+// pipeline can run either in-process or over HTTP. In-process, the
+// pipeline ranks and reads rows of one pinned pool snapshot (Pool); the
+// wire-form SERP items are built only where results leave the process.
 package search
 
 import (
@@ -50,8 +52,11 @@ type DocPayload struct {
 	Empty bool   `json:"empty"`
 }
 
-// Searcher is the retrieval interface consumed by the RAG pipeline. Both
-// the in-process Engine and the HTTP mock-API Client implement it.
+// Searcher is the wire-form retrieval interface: SERP items and fetched
+// documents, the shapes that cross the mock API. The HTTP mock-API Client
+// implements it, and so does the Engine, which serves GET /search through
+// it. The RAG pipeline consumes it over HTTP and through wrappers; with
+// the Engine itself it reads pool rows by reference instead (PoolSearcher).
 type Searcher interface {
 	// Search returns up to n ranked results for the query within the given
 	// fact's retrieval pool (the mock of issuing the query to Google with
@@ -100,7 +105,7 @@ const poolShards = 64
 
 // Engine is the in-process search engine. All materialised state lives in
 // an immutable snapshot reachable through one atomic pointer (RCU): warm
-// reads — Search, Fetch, FetchEvidence — load the pointer, index into
+// reads — Pool, Search, Fetch, FetchEvidence — load the pointer, index into
 // immutable maps and go, acquiring no mutex. Writers (materialisation
 // misses and live ingestion) serialise on a single mutex, build a fresh
 // snapshot beside the live one and publish it with one pointer store;
@@ -497,57 +502,20 @@ func (e *Engine) Warm(factID string) error {
 	return err
 }
 
-// serpJitterScale is the magnitude of the deterministic per-(query, doc)
-// SERP perturbation, serpJitterScale·det.Uniform("serp", query, docID):
-// SERPs rank by more than lexical relevance (authority, freshness).
-const serpJitterScale = 0.05
-
-// Search implements Searcher. Ranking is cosine relevance of the query to
-// title+body with a small deterministic tie-break jitter, mimicking the
-// opaque ordering of a web SERP. Scoring runs over the impact-ordered
-// block postings with max-score/WAND early termination (index.TopKPruned):
-// blocks provably unable to reach the heap floor are never read, and the
-// jitter magnitude is folded into every upper bound, so results stay
-// byte-identical to an exhaustive ranking: cosine of the query against
-// every pool document, jitter added, fully sorted by (score desc, doc ID
-// asc) and truncated.
+// Search implements Searcher: Pool plus Pool.Search, converted to
+// wire-form SERP items. A fact that fails to resolve is still timed into
+// the search_query histogram, so it counts one observation per call.
 func (e *Engine) Search(factID, query string, n int) ([]SERPItem, error) {
 	start := time.Now()
-	if n <= 0 {
-		n = DefaultSERPSize
-	}
-	p, err := e.pool(factID)
+	pl, err := e.Pool(factID)
 	if err != nil {
 		queryHist.Observe(time.Since(start))
 		return nil, err
 	}
-	qv := text.SparseEmbed(query)
-	// One partial hash covers the ("serp", query) prefix for the whole
-	// pool; each document extends it with its ID only. Values are identical
-	// to det.Uniform("serp", query, docID).
-	key := det.NewKey("serp", query)
-	a := e.arena()
-	// key.Uniform is in [0,1), so the jitter never exceeds serpJitterScale
-	// — the perturbation bound the pruned path folds into its skips.
-	hits := p.idx.TopKPruned(qv, n, func(docID string) float64 {
-		return serpJitterScale * key.Uniform(docID)
-	}, serpJitterScale, a)
-	out := serpItems(p, hits)
-	e.retrieval.queries.Add(1)
-	e.retrieval.postingsTouched.Add(int64(a.Stats.PostingsTouched))
-	e.retrieval.blocksSkipped.Add(int64(a.Stats.BlocksSkipped))
-	e.retrieval.docsScored.Add(int64(a.Stats.DocsScored))
-	e.release(a)
-	queryHist.Observe(time.Since(start))
-	return out, nil
-}
-
-// serpItems converts arena-backed hits into wire-form SERP items (copied
-// out, so the arena can be released).
-func serpItems(p *factPool, hits []index.Hit) []SERPItem {
+	hits := pl.Search(query, n, nil)
 	out := make([]SERPItem, len(hits))
 	for i, h := range hits {
-		d := p.docs[h.Doc].doc
+		d := pl.p.docs[h.Row].doc
 		out[i] = SERPItem{
 			DocID: d.ID,
 			URL:   d.URL,
@@ -557,7 +525,119 @@ func serpItems(p *factPool, hits []index.Hit) []SERPItem {
 			Score: h.Score,
 		}
 	}
-	return out
+	return out, nil
+}
+
+// PoolSearcher is implemented by searchers that hand out in-process pool
+// snapshots. The Engine implements it; the HTTP client does not, so the
+// RAG pipeline ranks rows in place only when retrieval runs in-process.
+type PoolSearcher interface {
+	// Pool returns a handle on the fact's current pool snapshot.
+	Pool(factID string) (Pool, error)
+}
+
+// Pool is a read handle on one immutable snapshot of a fact's document
+// pool. Every read through it — searches and row accessors — sees the
+// corpus epoch the snapshot was built at, however many ingestions land
+// meanwhile. Rows are pool positions in [0, Len()).
+type Pool struct {
+	e *Engine
+	p *factPool
+}
+
+// Hit is one ranked row of a pool snapshot.
+type Hit struct {
+	Row   int
+	Score float64
+}
+
+// Pool implements PoolSearcher. It counts one store hit (or miss) per
+// call, however many searches and reads run on the handle.
+func (e *Engine) Pool(factID string) (Pool, error) {
+	p, err := e.pool(factID)
+	if err != nil {
+		return Pool{}, err
+	}
+	return Pool{e: e, p: p}, nil
+}
+
+// serpJitterScale is the magnitude of the deterministic per-(query, doc)
+// SERP perturbation, serpJitterScale·det.Uniform("serp", query, docID):
+// SERPs rank by more than lexical relevance (authority, freshness).
+const serpJitterScale = 0.05
+
+// Search appends the pool's top n rows for the query to dst (n <= 0 means
+// DefaultSERPSize) and returns it. Ranking is cosine relevance of the
+// query to title+body with a small deterministic tie-break jitter,
+// mimicking the opaque ordering of a web SERP. Scoring runs over the
+// impact-ordered block postings with max-score/WAND early termination
+// (index.TopKPruned): blocks provably unable to reach the heap floor are
+// never read, and the jitter magnitude is folded into every upper bound,
+// so results stay byte-identical to an exhaustive ranking: cosine of the
+// query against every pool document, jitter added, fully sorted by (score
+// desc, doc ID asc) and truncated. With a dst of capacity n the call
+// allocates the same whatever n is: no result is copied beyond dst.
+func (pl Pool) Search(query string, n int, dst []Hit) []Hit {
+	start := time.Now()
+	if n <= 0 {
+		n = DefaultSERPSize
+	}
+	qv := text.SparseEmbed(query)
+	// One partial hash covers the ("serp", query) prefix for the whole
+	// pool; each document extends it with its ID only. Values are identical
+	// to det.Uniform("serp", query, docID).
+	key := det.NewKey("serp", query)
+	e := pl.e
+	a := e.arena()
+	// key.Uniform is in [0,1), so the jitter never exceeds serpJitterScale
+	// — the perturbation bound the pruned path folds into its skips.
+	hits := pl.p.idx.TopKPruned(qv, n, func(docID string) float64 {
+		return serpJitterScale * key.Uniform(docID)
+	}, serpJitterScale, a)
+	for _, h := range hits {
+		dst = append(dst, Hit{Row: h.Doc, Score: h.Score})
+	}
+	e.retrieval.queries.Add(1)
+	e.retrieval.postingsTouched.Add(int64(a.Stats.PostingsTouched))
+	e.retrieval.blocksSkipped.Add(int64(a.Stats.BlocksSkipped))
+	e.retrieval.docsScored.Add(int64(a.Stats.DocsScored))
+	e.release(a)
+	queryHist.Observe(time.Since(start))
+	return dst
+}
+
+// Len returns the number of rows in the snapshot.
+func (pl Pool) Len() int { return len(pl.p.docs) }
+
+// ID returns the row's doc ID.
+func (pl Pool) ID(row int) string { return pl.p.docs[row].doc.ID }
+
+// Host returns the row's host.
+func (pl Pool) Host(row int) string { return pl.p.docs[row].doc.Host }
+
+// Usable reports whether the row carries evidence: its extraction did not
+// fail and its body is non-empty.
+func (pl Pool) Usable(row int) bool {
+	d := pl.p.docs[row]
+	return !d.doc.Empty && d.text != ""
+}
+
+// Vec returns the row's precomputed sparse embedding of Full, bit-identical
+// to text.SparseEmbed(Full(row)). It aliases the pool: do not modify it.
+func (pl Pool) Vec(row int) text.SparseVector { return pl.p.docs[row].vec }
+
+// Full returns the row's "Title + body" rerank-candidate string.
+func (pl Pool) Full(row int) string { return pl.p.docs[row].full }
+
+// Payload returns the row's wire-form document, as Fetch returns it.
+func (pl Pool) Payload(row int) DocPayload { return pl.p.docs[row].payload() }
+
+// Chunks returns the row's sliding windows of `window` sentences from the
+// doc table's cached sentence split — output-identical to
+// chunk.Sliding(ID(row), body, window).
+func (pl Pool) Chunks(row, window int) []chunk.Chunk {
+	d := pl.p.docs[row]
+	return d.sentenceSplit().Windows(d.doc.ID, window)
 }
 
 // Fetch implements Searcher with an O(1) doc-table lookup.
@@ -572,9 +652,11 @@ func (e *Engine) Fetch(docID string) (DocPayload, error) {
 // DocEvidence is a fetched document together with its precomputed scoring
 // state: the full "Title + body" rerank-candidate string, the sparse
 // embedding of that string (computed once at materialisation), and access
-// to the shared sentence split behind sliding-window chunking. It is what
-// the vector-aware RAG pipeline consumes instead of re-embedding and
-// re-splitting every candidate per fact.
+// to the shared sentence split behind sliding-window chunking. It is
+// wire-side only: the RAG pipeline uses it over searchers that wrap the
+// Engine without exposing PoolSearcher, instead of re-embedding and
+// re-splitting every candidate per fact; over the Engine itself it reads
+// the same state from pool rows (Pool.Vec, Pool.Full, Pool.Chunks).
 type DocEvidence struct {
 	DocPayload
 	// Full is Title + " " + Text, the exact candidate string document
@@ -594,17 +676,11 @@ func (d DocEvidence) Chunks(window int) []chunk.Chunk {
 	return d.pooled.sentenceSplit().Windows(d.DocID, window)
 }
 
-// ChunkVecs returns the sparse embeddings of the document's windows of
-// `window` sentences, built from the split's single kernel pass; entry i
-// is bit-identical to text.SparseEmbed(Chunks(window)[i].Text).
-func (d DocEvidence) ChunkVecs(window int) []text.SparseVector {
-	return d.pooled.sentenceSplit().WindowVecs(window)
-}
-
-// EvidenceFetcher is implemented by searchers whose doc table carries
-// precomputed per-document scoring state. The in-process Engine implements
-// it; the HTTP client does not (vectors don't travel over the mock API), so
-// consumers fall back to Fetch plus on-the-fly embedding.
+// EvidenceFetcher is implemented by wire-side searchers whose doc table
+// carries precomputed per-document scoring state: the Engine and wrappers
+// around it that hide PoolSearcher. The HTTP client does not implement it
+// (vectors don't travel over the mock API), so consumers fall back to
+// Fetch plus on-the-fly embedding.
 type EvidenceFetcher interface {
 	// FetchEvidence retrieves a document with its precomputed vector and
 	// chunk state.
@@ -678,18 +754,22 @@ func (d *pooledDoc) payload() DocPayload {
 type Stats struct {
 	// Facts is the number of known facts; CachedFacts of them are currently
 	// materialised (in-flight materialisations included).
-	Facts       int   `json:"facts"`
-	CachedFacts int   `json:"cached_facts"`
-	IndexedDocs int   `json:"indexed_docs"`
-	Postings    int   `json:"postings"`
-	Hits        int64 `json:"hits"`
-	Misses      int64 `json:"misses"`
-	Evicted     int64 `json:"evicted"`
+	Facts       int `json:"facts"`
+	CachedFacts int `json:"cached_facts"`
+	IndexedDocs int `json:"indexed_docs"`
+	Postings    int `json:"postings"`
+	// Hits and Misses count pool reads that found the fact's pool
+	// materialised (or in flight) and that materialised it: one per Pool,
+	// Search, Fetch or FetchEvidence call, so one per in-process RAG
+	// retrieval.
+	Hits    int64 `json:"hits"`
+	Misses  int64 `json:"misses"`
+	Evicted int64 `json:"evicted"`
 	// Epoch is the snapshot publication sequence number; IngestedDocs
 	// counts live-ingested documents across all facts.
 	Epoch        uint64 `json:"epoch"`
 	IngestedDocs int    `json:"ingested_docs"`
-	// SearchQueries counts Search calls (the pruned production path);
+	// SearchQueries counts top-k queries (Pool.Search, which Search runs);
 	// PostingsTouched, BlocksSkipped and DocsScored accumulate its pruning
 	// counters — the asymptotic story of every query served so far.
 	SearchQueries   int64 `json:"search_queries"`

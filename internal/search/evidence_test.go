@@ -44,16 +44,6 @@ func TestFetchEvidenceMatchesFetch(t *testing.T) {
 			if got, want := de.Chunks(w), chunk.Sliding(plain.DocID, plain.Text, w); !reflect.DeepEqual(got, want) {
 				t.Fatalf("doc %s window %d: Chunks = %v, Sliding = %v", it.DocID, w, got, want)
 			}
-			chunks := de.Chunks(w)
-			vecs := de.ChunkVecs(w)
-			if len(chunks) != len(vecs) {
-				t.Fatalf("doc %s window %d: %d chunks vs %d vecs", it.DocID, w, len(chunks), len(vecs))
-			}
-			for i := range chunks {
-				if want := text.SparseEmbed(chunks[i].Text); !reflect.DeepEqual(vecs[i], want) {
-					t.Fatalf("doc %s window %d chunk %d: vec mismatch", it.DocID, w, i)
-				}
-			}
 		}
 	}
 }

@@ -1,0 +1,92 @@
+package search
+
+import (
+	"errors"
+	"reflect"
+	"testing"
+
+	"factcheck/internal/verbalize"
+)
+
+// TestPoolReadsMatchWire pins the by-reference reads against the wire
+// forms: a Pool.Search hit list names, in order, the documents and scores
+// Engine.Search returns, and every row accessor agrees with Fetch and
+// FetchEvidence for the same document.
+func TestPoolReadsMatchWire(t *testing.T) {
+	e, d := fixture(t)
+	for _, f := range d.Facts[:5] {
+		pl, err := e.Pool(f.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range []string{verbalize.Sentence(f), "unrelated words", ""} {
+			for _, n := range []int{0, 1, 7, DefaultSERPSize} {
+				items, err := e.Search(f.ID, q, n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				hits := pl.Search(q, n, nil)
+				if len(hits) != len(items) {
+					t.Fatalf("%s %q n=%d: %d hits, %d SERP items", f.ID, q, n, len(hits), len(items))
+				}
+				for i, h := range hits {
+					if pl.ID(h.Row) != items[i].DocID || pl.Host(h.Row) != items[i].Host || h.Score != items[i].Score {
+						t.Fatalf("%s %q n=%d: hit %d is %s/%v, SERP item %s/%v", f.ID, q, n, i, pl.ID(h.Row), h.Score, items[i].DocID, items[i].Score)
+					}
+				}
+			}
+		}
+		for row := 0; row < pl.Len(); row++ {
+			de, err := e.FetchEvidence(pl.ID(row))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pl.Payload(row) != de.DocPayload {
+				t.Fatalf("%s row %d: payload %+v, fetched %+v", f.ID, row, pl.Payload(row), de.DocPayload)
+			}
+			if pl.Usable(row) != (!de.Empty && de.Text != "") {
+				t.Fatalf("%s row %d: Usable = %v for empty=%v text %q", f.ID, row, pl.Usable(row), de.Empty, de.Text)
+			}
+			if pl.Full(row) != de.Full || !reflect.DeepEqual(pl.Vec(row), de.Vec) {
+				t.Fatalf("%s row %d: scoring state differs from FetchEvidence", f.ID, row)
+			}
+			if !reflect.DeepEqual(pl.Chunks(row, 3), de.Chunks(3)) {
+				t.Fatalf("%s row %d: chunks differ from FetchEvidence", f.ID, row)
+			}
+		}
+	}
+	if _, err := e.Pool("no-such-fact"); !errors.Is(err, ErrUnknownFact) {
+		t.Fatalf("unknown fact: %v", err)
+	}
+}
+
+// TestPoolPinsSnapshot: a Pool handle keeps reading the snapshot it was
+// taken from after an ingestion publishes a newer one, while a fresh
+// handle sees the ingested document.
+func TestPoolPinsSnapshot(t *testing.T) {
+	e, d := fixture(t)
+	f := d.Facts[0]
+	old, err := e.Pool(f.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := verbalize.Sentence(f)
+	before := old.Search(q, DefaultSERPSize, nil)
+	if _, err := e.Ingest([]IngestDoc{{FactID: f.ID, Title: "Fresh", Text: q + " " + q}}); err != nil {
+		t.Fatal(err)
+	}
+	if got := old.Search(q, DefaultSERPSize, nil); !reflect.DeepEqual(got, before) {
+		t.Fatal("pinned pool's ranking changed after ingestion")
+	}
+	cur, err := e.Pool(f.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cur.Len() != old.Len()+1 {
+		t.Fatalf("rows %d -> %d after one ingested document", old.Len(), cur.Len())
+	}
+	top := cur.Search(q, 1, nil)
+	if len(top) != 1 || top[0].Row != old.Len() {
+		t.Fatalf("fresh handle's top hit %+v, want the ingested row %d", top, old.Len())
+	}
+}
