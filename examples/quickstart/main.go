@@ -38,7 +38,7 @@ func main() {
 			mark = "✓"
 		}
 		fmt.Printf("%s [gold=%-5v verdict=%-7s %5.0fms] %s\n",
-			mark, f.Gold, out.Verdict, out.Latency.Seconds()*1000, out.Claim.Sentence)
+			mark, f.Gold, out.Verdict, out.Latency.Seconds()*1000, out.Claim.Value().Sentence)
 		fmt.Printf("   reason: %s\n", out.Explanation)
 	}
 

@@ -270,7 +270,7 @@ func StratifyByPopularity(outs []strategy.Outcome, bands int) []Stratum {
 	}
 	pops := make([]float64, len(outs))
 	for i, o := range outs {
-		pops[i] = o.Claim.Popularity
+		pops[i] = o.Claim.Value().Popularity
 	}
 	sorted := append([]float64(nil), pops...)
 	sort.Float64s(sorted)

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"testing"
+	"unique"
 
 	"factcheck/internal/llm"
 	"factcheck/internal/strategy"
@@ -91,7 +92,7 @@ func outcome(model, fact string, correct bool) strategy.Outcome {
 	}
 	return strategy.Outcome{
 		Model: model, FactID: fact, Verdict: v, Gold: true, Correct: correct,
-		Claim: llm.Claim{Popularity: 0.5},
+		Claim: unique.Make(llm.Claim{Popularity: 0.5}),
 	}
 }
 
@@ -152,7 +153,7 @@ func TestStratifyByPopularity(t *testing.T) {
 	var outs []strategy.Outcome
 	for i := 0; i < 40; i++ {
 		o := outcome("a", "f"+itoa(i), i%4 != 0)
-		o.Claim.Popularity = float64(i) / 40
+		o.Claim = unique.Make(llm.Claim{Popularity: float64(i) / 40})
 		outs = append(outs, o)
 	}
 	strata := StratifyByPopularity(outs, 4)

@@ -23,6 +23,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -472,6 +473,13 @@ func (b *Benchmark) Run(ctx context.Context, opts ...RunOption) (*ResultSet, err
 			}
 		}
 	}
+	n := 0
+	for _, c := range cells {
+		if !c.cached {
+			n += len(c.facts)
+		}
+	}
+	tasks = slices.Grow(tasks, n)
 	for _, c := range cells {
 		if c.cached {
 			continue

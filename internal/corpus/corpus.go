@@ -27,7 +27,7 @@ import (
 )
 
 // Stance classifies what a document says about the asserted fact.
-type Stance int
+type Stance uint8
 
 // Document stances.
 const (
@@ -57,9 +57,10 @@ func (s Stance) String() string {
 	}
 }
 
-// Document is one synthetic webpage of a fact's retrieval pool. Metadata is
-// materialised eagerly; full text is generated lazily via Generator.Text to
-// keep full-corpus statistics cheap (2M documents are never held at once).
+// Document is one synthetic webpage of a fact's retrieval pool with its
+// identity spelled out: the metadata form Docs returns. The retrieval
+// engine holds pools in the compact form Materialize returns instead and
+// derives a document's ID and URL only where the document leaves it.
 type Document struct {
 	ID     string
 	URL    string
@@ -95,6 +96,9 @@ var hosts = []string{
 	"sports-ledger.com",
 }
 
+// HostName returns the name of the host a Row's Host field indexes.
+func HostName(i uint8) string { return hosts[i] }
+
 // WorldView is the narrow interface corpus needs from the generating world:
 // the set of true objects for a (subject, relation) pair, consulted when
 // writing refutation documents that state the true value.
@@ -116,7 +120,9 @@ type EvidenceProfile struct {
 }
 
 // Generator produces document pools. It is stateless apart from the
-// configuration; all randomness is keyed by fact and document identity.
+// configuration; all randomness is keyed by fact and document identity:
+// every per-document draw hashes (draw name, document ID), and a document
+// ID is "<fact ID>-d" plus its zero-padded sequence number.
 type Generator struct {
 	// World supplies true values for refutation documents. May be nil, in
 	// which case refutations use explicit negation only.
@@ -197,15 +203,142 @@ func (g *Generator) stanceMix(f *dataset.Fact) (support, refute, neutral float64
 	return support, refute, neutral
 }
 
-// Docs generates the full metadata pool for the fact. The documents sit
-// in one backing array.
+// seqDigitTable holds "0000" through "9999" back to back.
+var seqDigitTable = func() string {
+	b := make([]byte, 0, 4*10000)
+	for i := 0; i < 10000; i++ {
+		b = append(b, byte('0'+i/1000), byte('0'+i/100%10), byte('0'+i/10%10), byte('0'+i%10))
+	}
+	return string(b)
+}()
+
+// SeqDigits returns the non-negative seq zero-padded to four digits, as
+// fmt's %04d renders it: the tail of a document ID after "-d". Numbers
+// below 10,000 are slices of one shared table and allocate nothing.
+func SeqDigits(seq int) string {
+	if seq >= 0 && seq < 10000 {
+		return seqDigitTable[4*seq : 4*seq+4]
+	}
+	return strconv.Itoa(seq)
+}
+
+// DocID returns the ID of the fact's seq-th pool document: the fact ID,
+// "-d" and SeqDigits(seq), the form retrieval routes back to its fact.
+// Generated pools and live ingestion share it.
+func DocID(factID string, seq int) string { return factID + "-d" + SeqDigits(seq) }
+
+// DocURL returns the URL of the seq-th generated document of a fact whose
+// subject slug is slug, published on host.
+func DocURL(host, slug string, seq int) string {
+	return "https://" + host + "/" + slug + "/p" + SeqDigits(seq)
+}
+
+// drawer draws the documents of one fact. Each key is the hash state of
+// a draw name and the fact's ID prefix ("<fact ID>-d" for the pool,
+// "<fact ID>-s" for the stream), so a document's draw hashes only its
+// sequence digits and equals the draw keyed by its full ID.
+type drawer struct {
+	g                                       *Generator
+	stance, skg, empty, host, title, filler det.Key
+	ps, pr, pn                              float64
+}
+
+func (g *Generator) newDrawer(f *dataset.Fact, marker string) *drawer {
+	key := func(name string) det.Key { return det.NewKey(name).Cont(f.ID).Cont(marker) }
+	dr := &drawer{
+		g:      g,
+		stance: key("stance"),
+		skg:    key("skg"),
+		empty:  key("empty"),
+		host:   key("host"),
+		title:  key("title"),
+		filler: key("filler"),
+	}
+	dr.ps, dr.pr, dr.pn = g.stanceMix(f)
+	return dr
+}
+
+// drawStance draws the stance of the document with sequence digits ds
+// from the fact's stance mix.
+func (dr *drawer) drawStance(ds string) Stance {
+	u := dr.stance.Uniform(ds)
+	switch {
+	case u < dr.ps:
+		return StanceSupport
+	case u < dr.ps+dr.pr:
+		return StanceRefute
+	case u < dr.ps+dr.pr+dr.pn:
+		return StanceNeutral
+	default:
+		return StanceUnrelated
+	}
+}
+
+// classify draws the stance, source and extraction outcome of the
+// document with sequence digits ds.
+func (dr *drawer) classify(ds string) (st Stance, fromSKG, empty bool) {
+	st = dr.drawStance(ds)
+	fromSKG = dr.skg.Uniform(ds) < dr.g.SKGRate
+	if fromSKG {
+		// KG source pages always support the KG's (possibly wrong) claim —
+		// that is precisely the circularity the filter exists to break.
+		st = StanceSupport
+	}
+	return st, fromSKG, dr.empty.Uniform(ds) < dr.g.EmptyRate
+}
+
+// row draws the rest of a classified document: its host, and the title
+// draw t and filler draws x and y that select its (title, body) variant
+// v (-1 marks an unused draw). The returned row's Variant is unset.
+func (dr *drawer) row(ds string, st Stance, fromSKG, empty bool) (r Row, v, t, x, y int) {
+	r = Row{Stance: st, Empty: empty, SKG: fromSKG}
+	if !fromSKG {
+		r.Host = uint8(1 + dr.host.IntN(len(hosts)-1, ds))
+	}
+	t, x, y = -1, -1, -1
+	if st == StanceUnrelated {
+		t = dr.title.IntN(len(fillerTitles), ds)
+	}
+	// Each body slot draws under its own key; empty bodies draw nothing.
+	if !empty {
+		switch st {
+		case StanceSupport:
+			x = dr.filler.IntN(numFillers, ds, "a")
+		case StanceRefute:
+			x = dr.filler.IntN(numFillers, ds, "b")
+		case StanceNeutral:
+			x = dr.filler.IntN(numFillers, ds, "c")
+			y = dr.filler.IntN(numFillers, ds, "d")
+		default:
+			x = dr.filler.IntN(numFillers, ds, "e")
+		}
+	}
+	return r, variant(st, empty, t, x, y), t, x, y
+}
+
+// Docs returns the fact's pool as documents with their identity spelled
+// out, in pool order. The documents sit in one backing array.
 func (g *Generator) Docs(f *dataset.Fact) []*Document {
 	docs := make([]Document, g.PoolSize(f))
 	out := make([]*Document, len(docs))
-	ps, pr, pn := g.stanceMix(f)
+	dr := g.newDrawer(f, "-d")
 	fm := newFactMeta(f)
 	for i := range docs {
-		g.doc(&docs[i], fm, i, ps, pr, pn)
+		ds := SeqDigits(i)
+		st, fromSKG, empty := dr.classify(ds)
+		r, _, t, _, _ := dr.row(ds, st, fromSKG, empty)
+		host := hosts[r.Host]
+		docs[i] = Document{
+			ID:      f.ID + "-d" + ds,
+			URL:     DocURL(host, fm.slug, i),
+			Host:    host,
+			Title:   fm.title(st, t),
+			Stance:  st,
+			Empty:   empty,
+			FromSKG: fromSKG,
+			Seq:     i,
+			FactID:  f.ID,
+		}
 		out[i] = &docs[i]
 	}
 	return out
@@ -214,124 +347,67 @@ func (g *Generator) Docs(f *dataset.Fact) []*Document {
 // factMeta holds the strings every document of one fact's pool shares,
 // built once per fact instead of once per document.
 type factMeta struct {
-	f *dataset.Fact
 	// slug is the URL path segment of the subject.
 	slug string
-	// recordTitle and profileTitle are the titles of stance-bearing and
-	// neutral documents.
-	recordTitle, profileTitle string
+	// titles are the record title of stance-bearing documents, the profile
+	// title of neutral ones, then the filler titles (see titleNum).
+	titles [numTitles]string
 }
 
 func newFactMeta(f *dataset.Fact) *factMeta {
-	return &factMeta{
-		f:            f,
-		slug:         slug(f.Subject.Label),
-		recordTitle:  f.Subject.Label + " and " + f.Object.Label + ": the record",
-		profileTitle: f.Subject.Label + " - profile and notes",
-	}
-}
-
-// seqID returns factID + marker + seq, with seq zero-padded to four digits
-// as fmt's %04d renders a non-negative int.
-func seqID(factID, marker string, seq int) string {
-	var num [20]byte
-	b := num[:0]
-	for p := 1000; p > 1 && seq < p; p /= 10 {
-		b = append(b, '0')
-	}
-	return factID + marker + string(strconv.AppendInt(b, int64(seq), 10))
-}
-
-// DocID returns the ID of the fact's seq-th pool document: the fact ID,
-// "-d" and seq zero-padded to four digits, the form retrieval routes back
-// to its fact. Generated pools and live ingestion share it.
-func DocID(factID string, seq int) string { return seqID(factID, "-d", seq) }
-
-// classify draws a document's stance, source and extraction outcome, all
-// keyed by its ID.
-func (g *Generator) classify(id string, ps, pr, pn float64) (st Stance, fromSKG, empty bool) {
-	st = drawStance(id, ps, pr, pn)
-	fromSKG = det.Bool(g.SKGRate, "skg", id)
-	if fromSKG {
-		// KG source pages always support the KG's (possibly wrong) claim —
-		// that is precisely the circularity the filter exists to break.
-		st = StanceSupport
-	}
-	return st, fromSKG, det.Bool(g.EmptyRate, "empty", id)
-}
-
-// drawStance draws a document's stance from the fact's stance mix.
-func drawStance(id string, ps, pr, pn float64) Stance {
-	u := det.Uniform("stance", id)
-	switch {
-	case u < ps:
-		return StanceSupport
-	case u < ps+pr:
-		return StanceRefute
-	case u < ps+pr+pn:
-		return StanceNeutral
-	default:
-		return StanceUnrelated
-	}
-}
-
-// doc fills d with the fact's i-th pool document and returns the title
-// draw behind its title (see title).
-func (g *Generator) doc(d *Document, fm *factMeta, i int, ps, pr, pn float64) (titleDraw int) {
-	id := DocID(fm.f.ID, i)
-	st, fromSKG, empty := g.classify(id, ps, pr, pn)
-	host := hosts[1+det.IntN(len(hosts)-1, "host", id)]
-	if fromSKG {
-		host = hosts[0]
-	}
-	title, titleDraw := fm.title(st, id)
-	*d = Document{
-		ID:      id,
-		URL:     "https://" + host + "/" + fm.slug + "/p" + id[len(fm.f.ID)+len("-d"):],
-		Host:    host,
-		Title:   title,
-		Stance:  st,
-		Empty:   empty,
-		FromSKG: fromSKG,
-		Seq:     i,
-		FactID:  fm.f.ID,
-	}
-	return titleDraw
+	fm := &factMeta{slug: slug(f.Subject.Label)}
+	fm.titles[0] = f.Subject.Label + " and " + f.Object.Label + ": the record"
+	fm.titles[1] = f.Subject.Label + " - profile and notes"
+	copy(fm.titles[2:], fillerTitles[:])
+	return fm
 }
 
 // fillerTitles are the titles of unrelated documents.
 var fillerTitles = [...]string{"Regional news roundup", "Archive digest", "Weekly miscellany", "Site index", "Community bulletin"}
 
-// title returns the title of a document with stance st and ID id, and the
-// fillerTitles index it drew (-1 for the record and profile titles, which
-// draw nothing).
-func (fm *factMeta) title(st Stance, id string) (string, int) {
+// numTitles is the number of distinct titles in one fact's pool.
+const numTitles = 2 + len(fillerTitles)
+
+// titleNum returns the number of the title a document with stance st and
+// title draw t carries: 0 the record title, 1 the profile title, 2+t
+// filler title t.
+func titleNum(st Stance, t int) int {
 	switch st {
 	case StanceSupport, StanceRefute:
-		return fm.recordTitle, -1
+		return 0
 	case StanceNeutral:
-		return fm.profileTitle, -1
+		return 1
 	default:
-		i := det.IntN(len(fillerTitles), "title", id)
-		return fillerTitles[i], i
+		return 2 + t
 	}
 }
 
-// Text lazily generates the document body. Empty documents return "".
-// Support documents contain the asserted sentence; refute documents assert
-// the true value (when the world knows one) and explicitly contradict the
-// claim; neutral documents mention the subject only.
+// title returns the title of a document with stance st and title draw t.
+func (fm *factMeta) title(st Stance, t int) string { return fm.titles[titleNum(st, t)] }
+
+// Text returns the body of one of the fact's documents, as Docs returned
+// it. Empty documents return "". Support documents contain the asserted
+// sentence; refute documents assert the true value (when the world knows
+// one) and explicitly contradict the claim; neutral documents mention the
+// subject only.
 func (g *Generator) Text(f *dataset.Fact, d *Document) string {
-	return g.newFactBody(f).text(d)
+	_, _, _, x, y := g.newDrawer(f, "-d").row(SeqDigits(d.Seq), d.Stance, d.FromSKG, d.Empty)
+	return g.newFactBody(f).build("", "", d.Stance, d.Empty, x, y)
 }
 
-// factBody holds the stance-specific openings of one fact's document
-// bodies, built once per fact: verbalising the fact and looking up its
-// true object are per-fact work.
+// factBody holds the stance-specific openings and the background
+// sentences of one fact's document bodies, built once per fact:
+// verbalising the fact and looking up its true object are per-fact work.
+// A body is its stance's opening and one background sentence (two for a
+// neutral body), joined by single spaces.
 type factBody struct {
-	subj                     string
-	support, refute, neutral string
+	// openings is indexed by stance.
+	openings [4]string
+	fillers  [numFillers]string
 }
+
+// numFillers is the number of background sentences a body draws from.
+const numFillers = 5
 
 func (g *Generator) newFactBody(f *dataset.Fact) *factBody {
 	subj := f.Subject.Label
@@ -340,75 +416,82 @@ func (g *Generator) newFactBody(f *dataset.Fact) *factBody {
 		refute = subj + " " + f.Relation.Phrase + " " + trueObj + ". "
 	}
 	return &factBody{
-		subj:    subj,
-		support: verbalize.Sentence(f) + " Multiple records agree on this point. ",
-		refute: refute + "Contrary to some claims, it is not the case that " +
-			subj + " " + f.Relation.Phrase + " " + f.Object.Label + ". ",
-		neutral: subj + " is discussed in this article. ",
+		openings: [4]string{
+			StanceUnrelated: "General interest material unrelated to the query. ",
+			StanceNeutral:   subj + " is discussed in this article. ",
+			StanceSupport:   verbalize.Sentence(f) + " Multiple records agree on this point. ",
+			StanceRefute: refute + "Contrary to some claims, it is not the case that " +
+				subj + " " + f.Relation.Phrase + " " + f.Object.Label + ". ",
+		},
+		fillers: [numFillers]string{
+			subj + " has been covered by several publications over the years.",
+			"Archivists consider the records about " + subj + " largely consistent.",
+			"This page is part of a curated collection of reference material.",
+			"Readers frequently consult this entry for background information.",
+			subj + " appears in multiple regional registries.",
+		},
 	}
 }
 
-// text generates d's body.
-func (b *factBody) text(d *Document) string {
-	x, y := bodyDraws(d)
-	return b.build(d, x, y)
-}
-
-// numFillers is the number of background sentences filler chooses from.
-const numFillers = 5
-
-// bodyDraws returns the filler draws d's body uses: one for support, refute
-// and unrelated bodies, two for neutral ones, none for empty ones (-1 marks
-// an unused draw). Each slot draws under its own key.
-func bodyDraws(d *Document) (x, y int) {
-	draw := func(k string) int { return det.IntN(numFillers, "filler", d.ID, k) }
-	if d.Empty {
-		return -1, -1
-	}
-	switch d.Stance {
-	case StanceSupport:
-		return draw("a"), -1
-	case StanceRefute:
-		return draw("b"), -1
-	case StanceNeutral:
-		return draw("c"), draw("d")
+// build returns title + sep + the body of a document with stance st and
+// extraction outcome empty and filler draws x and y (see drawer.row), in
+// one allocation.
+func (b *factBody) build(title, sep string, st Stance, empty bool, x, y int) string {
+	switch {
+	case empty:
+		return title + sep
+	case st == StanceNeutral:
+		return title + sep + b.openings[st] + b.fillers[x] + " " + b.fillers[y]
 	default:
-		return draw("e"), -1
+		return title + sep + b.openings[st] + b.fillers[x]
 	}
 }
 
-// build generates the body of a document with d's stance and extraction
-// outcome from the filler draws x and y (bodyDraws).
-func (b *factBody) build(d *Document, x, y int) string {
-	if d.Empty {
-		return ""
-	}
-	switch d.Stance {
-	case StanceSupport:
-		return b.support + b.filler(x)
-	case StanceRefute:
-		return b.refute + b.filler(x)
-	case StanceNeutral:
-		return b.neutral + b.filler(x) + " " + b.filler(y)
-	default:
-		return "General interest material unrelated to the query. " + b.filler(x)
-	}
+// partDims holds the content-token dimensions of every part of one fact's
+// variant texts: its titles, openings and background sentences. Tokens
+// never span the spaces that join the parts, so a variant's dimensions are
+// its parts' (text.ContentDims), and each part is tokenized once per fact
+// instead of once per variant.
+type partDims struct {
+	titles   [numTitles][]int32
+	openings [4][]int32
+	fillers  [numFillers][]int32
 }
 
-// filler returns background sentence i, building only that option.
-func (b *factBody) filler(i int) string {
-	switch i {
-	case 0:
-		return b.subj + " has been covered by several publications over the years."
-	case 1:
-		return "Archivists consider the records about " + b.subj + " largely consistent."
-	case 2:
-		return "This page is part of a curated collection of reference material."
-	case 3:
-		return "Readers frequently consult this entry for background information."
-	default:
-		return b.subj + " appears in multiple regional registries."
+func newPartDims(fm *factMeta, b *factBody) *partDims {
+	d := &partDims{}
+	buf := make([]int32, 0, 256)
+	// A capped slice never sees later appends, and a reallocation leaves
+	// the slices already taken on the old array intact.
+	dims := func(s string) []int32 {
+		lo := len(buf)
+		buf = text.ContentDims(s, buf)
+		return buf[lo:len(buf):len(buf)]
 	}
+	for i, t := range fm.titles {
+		d.titles[i] = dims(t)
+	}
+	for i, o := range b.openings {
+		d.openings[i] = dims(o)
+	}
+	for i, f := range b.fillers {
+		d.fillers[i] = dims(f)
+	}
+	return d
+}
+
+// appendVariant appends the dimensions of the variant text that build
+// returns for title number ti and the body draws to dims.
+func (d *partDims) appendVariant(dims []int32, ti int, st Stance, empty bool, x, y int) []int32 {
+	dims = append(dims, d.titles[ti]...)
+	if empty {
+		return dims
+	}
+	dims = append(append(dims, d.openings[st]...), d.fillers[x]...)
+	if st == StanceNeutral {
+		dims = append(dims, d.fillers[y]...)
+	}
+	return dims
 }
 
 // trueObjectLabel returns the label of a true object for the fact's
@@ -430,12 +513,58 @@ func (g *Generator) trueObjectLabel(f *dataset.Fact) string {
 	return strings.ReplaceAll(best, "_", " ")
 }
 
-// Materialized is one pool document with its generated body text, its
-// rerank-candidate string and that string's embedding. Documents of one
-// pool whose draws select the same (title, body) variant share Text, Full
-// and Vec.
-type Materialized struct {
-	Doc *Document
+// A document's title and body follow from its extraction outcome, its
+// stance and its title and filler draws, so a pool has at most numVariants
+// distinct (title, body) pairs. variant numbers them: empty bodies first,
+// by title (0 the record title, 1 the profile title, 2+t filler title t),
+// then the support, refute, neutral and unrelated bodies by their draws.
+const (
+	supportVariant   = numTitles
+	refuteVariant    = supportVariant + numFillers
+	neutralVariant   = refuteVariant + numFillers
+	unrelatedVariant = neutralVariant + numFillers*numFillers
+	numVariants      = unrelatedVariant + len(fillerTitles)*numFillers
+)
+
+// variant returns the number of the (title, body) pair that stance st,
+// extraction outcome empty, title draw t and filler draws x and y select.
+func variant(st Stance, empty bool, t, x, y int) int {
+	if empty {
+		return titleNum(st, t)
+	}
+	switch st {
+	case StanceSupport:
+		return supportVariant + x
+	case StanceRefute:
+		return refuteVariant + x
+	case StanceNeutral:
+		return neutralVariant + numFillers*x + y
+	default:
+		return unrelatedVariant + numFillers*t + x
+	}
+}
+
+// Row is one document of a compact pool: the draws that decide it, without
+// its text or identity. A row's sequence number is its position in the
+// pool, so its ID is DocID(fact ID, position) and its URL is
+// DocURL(HostName(Host), slug, position).
+type Row struct {
+	// Variant indexes the pool's Variants: the row's title and body.
+	Variant uint8
+	// Host indexes the host table (see HostName).
+	Host   uint8
+	Stance Stance
+	// Empty marks extraction failures (the variant's body is "").
+	Empty bool
+	// SKG marks pages from the KG's own source set, which the pipeline
+	// filters out.
+	SKG bool
+}
+
+// Variant is one distinct (title, body) text of a pool with its
+// embedding.
+type Variant struct {
+	Title string
 	// Text is the body, the tail of Full.
 	Text string
 	// Full is Title + " " + Text, the string retrieval indexes and
@@ -448,77 +577,50 @@ type Materialized struct {
 	Vec text.SparseVector
 }
 
-// A document's title and body follow from its extraction outcome, its
-// stance and its title and filler draws, so a pool has at most numVariants
-// distinct (title, body) pairs. variant numbers them: empty bodies first,
-// by title (0 the record title, 1 the profile title, 2+t filler title t),
-// then the support, refute, neutral and unrelated bodies by their draws.
-const (
-	supportVariant   = 2 + len(fillerTitles)
-	refuteVariant    = supportVariant + numFillers
-	neutralVariant   = refuteVariant + numFillers
-	unrelatedVariant = neutralVariant + numFillers*numFillers
-	numVariants      = unrelatedVariant + len(fillerTitles)*numFillers
-)
-
-// variant returns the number of the (title, body) pair that d's stance,
-// extraction outcome, title draw t and filler draws x and y select.
-func variant(d *Document, t, x, y int) int {
-	if d.Empty {
-		switch d.Stance {
-		case StanceSupport, StanceRefute:
-			return 0
-		case StanceNeutral:
-			return 1
-		default:
-			return 2 + t
-		}
-	}
-	switch d.Stance {
-	case StanceSupport:
-		return supportVariant + x
-	case StanceRefute:
-		return refuteVariant + x
-	case StanceNeutral:
-		return neutralVariant + numFillers*x + y
-	default:
-		return unrelatedVariant + numFillers*t + x
-	}
+// Pool is a fact's document pool in compact form: one row per document
+// and one entry per distinct (title, body) variant, which every row that
+// draws it shares.
+type Pool struct {
+	FactID string
+	// Slug is the URL path segment of the fact's subject.
+	Slug     string
+	Rows     []Row
+	Variants []Variant
 }
 
-// Materialize generates the fact's full pool — metadata, body text and
-// embeddings — in pool order. It is the bulk entry point the search
-// engine's shard store uses; Docs/Text remain for callers that only need
-// one side. Per-fact strings are built once for the whole pool, the
-// documents sit in one backing array, and each distinct (title, body)
-// variant is built and embedded once, keyed by the draws that select it,
-// then shared by every document that draws it.
-func (g *Generator) Materialize(f *dataset.Fact) []Materialized {
-	docs := make([]Document, g.PoolSize(f))
-	out := make([]Materialized, len(docs))
-	ps, pr, pn := g.stanceMix(f)
+// Materialize generates the fact's compact pool — rows, variant texts and
+// embeddings. It is the bulk entry point the search engine's shard store
+// uses. Each distinct variant is built and embedded once, by the first
+// row that draws it; no per-document string is built.
+func (g *Generator) Materialize(f *dataset.Fact) *Pool {
+	p := &Pool{FactID: f.ID, Slug: slug(f.Subject.Label), Rows: make([]Row, g.PoolSize(f))}
+	if len(p.Rows) == 0 {
+		return p
+	}
+	p.Variants = make([]Variant, 0, min(len(p.Rows), numVariants))
+	dr := g.newDrawer(f, "-d")
 	fm := newFactMeta(f)
 	body := g.newFactBody(f)
-	// built[v] is 1 + the position of the first document of variant v,
-	// 0 while v is unbuilt.
-	var built [numVariants]int32
+	pd := newPartDims(fm, body)
+	// slot[v] is 1 + the index of variant v in p.Variants, 0 while unbuilt.
+	var slot [numVariants]uint8
 	var dims []int32
-	for i := range docs {
-		d := &docs[i]
-		t := g.doc(d, fm, i, ps, pr, pn)
-		x, y := bodyDraws(d)
-		v := variant(d, t, x, y)
-		if j := built[v]; j > 0 {
-			m := &out[j-1]
-			out[i] = Materialized{Doc: d, Text: m.Text, Full: m.Full, Vec: m.Vec}
-			continue
+	for i := range p.Rows {
+		ds := SeqDigits(i)
+		st, fromSKG, empty := dr.classify(ds)
+		r, v, t, x, y := dr.row(ds, st, fromSKG, empty)
+		if slot[v] == 0 {
+			ti := titleNum(st, t)
+			title := fm.titles[ti]
+			full := body.build(title, " ", st, empty, x, y)
+			dims = pd.appendVariant(dims[:0], ti, st, empty, x, y)
+			p.Variants = append(p.Variants, Variant{Title: title, Text: full[len(title)+1:], Full: full, Vec: text.SparseEmbedDims(dims)})
+			slot[v] = uint8(len(p.Variants))
 		}
-		full := d.Title + " " + body.build(d, x, y)
-		dims = text.ContentDims(full, dims[:0])
-		out[i] = Materialized{Doc: d, Text: full[len(d.Title)+1:], Full: full, Vec: text.SparseEmbedDims(dims)}
-		built[v] = int32(i + 1)
+		r.Variant = slot[v] - 1
+		p.Rows[i] = r
 	}
-	return out
+	return p
 }
 
 // StreamDoc is one live-ingestion append document: the streaming side of
@@ -539,18 +641,17 @@ type StreamDoc struct {
 // byte-identical documents — the property the incremental-vs-cold golden
 // gate rests on.
 func (g *Generator) Stream(f *dataset.Fact, i int) StreamDoc {
-	id := seqID(f.ID, "-s", i)
-	ps, pr, pn := g.stanceMix(f)
-	st := drawStance(id, ps, pr, pn)
-	host := hosts[1+det.IntN(len(hosts)-1, "host", id)]
+	ds := SeqDigits(i)
+	dr := g.newDrawer(f, "-s")
+	st := dr.drawStance(ds)
+	r, _, t, x, y := dr.row(ds, st, false, false)
+	host := hosts[r.Host]
 	fm := newFactMeta(f)
-	d := &Document{ID: id, Stance: st, FactID: f.ID}
-	title, _ := fm.title(st, id)
 	return StreamDoc{
-		URL:   "https://" + host + "/" + fm.slug + "/s" + id[len(f.ID)+len("-s"):],
+		URL:   "https://" + host + "/" + fm.slug + "/s" + ds,
 		Host:  host,
-		Title: title,
-		Text:  g.Text(f, d),
+		Title: fm.title(st, t),
+		Text:  g.newFactBody(f).build("", "", st, false, x, y),
 	}
 }
 
@@ -565,13 +666,13 @@ type Meta struct {
 }
 
 // MetaFor computes pool metadata for the fact. It draws each document's
-// stance, source and extraction outcome exactly as Docs does, without
-// building URLs or titles.
+// stance, source and extraction outcome exactly as Docs and Materialize
+// do, without drawing hosts, titles or bodies.
 func (g *Generator) MetaFor(f *dataset.Fact) Meta {
 	m := Meta{Count: g.PoolSize(f)}
-	ps, pr, pn := g.stanceMix(f)
+	dr := g.newDrawer(f, "-d")
 	for i := 0; i < m.Count; i++ {
-		st, fromSKG, empty := g.classify(DocID(f.ID, i), ps, pr, pn)
+		st, fromSKG, empty := dr.classify(SeqDigits(i))
 		if empty {
 			m.Empty++
 		}

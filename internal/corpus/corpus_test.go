@@ -5,10 +5,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"unsafe"
 
 	"factcheck/internal/dataset"
-	"factcheck/internal/text"
 	"factcheck/internal/world"
 )
 
@@ -245,50 +243,160 @@ func TestSlug(t *testing.T) {
 	}
 }
 
-// TestMaterializeMatchesDocsAndText asserts Materialize is the bulk form of
-// Docs+Text, that each Full is exactly Title+" "+body, and that each
-// precomputed vector is exactly the embedding of Full (the search index's
-// input contract), for every document of every fact of every dataset, so
-// every stance, every variant and the refutation path are covered. It also
-// checks that documents of one variant share their strings and vector.
+// largeGenerator returns a generator whose pools run to thousands of
+// documents, past the four-digit sequence numbers.
+func largeGenerator(w *world.World) *Generator {
+	g := NewGenerator(w)
+	g.MeanDocs *= 40
+	g.StdDocs *= 40
+	g.MaxDocs *= 40
+	return g
+}
+
+// checkPoolMatchesOracle asserts that the compact pool of f, and Docs,
+// Text and MetaFor, spell out exactly the oracle's per-document pool:
+// derived ID, URL, host, title, stance, empty, S_KG, body, full text and
+// vector, document by document. It also checks that rows drawing one
+// variant share it and that no two variants hold the same text.
+func checkPoolMatchesOracle(t *testing.T, g *Generator, f *dataset.Fact) {
+	t.Helper()
+	want := oracleDocs(g, f)
+	p := g.Materialize(f)
+	docs := g.Docs(f)
+	if len(p.Rows) != len(want) || len(docs) != len(want) {
+		t.Fatalf("%s: %d rows, %d docs, oracle has %d", f.ID, len(p.Rows), len(docs), len(want))
+	}
+	if p.FactID != f.ID || p.Slug != slug(f.Subject.Label) {
+		t.Fatalf("%s: pool names fact %q slug %q", f.ID, p.FactID, p.Slug)
+	}
+	var meta Meta
+	for i, r := range p.Rows {
+		w := want[i]
+		v := p.Variants[r.Variant]
+		got := Document{
+			ID:      DocID(p.FactID, i),
+			URL:     DocURL(HostName(r.Host), p.Slug, i),
+			Host:    HostName(r.Host),
+			Title:   v.Title,
+			Stance:  r.Stance,
+			Empty:   r.Empty,
+			FromSKG: r.SKG,
+			Seq:     i,
+			FactID:  p.FactID,
+		}
+		if got != w.Document {
+			t.Fatalf("%s row %d: %+v, oracle %+v", f.ID, i, got, w.Document)
+		}
+		if v.Text != w.Text || v.Full != w.Full || !reflect.DeepEqual(v.Vec, w.Vec) {
+			t.Fatalf("%s row %d: variant text, full text or vector differs from the oracle", f.ID, i)
+		}
+		if *docs[i] != w.Document {
+			t.Fatalf("%s doc %d: Docs = %+v, oracle %+v", f.ID, i, *docs[i], w.Document)
+		}
+		if txt := g.Text(f, docs[i]); txt != w.Text {
+			t.Fatalf("%s doc %d: Text = %q, oracle %q", f.ID, i, txt, w.Text)
+		}
+		meta.Count++
+		if w.Empty {
+			meta.Empty++
+		}
+		if w.FromSKG {
+			meta.SKG++
+		}
+		switch w.Stance {
+		case StanceSupport:
+			meta.Support++
+		case StanceRefute:
+			meta.Refute++
+		case StanceNeutral:
+			meta.Neutral++
+		}
+	}
+	if got := g.MetaFor(f); got != meta {
+		t.Fatalf("%s: MetaFor = %+v, oracle %+v", f.ID, got, meta)
+	}
+	if len(p.Variants) > numVariants {
+		t.Fatalf("%s: %d variants, at most %d exist", f.ID, len(p.Variants), numVariants)
+	}
+	fulls := map[string]bool{}
+	for _, v := range p.Variants {
+		if fulls[v.Full] {
+			t.Fatalf("%s: variant %q built twice", f.ID, v.Full)
+		}
+		fulls[v.Full] = true
+		if want := v.Title + " " + v.Text; v.Full != want {
+			t.Fatalf("%s: Full = %q, want %q", f.ID, v.Full, want)
+		}
+	}
+}
+
+// TestMaterializeMatchesDocsAndText is the corpus differential test: for
+// every fact of every dataset of the small world, so every stance, every
+// variant and the refutation path are covered, the compact pool, Docs,
+// Text and MetaFor equal the per-document oracle.
 func TestMaterializeMatchesDocsAndText(t *testing.T) {
 	_, ds, g := fixture(t)
 	for _, dn := range []dataset.Name{dataset.FactBench, dataset.YAGO, dataset.DBpedia} {
 		for _, f := range ds[dn].Facts {
-			ms := g.Materialize(f)
-			docs := g.Docs(f)
-			if len(ms) != len(docs) {
-				t.Fatalf("%s: Materialize returned %d docs, Docs returned %d", f.ID, len(ms), len(docs))
-			}
-			fulls := map[string]int{}
-			for i, m := range ms {
-				if !reflect.DeepEqual(*m.Doc, *docs[i]) {
-					t.Fatalf("%s doc %d: %+v != %+v", f.ID, i, *m.Doc, *docs[i])
-				}
-				if want := g.Text(f, docs[i]); m.Text != want {
-					t.Fatalf("%s doc %d: text differs from Text()", f.ID, i)
-				}
-				if want := m.Doc.Title + " " + m.Text; m.Full != want {
-					t.Fatalf("%s doc %d: Full = %q, want %q", f.ID, i, m.Full, want)
-				}
-				if want := text.SparseEmbed(m.Full); !reflect.DeepEqual(m.Vec, want) {
-					t.Fatalf("%s doc %d: Vec differs from SparseEmbed(Full)", f.ID, i)
-				}
-				j, seen := fulls[m.Full]
-				if !seen {
-					fulls[m.Full] = i
-					continue
-				}
-				if unsafe.StringData(m.Full) != unsafe.StringData(ms[j].Full) ||
-					unsafe.StringData(m.Text) != unsafe.StringData(ms[j].Text) ||
-					(m.Vec.NNZ() > 0 && &m.Vec.Dims[0] != &ms[j].Vec.Dims[0]) {
-					t.Fatalf("%s docs %d and %d: same variant, separately built", f.ID, j, i)
-				}
-			}
-			if len(fulls) > numVariants {
-				t.Fatalf("%s: %d distinct variants, at most %d exist", f.ID, len(fulls), numVariants)
+			checkPoolMatchesOracle(t, g, f)
+		}
+	}
+}
+
+// TestLargePoolsMatchOracle runs the corpus differential over pools of
+// thousands of documents, whose sequence numbers pass four digits.
+func TestLargePoolsMatchOracle(t *testing.T) {
+	w, ds, _ := fixture(t)
+	g := largeGenerator(w)
+	n := 0
+	for _, f := range ds[dataset.FactBench].Facts {
+		if g.PoolSize(f) <= 10000 {
+			continue
+		}
+		checkPoolMatchesOracle(t, g, f)
+		if n++; n == 2 {
+			return
+		}
+	}
+	t.Fatal("no fact has a pool past sequence number 10000")
+}
+
+// TestStreamMatchesOracle pins Stream against the per-document oracle.
+func TestStreamMatchesOracle(t *testing.T) {
+	_, ds, g := fixture(t)
+	for _, f := range ds[dataset.YAGO].Facts[:20] {
+		for _, i := range []int{0, 1, 7, 999, 10000} {
+			if got, want := g.Stream(f, i), oracleStream(g, f, i); got != want {
+				t.Fatalf("%s stream %d: %+v, oracle %+v", f.ID, i, got, want)
 			}
 		}
+	}
+}
+
+// TestMaterializeAllocatesPerVariant asserts a pool's allocations follow
+// its distinct variants, not its documents: quadrupling the pool size
+// leaves the allocation count of a materialisation almost unchanged.
+func TestMaterializeAllocatesPerVariant(t *testing.T) {
+	w, ds, g := fixture(t)
+	big := NewGenerator(w)
+	big.MeanDocs *= 4
+	big.StdDocs *= 4
+	big.MaxDocs *= 4
+	f := ds[dataset.FactBench].Facts[3]
+	p, q := g.Materialize(f), big.Materialize(f)
+	if len(q.Rows) < 3*len(p.Rows) {
+		t.Fatalf("pool sizes %d and %d: want the second ≥ 3× the first", len(p.Rows), len(q.Rows))
+	}
+	small := testing.AllocsPerRun(5, func() { g.Materialize(f) })
+	large := testing.AllocsPerRun(5, func() { big.Materialize(f) })
+	// Each variant costs its full string and its vector's two slices; each
+	// pool a fixed handful (the rows, the variant table, the per-fact
+	// strings).
+	if limit := float64(3*len(q.Variants) + 40); large > limit {
+		t.Errorf("%d-row pool with %d variants: %.0f allocs, want ≤ %.0f", len(q.Rows), len(q.Variants), large, limit)
+	}
+	if large > small+3*float64(len(q.Variants)-len(p.Variants))+2 {
+		t.Errorf("allocs grew from %.0f (%d rows) to %.0f (%d rows): not per variant", small, len(p.Rows), large, len(q.Rows))
 	}
 }
 
@@ -298,22 +406,19 @@ func TestMaterializeMatchesDocsAndText(t *testing.T) {
 func TestDocIDsMatchSprintf(t *testing.T) {
 	_, ds, g := fixture(t)
 	f := ds[dataset.FactBench].Facts[0]
-	fm := newFactMeta(f)
-	ps, pr, pn := g.stanceMix(f)
-	for _, seq := range []int{0, 9, 10, 999, 1000, 9999, 10000} {
+	sl := slug(f.Subject.Label)
+	for _, seq := range []int{0, 9, 10, 999, 1000, 9999, 10000, 123456} {
 		if got, want := DocID(f.ID, seq), fmt.Sprintf("%s-d%04d", f.ID, seq); got != want {
 			t.Errorf("DocID(%d) = %q, want %q", seq, got, want)
 		}
-		d := new(Document)
-		g.doc(d, fm, seq, ps, pr, pn)
-		if want := fmt.Sprintf("%s-d%04d", f.ID, seq); d.ID != want {
-			t.Errorf("doc %d: ID = %q, want %q", seq, d.ID, want)
+		if got, want := oracleSeqID(f.ID, "-d", seq), fmt.Sprintf("%s-d%04d", f.ID, seq); got != want {
+			t.Errorf("oracle ID %d = %q, want %q", seq, got, want)
 		}
-		if want := fmt.Sprintf("https://%s/%s/%s", d.Host, slug(f.Subject.Label), fmt.Sprintf("p%04d", seq)); d.URL != want {
-			t.Errorf("doc %d: URL = %q, want %q", seq, d.URL, want)
+		if got, want := DocURL("h.example", sl, seq), fmt.Sprintf("https://h.example/%s/p%04d", sl, seq); got != want {
+			t.Errorf("DocURL(%d) = %q, want %q", seq, got, want)
 		}
 		sd := g.Stream(f, seq)
-		if want := fmt.Sprintf("https://%s/%s/s%04d", sd.Host, slug(f.Subject.Label), seq); sd.URL != want {
+		if want := fmt.Sprintf("https://%s/%s/s%04d", sd.Host, sl, seq); sd.URL != want {
 			t.Errorf("stream doc %d: URL = %q, want %q", seq, sd.URL, want)
 		}
 	}

@@ -59,6 +59,30 @@ func (k Key) Uniform(parts ...string) float64 {
 	return float64(h>>11) / float64(1<<53)
 }
 
+// Cont continues the key's last part with s, adding no separator, so a
+// part can be hashed in pieces: NewKey(a).Cont(x).Uniform(y) ==
+// Uniform(a, x+y). Draws keyed by a long shared prefix plus a short tail
+// (a fact's "<fact ID>-d" and a document's sequence digits) hash the
+// prefix once.
+func (k Key) Cont(s string) Key {
+	h := uint64(k)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= prime64
+	}
+	return Key(h)
+}
+
+// IntN returns the deterministic integer in [0,n) keyed by the prefix plus
+// parts: NewKey(a...).IntN(n, b...) == IntN(n, a..., b...). It panics if
+// n <= 0.
+func (k Key) IntN(n int, parts ...string) int {
+	if n <= 0 {
+		panic("det: IntN with non-positive n")
+	}
+	return int(mix64(hashParts(uint64(k), parts...)) % uint64(n))
+}
+
 // mix64 is the splitmix64 finaliser, a full-avalanche bijection.
 func mix64(h uint64) uint64 {
 	h ^= h >> 30

@@ -53,6 +53,28 @@ func TestKeyUniformMatchesUniform(t *testing.T) {
 	}
 }
 
+// TestKeyContMatchesConcatenation pins Cont: continuing a part in pieces
+// draws exactly what the concatenated part draws, for Uniform and IntN.
+func TestKeyContMatchesConcatenation(t *testing.T) {
+	for _, tc := range []struct{ a, x, y, z string }{
+		{"serp", "FB-t0001-d", "0042", ""},
+		{"stance", "", "0000", "a"},
+		{"filler", "YG-t0123-d", "", "e"},
+		{"", "x", "y", "z"},
+	} {
+		k := NewKey(tc.a).Cont(tc.x)
+		if got, want := k.Uniform(tc.y), Uniform(tc.a, tc.x+tc.y); got != want {
+			t.Errorf("NewKey(%q).Cont(%q).Uniform(%q) = %v, want %v", tc.a, tc.x, tc.y, got, want)
+		}
+		if got, want := k.Cont(tc.y).Uniform(tc.z), Uniform(tc.a, tc.x+tc.y+tc.z); got != want {
+			t.Errorf("Cont twice: got %v, want %v", got, want)
+		}
+		if got, want := k.IntN(7, tc.y, tc.z), IntN(7, tc.a, tc.x+tc.y, tc.z); got != want {
+			t.Errorf("NewKey(%q).Cont(%q).IntN(7, %q, %q) = %d, want %d", tc.a, tc.x, tc.y, tc.z, got, want)
+		}
+	}
+}
+
 func BenchmarkUniformFull(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		Uniform("serp", "who founded the regional registry and when", "FB-t0001-d0042")

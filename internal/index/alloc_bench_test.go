@@ -1,7 +1,6 @@
 package index
 
 import (
-	"fmt"
 	"testing"
 
 	"factcheck/internal/det"
@@ -19,33 +18,23 @@ func benchIndex(b *testing.B) (*Index, text.SparseVector) {
 		for w := 3 + rng.IntN(20); w > 0; w-- {
 			toks = append(toks, vocab[rng.IntN(len(vocab))])
 		}
-		bl.Add(fmt.Sprintf("f-d%04d", i), toks)
+		bl.Add(toks)
 	}
 	return bl.Build(), text.SparseEmbed("alpha beta gamma")
 }
 
 // BenchmarkTopKWarm proves the arena makes warm queries alloc-free: with a
-// reused Arena and a prebuilt perturbation closure, both the exhaustive and
-// the pruned paths must report 0 allocs/op.
+// reused Arena, a reused hit buffer and a prebuilt perturbation closure,
+// TopK must report 0 allocs/op.
 func BenchmarkTopKWarm(b *testing.B) {
 	ix, q := benchIndex(b)
-	perturb := func(id string) float64 { return 0.05 * det.Uniform("bench", id) }
-	b.Run("indexed", func(b *testing.B) {
-		a := &Arena{}
-		ix.TopKSparse(q, 8, perturb, a) // warm the arena
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ix.TopKSparse(q, 8, perturb, a)
-		}
-	})
-	b.Run("pruned", func(b *testing.B) {
-		a := &Arena{}
-		ix.TopKPruned(q, 8, perturb, 0.05, a)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ix.TopKPruned(q, 8, perturb, 0.05, a)
-		}
-	})
+	rows := sharedRows(ix.Docs())
+	perturb := func(r int) float64 { return 0.05 * det.Key(r).Uniform("bench") }
+	a := &Arena{}
+	hits := ix.TopK(q, 8, rows, perturb, nil, nil, a) // warm the arena
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		hits = ix.TopK(q, 8, rows, perturb, nil, hits[:0], a)
+	}
 }

@@ -2,7 +2,7 @@ package index
 
 import (
 	"fmt"
-	"sort"
+	"reflect"
 	"testing"
 
 	"factcheck/internal/det"
@@ -11,7 +11,7 @@ import (
 
 // buildFixture indexes n synthetic documents and returns the index plus the
 // dense vectors the linear-scan reference would have embedded.
-func buildFixture(n int) (*Index, []text.Vector, []string) {
+func buildFixture(n int) (*Index, []text.Vector) {
 	bodies := []string{
 		"Alexander married the duchess in the capital city",
 		"the museum catalogue lists the painting under disputed provenance",
@@ -22,44 +22,27 @@ func buildFixture(n int) (*Index, []text.Vector, []string) {
 	}
 	b := NewBuilder(n)
 	var vecs []text.Vector
-	var ids []string
 	for i := 0; i < n; i++ {
-		id := fmt.Sprintf("fact-000001-d%04d", i)
 		body := bodies[i%len(bodies)]
-		title := fmt.Sprintf("document %d", i)
-		terms := text.ContentTokens(title + " " + body)
-		b.Add(id, terms)
+		title := fmt.Sprintf("document %d", i%7)
+		b.Add(text.ContentTokens(title + " " + body))
 		vecs = append(vecs, text.Embed(title+" "+body))
-		ids = append(ids, id)
 	}
-	return b.Build(), vecs, ids
+	return b.Build(), vecs
 }
 
-// scanRank is the dense reference ranking: cosine over full vectors, full
-// sort, truncate.
-func scanRank(q text.Vector, vecs []text.Vector, ids []string, k int, perturb func(string) float64) []Hit {
-	hits := make([]Hit, len(ids))
-	for i := range ids {
-		s := text.Cosine(q, vecs[i])
-		if perturb != nil {
-			s += perturb(ids[i])
-		}
-		hits[i] = Hit{Doc: i, ID: ids[i], Score: s}
+// sharedRows maps 3n rows onto n documents, every document read by
+// several rows in an order unrelated to its own.
+func sharedRows(n int) []int32 {
+	rows := make([]int32, 3*n)
+	for r := range rows {
+		rows[r] = int32((r * 7) % n)
 	}
-	sort.SliceStable(hits, func(i, j int) bool {
-		if hits[i].Score != hits[j].Score {
-			return hits[i].Score > hits[j].Score
-		}
-		return hits[i].ID < hits[j].ID
-	})
-	if len(hits) > k {
-		hits = hits[:k]
-	}
-	return hits
+	return rows
 }
 
 func TestTopKMatchesDenseScan(t *testing.T) {
-	ix, vecs, ids := buildFixture(50)
+	ix, vecs := buildFixture(50)
 	queries := []string{
 		"Alexander married the duchess",
 		"prize for chemistry",
@@ -67,56 +50,67 @@ func TestTopKMatchesDenseScan(t *testing.T) {
 		"completely unrelated query about submarines",
 		"document",
 	}
-	perturb := func(id string) float64 { return 0.05 * det.Uniform("serp-test", id) }
-	for _, q := range queries {
-		qv := text.Embed(q)
-		for _, k := range []int{1, 3, 10, 50, 100} {
-			got := ix.TopK(qv, k, perturb, nil)
-			want := scanRank(qv, vecs, ids, k, perturb)
-			if len(got) != len(want) {
-				t.Fatalf("q=%q k=%d: %d hits, want %d", q, k, len(got), len(want))
-			}
-			for i := range want {
-				if got[i].ID != want[i].ID || got[i].Score != want[i].Score || got[i].Doc != want[i].Doc {
-					t.Fatalf("q=%q k=%d hit %d: got %+v, want %+v", q, k, i, got[i], want[i])
+	perturb := func(r int) float64 { return 0.05 * det.Uniform("serp-test", fmt.Sprint(r)) }
+	for _, rows := range [][]int32{identityRows(50), sharedRows(50)} {
+		for _, q := range queries {
+			for _, k := range []int{1, 3, 10, 50, 100, 200} {
+				got := ix.TopK(text.SparseEmbed(q), k, rows, perturb, nil, nil, nil)
+				want := denseTopK(text.Embed(q), vecs, rows, k, perturb, nil)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("q=%q k=%d rows=%d:\ngot  %v\nwant %v", q, k, len(rows), got, want)
 				}
 			}
 		}
 	}
 }
 
+// TestTopKTieBreakByDocID pins the tie-break: rows of one document tie on
+// cosine, and with no perturbation the order falls back to the row
+// comparison — here doc ID ascending, which disagrees with row order,
+// including an ID whose sequence number passes four digits.
 func TestTopKTieBreakByDocID(t *testing.T) {
-	// Identical documents tie on cosine; with no perturbation the order must
-	// fall back to doc ID ascending.
-	// Pool order deliberately disagrees with ID order.
-	b := NewBuilder(4)
-	ids := []string{"f-d0003", "f-d0001", "f-d0002", "f-d0000"}
-	for _, id := range ids {
-		b.Add(id, []string{"same", "tokens"})
-	}
+	b := NewBuilder(1)
+	b.Add([]string{"same", "tokens"})
 	ix := b.Build()
-	hits := ix.TopK(text.Embed("same tokens"), 4, nil, nil)
-	want := []string{"f-d0000", "f-d0001", "f-d0002", "f-d0003"}
+	ids := []string{"f-d0003", "f-d0001", "f-d10000", "f-d0002", "f-d9999", "f-d0000"}
+	hits := ix.TopK(text.SparseEmbed("same tokens"), len(ids), make([]int32, len(ids)), nil, idCmp(ids), nil, nil)
+	want := []string{"f-d0000", "f-d0001", "f-d0002", "f-d0003", "f-d10000", "f-d9999"}
 	for i, w := range want {
-		if hits[i].ID != w {
-			t.Fatalf("hit %d = %q, want %q (tie-break by ID)", i, hits[i].ID, w)
+		if ids[hits[i].Row] != w {
+			t.Fatalf("hit %d = %q, want %q (tie-break by ID)", i, ids[hits[i].Row], w)
+		}
+	}
+	// Without a comparison, ties fall back to row order.
+	hits = ix.TopK(text.SparseEmbed("same tokens"), 3, make([]int32, len(ids)), nil, nil, nil, nil)
+	for i, h := range hits {
+		if h.Row != i {
+			t.Fatalf("hit %d is row %d, want row order", i, h.Row)
 		}
 	}
 }
 
 func TestTopKEdgeCases(t *testing.T) {
-	ix, _, _ := buildFixture(5)
-	if got := ix.TopK(text.Embed("anything"), 0, nil, nil); got != nil {
+	ix, _ := buildFixture(5)
+	rows := identityRows(5)
+	q := text.SparseEmbed("anything")
+	if got := ix.TopK(q, 0, rows, nil, nil, nil, nil); got != nil {
 		t.Errorf("k=0: got %d hits, want none", len(got))
 	}
-	if got := ix.TopK(text.Embed("anything"), -1, nil, nil); got != nil {
+	if got := ix.TopK(q, -1, rows, nil, nil, nil, nil); got != nil {
 		t.Errorf("k<0: got %d hits, want none", len(got))
 	}
-	if got := ix.TopK(text.Embed("anything"), 99, nil, nil); len(got) != 5 {
+	if got := ix.TopK(q, 99, rows, nil, nil, nil, nil); len(got) != 5 {
 		t.Errorf("k>pool: got %d hits, want 5", len(got))
 	}
+	if got := ix.TopK(q, 3, nil, nil, nil, nil, nil); got != nil {
+		t.Errorf("no rows: got %d hits, want none", len(got))
+	}
+	dst := []Hit{{Row: 9, Score: 9}}
+	if got := ix.TopK(q, 2, rows, nil, nil, dst, nil); len(got) != 3 || got[0] != dst[0] {
+		t.Errorf("dst not appended to: %v", got)
+	}
 	empty := NewBuilder(0).Build()
-	if got := empty.TopK(text.Embed("anything"), 10, nil, nil); got != nil {
+	if got := empty.TopK(q, 10, nil, nil, nil, nil, nil); got != nil {
 		t.Errorf("empty index: got %d hits, want none", len(got))
 	}
 	if empty.Docs() != 0 || empty.Postings() != 0 {
@@ -126,8 +120,8 @@ func TestTopKEdgeCases(t *testing.T) {
 
 func TestIndexStats(t *testing.T) {
 	b := NewBuilder(2)
-	b.Add("a-d0000", []string{"alpha", "beta"})
-	b.Add("a-d0001", []string{"alpha"})
+	b.Add([]string{"alpha", "beta"})
+	b.Add([]string{"alpha"})
 	ix := b.Build()
 	if ix.Docs() != 2 {
 		t.Errorf("Docs = %d, want 2", ix.Docs())
@@ -138,7 +132,11 @@ func TestIndexStats(t *testing.T) {
 	if ix.Postings() != 3 {
 		t.Errorf("Postings = %d, want 3", ix.Postings())
 	}
-	if ix.ID(0) != "a-d0000" || ix.ID(1) != "a-d0001" {
-		t.Errorf("ID table wrong: %q %q", ix.ID(0), ix.ID(1))
+	// Five rows over the two documents: "alpha" reads both documents'
+	// postings once, and all five rows are ranked.
+	a := &Arena{}
+	ix.TopK(text.SparseEmbed("alpha"), 2, []int32{0, 1, 1, 0, 1}, nil, nil, nil, a)
+	if a.Stats.PostingsTouched != 2 || a.Stats.DocsScored != 5 {
+		t.Errorf("Stats = %+v, want 2 postings touched, 5 rows scored", a.Stats)
 	}
 }

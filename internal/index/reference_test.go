@@ -1,106 +1,124 @@
 package index
 
-import "factcheck/internal/text"
+import (
+	"sort"
 
-// The exhaustive top-k paths TopKPruned replaced, kept as the references
-// of the golden ladder (pruned == sparse == dense) and as the baselines of
-// the pruning benches.
+	"factcheck/internal/text"
+)
 
-// Add indexes one document from its term stream (content tokens of
-// title + body). The document's weights are derived via
-// text.SparseEmbedTokens, bit-identical to the dense vector the
-// linear-scan engine embedded.
-func (b *Builder) Add(docID string, terms []string) {
-	b.AddVec(docID, text.SparseEmbedTokens(terms))
+// The exhaustive per-row rankings TopK is pinned against: every row scored
+// from its own document's vector, the whole list sorted by (score desc,
+// cmp asc) and truncated.
+
+// Builder collects document vectors for Build, in document order.
+type Builder struct {
+	vecs []text.SparseVector
 }
 
-// TopK scores every pool document against the query vector and returns the
-// k best under (score desc, doc ID asc). perturb, when non-nil, adds an
-// extra per-document score component (the engine's deterministic SERP
-// jitter) after the cosine is clamped to [0,1] — every document receives
-// it, including those sharing no term with the query. a may be nil (a
-// temporary arena is allocated); when non-nil the returned slice aliases
-// it.
-func (ix *Index) TopK(q text.Vector, k int, perturb func(docID string) float64, a *Arena) []Hit {
-	n := len(ix.ids)
-	if k > n {
-		k = n
+// NewBuilder returns a builder sized for about capHint documents.
+func NewBuilder(capHint int) *Builder {
+	return &Builder{vecs: make([]text.SparseVector, 0, capHint)}
+}
+
+// AddVec adds the next document from its sparse embedding.
+func (b *Builder) AddVec(v text.SparseVector) { b.vecs = append(b.vecs, v) }
+
+// Add adds the next document from its term stream (content tokens of
+// title + body). Its weights are derived via text.SparseEmbedTokens,
+// bit-identical to the dense vector the linear-scan engine embedded.
+func (b *Builder) Add(terms []string) {
+	b.AddVec(text.SparseEmbedTokens(terms))
+}
+
+// Build indexes the added documents.
+func (b *Builder) Build() *Index {
+	return Build(len(b.vecs), func(d int) text.SparseVector { return b.vecs[d] })
+}
+
+// rankRows orders rows by (score desc, cmp asc) — (score desc, row asc)
+// when cmp is nil — and returns the first k, nil when there are none.
+func rankRows(scores []float64, k int, cmp func(a, b int) int) []Hit {
+	hits := make([]Hit, len(scores))
+	for r, s := range scores {
+		hits[r] = Hit{Row: r, Score: s}
 	}
-	if k <= 0 || n == 0 {
+	sort.SliceStable(hits, func(i, j int) bool {
+		if hits[i].Score != hits[j].Score {
+			return hits[i].Score > hits[j].Score
+		}
+		if cmp != nil {
+			return cmp(hits[i].Row, hits[j].Row) < 0
+		}
+		return hits[i].Row < hits[j].Row
+	})
+	if k > len(hits) {
+		k = len(hits)
+	}
+	if k <= 0 {
 		return nil
 	}
-	if a == nil {
-		a = &Arena{}
-	}
-	// Term-at-a-time accumulation, query dimensions ascending: each
-	// document's accumulator receives exactly the non-zero products of the
-	// dense cosine loop, in the same order.
-	acc := a.accumulator(n)
-	for dim := 0; dim < text.VectorDim; dim++ {
-		qw := q[dim]
-		if qw == 0 {
-			continue
-		}
-		dl, ok := ix.dims[int32(dim)]
-		if !ok {
-			continue
-		}
-		for _, p := range dl.postings {
-			acc[p.Doc] += float64(qw) * float64(p.Weight)
-		}
-	}
-	return ix.selectTopK(acc, k, perturb, a)
+	return hits[:k]
 }
 
-// TopKSparse is TopK over a sparse query vector: accumulation skips the
-// dense 1024-dimension sweep and visits only the query's non-zero
-// dimensions — already ascending in a SparseVector — so the accumulated
-// scores, and therefore the selected top k, are bit-identical to TopK over
-// the dense equivalent.
-func (ix *Index) TopKSparse(q text.SparseVector, k int, perturb func(docID string) float64, a *Arena) []Hit {
-	n := len(ix.ids)
-	if k > n {
-		k = n
-	}
-	if k <= 0 || n == 0 {
-		return nil
-	}
-	if a == nil {
-		a = &Arena{}
-	}
-	acc := a.accumulator(n)
-	for i, dim := range q.Dims {
-		dl, ok := ix.dims[dim]
-		if !ok {
-			continue
-		}
-		qw := q.Weights[i]
-		for _, p := range dl.postings {
-			acc[p.Doc] += float64(qw) * float64(p.Weight)
-		}
-	}
-	return ix.selectTopK(acc, k, perturb, a)
-}
-
-// selectTopK turns the accumulated cosines into the k best hits under
-// (score desc, doc ID asc), applying the clamp and the perturbation.
-func (ix *Index) selectTopK(acc []float64, k int, perturb func(docID string) float64, a *Arena) []Hit {
-	n := len(ix.ids)
-	// Bounded min-heap of the k best seen so far; the root is the current
-	// worst, ordered by (score asc, doc ID desc) so "worse than root" means
-	// "not in the top k".
-	h := a.heap(k)
-	for i := 0; i < n; i++ {
-		s := acc[i]
-		// Mirror text.Cosine's clamp before the perturbation is applied.
-		if s > 1 {
-			s = 1
-		}
-		id := ix.ids[i]
+// denseTopK is the dense reference: text.Cosine of the query against each
+// row's document, plus the row's perturbation.
+func denseTopK(q text.Vector, docs []text.Vector, rowDoc []int32, k int, perturb func(int) float64, cmp func(a, b int) int) []Hit {
+	scores := make([]float64, len(rowDoc))
+	for r, d := range rowDoc {
+		scores[r] = text.Cosine(q, docs[d])
 		if perturb != nil {
-			s += perturb(id)
+			scores[r] += perturb(r)
 		}
-		h = pushHit(h, k, Hit{Doc: i, ID: id, Score: s})
 	}
-	return sortHits(h, a)
+	return rankRows(scores, k, cmp)
+}
+
+// sparseTopK is the sparse reference: each row's cosine merge-joined from
+// the query and its document's sparse vector in ascending dimension
+// order, clamped, plus the row's perturbation.
+func sparseTopK(q text.SparseVector, docs []text.SparseVector, rowDoc []int32, k int, perturb func(int) float64, cmp func(a, b int) int) []Hit {
+	scores := make([]float64, len(rowDoc))
+	for r, d := range rowDoc {
+		v := docs[d]
+		var s float64
+		for i, j := 0, 0; i < len(q.Dims) && j < len(v.Dims); {
+			switch {
+			case q.Dims[i] < v.Dims[j]:
+				i++
+			case q.Dims[i] > v.Dims[j]:
+				j++
+			default:
+				s += float64(q.Weights[i]) * float64(v.Weights[j])
+				i++
+				j++
+			}
+		}
+		scores[r] = min(s, 1)
+		if perturb != nil {
+			scores[r] += perturb(r)
+		}
+	}
+	return rankRows(scores, k, cmp)
+}
+
+// identityRows maps n rows to documents 0..n-1.
+func identityRows(n int) []int32 {
+	rows := make([]int32, n)
+	for i := range rows {
+		rows[i] = int32(i)
+	}
+	return rows
+}
+
+// idCmp orders rows by their IDs.
+func idCmp(ids []string) func(a, b int) int {
+	return func(a, b int) int {
+		switch {
+		case ids[a] < ids[b]:
+			return -1
+		case ids[a] > ids[b]:
+			return 1
+		}
+		return 0
+	}
 }

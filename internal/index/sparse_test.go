@@ -9,38 +9,38 @@ import (
 	"factcheck/internal/text"
 )
 
-func sparseFixture() *Index {
-	b := NewBuilder(8)
-	docs := []string{
-		"alpha beta gamma delta",
-		"alpha alpha beta",
-		"gamma delta epsilon zeta",
-		"unrelated filler content entirely",
-		"alpha beta gamma delta epsilon zeta eta theta",
-		"",
-	}
-	for i, d := range docs {
-		b.Add(fmt.Sprintf("f-d%04d", i), text.ContentTokens(d))
-	}
-	return b.Build()
+var sparseDocs = []string{
+	"alpha beta gamma delta",
+	"alpha alpha beta",
+	"gamma delta epsilon zeta",
+	"unrelated filler content entirely",
+	"alpha beta gamma delta epsilon zeta eta theta",
+	"",
 }
 
-// TestTopKSparseMatchesDense pins sparse-query accumulation byte-identical
-// to the dense TopK across k values, with and without perturbation.
+// TestTopKSparseMatchesDense pins the sparse reference byte-identical to
+// the dense one across k values, with and without perturbation, so either
+// can stand as TopK's reference.
 func TestTopKSparseMatchesDense(t *testing.T) {
-	ix := sparseFixture()
+	var dense []text.Vector
+	var sparse []text.SparseVector
+	for _, d := range sparseDocs {
+		dense = append(dense, text.Embed(d))
+		sparse = append(sparse, text.SparseEmbed(d))
+	}
+	rows := sharedRows(len(sparseDocs))
 	queries := []string{"alpha beta", "epsilon zeta eta", "nothing matches here", ""}
-	perturbs := []func(string) float64{
+	perturbs := []func(int) float64{
 		nil,
-		func(id string) float64 { return 0.05 * det.Uniform("serp", "q", id) },
+		func(r int) float64 { return 0.05 * det.Uniform("serp", "q", fmt.Sprint(r)) },
 	}
 	for _, q := range queries {
 		for pi, perturb := range perturbs {
 			for _, k := range []int{0, 1, 3, 6, 99} {
-				dense := ix.TopK(text.Embed(q), k, perturb, nil)
-				sparse := ix.TopKSparse(text.SparseEmbed(q), k, perturb, nil)
-				if !reflect.DeepEqual(dense, sparse) {
-					t.Fatalf("q=%q perturb=%d k=%d: dense %v != sparse %v", q, pi, k, dense, sparse)
+				d := denseTopK(text.Embed(q), dense, rows, k, perturb, nil)
+				s := sparseTopK(text.SparseEmbed(q), sparse, rows, k, perturb, nil)
+				if !reflect.DeepEqual(d, s) {
+					t.Fatalf("q=%q perturb=%d k=%d: dense %v != sparse %v", q, pi, k, d, s)
 				}
 			}
 		}
@@ -58,24 +58,17 @@ func TestAddVecMatchesAdd(t *testing.T) {
 	}
 	a := NewBuilder(len(docs))
 	v := NewBuilder(len(docs))
-	for i, terms := range docs {
-		id := fmt.Sprintf("f-d%04d", i)
-		a.Add(id, terms)
-		v.AddVec(id, text.SparseEmbedTokens(terms))
+	for _, terms := range docs {
+		a.Add(terms)
+		v.AddVec(text.SparseEmbedTokens(terms))
 	}
 	ia, iv := a.Build(), v.Build()
-	if ia.Postings() != iv.Postings() || ia.Docs() != iv.Docs() {
-		t.Fatalf("shape mismatch: %d/%d postings, %d/%d docs",
-			ia.Postings(), iv.Postings(), ia.Docs(), iv.Docs())
-	}
-	// The forward store hands back each document's vector as added.
-	for i, terms := range docs {
-		if got, want := iv.Vec(i), text.SparseEmbedTokens(terms); !reflect.DeepEqual(got, want) {
-			t.Errorf("Vec(%d) = %v, added %v", i, got, want)
-		}
+	if !reflect.DeepEqual(ia, iv) {
+		t.Fatalf("indexes differ:\n%+v\n%+v", ia, iv)
 	}
 	q := text.SparseEmbed("alpha beta delta epsilon")
-	if got, want := iv.TopKSparse(q, 3, nil, nil), ia.TopKSparse(q, 3, nil, nil); !reflect.DeepEqual(got, want) {
+	rows := identityRows(len(docs))
+	if got, want := iv.TopK(q, 3, rows, nil, nil, nil, nil), ia.TopK(q, 3, rows, nil, nil, nil, nil); !reflect.DeepEqual(got, want) {
 		t.Fatalf("rankings differ: %v vs %v", got, want)
 	}
 }

@@ -377,13 +377,25 @@ func (p *Pipeline) retrieveRows(ctx context.Context, f *dataset.Fact, ev *Eviden
 	endSearch()
 
 	// Phase 4a: rerank the usable candidates against the sentence from
-	// their precomputed vectors.
+	// their precomputed vectors. A score is a function of the candidate's
+	// vector and text alone, so rows sharing a variant share one score.
 	endRerank := phaseSpan(ctx, "rag_rerank", rerankHist)
 	scored := make([]search.Hit, 0, len(rows))
+	// byVariant[v] is variant v's score, -1 while unscored (scores are
+	// sigmoid outputs in (0,1)).
+	byVariant := make([]float64, pool.NumVariants())
+	for v := range byVariant {
+		byVariant[v] = -1
+	}
 	for _, r := range rows {
-		if pool.Usable(r) {
-			scored = append(scored, search.Hit{Row: r, Score: score(pool.Vec(r), pool.Full(r))})
+		if !pool.Usable(r) {
+			continue
 		}
+		v := pool.Variant(r)
+		if byVariant[v] < 0 {
+			byVariant[v] = score(pool.Vec(r), pool.Full(r))
+		}
+		scored = append(scored, search.Hit{Row: r, Score: byVariant[v]})
 	}
 	// (score desc, doc ID asc) is a total order: doc IDs are unique.
 	slices.SortFunc(scored, func(a, b search.Hit) int {
@@ -393,7 +405,7 @@ func (p *Pipeline) retrieveRows(ctx context.Context, f *dataset.Fact, ev *Eviden
 		case a.Score < b.Score:
 			return 1
 		}
-		return strings.Compare(pool.ID(a.Row), pool.ID(b.Row))
+		return pool.CompareIDs(a.Row, b.Row)
 	})
 	if len(scored) > cfg.SelectedDocs {
 		scored = scored[:cfg.SelectedDocs]

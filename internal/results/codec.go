@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"math"
 	"time"
+	"unique"
 
 	"factcheck/internal/llm"
 	"factcheck/internal/strategy"
@@ -202,17 +203,21 @@ func encodeOutcome(e *encoder, o *strategy.Outcome) {
 	e.i64(int64(o.Attempts))
 	e.str(o.Explanation)
 	e.i64(int64(o.EvidenceChunks))
-	e.str(o.Claim.Key)
-	e.str(o.Claim.FactID)
-	e.str(o.Claim.Dataset)
-	e.boolean(o.Claim.Gold)
-	e.f64(o.Claim.Popularity)
-	e.str(o.Claim.Category)
-	e.str(o.Claim.Topic)
-	e.str(o.Claim.Sentence)
-	e.str(o.Claim.SubjectLabel)
-	e.str(o.Claim.ObjectLabel)
-	e.str(o.Claim.Phrase)
+	var c llm.Claim
+	if o.Claim != (unique.Handle[llm.Claim]{}) {
+		c = o.Claim.Value()
+	}
+	e.str(c.Key)
+	e.str(c.FactID)
+	e.str(c.Dataset)
+	e.boolean(c.Gold)
+	e.f64(c.Popularity)
+	e.str(c.Category)
+	e.str(c.Topic)
+	e.str(c.Sentence)
+	e.str(c.SubjectLabel)
+	e.str(c.ObjectLabel)
+	e.str(c.Phrase)
 }
 
 func decodeOutcome(d *decoder, o *strategy.Outcome) error {
@@ -258,19 +263,26 @@ func decodeOutcome(d *decoder, o *strategy.Outcome) error {
 	readInt(&o.Attempts)
 	read(&o.Explanation)
 	readInt(&o.EvidenceChunks)
-	read(&o.Claim.Key)
-	read(&o.Claim.FactID)
-	read(&o.Claim.Dataset)
-	readBool(&o.Claim.Gold)
+	var c llm.Claim
+	read(&c.Key)
+	read(&c.FactID)
+	read(&c.Dataset)
+	readBool(&c.Gold)
 	if err == nil {
-		o.Claim.Popularity, err = d.f64()
+		c.Popularity, err = d.f64()
 	}
-	read(&o.Claim.Category)
-	read(&o.Claim.Topic)
-	read(&o.Claim.Sentence)
-	read(&o.Claim.SubjectLabel)
-	read(&o.Claim.ObjectLabel)
-	read(&o.Claim.Phrase)
+	read(&c.Category)
+	read(&c.Topic)
+	read(&c.Sentence)
+	read(&c.SubjectLabel)
+	read(&c.ObjectLabel)
+	read(&c.Phrase)
+	// The all-zero claim reads back as the zero handle it was written
+	// from. A popularity of -0 compares equal to 0 but is not the zero
+	// claim's, so it keeps a handle and re-encodes to the same bits.
+	if err == nil && (c != (llm.Claim{}) || math.Signbit(c.Popularity)) {
+		o.Claim = unique.Make(c)
+	}
 	return err
 }
 

@@ -5,11 +5,14 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
+	"unique"
 
 	"factcheck/internal/dataset"
 	"factcheck/internal/llm"
@@ -35,7 +38,7 @@ func testOutcomes() []strategy.Outcome {
 			Attempts:         1,
 			Explanation:      "evidence supports the claim — café documents agree",
 			EvidenceChunks:   7,
-			Claim: llm.Claim{
+			Claim: unique.Make(llm.Claim{
 				Key:          "person-12|birthPlace|city-3",
 				FactID:       "factbench-000017",
 				Dataset:      "FactBench",
@@ -47,7 +50,7 @@ func testOutcomes() []strategy.Outcome {
 				SubjectLabel: "Ada Example",
 				ObjectLabel:  "Sampleville",
 				Phrase:       "was born in",
-			},
+			}),
 		},
 		{
 			FactID:  "yago-000002",
@@ -91,6 +94,48 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCodecClaimRoundTrip pins the interned claim through the codec: the
+// zero handle reads back as the zero handle, a claim whose only non-zero
+// field is a negative-zero or NaN popularity reads back as a claim with
+// those exact bits, and equal claims read back as one handle.
+func TestCodecClaimRoundTrip(t *testing.T) {
+	claims := []unique.Handle[llm.Claim]{
+		{},
+		unique.Make(llm.Claim{Popularity: math.Copysign(0, -1)}),
+		unique.Make(llm.Claim{Popularity: math.NaN()}),
+		unique.Make(llm.Claim{Key: "k", Popularity: math.NaN()}),
+		testOutcomes()[0].Claim,
+	}
+	outs := make([]strategy.Outcome, len(claims))
+	for i, c := range claims {
+		outs[i] = strategy.Outcome{FactID: fmt.Sprint("f-", i), Claim: c}
+	}
+	data := Encode(7, outs)
+	_, got, err := Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(Encode(7, got), data) {
+		t.Fatal("re-encoding the decoded outcomes changed the bytes")
+	}
+	if got[0].Claim != (unique.Handle[llm.Claim]{}) {
+		t.Errorf("zero claim decoded as %+v, want the zero handle", got[0].Claim.Value())
+	}
+	for i := 1; i < len(claims); i++ {
+		g, w := got[i].Claim.Value(), claims[i].Value()
+		if math.Float64bits(g.Popularity) != math.Float64bits(w.Popularity) {
+			t.Errorf("claim %d: popularity bits %x, want %x", i, math.Float64bits(g.Popularity), math.Float64bits(w.Popularity))
+		}
+		g.Popularity, w.Popularity = 0, 0
+		if g != w {
+			t.Errorf("claim %d: decoded %+v, want %+v", i, g, w)
+		}
+	}
+	if got[4].Claim != claims[4] {
+		t.Error("decoded claim is not the interned handle of an equal claim")
+	}
+}
+
 func TestCodecDeterministic(t *testing.T) {
 	fp := testKey().Fingerprint()
 	a := Encode(fp, testOutcomes())
@@ -111,7 +156,7 @@ func TestCodecGolden(t *testing.T) {
 		Verdict: strategy.False,
 		Gold:    true,
 		Latency: 5 * time.Millisecond,
-		Claim:   llm.Claim{Key: "k", Popularity: 0.5},
+		Claim:   unique.Make(llm.Claim{Key: "k", Popularity: 0.5}),
 	}}
 	got := hex.EncodeToString(Encode(Fingerprint(0xdeadbeef12345678), outs))
 	const want = "4643525301deadbeef123456780000000000000001000000000000000366" +

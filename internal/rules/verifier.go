@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"time"
+	"unique"
 
 	"factcheck/internal/dataset"
 	"factcheck/internal/llm"
@@ -80,7 +81,7 @@ func (a *Augmented) Verify(ctx context.Context, m llm.Model, f *dataset.Fact) (s
 		Latency:     ruleLatency,
 		Attempts:    0,
 		Explanation: "[rule:" + r.Rule + "] " + r.Explanation,
-		Claim:       strategy.ClaimFor(f),
+		Claim:       unique.Make(strategy.ClaimFor(f)),
 	}
 	if r.Verdict == Entailed {
 		out.Verdict = strategy.True

@@ -10,9 +10,12 @@
 package search
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -71,10 +74,12 @@ type Searcher interface {
 // scheduling properties (e.g. that unrelated facts materialise
 // concurrently).
 type PoolSource interface {
-	// Materialize generates the fact's full pool — metadata, body text and
-	// document embeddings — in pool order. Document i's Seq is i.
-	Materialize(f *dataset.Fact) []corpus.Materialized
-	// PoolSize returns len(Materialize(f)) without generating the pool.
+	// Materialize generates the fact's compact pool: one row per document,
+	// in sequence order, over the pool's distinct variant texts and their
+	// embeddings.
+	Materialize(f *dataset.Fact) *corpus.Pool
+	// PoolSize returns len(Materialize(f).Rows) without generating the
+	// pool.
 	PoolSize(f *dataset.Fact) int
 }
 
@@ -128,18 +133,21 @@ type Engine struct {
 	// pool materialised (or re-materialised after eviction) replays it on
 	// top of the generated base, so an incrementally built corpus is
 	// byte-identical to the same corpus built cold.
-	log map[string][]*pooledDoc
+	log map[string][]*ingestedDoc
 	// factDigests chains a content digest over each fact's ingested
 	// documents (0 = pristine). Folded into the per-dataset corpus
 	// digests that join result fingerprints.
 	factDigests map[string]uint64
 
+	// evict picks eviction victims; guarded by mu.
+	evict evictor
+
 	hits, misses, evicted atomic.Int64
 
-	// arenas pools per-query top-k scratch state (accumulators, heap,
-	// candidate stamps), so warm queries allocate nothing.
+	// arenas pools per-query top-k scratch state (accumulators, scores,
+	// sort keys), so warm queries allocate nothing.
 	arenas sync.Pool
-	// retrieval accumulates pruning counters across all queries.
+	// retrieval accumulates top-k work counters across all queries.
 	retrieval retrievalCounters
 }
 
@@ -225,11 +233,10 @@ func (t *poolTable) del(factID string) {
 	}
 }
 
-// retrievalCounters aggregates the pruned path's work counters.
+// retrievalCounters aggregates the top-k work counters.
 type retrievalCounters struct {
 	queries         atomic.Int64
 	postingsTouched atomic.Int64
-	blocksSkipped   atomic.Int64
 	docsScored      atomic.Int64
 }
 
@@ -250,51 +257,132 @@ type factEntry struct {
 	pool *factPool
 }
 
-// factPool is a fully materialised fact: the pool-ordered documents and
-// the inverted index. Everything except the documents' lazily built
-// sentence splits and the lastUsed clock is immutable after construction.
-// A doc ID resolves to its row through the sequence number it ends in
-// (see doc), so the pool needs no ID map.
+// factPool is a fully materialised fact: its rows, the distinct texts
+// (variants) they read, and the inverted index over those texts.
+// Everything except the lazily built sentence splits and the lastUsed
+// clock is immutable after construction. A row's doc ID and URL are
+// derived from the fact ID and its sequence number when asked for, and a
+// doc ID resolves to its row through that number (see row), so the pool
+// holds no per-document string.
 type factPool struct {
-	// docs holds the generated documents in sequence order, then the
-	// ingested ones in arrival order.
-	docs []*pooledDoc
-	// generated is the number of generated documents, docs[:generated].
-	generated int
-	idx       *index.Index
+	factID string
+	// slug is the URL path segment of the fact's subject.
+	slug string
+	// rows are the generated documents: row i has sequence number i.
+	rows []corpus.Row
+	// vars are the generated variants and splits their sentence splits;
+	// every pool version folded from this one shares both.
+	vars   []corpus.Variant
+	splits []lazySplit
+	// ingested holds the live-ingested documents in arrival order, rows
+	// len(rows) onwards; each is its own variant.
+	ingested []*ingestedDoc
+	// rowDoc maps every row to its indexed document: a generated row to its
+	// variant, ingested row len(rows)+j to document len(vars)+j.
+	rowDoc []int32
+	idx    *index.Index
 	// epoch is the fact's ingestion epoch this pool was built at.
 	epoch uint64
 
 	// lastUsed is the snapshot generation of the pool's most recent use —
-	// the lock-free LRU approximation. Readers store the current
-	// generation only when it differs from the stored one, so a warm
-	// phase issues one cheap atomic store per pool per epoch, not per
-	// query; eviction compares generations at publish time.
+	// the lock-free LRU approximation. Readers raise it to the current
+	// generation only when it is older, so a warm phase issues one cheap
+	// atomic update per pool per epoch, not per query, and it never falls;
+	// eviction compares generations at publish time.
 	lastUsed atomic.Uint64
 }
 
-// pooledDoc is one doc-table row: the document, its body, the full
-// "Title + body" rerank-candidate string (body aliases its tail, and the
-// generated rows of one (title, body) variant share both strings), the
-// sparse embedding precomputed by corpus.Materialize, and the lazily built
-// sentence split serving sliding windows of any size. The split is built
-// only for fetched documents, so the extra memory stays bounded by the
-// fetch traffic within the MaxCachedFacts budget.
-type pooledDoc struct {
-	doc  *corpus.Document
-	full string // Title + " " + body
-	text string // body; substring of full
-	vec  text.SparseVector
-
-	splitOnce sync.Once
-	split     *chunk.Split
+// lazySplit is a variant's sentence split serving sliding windows of any
+// size, built on first use (safe for concurrent fetchers). Splits are
+// built only for fetched documents, so the extra memory stays bounded by
+// the fetch traffic within the MaxCachedFacts budget.
+type lazySplit struct {
+	once  sync.Once
+	split *chunk.Split
 }
 
-// sentenceSplit returns the document's sentence split, computing it on
-// first use (safe for concurrent fetchers).
-func (d *pooledDoc) sentenceSplit() *chunk.Split {
-	d.splitOnce.Do(func() { d.split = chunk.NewSplit(d.text) })
-	return d.split
+func (s *lazySplit) get(body string) *chunk.Split {
+	s.once.Do(func() { s.split = chunk.NewSplit(body) })
+	return s.split
+}
+
+// ingestedDoc is one live-ingested document: its sequence number, its
+// wire metadata and its own variant.
+type ingestedDoc struct {
+	seq       int
+	url, host string
+	empty     bool
+	v         corpus.Variant
+	split     lazySplit
+}
+
+// len returns the number of rows.
+func (p *factPool) len() int { return len(p.rows) + len(p.ingested) }
+
+// seq returns the row's sequence number.
+func (p *factPool) seq(row int) int {
+	if row < len(p.rows) {
+		return row
+	}
+	return p.ingested[row-len(p.rows)].seq
+}
+
+// variant returns the row's text and sentence split.
+func (p *factPool) variant(row int) (*corpus.Variant, *lazySplit) {
+	if row < len(p.rows) {
+		v := p.rows[row].Variant
+		return &p.vars[v], &p.splits[v]
+	}
+	d := p.ingested[row-len(p.rows)]
+	return &d.v, &d.split
+}
+
+// id returns the row's doc ID.
+func (p *factPool) id(row int) string { return corpus.DocID(p.factID, p.seq(row)) }
+
+// host returns the row's host.
+func (p *factPool) host(row int) string {
+	if row < len(p.rows) {
+		return corpus.HostName(p.rows[row].Host)
+	}
+	return p.ingested[row-len(p.rows)].host
+}
+
+// usable reports whether the row carries evidence: its extraction did not
+// fail and its body is non-empty.
+func (p *factPool) usable(row int) bool {
+	v, _ := p.variant(row)
+	if row < len(p.rows) {
+		return !p.rows[row].Empty && v.Text != ""
+	}
+	return !p.ingested[row-len(p.rows)].empty && v.Text != ""
+}
+
+// cmpIDs compares the doc IDs of rows a and b without building them. The
+// IDs share the "<fact ID>-d" prefix, so they compare as their sequence
+// digits, which order as the numbers while both have four digits.
+func (p *factPool) cmpIDs(a, b int) int {
+	sa, sb := p.seq(a), p.seq(b)
+	if sa < 10000 && sb < 10000 {
+		return cmp.Compare(sa, sb)
+	}
+	return strings.Compare(corpus.SeqDigits(sa), corpus.SeqDigits(sb))
+}
+
+// payload builds the row's wire-form document.
+func (p *factPool) payload(row int) DocPayload {
+	v, _ := p.variant(row)
+	d := DocPayload{DocID: p.id(row), Title: v.Title, Text: v.Text}
+	if row < len(p.rows) {
+		r := p.rows[row]
+		d.Host = corpus.HostName(r.Host)
+		d.URL = corpus.DocURL(d.Host, p.slug, row)
+		d.Empty = r.Empty
+	} else {
+		in := p.ingested[row-len(p.rows)]
+		d.Host, d.URL, d.Empty = in.host, in.url, in.empty
+	}
+	return d
 }
 
 // NewEngine builds an engine over the documents of the given datasets.
@@ -303,7 +391,7 @@ func NewEngine(gen PoolSource, ds ...*dataset.Dataset) *Engine {
 		gen:         gen,
 		facts:       map[string]*dataset.Fact{},
 		inflight:    map[string]*factEntry{},
-		log:         map[string][]*pooledDoc{},
+		log:         map[string][]*ingestedDoc{},
 		factDigests: map[string]uint64{},
 	}
 	for _, d := range ds {
@@ -342,8 +430,7 @@ func (e *Engine) pool(factID string) (*factPool, error) {
 	sn := e.snap.Load()
 	if p, ok := sn.pools.get(factID); ok {
 		e.hits.Add(1)
-		if p.lastUsed.Load() != sn.gen {
-			p.lastUsed.Store(sn.gen)
+		for g := p.lastUsed.Load(); g < sn.gen && !p.lastUsed.CompareAndSwap(g, sn.gen); g = p.lastUsed.Load() {
 		}
 		return p, nil
 	}
@@ -413,85 +500,133 @@ func (e *Engine) publish(factID string, p *factPool) {
 		digests: old.digests,
 	}
 	p.lastUsed.Store(next.gen)
-	e.evicted.Add(evictOver(&pools))
+	e.evicted.Add(e.evict.evictOver(&pools))
 	pools.copied = 0
 	next.pools = pools
 	e.snap.Store(next)
 }
 
-// evictOver drops least-recently-used pools until the table fits the
-// budget, breaking generation ties by fact ID so eviction order is
-// deterministic. The table is not yet published, so mutation is safe.
-func evictOver(pools *poolTable) int64 {
+// evictor drops least-recently-used pools in (last-use generation, fact
+// ID) order without scanning the whole table for every victim. One scan
+// queues every cached pool in that order; later evictions pop the queue
+// while its head still carries the generation it was queued with.
+// Generations only rise and pools published after the scan carry higher
+// ones, so an unchanged head is still the table's minimum: the victims and
+// their order are exactly those of a full scan per victim. A changed head
+// empties the queue, and the eviction scans again.
+type evictor struct {
+	queue []evictCand
+}
+
+// evictCand is one queued pool and the generation it was queued with.
+type evictCand struct {
+	gen uint64
+	id  string
+}
+
+// evictOver drops pools until the table fits the budget and returns how
+// many it dropped. The table is not yet published, so mutation is safe.
+func (ev *evictor) evictOver(pools *poolTable) int64 {
 	var n int64
 	for pools.n > MaxCachedFacts {
-		victim := ""
-		var vGen uint64
-		for _, shard := range pools.shards {
-			for id, p := range shard {
-				g := p.lastUsed.Load()
-				if victim == "" || g < vGen || (g == vGen && id < victim) {
-					victim, vGen = id, g
-				}
-			}
+		id, ok := ev.pop(pools)
+		if !ok {
+			ev.scan(pools)
+			id = ev.queue[0].id
+			ev.queue = ev.queue[1:]
 		}
-		pools.del(victim)
+		pools.del(id)
 		n++
 	}
 	return n
 }
 
-// materialize generates the fact's pool from the source, replays its
-// ingestion log on top, and builds the inverted index from the embeddings
-// the source computed (one kernel pass per distinct document variant).
-func (e *Engine) materialize(f *dataset.Fact, appended []*pooledDoc, epoch uint64) *factPool {
-	ms := e.gen.Materialize(f)
+// pop dequeues the head if its pool's generation is unchanged. Heads
+// whose pool has left the table are dropped on the way.
+func (ev *evictor) pop(pools *poolTable) (string, bool) {
+	for len(ev.queue) > 0 {
+		c := ev.queue[0]
+		p, ok := pools.get(c.id)
+		if ok && p.lastUsed.Load() != c.gen {
+			ev.queue = ev.queue[:0]
+			return "", false
+		}
+		ev.queue = ev.queue[1:]
+		if ok {
+			return c.id, true
+		}
+	}
+	return "", false
+}
+
+// scan queues every pool of the table by (generation, fact ID).
+func (ev *evictor) scan(pools *poolTable) {
+	q := ev.queue[:0]
+	for _, shard := range pools.shards {
+		for id, p := range shard {
+			q = append(q, evictCand{gen: p.lastUsed.Load(), id: id})
+		}
+	}
+	slices.SortFunc(q, func(a, b evictCand) int {
+		if c := cmp.Compare(a.gen, b.gen); c != 0 {
+			return c
+		}
+		return strings.Compare(a.id, b.id)
+	})
+	ev.queue = q
+}
+
+// materialize generates the fact's compact pool from the source, replays
+// its ingestion log on top, and builds the inverted index over the
+// variants' embeddings.
+func (e *Engine) materialize(f *dataset.Fact, appended []*ingestedDoc, epoch uint64) *factPool {
+	cp := e.gen.Materialize(f)
 	p := &factPool{
-		docs:      make([]*pooledDoc, 0, len(ms)+len(appended)),
-		generated: len(ms),
-		epoch:     epoch,
+		factID: f.ID,
+		slug:   cp.Slug,
+		rows:   cp.Rows,
+		vars:   cp.Variants,
+		splits: make([]lazySplit, len(cp.Variants)),
+		epoch:  epoch,
 	}
-	// The generated rows share one allocation: a pool is published and
-	// evicted as a whole.
-	rows := make([]pooledDoc, len(ms))
-	for i, m := range ms {
-		rows[i] = pooledDoc{doc: m.Doc, full: m.Full, text: m.Text, vec: m.Vec}
-		p.docs = append(p.docs, &rows[i])
-	}
-	p.docs = append(p.docs, appended...)
-	p.idx = buildIndex(p.docs)
-	// The generated rows read their vectors from the index's forward store,
-	// so the pool holds each vector once. Ingested rows keep their own:
-	// every pool version built from the ingestion log shares them.
-	for i := range rows {
-		rows[i].vec = p.idx.Vec(i)
-	}
+	p.index(appended)
 	return p
 }
 
-// buildIndex indexes the pool's documents in pool order.
-func buildIndex(docs []*pooledDoc) *index.Index {
-	b := index.NewBuilder(len(docs))
-	nnz := 0
-	for _, d := range docs {
-		nnz += d.vec.NNZ()
+// index installs the pool's ingested documents and builds its row map and
+// its index: the generated variants in order, then one document per
+// ingested row.
+func (p *factPool) index(ingested []*ingestedDoc) {
+	p.ingested = ingested
+	p.rowDoc = make([]int32, p.len())
+	for i, r := range p.rows {
+		p.rowDoc[i] = int32(r.Variant)
 	}
-	b.Grow(nnz)
-	for _, d := range docs {
-		b.AddVec(d.doc.ID, d.vec)
+	for j := range ingested {
+		p.rowDoc[len(p.rows)+j] = int32(len(p.vars) + j)
 	}
-	return b.Build()
+	p.idx = index.Build(len(p.vars)+len(ingested), func(d int) text.SparseVector {
+		if d < len(p.vars) {
+			return p.vars[d].Vec
+		}
+		return ingested[d-len(p.vars)].v.Vec
+	})
 }
 
-// foldPool extends a pool with newly ingested documents, rebuilding the
-// index over the combined doc sequence. Appending to the same builder
-// sequence a cold build would see keeps the incremental index
-// byte-identical to a from-scratch materialisation.
-func foldPool(p *factPool, appended []*pooledDoc, epoch uint64) *factPool {
-	docs := make([]*pooledDoc, 0, len(p.docs)+len(appended))
-	docs = append(append(docs, p.docs...), appended...)
-	np := &factPool{docs: docs, generated: p.generated, epoch: epoch}
-	np.idx = buildIndex(np.docs)
+// foldPool extends a pool with newly ingested documents: the new version
+// shares the generated rows and variants and re-indexes, so it equals the
+// pool a cold materialisation at the new epoch builds.
+func foldPool(p *factPool, appended []*ingestedDoc, epoch uint64) *factPool {
+	np := &factPool{
+		factID: p.factID,
+		slug:   p.slug,
+		rows:   p.rows,
+		vars:   p.vars,
+		splits: p.splits,
+		epoch:  epoch,
+	}
+	ingested := make([]*ingestedDoc, 0, len(p.ingested)+len(appended))
+	np.index(append(append(ingested, p.ingested...), appended...))
 	return np
 }
 
@@ -515,9 +650,9 @@ func (e *Engine) Search(factID, query string, n int) ([]SERPItem, error) {
 	hits := pl.Search(query, n, nil)
 	out := make([]SERPItem, len(hits))
 	for i, h := range hits {
-		d := pl.p.docs[h.Row].doc
+		d := pl.p.payload(h.Row)
 		out[i] = SERPItem{
-			DocID: d.ID,
+			DocID: d.DocID,
 			URL:   d.URL,
 			Host:  d.Host,
 			Title: d.Title,
@@ -546,10 +681,7 @@ type Pool struct {
 }
 
 // Hit is one ranked row of a pool snapshot.
-type Hit struct {
-	Row   int
-	Score float64
-}
+type Hit = index.Hit
 
 // Pool implements PoolSearcher. It counts one store hit (or miss) per
 // call, however many searches and reads run on the handle.
@@ -569,37 +701,29 @@ const serpJitterScale = 0.05
 // Search appends the pool's top n rows for the query to dst (n <= 0 means
 // DefaultSERPSize) and returns it. Ranking is cosine relevance of the
 // query to title+body with a small deterministic tie-break jitter,
-// mimicking the opaque ordering of a web SERP. Scoring runs over the
-// impact-ordered block postings with max-score/WAND early termination
-// (index.TopKPruned): blocks provably unable to reach the heap floor are
-// never read, and the jitter magnitude is folded into every upper bound,
-// so results stay byte-identical to an exhaustive ranking: cosine of the
-// query against every pool document, jitter added, fully sorted by (score
-// desc, doc ID asc) and truncated. With a dst of capacity n the call
+// mimicking the opaque ordering of a web SERP: the cosine of the query
+// against every row's text plus serpJitterScale·det.Uniform("serp",
+// query, docID), fully sorted by (score desc, doc ID asc) and truncated.
+// The cosine is accumulated once per distinct variant text
+// (index.Index.TopK), not once per row. With a dst of capacity n the call
 // allocates the same whatever n is: no result is copied beyond dst.
 func (pl Pool) Search(query string, n int, dst []Hit) []Hit {
 	start := time.Now()
 	if n <= 0 {
 		n = DefaultSERPSize
 	}
-	qv := text.SparseEmbed(query)
-	// One partial hash covers the ("serp", query) prefix for the whole
-	// pool; each document extends it with its ID only. Values are identical
-	// to det.Uniform("serp", query, docID).
-	key := det.NewKey("serp", query)
+	p := pl.p
+	// One partial hash covers ("serp", query) and the rows' shared
+	// "<fact ID>-d" ID prefix; each row extends it with its sequence
+	// digits only. Values equal det.Uniform("serp", query, docID).
+	key := det.NewKey("serp", query).Cont(p.factID).Cont("-d")
 	e := pl.e
 	a := e.arena()
-	// key.Uniform is in [0,1), so the jitter never exceeds serpJitterScale
-	// — the perturbation bound the pruned path folds into its skips.
-	hits := pl.p.idx.TopKPruned(qv, n, func(docID string) float64 {
-		return serpJitterScale * key.Uniform(docID)
-	}, serpJitterScale, a)
-	for _, h := range hits {
-		dst = append(dst, Hit{Row: h.Doc, Score: h.Score})
-	}
+	dst = p.idx.TopK(text.SparseEmbed(query), n, p.rowDoc, func(row int) float64 {
+		return serpJitterScale * key.Uniform(corpus.SeqDigits(p.seq(row)))
+	}, p.cmpIDs, dst, a)
 	e.retrieval.queries.Add(1)
 	e.retrieval.postingsTouched.Add(int64(a.Stats.PostingsTouched))
-	e.retrieval.blocksSkipped.Add(int64(a.Stats.BlocksSkipped))
 	e.retrieval.docsScored.Add(int64(a.Stats.DocsScored))
 	e.release(a)
 	queryHist.Observe(time.Since(start))
@@ -607,46 +731,60 @@ func (pl Pool) Search(query string, n int, dst []Hit) []Hit {
 }
 
 // Len returns the number of rows in the snapshot.
-func (pl Pool) Len() int { return len(pl.p.docs) }
+func (pl Pool) Len() int { return pl.p.len() }
 
 // ID returns the row's doc ID.
-func (pl Pool) ID(row int) string { return pl.p.docs[row].doc.ID }
+func (pl Pool) ID(row int) string { return pl.p.id(row) }
+
+// CompareIDs compares the doc IDs of rows a and b, as strings.Compare
+// would, without building them.
+func (pl Pool) CompareIDs(a, b int) int { return pl.p.cmpIDs(a, b) }
 
 // Host returns the row's host.
-func (pl Pool) Host(row int) string { return pl.p.docs[row].doc.Host }
+func (pl Pool) Host(row int) string { return pl.p.host(row) }
 
 // Usable reports whether the row carries evidence: its extraction did not
 // fail and its body is non-empty.
-func (pl Pool) Usable(row int) bool {
-	d := pl.p.docs[row]
-	return !d.doc.Empty && d.text != ""
-}
+func (pl Pool) Usable(row int) bool { return pl.p.usable(row) }
+
+// Variant returns the number of the row's text among the snapshot's
+// NumVariants distinct texts. Rows of one variant share Vec and Full.
+func (pl Pool) Variant(row int) int { return int(pl.p.rowDoc[row]) }
+
+// NumVariants returns the number of distinct texts the rows read.
+func (pl Pool) NumVariants() int { return pl.p.idx.Docs() }
 
 // Vec returns the row's precomputed sparse embedding of Full, bit-identical
 // to text.SparseEmbed(Full(row)). It aliases the pool: do not modify it.
-func (pl Pool) Vec(row int) text.SparseVector { return pl.p.docs[row].vec }
-
-// Full returns the row's "Title + body" rerank-candidate string.
-func (pl Pool) Full(row int) string { return pl.p.docs[row].full }
-
-// Payload returns the row's wire-form document, as Fetch returns it.
-func (pl Pool) Payload(row int) DocPayload { return pl.p.docs[row].payload() }
-
-// Chunks returns the row's sliding windows of `window` sentences from the
-// doc table's cached sentence split — output-identical to
-// chunk.Sliding(ID(row), body, window).
-func (pl Pool) Chunks(row, window int) []chunk.Chunk {
-	d := pl.p.docs[row]
-	return d.sentenceSplit().Windows(d.doc.ID, window)
+func (pl Pool) Vec(row int) text.SparseVector {
+	v, _ := pl.p.variant(row)
+	return v.Vec
 }
 
-// Fetch implements Searcher with an O(1) doc-table lookup.
+// Full returns the row's "Title + body" rerank-candidate string.
+func (pl Pool) Full(row int) string {
+	v, _ := pl.p.variant(row)
+	return v.Full
+}
+
+// Payload returns the row's wire-form document, as Fetch returns it.
+func (pl Pool) Payload(row int) DocPayload { return pl.p.payload(row) }
+
+// Chunks returns the row's sliding windows of `window` sentences from its
+// variant's cached sentence split — output-identical to
+// chunk.Sliding(ID(row), body, window).
+func (pl Pool) Chunks(row, window int) []chunk.Chunk {
+	v, sp := pl.p.variant(row)
+	return sp.get(v.Text).Windows(pl.p.id(row), window)
+}
+
+// Fetch implements Searcher with an O(1) row lookup.
 func (e *Engine) Fetch(docID string) (DocPayload, error) {
-	d, err := e.lookup(docID)
+	p, row, err := e.lookup(docID)
 	if err != nil {
 		return DocPayload{}, err
 	}
-	return d.payload(), nil
+	return p.payload(row), nil
 }
 
 // DocEvidence is a fetched document together with its precomputed scoring
@@ -666,14 +804,14 @@ type DocEvidence struct {
 	// text.SparseEmbed(Full).
 	Vec text.SparseVector
 
-	pooled *pooledDoc
+	split *lazySplit
 }
 
 // Chunks returns the document's sliding windows of `window` sentences from
-// the doc table's cached sentence split — output-identical to
+// its variant's cached sentence split — output-identical to
 // chunk.Sliding(DocID, Text, window).
 func (d DocEvidence) Chunks(window int) []chunk.Chunk {
-	return d.pooled.sentenceSplit().Windows(d.DocID, window)
+	return d.split.get(d.Text).Windows(d.DocID, window)
 }
 
 // EvidenceFetcher is implemented by wire-side searchers whose doc table
@@ -689,73 +827,65 @@ type EvidenceFetcher interface {
 
 // FetchEvidence implements EvidenceFetcher.
 func (e *Engine) FetchEvidence(docID string) (DocEvidence, error) {
-	d, err := e.lookup(docID)
+	p, row, err := e.lookup(docID)
 	if err != nil {
 		return DocEvidence{}, err
 	}
+	v, sp := p.variant(row)
 	return DocEvidence{
-		DocPayload: d.payload(),
-		Full:       d.full,
-		Vec:        d.vec,
-		pooled:     d,
+		DocPayload: p.payload(row),
+		Full:       v.Full,
+		Vec:        v.Vec,
+		split:      sp,
 	}, nil
 }
 
-// lookup resolves a doc ID to its doc-table row.
-func (e *Engine) lookup(docID string) (*pooledDoc, error) {
+// lookup resolves a doc ID to its pool and row.
+func (e *Engine) lookup(docID string) (*factPool, int, error) {
 	factID, seq, ok := parseDocID(docID)
 	if !ok {
-		return nil, fmt.Errorf("search: %w %q", ErrMalformedDocID, docID)
+		return nil, 0, fmt.Errorf("search: %w %q", ErrMalformedDocID, docID)
 	}
 	p, err := e.pool(factID)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	d, ok := p.doc(docID, seq)
+	row, ok := p.row(docID[len(factID)+len("-d"):], seq)
 	if !ok {
-		return nil, fmt.Errorf("search: %w %q", ErrUnknownDoc, docID)
+		return nil, 0, fmt.Errorf("search: %w %q", ErrUnknownDoc, docID)
 	}
-	return d, nil
+	return p, row, nil
 }
 
-// doc returns the row of docID, whose sequence number is seq (-1 when its
-// digits overflow). Generated documents sit at their sequence number;
-// ingested ones follow in sequence order from the first ingested
-// document's number. The exact ID comparison rejects every other spelling
-// of a number (extra or missing zero padding).
-func (p *factPool) doc(docID string, seq int) (*pooledDoc, bool) {
+// row returns the row whose doc ID ends in the sequence digits digits,
+// which spell seq (-1 when they overflow). Generated documents sit at
+// their sequence number; ingested ones follow in sequence order from the
+// first ingested document's number. Comparing the digits with the row's
+// own rejects every other spelling of a number (extra or missing zero
+// padding).
+func (p *factPool) row(digits string, seq int) (int, bool) {
 	i := seq
-	if seq >= p.generated && p.generated < len(p.docs) {
-		i = p.generated + seq - p.docs[p.generated].doc.Seq
-		if i < p.generated {
-			return nil, false
+	if seq >= len(p.rows) && len(p.ingested) > 0 {
+		i = len(p.rows) + seq - p.ingested[0].seq
+		if i < len(p.rows) {
+			return 0, false
 		}
 	}
-	if i < 0 || i >= len(p.docs) || p.docs[i].doc.ID != docID {
-		return nil, false
+	if i < 0 || i >= p.len() || corpus.SeqDigits(p.seq(i)) != digits {
+		return 0, false
 	}
-	return p.docs[i], true
+	return i, true
 }
 
-// payload builds the wire-form document.
-func (d *pooledDoc) payload() DocPayload {
-	return DocPayload{
-		DocID: d.doc.ID,
-		URL:   d.doc.URL,
-		Host:  d.doc.Host,
-		Title: d.doc.Title,
-		Text:  d.text,
-		Empty: d.doc.Empty,
-	}
-}
-
-// Stats summarises the snapshot's state and the pruned retrieval path's
+// Stats summarises the snapshot's state and the retrieval kernel's
 // cumulative work counters.
 type Stats struct {
 	// Facts is the number of known facts; CachedFacts of them are currently
 	// materialised (in-flight materialisations included).
 	Facts       int `json:"facts"`
 	CachedFacts int `json:"cached_facts"`
+	// IndexedDocs counts the cached pools' documents; Postings counts
+	// their indexes' postings, one set per distinct variant text.
 	IndexedDocs int `json:"indexed_docs"`
 	Postings    int `json:"postings"`
 	// Hits and Misses count pool reads that found the fact's pool
@@ -770,11 +900,10 @@ type Stats struct {
 	Epoch        uint64 `json:"epoch"`
 	IngestedDocs int    `json:"ingested_docs"`
 	// SearchQueries counts top-k queries (Pool.Search, which Search runs);
-	// PostingsTouched, BlocksSkipped and DocsScored accumulate its pruning
-	// counters — the asymptotic story of every query served so far.
+	// PostingsTouched accumulates the variant postings they read and
+	// DocsScored the rows they ranked.
 	SearchQueries   int64 `json:"search_queries"`
 	PostingsTouched int64 `json:"postings_touched"`
-	BlocksSkipped   int64 `json:"blocks_skipped"`
 	DocsScored      int64 `json:"docs_scored"`
 }
 
@@ -792,12 +921,11 @@ func (e *Engine) Stats() Stats {
 		Evicted:         e.evicted.Load(),
 		SearchQueries:   e.retrieval.queries.Load(),
 		PostingsTouched: e.retrieval.postingsTouched.Load(),
-		BlocksSkipped:   e.retrieval.blocksSkipped.Load(),
 		DocsScored:      e.retrieval.docsScored.Load(),
 	}
 	for _, shard := range sn.pools.shards {
 		for _, p := range shard {
-			st.IndexedDocs += p.idx.Docs()
+			st.IndexedDocs += p.len()
 			st.Postings += p.idx.Postings()
 		}
 	}

@@ -81,18 +81,19 @@ func (e *Engine) Ingest(docs []IngestDoc) (IngestResult, error) {
 	for k, v := range old.digests {
 		digests[k] = v
 	}
-	touched := map[string][]*pooledDoc{}
+	touched := map[string][]*ingestedDoc{}
 	for _, in := range docs {
 		f := e.facts[in.FactID]
 		pd := newIngestedDoc(f, in, ingestBase(e.gen.PoolSize(f))+len(e.log[f.ID]))
 		e.log[f.ID] = append(e.log[f.ID], pd)
 		touched[f.ID] = append(touched[f.ID], pd)
-		res.DocIDs = append(res.DocIDs, pd.doc.ID)
+		id := corpus.DocID(f.ID, pd.seq)
+		res.DocIDs = append(res.DocIDs, id)
 		// Chain the fact's content digest and re-fold it into the
 		// dataset digest: XOR out the fact's old term, XOR in the new.
 		prev := e.factDigests[f.ID]
 		next := det.Hash64("ingest-doc", u64hex(prev),
-			pd.doc.ID, pd.doc.URL, pd.doc.Host, pd.doc.Title, pd.text)
+			id, pd.url, pd.host, pd.v.Title, pd.v.Text)
 		if prev != 0 {
 			digests[f.Dataset] ^= det.Hash64("ingest-fact", f.ID, u64hex(prev))
 		}
@@ -119,35 +120,30 @@ func (e *Engine) Ingest(docs []IngestDoc) (IngestResult, error) {
 	return res, nil
 }
 
-// newIngestedDoc builds the immutable doc-table row for one appended
-// document, embedding its content exactly as materialize embeds generated
-// documents (sparse embedding of "Title + body").
-func newIngestedDoc(f *dataset.Fact, in IngestDoc, seq int) *pooledDoc {
-	id := corpus.DocID(f.ID, seq)
+// newIngestedDoc builds the immutable row for one appended document,
+// embedding its content exactly as corpus.Materialize embeds generated
+// variants (sparse embedding of "Title + body").
+func newIngestedDoc(f *dataset.Fact, in IngestDoc, seq int) *ingestedDoc {
 	host := in.Host
 	if host == "" {
 		host = defaultIngestHost
 	}
 	url := in.URL
 	if url == "" {
-		url = "https://" + host + "/ingest/" + id
-	}
-	doc := &corpus.Document{
-		ID:     id,
-		URL:    url,
-		Host:   host,
-		Title:  in.Title,
-		Stance: corpus.StanceUnrelated,
-		Empty:  in.Text == "",
-		Seq:    seq,
-		FactID: f.ID,
+		url = "https://" + host + "/ingest/" + corpus.DocID(f.ID, seq)
 	}
 	full := in.Title + " " + in.Text
-	return &pooledDoc{
-		doc:  doc,
-		full: full,
-		text: full[len(in.Title)+1:],
-		vec:  text.SparseEmbed(full),
+	return &ingestedDoc{
+		seq:   seq,
+		url:   url,
+		host:  host,
+		empty: in.Text == "",
+		v: corpus.Variant{
+			Title: in.Title,
+			Text:  full[len(in.Title)+1:],
+			Full:  full,
+			Vec:   text.SparseEmbed(full),
+		},
 	}
 }
 

@@ -174,14 +174,14 @@ func TestIngestedDocIDsMatchSprintf(t *testing.T) {
 	for _, seq := range []int{0, 9, 10, 999, ingestSeqBase, 9999, 10000} {
 		pd := newIngestedDoc(f, IngestDoc{FactID: f.ID, Title: "t", Text: "x"}, seq)
 		id := fmt.Sprintf("%s-d%04d", f.ID, seq)
-		if pd.doc.ID != id {
-			t.Errorf("seq %d: ID = %q, want %q", seq, pd.doc.ID, id)
+		if got := corpus.DocID(f.ID, pd.seq); got != id {
+			t.Errorf("seq %d: ID = %q, want %q", seq, got, id)
 		}
-		if want := fmt.Sprintf("https://%s/ingest/%s", defaultIngestHost, id); pd.doc.URL != want {
-			t.Errorf("seq %d: URL = %q, want %q", seq, pd.doc.URL, want)
+		if want := fmt.Sprintf("https://%s/ingest/%s", defaultIngestHost, id); pd.url != want {
+			t.Errorf("seq %d: URL = %q, want %q", seq, pd.url, want)
 		}
-		if got, n, ok := parseDocID(pd.doc.ID); !ok || got != f.ID || n != seq {
-			t.Errorf("seq %d: parseDocID(%q) = %q, %d, %v", seq, pd.doc.ID, got, n, ok)
+		if got, n, ok := parseDocID(id); !ok || got != f.ID || n != seq {
+			t.Errorf("seq %d: parseDocID(%q) = %q, %d, %v", seq, id, got, n, ok)
 		}
 	}
 }

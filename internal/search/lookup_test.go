@@ -52,8 +52,8 @@ func TestIngestIntoLargePoolKeepsIDsUnique(t *testing.T) {
 	d := dataset.Build(w, dataset.FactBench, 0.2)
 	g := largeGenerator(w)
 	f := largeFacts(t, g, d, 1)[0]
-	ms := g.Materialize(f)
-	n := len(ms)
+	cp := g.Materialize(f)
+	n := len(cp.Rows)
 
 	for _, warm := range []bool{true, false} {
 		e := NewEngine(g, d)
@@ -73,7 +73,9 @@ func TestIngestIntoLargePoolKeepsIDsUnique(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := ms[ingestSeqBase]; got.Title != want.Doc.Title || got.Text != want.Text || got.URL != want.Doc.URL {
+		r := cp.Rows[ingestSeqBase]
+		v := cp.Variants[r.Variant]
+		if got.Title != v.Title || got.Text != v.Text || got.URL != corpus.DocURL(corpus.HostName(r.Host), cp.Slug, ingestSeqBase) {
 			t.Errorf("warm=%v: Fetch(-d%d) = %+v, want the generated document", warm, ingestSeqBase, got)
 		}
 		in, err := e.Fetch(res.DocIDs[0])
@@ -85,11 +87,12 @@ func TestIngestIntoLargePoolKeepsIDsUnique(t *testing.T) {
 		}
 		p, _ := e.snap.Load().pools.get(f.ID)
 		seen := map[string]bool{}
-		for _, pd := range p.docs {
-			if seen[pd.doc.ID] {
-				t.Fatalf("warm=%v: duplicate doc ID %s", warm, pd.doc.ID)
+		for row := 0; row < p.len(); row++ {
+			if id := p.id(row); seen[id] {
+				t.Fatalf("warm=%v: duplicate doc ID %s", warm, id)
+			} else {
+				seen[id] = true
 			}
-			seen[pd.doc.ID] = true
 		}
 	}
 }
@@ -114,11 +117,17 @@ func TestIngestIDsAtPublishedPoolSizes(t *testing.T) {
 
 // lookupFixture is an engine over published-size pools and one over
 // ten-times pools, each with ingested documents folded into warm pools and
-// replayed into cold ones, and the byID map each pool used to carry.
+// replayed into cold ones, and a byID map of every row's derived ID.
 type lookupFixture struct {
 	engines []*Engine
 	factIDs []string
-	byID    []map[string]*pooledDoc // per engine
+	byID    []map[string]poolRow // per engine
+}
+
+// poolRow is one row of one pool.
+type poolRow struct {
+	p   *factPool
+	row int
 }
 
 func newLookupFixture(t testing.TB) *lookupFixture {
@@ -145,14 +154,14 @@ func newLookupFixture(t testing.TB) *lookupFixture {
 				t.Fatal(err)
 			}
 		}
-		byID := map[string]*pooledDoc{}
+		byID := map[string]poolRow{}
 		for _, f := range facts {
 			p, err := e.pool(f.ID)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, pd := range p.docs {
-				byID[pd.doc.ID] = pd
+			for row := 0; row < p.len(); row++ {
+				byID[p.id(row)] = poolRow{p, row}
 			}
 			fx.factIDs = append(fx.factIDs, f.ID)
 		}
@@ -165,14 +174,14 @@ func newLookupFixture(t testing.TB) *lookupFixture {
 // check compares lookup of docID with the map oracle on every engine.
 func (fx *lookupFixture) check(t *testing.T, docID string) {
 	for i, e := range fx.engines {
-		got, err := e.lookup(docID)
-		want := fx.byID[i][docID]
+		p, row, err := e.lookup(docID)
+		want, ok := fx.byID[i][docID]
 		switch {
-		case want != nil && (err != nil || got != want):
-			t.Fatalf("engine %d: lookup(%q) = %p, %v; map has %p", i, docID, got, err, want)
-		case want == nil && err == nil:
-			t.Fatalf("engine %d: lookup(%q) found %s; map has no such ID", i, docID, got.doc.ID)
-		case want == nil && !errors.Is(err, ErrMalformedDocID) && !errors.Is(err, ErrUnknownFact) && !errors.Is(err, ErrUnknownDoc):
+		case ok && (err != nil || p != want.p || row != want.row):
+			t.Fatalf("engine %d: lookup(%q) = row %d, %v; map has row %d", i, docID, row, err, want.row)
+		case !ok && err == nil:
+			t.Fatalf("engine %d: lookup(%q) found %s; map has no such ID", i, docID, p.id(row))
+		case !ok && !errors.Is(err, ErrMalformedDocID) && !errors.Is(err, ErrUnknownFact) && !errors.Is(err, ErrUnknownDoc):
 			t.Fatalf("engine %d: lookup(%q) error %v is not a typed lookup error", i, docID, err)
 		}
 	}
@@ -281,7 +290,7 @@ func TestPublishCopiesOneShard(t *testing.T) {
 	}
 	id := corpus.DocID(f.ID, 0)
 	if allocs := testing.AllocsPerRun(100, func() {
-		if _, err := e.lookup(id); err != nil {
+		if _, _, err := e.lookup(id); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {

@@ -8,7 +8,7 @@ import (
 	"factcheck/internal/text"
 )
 
-// scanVecs caches each pool's dense document embeddings for ScanSearch
+// scanVecs caches each pool's dense per-row embeddings for ScanSearch
 // (*factPool -> []text.Vector), so repeated calls measure steady-state scan
 // cost as the retired engine paid it.
 var scanVecs sync.Map
@@ -17,17 +17,20 @@ func poolScanVecs(p *factPool) []text.Vector {
 	if v, ok := scanVecs.Load(p); ok {
 		return v.([]text.Vector)
 	}
-	vecs := make([]text.Vector, len(p.docs))
-	for i, d := range p.docs {
-		vecs[i] = text.Embed(d.full)
+	vecs := make([]text.Vector, p.len())
+	for row := range vecs {
+		v, _ := p.variant(row)
+		vecs[row] = text.Embed(v.Full)
 	}
 	v, _ := scanVecs.LoadOrStore(p, vecs)
 	return v.([]text.Vector)
 }
 
-// ScanSearch is the retired linear-scan ranking, kept as the differential
-// reference for Search: cosine of the query against every pool document's
-// dense embedding, full sort, truncate. Golden tests assert Search ==
+// ScanSearch is the retired per-document linear-scan ranking, kept as the
+// differential reference for Search: the cosine of the query against every
+// row's own dense embedding plus serpJitterScale·det.Uniform("serp",
+// query, docID) over the row's spelled-out doc ID, fully sorted by (score
+// desc, doc ID asc) and truncated. Golden tests assert Search ==
 // ScanSearch byte for byte, and BenchmarkSearchScan measures its cost.
 func (e *Engine) ScanSearch(factID, query string, n int) ([]SERPItem, error) {
 	if n <= 0 {
@@ -40,31 +43,34 @@ func (e *Engine) ScanSearch(factID, query string, n int) ([]SERPItem, error) {
 	vecs := poolScanVecs(p)
 	qv := text.Embed(query)
 	type scored struct {
-		d *pooledDoc
-		s float64
+		row int
+		id  string
+		s   float64
 	}
-	items := make([]scored, 0, len(p.docs))
-	for i, d := range p.docs {
-		s := text.Cosine(qv, vecs[i])
-		s += serpJitterScale * det.Uniform("serp", query, d.doc.ID)
-		items = append(items, scored{d: d, s: s})
+	items := make([]scored, p.len())
+	for row := range items {
+		id := p.id(row)
+		s := text.Cosine(qv, vecs[row])
+		s += serpJitterScale * det.Uniform("serp", query, id)
+		items[row] = scored{row: row, id: id, s: s}
 	}
 	sort.SliceStable(items, func(i, j int) bool {
 		if items[i].s != items[j].s {
 			return items[i].s > items[j].s
 		}
-		return items[i].d.doc.ID < items[j].d.doc.ID
+		return items[i].id < items[j].id
 	})
 	if len(items) > n {
 		items = items[:n]
 	}
 	out := make([]SERPItem, len(items))
 	for i, it := range items {
+		d := p.payload(it.row)
 		out[i] = SERPItem{
-			DocID: it.d.doc.ID,
-			URL:   it.d.doc.URL,
-			Host:  it.d.doc.Host,
-			Title: it.d.doc.Title,
+			DocID: it.id,
+			URL:   d.URL,
+			Host:  d.Host,
+			Title: d.Title,
 			Rank:  i + 1,
 			Score: it.s,
 		}

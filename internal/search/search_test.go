@@ -165,10 +165,10 @@ func TestFactIDOfDoc(t *testing.T) {
 }
 
 // TestSearchIndexedMatchesScan is the golden differential ladder: for
-// several facts and queries, the pruned index path (Search) and the retired
-// linear scan (ScanSearch) must agree byte for byte — same documents, same
-// order, same float64 scores. The exhaustive index paths between the two
-// rungs are pinned by internal/index's ladder.
+// several facts and queries, the variant index path (Search) and the
+// retired per-document linear scan (ScanSearch) must agree byte for byte —
+// same documents, same order, same float64 scores. The kernel's own
+// references are pinned by internal/index's ladder.
 func TestSearchIndexedMatchesScan(t *testing.T) {
 	e, d := fixture(t)
 	if len(d.Facts) < 3 {
@@ -184,22 +184,107 @@ func TestSearchIndexedMatchesScan(t *testing.T) {
 		}
 		for _, q := range queries {
 			for _, n := range []int{1, 10, DefaultSERPSize, 10000} {
-				pruned, err := e.Search(f.ID, q, n)
-				if err != nil {
-					t.Fatal(err)
+				checkSearchMatchesScan(t, e, f.ID, q, n)
+			}
+		}
+	}
+}
+
+// checkSearchMatchesScan asserts Search == ScanSearch for one query.
+func checkSearchMatchesScan(t *testing.T, e *Engine, factID, q string, n int) {
+	t.Helper()
+	got, err := e.Search(factID, q, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scan, err := e.ScanSearch(factID, q, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(scan) {
+		t.Fatalf("fact %s q=%q n=%d: Search %d, scan %d results", factID, q, n, len(got), len(scan))
+	}
+	for i := range scan {
+		if got[i] != scan[i] {
+			t.Fatalf("fact %s q=%q n=%d result %d:\nSearch %+v\nscan   %+v", factID, q, n, i, got[i], scan[i])
+		}
+	}
+}
+
+// TestSearchWithIngestionMatchesScan extends the differential ladder to
+// pools holding ingested rows — some repeating a generated document's text
+// and each other's, so ties cross the generated and ingested rows — folded
+// into warm pools and replayed into cold ones, and to a pool whose
+// sequence numbers pass 10,000, where doc-ID order leaves numeric order.
+func TestSearchWithIngestionMatchesScan(t *testing.T) {
+	w := world.New(world.SmallConfig())
+	d := dataset.Build(w, dataset.FactBench, 0.2)
+	big := corpus.NewGenerator(w)
+	big.MeanDocs *= 40
+	big.StdDocs *= 40
+	big.MaxDocs *= 40
+	// edge's pool is the largest one short of sequence number 10,000.
+	var edge *dataset.Fact
+	for _, f := range d.Facts {
+		if n := big.PoolSize(f); n < 10000 && (edge == nil || n > big.PoolSize(edge)) {
+			edge = f
+		}
+	}
+	if n := big.PoolSize(edge); n < 9000 {
+		t.Fatalf("largest 40× pool short of 10,000 documents holds only %d", n)
+	}
+	for _, tc := range []struct {
+		gen   *corpus.Generator
+		facts []*dataset.Fact
+	}{
+		{corpus.NewGenerator(w), d.Facts[:2]},
+		{big, []*dataset.Fact{edge}},
+	} {
+		// The first fact's ingestion folds into its warm pool; any other
+		// fact's replays when it materialises.
+		e := NewEngine(tc.gen, d)
+		if err := e.Warm(tc.facts[0].ID); err != nil {
+			t.Fatal(err)
+		}
+		for batch := 0; batch < 3; batch++ {
+			var docs []IngestDoc
+			for _, f := range tc.facts {
+				cp := tc.gen.Materialize(f)
+				copied := cp.Variants[cp.Rows[batch].Variant]
+				docs = append(docs, streamBatch(tc.gen, f, 4*batch, 4)...)
+				docs = append(docs,
+					IngestDoc{FactID: f.ID, Title: copied.Title, Text: copied.Text},
+					IngestDoc{FactID: f.ID, Title: "Same page", Text: "Same words."},
+					IngestDoc{FactID: f.ID, Title: "Same page", Text: "Same words."})
+			}
+			if _, err := e.Ingest(docs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Carry every pool's ingested sequence numbers past 10,000.
+		for _, f := range tc.facts {
+			var bulk []IngestDoc
+			for seq := ingestBase(tc.gen.PoolSize(f)) + 18; seq < 10010; seq++ {
+				bulk = append(bulk, IngestDoc{FactID: f.ID, Title: "Bulk page", Text: fmt.Sprintf("Bulk words %d.", seq%7)})
+			}
+			if _, err := e.Ingest(bulk); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, f := range tc.facts {
+			for _, q := range []string{verbalize.Sentence(f), "Same page Same words", f.Subject.Label, "noise"} {
+				for _, n := range []int{1, 10, DefaultSERPSize, 100000} {
+					checkSearchMatchesScan(t, e, f.ID, q, n)
 				}
-				scan, err := e.ScanSearch(f.ID, q, n)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(pruned) != len(scan) {
-					t.Fatalf("fact %s q=%q n=%d: pruned %d, scan %d results",
-						f.ID, q, n, len(pruned), len(scan))
-				}
-				for i := range scan {
-					if pruned[i] != scan[i] {
-						t.Fatalf("fact %s q=%q n=%d result %d:\npruned  %+v\nscan    %+v",
-							f.ID, q, n, i, pruned[i], scan[i])
+			}
+			pl, err := e.Pool(f.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for a := 0; a < pl.Len(); a += 1 + a/50 {
+				for b := pl.Len() - 1; b >= 0; b -= 1 + b/50 {
+					if got, want := pl.CompareIDs(a, b), strings.Compare(pl.ID(a), pl.ID(b)); got != want {
+						t.Fatalf("CompareIDs(%s, %s) = %d, want %d", pl.ID(a), pl.ID(b), got, want)
 					}
 				}
 			}
@@ -207,9 +292,9 @@ func TestSearchIndexedMatchesScan(t *testing.T) {
 	}
 }
 
-// TestRetrievalCounters asserts the pruning counters surfaced via
-// Engine.Stats move when queries run, and that pruning actually skips work
-// on large result-free queries.
+// TestRetrievalCounters asserts the retrieval counters surfaced via
+// Engine.Stats move when queries run: each query reads each distinct
+// variant's postings once and ranks every row.
 func TestRetrievalCounters(t *testing.T) {
 	e, d := fixture(t)
 	f := d.Facts[0]
@@ -230,6 +315,12 @@ func TestRetrievalCounters(t *testing.T) {
 	if after.PostingsTouched <= 0 || after.DocsScored <= 0 {
 		t.Errorf("retrieval counters did not move: %+v", after)
 	}
+	if after.DocsScored != 5*int64(after.IndexedDocs) {
+		t.Errorf("DocsScored = %d, want every one of the %d rows ranked per query", after.DocsScored, after.IndexedDocs)
+	}
+	if after.PostingsTouched > 5*int64(after.Postings) {
+		t.Errorf("PostingsTouched = %d, more than the %d postings per query", after.PostingsTouched, after.Postings)
+	}
 }
 
 // barrierSource proves materialisations of distinct facts run concurrently:
@@ -242,7 +333,7 @@ type barrierSource struct {
 	release chan struct{}
 }
 
-func (b *barrierSource) Materialize(f *dataset.Fact) []corpus.Materialized {
+func (b *barrierSource) Materialize(f *dataset.Fact) *corpus.Pool {
 	b.arrived <- f.ID
 	<-b.release
 	return b.PoolSource.Materialize(f)
@@ -313,7 +404,7 @@ type countingSource struct {
 	calls *atomic.Int64
 }
 
-func (c *countingSource) Materialize(f *dataset.Fact) []corpus.Materialized {
+func (c *countingSource) Materialize(f *dataset.Fact) *corpus.Pool {
 	c.calls.Add(1)
 	return c.PoolSource.Materialize(f)
 }
@@ -363,7 +454,8 @@ func TestEvictOver(t *testing.T) {
 		}
 		pools.put(fmt.Sprintf("f%04d", i), mk(gen))
 	}
-	if n := evictOver(&pools); n != 2 {
+	var ev evictor
+	if n := ev.evictOver(&pools); n != 2 {
 		t.Fatalf("evicted %d pools, want 2", n)
 	}
 	if _, ok := pools.get("f0000"); ok {

@@ -679,8 +679,8 @@ type Stats struct {
 	Resilience resilience.Stats `json:"resilience"`
 
 	// Retrieval mirrors the search engine's cumulative counters — cache
-	// behaviour plus the pruned top-k's work accounting (queries, postings
-	// touched, blocks skipped, docs scored).
+	// behaviour plus the top-k kernel's work accounting (queries, postings
+	// touched, docs scored).
 	Retrieval search.Stats `json:"retrieval"`
 
 	// Latency summarises every layer and endpoint histogram with at least
@@ -1441,16 +1441,15 @@ func (s *Service) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	p.Gauge("factcheck_retrieval_facts", "Facts known to the search engine.", float64(r.Facts))
 	p.Gauge("factcheck_retrieval_cached_facts", "Facts with materialised index shards.", float64(r.CachedFacts))
 	p.Gauge("factcheck_retrieval_indexed_docs", "Documents in materialised shards.", float64(r.IndexedDocs))
-	p.Gauge("factcheck_retrieval_postings", "Postings in materialised shards.", float64(r.Postings))
+	p.Gauge("factcheck_retrieval_postings", "Postings in materialised shards, one set per distinct document text.", float64(r.Postings))
 	p.Counter("factcheck_retrieval_hits_total", "Search-engine shard cache hits.", uint64(r.Hits))
 	p.Counter("factcheck_retrieval_misses_total", "Search-engine shard cache misses.", uint64(r.Misses))
 	p.Counter("factcheck_retrieval_evicted_total", "Shards evicted from the search-engine cache.", uint64(r.Evicted))
 	p.Gauge("factcheck_retrieval_epoch", "Corpus snapshot publication sequence number.", float64(r.Epoch))
 	p.Gauge("factcheck_retrieval_ingested_docs", "Live-ingested documents across all facts.", float64(r.IngestedDocs))
-	p.Counter("factcheck_retrieval_search_queries_total", "Search calls served by the pruned top-k path.", uint64(r.SearchQueries))
-	p.Counter("factcheck_retrieval_postings_touched_total", "Postings read by the pruned top-k path.", uint64(r.PostingsTouched))
-	p.Counter("factcheck_retrieval_blocks_skipped_total", "Posting blocks skipped by max-score pruning.", uint64(r.BlocksSkipped))
-	p.Counter("factcheck_retrieval_docs_scored_total", "Documents fully scored by the pruned top-k path.", uint64(r.DocsScored))
+	p.Counter("factcheck_retrieval_search_queries_total", "Search calls served by the top-k kernel.", uint64(r.SearchQueries))
+	p.Counter("factcheck_retrieval_postings_touched_total", "Postings read by the top-k kernel, each distinct document text's once per query.", uint64(r.PostingsTouched))
+	p.Counter("factcheck_retrieval_docs_scored_total", "Documents ranked by the top-k kernel.", uint64(r.DocsScored))
 
 	obs.Default.WriteProm(p)
 }

@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"time"
+	"unique"
 
 	"factcheck/internal/dataset"
 	"factcheck/internal/llm"
@@ -67,8 +68,10 @@ type Outcome struct {
 	Explanation string
 	// EvidenceChunks counts the context passages used (RAG only).
 	EvidenceChunks int
-	// Claim is the structured claim (kept for downstream analysis).
-	Claim llm.Claim
+	// Claim is the structured claim (kept for downstream analysis),
+	// interned: every outcome of one fact shares one copy. The zero handle
+	// stands for the zero claim.
+	Claim unique.Handle[llm.Claim]
 }
 
 // Verifier verifies facts with a model under a fixed method.
@@ -261,7 +264,7 @@ func newOutcome(f *dataset.Fact, m llm.Model, method llm.Method, c llm.Claim) Ou
 		Method:  method,
 		Verdict: Invalid,
 		Gold:    f.Gold,
-		Claim:   c,
+		Claim:   unique.Make(c),
 	}
 }
 
