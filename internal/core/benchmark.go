@@ -429,77 +429,19 @@ func (b *Benchmark) Run(ctx context.Context, opts ...RunOption) (*ResultSet, err
 
 	pool := sched.New(b.Config.Parallelism)
 
-	// One flat queue, two kinds of tasks, built only from the cells the
-	// store could not satisfy. Evidence-prefetch tasks sit at the front:
-	// methods with model-independent per-fact state (RAG retrieval) warm
-	// it once per fact before that fact's model fan-out is dispatched —
-	// and only for datasets where that method still has a missing cell.
-	// Ascending dispatch means the prefetch block still drains (almost)
-	// fully before verification starts — the overlap is bounded by the
-	// worker count — but unlike a barrier phase there is no sync point:
-	// workers flow straight into verification, and the singleflight cache
-	// keeps retrieval exactly-once even when a verify task overtakes its
-	// fact's prefetch.
-	type task struct {
-		prefetch strategy.Prefetcher // nil for verification tasks
-		f        *dataset.Fact       // prefetch target
-		c        *gridCell           // verification cell
-		i        int                 // fact index within c
-	}
-	needPrefetch := map[llm.Method]map[dataset.Name]bool{}
-	for _, c := range cells {
-		if c.cached || len(c.facts) == 0 {
-			continue
+	q := b.queue(verifiers, cells)
+	err := pool.Run(ctx, q.len(), func(ctx context.Context, ti int) error {
+		p, c, i := q.at(ti)
+		if p != nil {
+			return p.prefetch.Prefetch(ctx, p.facts[i])
 		}
-		ds := needPrefetch[c.cell.Method]
-		if ds == nil {
-			ds = map[dataset.Name]bool{}
-			needPrefetch[c.cell.Method] = ds
-		}
-		ds[c.cell.Dataset] = true
-	}
-	var tasks []task
-	for _, method := range b.Config.Methods {
-		p, ok := verifiers[method].(strategy.Prefetcher)
-		if !ok {
-			continue
-		}
-		for _, dn := range b.Config.Datasets {
-			if !needPrefetch[method][dn] {
-				continue
-			}
-			for _, f := range b.Datasets[dn].Facts {
-				tasks = append(tasks, task{prefetch: p, f: f})
-			}
-		}
-	}
-	n := 0
-	for _, c := range cells {
-		if !c.cached {
-			n += len(c.facts)
-		}
-	}
-	tasks = slices.Grow(tasks, n)
-	for _, c := range cells {
-		if c.cached {
-			continue
-		}
-		for i := range c.facts {
-			tasks = append(tasks, task{c: c, i: i})
-		}
-	}
-	err := pool.Run(ctx, len(tasks), func(ctx context.Context, ti int) error {
-		t := tasks[ti]
-		if t.prefetch != nil {
-			return t.prefetch.Prefetch(ctx, t.f)
-		}
-		out, err := t.c.verifier.Verify(ctx, t.c.model, t.c.facts[t.i])
+		out, err := c.verifier.Verify(ctx, c.model, c.facts[i])
 		if err != nil {
 			return err
 		}
-		t.c.outs[t.i] = out
-		if t.c.remaining.Add(-1) == 0 {
-			return finishCell(t.c)
+		c.outs[i] = out
+		if c.remaining.Add(-1) == 0 {
+			return finishCell(c)
 		}
 		return nil
 	})
@@ -512,6 +454,96 @@ func (b *Benchmark) Run(ctx context.Context, opts ...RunOption) (*ResultSet, err
 		rs.Outcomes[c.cell] = c.outs
 	}
 	return rs, nil
+}
+
+// prefetchSpan is one method's evidence prefetch over one dataset's facts.
+type prefetchSpan struct {
+	prefetch strategy.Prefetcher
+	facts    []*dataset.Fact
+}
+
+// taskQueue is Run's task queue, derived from the task index rather than
+// listed: the prefetch spans' facts, then every pending cell's facts, each
+// in order. ends[k] is one past the last task of segment k, where the
+// spans come first and the cells follow.
+type taskQueue struct {
+	spans []prefetchSpan
+	cells []*gridCell
+	ends  []int
+}
+
+// queue lays out Run's tasks for the cells the store could not satisfy.
+// Evidence-prefetch tasks sit at the front: methods with model-independent
+// per-fact state (RAG retrieval) warm it once per fact before that fact's
+// model fan-out is dispatched — and only for datasets where that method
+// still has a missing cell. Ascending dispatch means the prefetch block
+// still drains (almost) fully before verification starts — the overlap is
+// bounded by the worker count — but unlike a barrier phase there is no
+// sync point: workers flow straight into verification, and the
+// singleflight cache keeps retrieval exactly-once even when a verify task
+// overtakes its fact's prefetch. Verification tasks follow in grid order.
+func (b *Benchmark) queue(verifiers map[llm.Method]strategy.Verifier, cells []*gridCell) *taskQueue {
+	needPrefetch := map[llm.Method]map[dataset.Name]bool{}
+	for _, c := range cells {
+		if c.cached || len(c.facts) == 0 {
+			continue
+		}
+		ds := needPrefetch[c.cell.Method]
+		if ds == nil {
+			ds = map[dataset.Name]bool{}
+			needPrefetch[c.cell.Method] = ds
+		}
+		ds[c.cell.Dataset] = true
+	}
+	q := &taskQueue{}
+	n := 0
+	for _, method := range b.Config.Methods {
+		p, ok := verifiers[method].(strategy.Prefetcher)
+		if !ok {
+			continue
+		}
+		for _, dn := range b.Config.Datasets {
+			if !needPrefetch[method][dn] {
+				continue
+			}
+			facts := b.Datasets[dn].Facts
+			q.spans = append(q.spans, prefetchSpan{prefetch: p, facts: facts})
+			n += len(facts)
+			q.ends = append(q.ends, n)
+		}
+	}
+	for _, c := range cells {
+		if c.cached {
+			continue
+		}
+		q.cells = append(q.cells, c)
+		n += len(c.facts)
+		q.ends = append(q.ends, n)
+	}
+	return q
+}
+
+// len is the number of tasks.
+func (q *taskQueue) len() int {
+	if len(q.ends) == 0 {
+		return 0
+	}
+	return q.ends[len(q.ends)-1]
+}
+
+// at returns task ti: the fact index i within either a prefetch span p or
+// a cell c (the other is nil).
+func (q *taskQueue) at(ti int) (p *prefetchSpan, c *gridCell, i int) {
+	k, _ := slices.BinarySearch(q.ends, ti+1)
+	if k > 0 {
+		i = ti - q.ends[k-1]
+	} else {
+		i = ti
+	}
+	if k < len(q.spans) {
+		return &q.spans[k], nil, i
+	}
+	return nil, q.cells[k-len(q.spans)], i
 }
 
 // RunCell verifies every fact of one dataset with one model and method,

@@ -18,6 +18,7 @@ import (
 	"math/rand/v2"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"factcheck/internal/det"
 	"factcheck/internal/kg"
@@ -64,6 +65,27 @@ type Fact struct {
 	Popularity float64
 	// Topic is the domain stratum used in the error-analysis study.
 	Topic string
+
+	// memo holds the state a higher layer derives from the fact once; see
+	// Memo. The atomic also makes go vet reject copies of a Fact, which
+	// would share the memo of a fact their fields may no longer match.
+	memo atomic.Pointer[any]
+}
+
+// Memo returns the value build derives from the fact. The first call
+// stores it; concurrent first calls may each run build, but all of them
+// get the one value stored. The value lives exactly as long as the fact.
+// Package strategy owns the slot (it keeps the fact's interned claim and
+// explanation table there), so no other build may be passed.
+func (f *Fact) Memo(build func(*Fact) any) any {
+	if p := f.memo.Load(); p != nil {
+		return *p
+	}
+	v := build(f)
+	if f.memo.CompareAndSwap(nil, &v) {
+		return v
+	}
+	return *f.memo.Load()
 }
 
 // Key returns the canonical world-level identity of the asserted statement

@@ -4,7 +4,9 @@ import (
 	"context"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
+	"unicode/utf8"
 
 	"factcheck/internal/det"
 	"factcheck/internal/text"
@@ -79,6 +81,9 @@ const ConformanceRetryBoost = 0.45
 // Sim is a deterministic simulated model.
 type Sim struct {
 	p Profile
+
+	// sysTokens is systemTokens' memo.
+	sysTokens [maxSystemPrompts]atomic.Pointer[promptCount]
 }
 
 // NewSim builds a simulated model from a profile.
@@ -295,6 +300,9 @@ func (s *Sim) render(req Request, verdict, conformant bool) string {
 			return "Well, considering the statement about " + c.SubjectLabel +
 				", one could argue it " + lower + ". " + reason
 		}
+		if quoteVerbatim(reason) {
+			return `{"verdict": "` + lower + `", "reason": "` + reason + `"}`
+		}
 		// strconv.Quote renders a string exactly as fmt's %q does.
 		return `{"verdict": "` + lower + `", "reason": ` + strconv.Quote(reason) + `}`
 	case MethodRAG:
@@ -306,56 +314,117 @@ func (s *Sim) render(req Request, verdict, conformant bool) string {
 
 // reason generates an explanation whose vocabulary tracks the claim's
 // relation category; the error-analysis pipeline clusters these texts into
-// the paper's E1–E6 buckets.
+// the paper's E1–E6 buckets. One draw picks among the branch's n
+// templates, and only the picked one is built.
 func (s *Sim) reason(c Claim, verdict bool, method Method) string {
-	pick := func(opts []string) string {
-		return opts[det.IntN(len(opts), s.p.Name, c.Key, string(method), "reason")]
+	subj, obj := c.SubjectLabel, c.ObjectLabel
+	pick := func(n int) int {
+		return det.IntN(n, s.p.Name, c.Key, string(method), "reason")
 	}
 	if verdict {
-		return pick([]string{
-			"The statement matches well-established information about " + c.SubjectLabel + ".",
-			"Available knowledge about " + c.SubjectLabel + " confirms this relation to " + c.ObjectLabel + ".",
-			"This is consistent with the recorded facts for " + c.SubjectLabel + ".",
-		})
+		switch pick(3) {
+		case 0:
+			return "The statement matches well-established information about " + subj + "."
+		case 1:
+			return "Available knowledge about " + subj + " confirms this relation to " + obj + "."
+		default:
+			return "This is consistent with the recorded facts for " + subj + "."
+		}
 	}
 	switch c.Category {
 	case "geo":
-		return pick([]string{
-			"The stated place conflicts with the known location or nationality of " + c.SubjectLabel + ".",
-			"Geographic records associate " + c.SubjectLabel + " with a different country or city than " + c.ObjectLabel + ".",
-			"The location " + c.ObjectLabel + " is inconsistent with the geography of " + c.SubjectLabel + ".",
-		})
+		switch pick(3) {
+		case 0:
+			return "The stated place conflicts with the known location or nationality of " + subj + "."
+		case 1:
+			return "Geographic records associate " + subj + " with a different country or city than " + obj + "."
+		default:
+			return "The location " + obj + " is inconsistent with the geography of " + subj + "."
+		}
 	case "relationship":
-		return pick([]string{
-			"The marital or personal relationship between " + c.SubjectLabel + " and " + c.ObjectLabel + " is not supported.",
-			"Known relationship information about " + c.SubjectLabel + " contradicts a link to " + c.ObjectLabel + ".",
-		})
+		if pick(2) == 0 {
+			return "The marital or personal relationship between " + subj + " and " + obj + " is not supported."
+		}
+		return "Known relationship information about " + subj + " contradicts a link to " + obj + "."
 	case "role":
-		return pick([]string{
-			"The role linking " + c.SubjectLabel + " to " + c.ObjectLabel + " appears misattributed.",
-			c.SubjectLabel + " is associated with a different team, employer or position than " + c.ObjectLabel + ".",
-		})
+		if pick(2) == 0 {
+			return "The role linking " + subj + " to " + obj + " appears misattributed."
+		}
+		return subj + " is associated with a different team, employer or position than " + obj + "."
 	case "genre":
-		return pick([]string{
-			"The genre classification of " + c.SubjectLabel + " does not include " + c.ObjectLabel + ".",
-			c.SubjectLabel + " is categorised under a different genre than " + c.ObjectLabel + ".",
-		})
+		if pick(2) == 0 {
+			return "The genre classification of " + subj + " does not include " + obj + "."
+		}
+		return subj + " is categorised under a different genre than " + obj + "."
 	case "identifier":
-		return pick([]string{
-			"The biographical identifier or award attributed to " + c.SubjectLabel + " is inaccurate.",
-			"Records of awards and identifiers for " + c.SubjectLabel + " do not mention " + c.ObjectLabel + ".",
-		})
+		if pick(2) == 0 {
+			return "The biographical identifier or award attributed to " + subj + " is inaccurate."
+		}
+		return "Records of awards and identifiers for " + subj + " do not mention " + obj + "."
 	default:
-		return pick([]string{
-			"The supplied context does not mention the asserted details about " + c.SubjectLabel + ".",
-			"No relevant information about " + c.SubjectLabel + " and " + c.ObjectLabel + " could be recalled.",
-		})
+		if pick(2) == 0 {
+			return "The supplied context does not mention the asserted details about " + subj + "."
+		}
+		return "No relevant information about " + subj + " and " + obj + " could be recalled."
 	}
+}
+
+// quoteVerbatim reports whether strconv.Quote(s) is s between double
+// quotes: s is valid UTF-8 and every rune printable (strconv.IsPrint)
+// other than the quote and backslash.
+func quoteVerbatim(s string) bool {
+	for i := 0; i < len(s); {
+		if c := s[i]; c < utf8.RuneSelf {
+			if c < ' ' || c > '~' || c == '"' || c == '\\' {
+				return false
+			}
+			i++
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		if (r == utf8.RuneError && size == 1) || !strconv.IsPrint(r) {
+			return false
+		}
+		i += size
+	}
+	return true
+}
+
+// maxSystemPrompts bounds a Sim's memo of system-prompt token counts.
+// Strategies send one of a few fixed system prompts with every call; a
+// caller with more distinct ones has the rest counted per call.
+const maxSystemPrompts = 8
+
+// promptCount is one memoised system prompt and its token count.
+type promptCount struct {
+	prompt string
+	tokens int
+}
+
+// systemTokens returns text.CountTokens(system), counting each distinct
+// system prompt once. Slots fill in order and are never replaced, so a
+// prompt lands in one slot; lookups compare strings, which for the shared
+// template constants is a pointer comparison.
+func (s *Sim) systemTokens(system string) int {
+	for i := range s.sysTokens {
+		slot := &s.sysTokens[i]
+		e := slot.Load()
+		if e == nil {
+			e = &promptCount{system, text.CountTokens(system)}
+			if !slot.CompareAndSwap(nil, e) {
+				e = slot.Load()
+			}
+		}
+		if e.prompt == system {
+			return e.tokens
+		}
+	}
+	return text.CountTokens(system)
 }
 
 // usage computes the simulated token and latency accounting for a call.
 func (s *Sim) usage(req Request, output string) Usage {
-	pt := text.CountTokens(req.System) + text.CountTokens(req.Prompt)
+	pt := s.systemTokens(req.System) + text.CountTokens(req.Prompt)
 	for _, e := range req.Evidence {
 		pt += text.CountTokens(e)
 	}

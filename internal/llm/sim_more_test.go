@@ -3,8 +3,12 @@ package llm
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
+
+	"factcheck/internal/det"
+	"factcheck/internal/text"
 )
 
 func TestProfileAccessor(t *testing.T) {
@@ -149,6 +153,55 @@ func TestSlowResponseTail(t *testing.T) {
 	}
 }
 
+// refReason is Sim.reason as it was before it built only the picked
+// template: every template of the branch built, then one picked by the
+// same draw.
+func refReason(s *Sim, c Claim, verdict bool, method Method) string {
+	pick := func(opts []string) string {
+		return opts[det.IntN(len(opts), s.p.Name, c.Key, string(method), "reason")]
+	}
+	if verdict {
+		return pick([]string{
+			"The statement matches well-established information about " + c.SubjectLabel + ".",
+			"Available knowledge about " + c.SubjectLabel + " confirms this relation to " + c.ObjectLabel + ".",
+			"This is consistent with the recorded facts for " + c.SubjectLabel + ".",
+		})
+	}
+	switch c.Category {
+	case "geo":
+		return pick([]string{
+			"The stated place conflicts with the known location or nationality of " + c.SubjectLabel + ".",
+			"Geographic records associate " + c.SubjectLabel + " with a different country or city than " + c.ObjectLabel + ".",
+			"The location " + c.ObjectLabel + " is inconsistent with the geography of " + c.SubjectLabel + ".",
+		})
+	case "relationship":
+		return pick([]string{
+			"The marital or personal relationship between " + c.SubjectLabel + " and " + c.ObjectLabel + " is not supported.",
+			"Known relationship information about " + c.SubjectLabel + " contradicts a link to " + c.ObjectLabel + ".",
+		})
+	case "role":
+		return pick([]string{
+			"The role linking " + c.SubjectLabel + " to " + c.ObjectLabel + " appears misattributed.",
+			c.SubjectLabel + " is associated with a different team, employer or position than " + c.ObjectLabel + ".",
+		})
+	case "genre":
+		return pick([]string{
+			"The genre classification of " + c.SubjectLabel + " does not include " + c.ObjectLabel + ".",
+			c.SubjectLabel + " is categorised under a different genre than " + c.ObjectLabel + ".",
+		})
+	case "identifier":
+		return pick([]string{
+			"The biographical identifier or award attributed to " + c.SubjectLabel + " is inaccurate.",
+			"Records of awards and identifiers for " + c.SubjectLabel + " do not mention " + c.ObjectLabel + ".",
+		})
+	default:
+		return pick([]string{
+			"The supplied context does not mention the asserted details about " + c.SubjectLabel + ".",
+			"No relevant information about " + c.SubjectLabel + " and " + c.ObjectLabel + " could be recalled.",
+		})
+	}
+}
+
 // fmtRender is the fmt-based body of Sim.render that the concatenating one
 // replaced, kept as the byte-for-byte reference.
 func fmtRender(s *Sim, req Request, verdict, conformant bool) string {
@@ -157,7 +210,7 @@ func fmtRender(s *Sim, req Request, verdict, conformant bool) string {
 	if verdict {
 		label = "TRUE"
 	}
-	reason := s.reason(c, verdict, req.Method)
+	reason := refReason(s, c, verdict, req.Method)
 	switch req.Method {
 	case MethodGIVZ, MethodGIVF:
 		if !conformant {
@@ -175,11 +228,14 @@ func fmtRender(s *Sim, req Request, verdict, conformant bool) string {
 // TestRenderMatchesFmt pins Sim.render to fmtRender for every method,
 // verdict and conformance outcome, over reasons carrying quotes,
 // backslashes, control characters, non-ASCII text and invalid UTF-8 (the
-// reasons quote the claim's labels).
+// reasons quote the claim's labels), and over plain printable ASCII, which
+// GIV answers render without strconv.Quote. It also holds quoteVerbatim
+// to strconv.Quote on every single byte and on the labels.
 func TestRenderMatchesFmt(t *testing.T) {
 	s := MustNew(Gemma2)
 	labels := []string{
 		"Ada Example",
+		"Plain ~!#$%&'()*+,-./:;<=>?@[]^_`{|} 0189 Ltd",
 		`The "Quoted" Band`,
 		`Back\slash \n Ltd`,
 		"Ctrl\x00\x01\t\r\n\x7f Entity",
@@ -197,6 +253,9 @@ func TestRenderMatchesFmt(t *testing.T) {
 						c.Key = fmt.Sprintf("k%d-%d", i, k)
 						c.SubjectLabel, c.ObjectLabel, c.Category = subj, labels[(i+1)%len(labels)], cat
 						req := Request{Claim: c, Method: m}
+						if got, want := s.reason(c, verdict, m), refReason(s, c, verdict, m); got != want {
+							t.Errorf("reason(%s, %q, verdict=%v) = %q, want %q", m, subj, verdict, got, want)
+						}
 						if got, want := s.render(req, verdict, conformant), fmtRender(s, req, verdict, conformant); got != want {
 							t.Errorf("render(%s, %q, verdict=%v, conformant=%v) = %q, want %q",
 								m, subj, verdict, conformant, got, want)
@@ -204,6 +263,37 @@ func TestRenderMatchesFmt(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+	quoted := append([]string{"", `say "hi"`, "naïve café", "\u2028 line sep", "\u00ad soft", "\ufffd", "\xc3", "\xed\xa0\x80"}, labels...)
+	for b := 0; b < 256; b++ {
+		quoted = append(quoted, string([]byte{byte(b)}), "x"+string([]byte{byte(b)})+"y")
+	}
+	for r := rune(0x80); r < 0x3100; r++ {
+		quoted = append(quoted, string(r))
+	}
+	for _, q := range quoted {
+		if quoteVerbatim(q) != (strconv.Quote(q) == `"`+q+`"`) {
+			t.Errorf("quoteVerbatim(%q) = %v, but strconv.Quote gives %s", q, quoteVerbatim(q), strconv.Quote(q))
+		}
+	}
+}
+
+// TestSystemTokensMemo checks the system-prompt token memo: counts equal
+// text.CountTokens, memoised or not, and the memo stops at its bound.
+func TestSystemTokensMemo(t *testing.T) {
+	s := MustNew(Mistral)
+	for round := 0; round < 2; round++ {
+		for i := 0; i < 3*maxSystemPrompts; i++ {
+			system := fmt.Sprintf("system prompt %d with %s words", i, strings.Repeat("x ", i))
+			if got, want := s.systemTokens(system), text.CountTokens(system); got != want {
+				t.Fatalf("systemTokens(%q) = %d, want %d", system, got, want)
+			}
+		}
+	}
+	for i := range s.sysTokens {
+		if e := s.sysTokens[i].Load(); e == nil || !strings.HasPrefix(e.prompt, fmt.Sprintf("system prompt %d ", i)) {
+			t.Errorf("memo slot %d holds %+v, want prompt %d", i, e, i)
 		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"factcheck/internal/llm"
 )
@@ -150,9 +151,14 @@ type givAnswer struct {
 }
 
 // ParseGIV parses a GIV response. ok is false when the output does not
-// conform to the schema (triggering a re-prompt).
+// conform to the schema (triggering a re-prompt). The schema's exact shape,
+// which conformant models answer in, is read without encoding/json;
+// anything else goes through json.Unmarshal.
 func ParseGIV(out string) (verdict bool, reason string, ok bool) {
 	out = strings.TrimSpace(out)
+	if verdict, reason, ok := parseGIVExact(out); ok {
+		return verdict, reason, true
+	}
 	var a givAnswer
 	if err := json.Unmarshal([]byte(out), &a); err != nil {
 		return false, "", false
@@ -167,20 +173,63 @@ func ParseGIV(out string) (verdict bool, reason string, ok bool) {
 	}
 }
 
+// parseGIVExact reads exactly {"verdict": "true"|"false", "reason": "<s>"}
+// where <s> is valid UTF-8 with no quote, backslash or control byte: the
+// input on which json.Unmarshal would decode <s> unchanged. The reason is
+// a substring of out. ok is false for every other input.
+func parseGIVExact(out string) (verdict bool, reason string, ok bool) {
+	const head, mid, tail = `{"verdict": "`, `", "reason": "`, `"}`
+	if len(out) < len(head)+len(tail) || !strings.HasPrefix(out, head) || !strings.HasSuffix(out, tail) {
+		return false, "", false
+	}
+	rest := out[len(head) : len(out)-len(tail)]
+	switch {
+	case strings.HasPrefix(rest, "true"+mid):
+		verdict, rest = true, rest[len("true"+mid):]
+	case strings.HasPrefix(rest, "false"+mid):
+		rest = rest[len("false"+mid):]
+	default:
+		return false, "", false
+	}
+	for i := 0; i < len(rest); i++ {
+		if c := rest[i]; c < 0x20 || c == '"' || c == '\\' {
+			return false, "", false
+		}
+	}
+	if !utf8.ValidString(rest) {
+		return false, "", false
+	}
+	return verdict, rest, true
+}
+
 // ParseFree parses a free-text (DKA/RAG) response of the form
 // "TRUE. <reason>" / "FALSE. <reason>". ok is false when neither label is
-// found at the start of the output.
+// found at the start of the output. Labels match ASCII case-insensitively
+// on the output's own bytes, and the reason starts right after the label.
 func ParseFree(out string) (verdict bool, reason string, ok bool) {
 	t := strings.TrimSpace(out)
-	upper := strings.ToUpper(t)
 	switch {
-	case strings.HasPrefix(upper, "TRUE"):
+	case hasLabel(t, "TRUE"):
 		return true, trimReason(t, len("TRUE")), true
-	case strings.HasPrefix(upper, "FALSE"):
+	case hasLabel(t, "FALSE"):
 		return false, trimReason(t, len("FALSE")), true
 	default:
 		return false, "", false
 	}
+}
+
+// hasLabel reports whether s starts with the upper-case ASCII label in
+// any ASCII letter case.
+func hasLabel(s, label string) bool {
+	if len(s) < len(label) {
+		return false
+	}
+	for i := 0; i < len(label); i++ {
+		if c := s[i]; c != label[i] && c != label[i]+('a'-'A') {
+			return false
+		}
+	}
+	return true
 }
 
 func trimReason(t string, n int) string {

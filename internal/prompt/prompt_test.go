@@ -1,6 +1,8 @@
 package prompt
 
 import (
+	"context"
+	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
@@ -140,11 +142,102 @@ func TestParseFree(t *testing.T) {
 	}
 }
 
+// TestParseFreeMatchesLabelBytes pins the label to the response's own
+// bytes: a non-ASCII letter whose upper case is an ASCII one does not
+// spell a label, and the reason starts right after the label matched.
+func TestParseFreeMatchesLabelBytes(t *testing.T) {
+	if v, r, ok := ParseFree("falſe. The reason"); ok {
+		t.Errorf(`ParseFree("falſe. The reason") = (%v, %q, true), want no label`, v, r)
+	}
+	if v, r, ok := ParseFree("fAlSe. The reason"); !ok || v || r != "The reason" {
+		t.Errorf(`ParseFree("fAlSe. The reason") = (%v, %q, %v), want (false, "The reason", true)`, v, r, ok)
+	}
+	if v, r, ok := ParseFree("Trueſ tail"); !ok || !v || r != "ſ tail" {
+		t.Errorf(`ParseFree("Trueſ tail") = (%v, %q, %v), want (true, "ſ tail", true)`, v, r, ok)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { ParseFree("  TRUE. It matches records. ") }); allocs != 0 {
+		t.Errorf("ParseFree made %v allocations, want 0", allocs)
+	}
+}
+
+// jsonParseGIV is ParseGIV as it was before its exact-shape fast path:
+// json.Unmarshal on every input. FuzzParseGIV holds ParseGIV to it.
+func jsonParseGIV(out string) (verdict bool, reason string, ok bool) {
+	out = strings.TrimSpace(out)
+	var a givAnswer
+	if err := json.Unmarshal([]byte(out), &a); err != nil {
+		return false, "", false
+	}
+	switch strings.ToLower(a.Verdict) {
+	case "true":
+		return true, a.Reason, true
+	case "false":
+		return false, a.Reason, true
+	default:
+		return false, "", false
+	}
+}
+
+// FuzzParseGIV holds ParseGIV to the json-only parser on any input. The
+// seeds are the simulator's conformant and rambling answers and the
+// schema's shape with escapes, non-ASCII text, invalid UTF-8, surrounding
+// whitespace, and reordered, extra and differently cased keys.
+func FuzzParseGIV(f *testing.F) {
+	m := llm.MustNew(llm.Llama31)
+	for _, gold := range []bool{false, true} {
+		for _, cat := range []string{"geo", "role", "other"} {
+			for attempt := 0; attempt < 3; attempt++ {
+				c := testClaim()
+				c.Key, c.Gold, c.Category = fmt.Sprint("seed|", cat, "|", attempt), gold, cat
+				for _, method := range []llm.Method{llm.MethodGIVZ, llm.MethodGIVF} {
+					resp, err := m.Generate(context.Background(), llm.Request{Claim: c, Method: method, Attempt: attempt})
+					if err != nil {
+						f.Fatal(err)
+					}
+					f.Add(resp.Text)
+				}
+			}
+		}
+	}
+	for _, s := range []string{
+		`{"verdict": "true", "reason": "it holds"}`,
+		`{"verdict": "false", "reason": ""}`,
+		`{"verdict": "true", "reason": "say \"hi\" \\ \n \u00e9 \ud83d\ude00"}`,
+		`{"verdict": "false", "reason": "Zoë Ångström 東京 😀"}`,
+		"{\"verdict\": \"true\", \"reason\": \"bad \xff\xfe utf8\"}",
+		"{\"verdict\": \"true\", \"reason\": \"tab\there\"}",
+		"{\"verdict\": \"true\", \"reason\": \"del\x7f\"}",
+		" \t\n{\"verdict\": \"true\", \"reason\": \"padded\"}\r\n ",
+		`{"reason": "reordered", "verdict": "false"}`,
+		`{"verdict": "true", "reason": "extra", "confidence": 0.9}`,
+		`{"Verdict": "TRUE", "REASON": "cased keys"}`,
+		`{"verdict":"true","reason":"compact"}`,
+		`{"verdict": "true", "reason": "dup", "reason": "second"}`,
+		`{"verdict": "maybe", "reason": "x"}`,
+		`{"verdict": "true", "reason": "unterminated`,
+		`{"verdict": "true", "reason": "x"} trailing`,
+		`not json at all`,
+		``,
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		v, r, ok := ParseGIV(in)
+		wv, wr, wok := jsonParseGIV(in)
+		if v != wv || r != wr || ok != wok {
+			t.Fatalf("ParseGIV(%q) = (%v, %q, %v), json parser (%v, %q, %v)", in, v, r, ok, wv, wr, wok)
+		}
+	})
+}
+
 func TestGIVRoundTripWithSim(t *testing.T) {
 	// A conformant simulated GIV answer must parse.
 	out := `{"verdict": "false", "reason": "The stated place conflicts with known records."}`
 	if _, _, ok := ParseGIV(out); !ok {
 		t.Error("canonical sim output does not parse")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { ParseGIV(out) }); allocs != 0 {
+		t.Errorf("ParseGIV of a conformant answer made %v allocations, want 0", allocs)
 	}
 }
 

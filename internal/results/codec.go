@@ -129,9 +129,10 @@ func (d *decoder) boolean() (bool, error) {
 }
 
 // Encode serialises a cell snapshot deterministically: equal (fp, outs)
-// inputs produce equal bytes.
+// inputs produce equal bytes. The snapshot is written into one buffer of
+// its exact size, so encoding allocates once.
 func Encode(fp Fingerprint, outs []strategy.Outcome) []byte {
-	e := &encoder{}
+	e := &encoder{buf: make([]byte, 0, encodedLen(outs))}
 	e.raw([]byte(codecMagic))
 	e.u8(codecVersion)
 	e.u64(uint64(fp))
@@ -188,6 +189,23 @@ func Decode(data []byte) (Fingerprint, []strategy.Outcome, error) {
 		return 0, nil, errTrailing
 	}
 	return Fingerprint(fpBits), outs, nil
+}
+
+// encodedLen is the length of Encode's output for outs: the header, count
+// and checksum, plus each outcome's fixed part (minEncodedOutcome) and its
+// string bytes.
+func encodedLen(outs []strategy.Outcome) int {
+	n := len(codecMagic) + 1 + 8 + 8 + 8
+	for i := range outs {
+		o := &outs[i]
+		n += minEncodedOutcome + len(o.FactID) + len(o.Model) + len(o.Method) + len(o.Explanation)
+		if o.Claim != (unique.Handle[llm.Claim]{}) {
+			c := o.Claim.Value()
+			n += len(c.Key) + len(c.FactID) + len(c.Dataset) + len(c.Category) + len(c.Topic) +
+				len(c.Sentence) + len(c.SubjectLabel) + len(c.ObjectLabel) + len(c.Phrase)
+		}
+	}
+	return n
 }
 
 func encodeOutcome(e *encoder, o *strategy.Outcome) {

@@ -136,6 +136,79 @@ func TestCodecClaimRoundTrip(t *testing.T) {
 	}
 }
 
+// cellOutcomes returns n outcomes shaped like a grid cell's, cycling
+// through empty strings, non-ASCII text and zero-claim outcomes.
+func cellOutcomes(n int) []strategy.Outcome {
+	outs := make([]strategy.Outcome, n)
+	for i := range outs {
+		o := &outs[i]
+		o.FactID = fmt.Sprintf("dbpedia-%06d", i)
+		o.Model = "qwen2.5:7b"
+		o.Method = llm.MethodGIVF
+		o.Verdict = strategy.Verdict(i % 3)
+		o.Latency = time.Duration(i) * time.Millisecond
+		o.PromptTokens, o.CompletionTokens, o.Attempts = 900+i, 40, 1+i%3
+		switch i % 4 {
+		case 0:
+			o.Explanation = "Zoë Ångström is associated with a different team than 東京 FC."
+		case 1:
+			o.Explanation = "This is consistent with the recorded facts for Ada Example."
+		}
+		if i%5 != 0 {
+			o.Claim = unique.Make(llm.Claim{
+				Key:          fmt.Sprintf("Person_%d|memberOf|Band_%d", i, i%7),
+				FactID:       o.FactID,
+				Dataset:      "DBpedia",
+				Popularity:   float64(i%10) / 10,
+				Category:     "role",
+				Sentence:     fmt.Sprintf("Person %d is a member of Bänd %d.", i, i%7),
+				SubjectLabel: fmt.Sprintf("Person %d", i),
+				ObjectLabel:  fmt.Sprintf("Bänd %d", i%7),
+				Phrase:       "is a member of",
+			})
+		}
+	}
+	return outs
+}
+
+// TestEncodeExactSize pins Encode to one allocation of exactly the
+// snapshot's size, and its bytes to those of an encoder that grows its
+// buffer by appending, over empty, one-outcome and cell-sized snapshots.
+func TestEncodeExactSize(t *testing.T) {
+	for _, outs := range [][]strategy.Outcome{nil, {{}}, testOutcomes(), cellOutcomes(500)} {
+		data := Encode(99, outs)
+		if len(data) != cap(data) {
+			t.Errorf("%d outcomes: len %d != cap %d", len(outs), len(data), cap(data))
+		}
+		ref := &encoder{}
+		ref.raw([]byte(codecMagic))
+		ref.u8(codecVersion)
+		ref.u64(99)
+		ref.u64(uint64(len(outs)))
+		for i := range outs {
+			encodeOutcome(ref, &outs[i])
+		}
+		ref.u64(checksum(ref.buf))
+		if !bytes.Equal(data, ref.buf) {
+			t.Errorf("%d outcomes: Encode differs from the appending encoder", len(outs))
+		}
+		if allocs := testing.AllocsPerRun(20, func() { Encode(99, outs) }); allocs != 1 {
+			t.Errorf("%d outcomes: Encode made %v allocations, want 1", len(outs), allocs)
+		}
+	}
+}
+
+// BenchmarkEncode encodes one cell-sized snapshot (report with -benchmem:
+// one allocation per snapshot).
+func BenchmarkEncode(b *testing.B) {
+	outs := cellOutcomes(2800)
+	b.SetBytes(int64(len(Encode(1, outs))))
+	b.ReportAllocs()
+	for b.Loop() {
+		Encode(1, outs)
+	}
+}
+
 func TestCodecDeterministic(t *testing.T) {
 	fp := testKey().Fingerprint()
 	a := Encode(fp, testOutcomes())

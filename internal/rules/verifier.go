@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"time"
-	"unique"
 
 	"factcheck/internal/dataset"
 	"factcheck/internal/llm"
@@ -81,7 +80,7 @@ func (a *Augmented) Verify(ctx context.Context, m llm.Model, f *dataset.Fact) (s
 		Latency:     ruleLatency,
 		Attempts:    0,
 		Explanation: "[rule:" + r.Rule + "] " + r.Explanation,
-		Claim:       unique.Make(strategy.ClaimFor(f)),
+		Claim:       strategy.ClaimHandle(f),
 	}
 	if r.Verdict == Entailed {
 		out.Verdict = strategy.True

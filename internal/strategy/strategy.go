@@ -8,6 +8,8 @@ package strategy
 import (
 	"context"
 	"fmt"
+	"strings"
+	"sync"
 	"time"
 	"unique"
 
@@ -110,6 +112,54 @@ func ClaimFor(f *dataset.Fact) llm.Claim {
 	}
 }
 
+// ClaimHandle returns the fact's interned claim: ClaimFor(f) through
+// unique.Make, built once per fact.
+func ClaimHandle(f *dataset.Fact) unique.Handle[llm.Claim] { return memoOf(f).claim }
+
+// maxExplanations bounds a fact's explanation table. A simulated model
+// gives a fact at most a dozen distinct explanations over the grid's 20
+// verifications; past the bound an outcome keeps the string it parsed.
+const maxExplanations = 16
+
+// factMemo is the model-independent state of a fact's verifications,
+// built on first use and kept on the fact (dataset.Fact.Memo): its
+// interned claim, and one copy of each distinct explanation its outcomes
+// carry, so outcomes share explanation bytes instead of each pinning a
+// parsed response.
+type factMemo struct {
+	claim unique.Handle[llm.Claim]
+
+	mu           sync.Mutex
+	n            int
+	explanations [maxExplanations]string
+}
+
+func memoOf(f *dataset.Fact) *factMemo { return f.Memo(newMemo).(*factMemo) }
+
+func newMemo(f *dataset.Fact) any { return &factMemo{claim: unique.Make(ClaimFor(f))} }
+
+// explanation returns the table's copy of s, adding a copy of s while the
+// table has room.
+func (m *factMemo) explanation(s string) string {
+	if s == "" {
+		return s
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, e := range m.explanations[:m.n] {
+		if e == s {
+			return e
+		}
+	}
+	if m.n == maxExplanations {
+		return s
+	}
+	s = strings.Clone(s)
+	m.explanations[m.n] = s
+	m.n++
+	return s
+}
+
 // DKA is the Direct Knowledge Assessment baseline: one direct prompt, no
 // guidance.
 type DKA struct{}
@@ -119,7 +169,8 @@ func (DKA) Method() llm.Method { return llm.MethodDKA }
 
 // Verify implements Verifier.
 func (DKA) Verify(ctx context.Context, m llm.Model, f *dataset.Fact) (Outcome, error) {
-	c := ClaimFor(f)
+	memo := memoOf(f)
+	c := memo.claim.Value()
 	system, user := prompt.DKA(c)
 	resp, err := m.Generate(ctx, llm.Request{
 		System: system, Prompt: user, Claim: c, Method: llm.MethodDKA,
@@ -127,11 +178,11 @@ func (DKA) Verify(ctx context.Context, m llm.Model, f *dataset.Fact) (Outcome, e
 	if err != nil {
 		return Outcome{}, fmt.Errorf("dka: %s on %s: %w", m.Name(), f.ID, err)
 	}
-	out := newOutcome(f, m, llm.MethodDKA, c)
+	out := newOutcome(f, m, llm.MethodDKA, memo.claim)
 	out.Attempts = 1
 	accumulate(&out, resp)
 	if v, reason, ok := prompt.ParseFree(resp.Text); ok {
-		out.setVerdict(v, reason, f.Gold)
+		out.setVerdict(v, memo.explanation(reason), f.Gold)
 	}
 	return out, nil
 }
@@ -160,9 +211,10 @@ func (g GIV) Verify(ctx context.Context, m llm.Model, f *dataset.Fact) (Outcome,
 	if maxAttempts <= 0 {
 		maxAttempts = 3
 	}
-	c := ClaimFor(f)
+	memo := memoOf(f)
+	c := memo.claim.Value()
 	method := g.Method()
-	out := newOutcome(f, m, method, c)
+	out := newOutcome(f, m, method, memo.claim)
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		system, user := prompt.GIV(c, g.FewShot, attempt)
 		resp, err := m.Generate(ctx, llm.Request{
@@ -175,7 +227,7 @@ func (g GIV) Verify(ctx context.Context, m llm.Model, f *dataset.Fact) (Outcome,
 		out.Attempts++
 		accumulate(&out, resp)
 		if v, reason, ok := prompt.ParseGIV(resp.Text); ok {
-			out.setVerdict(v, reason, f.Gold)
+			out.setVerdict(v, memo.explanation(reason), f.Gold)
 			return out, nil
 		}
 	}
@@ -216,7 +268,8 @@ func (r RAG) Verify(ctx context.Context, m llm.Model, f *dataset.Fact) (Outcome,
 	if err != nil {
 		return Outcome{}, fmt.Errorf("rag: retrieve %s: %w", f.ID, err)
 	}
-	c := ClaimFor(f)
+	memo := memoOf(f)
+	c := memo.claim.Value()
 	chunks := ev.ChunkTexts()
 	system, user := prompt.RAG(c, chunks)
 	resp, err := m.Generate(ctx, llm.Request{
@@ -226,13 +279,13 @@ func (r RAG) Verify(ctx context.Context, m llm.Model, f *dataset.Fact) (Outcome,
 	if err != nil {
 		return Outcome{}, fmt.Errorf("rag: %s on %s: %w", m.Name(), f.ID, err)
 	}
-	out := newOutcome(f, m, llm.MethodRAG, c)
+	out := newOutcome(f, m, llm.MethodRAG, memo.claim)
 	out.Attempts = 1
 	out.EvidenceChunks = len(chunks)
 	accumulate(&out, resp)
 	out.Latency += ev.Latency
 	if v, reason, ok := prompt.ParseFree(resp.Text); ok {
-		out.setVerdict(v, reason, f.Gold)
+		out.setVerdict(v, memo.explanation(reason), f.Gold)
 	}
 	return out, nil
 }
@@ -257,14 +310,14 @@ func ForMethod(m llm.Method, p *rag.Pipeline) (Verifier, error) {
 	}
 }
 
-func newOutcome(f *dataset.Fact, m llm.Model, method llm.Method, c llm.Claim) Outcome {
+func newOutcome(f *dataset.Fact, m llm.Model, method llm.Method, claim unique.Handle[llm.Claim]) Outcome {
 	return Outcome{
 		FactID:  f.ID,
 		Model:   m.Name(),
 		Method:  method,
 		Verdict: Invalid,
 		Gold:    f.Gold,
-		Claim:   unique.Make(c),
+		Claim:   claim,
 	}
 }
 

@@ -20,7 +20,7 @@ type fixture struct {
 	fs []*dataset.Fact
 }
 
-func setup(t *testing.T) *fixture {
+func setup(t testing.TB) *fixture {
 	t.Helper()
 	w := world.New(world.SmallConfig())
 	d := dataset.Build(w, dataset.FactBench, 0.1)
