@@ -6,10 +6,10 @@
 //
 // Grid execution is streamed: Run flattens the whole grid into one
 // (cell, fact) task queue and drains it on a sched.Pool, so no cell
-// barrier ever stalls independent work. Evidence-prefetch tasks at the
-// head of the queue warm the RAG cache once per fact ahead of model
-// fan-out, and an optional progress callback reports cells as they
-// complete.
+// barrier ever stalls independent work. Cells that read no retrieved
+// evidence come first; each dataset's RAG cells follow an evidence-prefetch
+// span that retrieves once per fact ahead of model fan-out, and an
+// optional progress callback reports cells as they complete.
 //
 // Runs are resumable and incremental: with a content-addressed result
 // store attached (WithStore, internal/results), the queue is built only
@@ -20,6 +20,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
@@ -283,9 +284,11 @@ type runOptions struct {
 }
 
 // WithProgress streams per-cell completion events to fn as the worker pool
-// drains the grid. Cells complete in data-dependent order (cells satisfied
-// by an attached store report first, in grid order); fn is called serially
-// (never concurrently with itself).
+// drains the grid. Cells satisfied by an attached store report first, in
+// grid order; computed cells follow as they complete, roughly in queue
+// order: cells that need no retrieval, smallest dataset first, then each
+// dataset's RAG cells after its retrieval. fn is called serially (never
+// concurrently with itself).
 func WithProgress(fn func(Progress)) RunOption {
 	return func(o *runOptions) { o.progress = fn }
 }
@@ -308,10 +311,12 @@ type gridCell struct {
 // Run executes the full grid of the configuration as one streamed task
 // queue: every (cell, fact) pair is enqueued up front and drained by
 // Parallelism workers, so slow cells overlap with fast ones instead of
-// serialising behind per-cell barriers. Outcomes are assembled back into
-// fact-ordered slices and are byte-identical at any parallelism. On error
-// the run cancels outstanding work, drains in-flight verifications and
-// returns the aggregated failure.
+// serialising behind per-cell barriers. The queue is ordered so that cells
+// finish early: cells that need no retrieval first, then each dataset's
+// evidence prefetch followed by the cells that read it (see queue).
+// Outcomes are assembled back into fact-ordered slices and are
+// byte-identical at any parallelism. On error the run cancels outstanding
+// work, drains in-flight verifications and returns the aggregated failure.
 //
 // With WithStore attached, cells whose fingerprint is already stored are
 // served from the store and the queue is built only from the missing
@@ -321,7 +326,8 @@ type gridCell struct {
 // results stay byte-identical to a cold run throughout. Newly computed
 // cells are persisted as they finish, so progress survives a kill at any
 // point. WithSink additionally streams every completed cell to a caller
-// sink (cached cells first, in grid order).
+// sink: cached cells first, in grid order, then computed cells as they
+// complete, those without retrieval ahead of the RAG cells.
 func (b *Benchmark) Run(ctx context.Context, opts ...RunOption) (*ResultSet, error) {
 	var ro runOptions
 	for _, o := range opts {
@@ -338,6 +344,11 @@ func (b *Benchmark) Run(ctx context.Context, opts ...RunOption) (*ResultSet, err
 		}
 		verifiers[method] = v
 	}
+	return b.run(ctx, verifiers, ro)
+}
+
+// run is Run with the methods' verifiers resolved.
+func (b *Benchmark) run(ctx context.Context, verifiers map[llm.Method]strategy.Verifier, ro runOptions) (*ResultSet, error) {
 	models := make(map[string]llm.Model, len(b.Config.Models))
 	for _, name := range b.Config.Models {
 		m, err := b.Model(name)
@@ -429,11 +440,12 @@ func (b *Benchmark) Run(ctx context.Context, opts ...RunOption) (*ResultSet, err
 
 	pool := sched.New(b.Config.Parallelism)
 
-	q := b.queue(verifiers, cells)
+	q := queue(cells)
 	err := pool.Run(ctx, q.len(), func(ctx context.Context, ti int) error {
-		p, c, i := q.at(ti)
-		if p != nil {
-			return p.prefetch.Prefetch(ctx, p.facts[i])
+		s, i := q.at(ti)
+		c := s.cell
+		if c == nil {
+			return s.prefetch.Prefetch(ctx, s.facts[i])
 		}
 		out, err := c.verifier.Verify(ctx, c.model, c.facts[i])
 		if err != nil {
@@ -456,69 +468,67 @@ func (b *Benchmark) Run(ctx context.Context, opts ...RunOption) (*ResultSet, err
 	return rs, nil
 }
 
-// prefetchSpan is one method's evidence prefetch over one dataset's facts.
-type prefetchSpan struct {
+// segment is one run of consecutive tasks: a method's evidence prefetch
+// over one dataset's facts (cell nil) or the facts of one pending cell.
+type segment struct {
 	prefetch strategy.Prefetcher
+	cell     *gridCell
 	facts    []*dataset.Fact
 }
 
 // taskQueue is Run's task queue, derived from the task index rather than
-// listed: the prefetch spans' facts, then every pending cell's facts, each
-// in order. ends[k] is one past the last task of segment k, where the
-// spans come first and the cells follow.
+// listed: each segment's facts in order, segment after segment. ends[k] is
+// one past the last task of segment k.
 type taskQueue struct {
-	spans []prefetchSpan
-	cells []*gridCell
-	ends  []int
+	segs []segment
+	ends []int
 }
 
-// queue lays out Run's tasks for the cells the store could not satisfy.
-// Evidence-prefetch tasks sit at the front: methods with model-independent
-// per-fact state (RAG retrieval) warm it once per fact before that fact's
-// model fan-out is dispatched — and only for datasets where that method
-// still has a missing cell. Ascending dispatch means the prefetch block
-// still drains (almost) fully before verification starts — the overlap is
-// bounded by the worker count — but unlike a barrier phase there is no
-// sync point: workers flow straight into verification, and the
-// singleflight cache keeps retrieval exactly-once even when a verify task
-// overtakes its fact's prefetch. Verification tasks follow in grid order.
-func (b *Benchmark) queue(verifiers map[llm.Method]strategy.Verifier, cells []*gridCell) *taskQueue {
-	needPrefetch := map[llm.Method]map[dataset.Name]bool{}
+// queue lays out Run's tasks for the cells the store could not satisfy, so
+// that each cell completes as soon as its own work is done. Cells whose
+// verifier is not a strategy.Prefetcher read no shared per-fact state and
+// come first. Then, dataset by dataset, each prefetching method's evidence
+// prefetch over the dataset is followed at once by that method's cells on
+// the dataset, so they run on evidence the span just warmed and complete
+// while later datasets still retrieve. Datasets go smallest first (ties in
+// configuration order) and cells keep grid order within a dataset. A span
+// is queued only where its method still has a pending cell. Dispatch is
+// ascending, so a verification can overtake its fact's prefetch only by
+// the worker count; the singleflight evidence cache keeps retrieval
+// exactly-once then too.
+func queue(cells []*gridCell) *taskQueue {
+	var pending []*gridCell
 	for _, c := range cells {
-		if c.cached || len(c.facts) == 0 {
-			continue
+		if !c.cached && len(c.facts) > 0 {
+			pending = append(pending, c)
 		}
-		ds := needPrefetch[c.cell.Method]
-		if ds == nil {
-			ds = map[dataset.Name]bool{}
-			needPrefetch[c.cell.Method] = ds
-		}
-		ds[c.cell.Dataset] = true
 	}
+	// The grid is dataset-major, so a stable sort by size keeps each
+	// dataset's cells together and in grid order.
+	slices.SortStableFunc(pending, func(x, y *gridCell) int {
+		return cmp.Compare(len(x.facts), len(y.facts))
+	})
 	q := &taskQueue{}
-	n := 0
-	for _, method := range b.Config.Methods {
-		p, ok := verifiers[method].(strategy.Prefetcher)
+	add := func(s segment) {
+		q.segs = append(q.segs, s)
+		q.ends = append(q.ends, q.len()+len(s.facts))
+	}
+	for _, c := range pending {
+		if _, ok := c.verifier.(strategy.Prefetcher); !ok {
+			add(segment{cell: c, facts: c.facts})
+		}
+	}
+	var last *gridCell
+	for _, c := range pending {
+		p, ok := c.verifier.(strategy.Prefetcher)
 		if !ok {
 			continue
 		}
-		for _, dn := range b.Config.Datasets {
-			if !needPrefetch[method][dn] {
-				continue
-			}
-			facts := b.Datasets[dn].Facts
-			q.spans = append(q.spans, prefetchSpan{prefetch: p, facts: facts})
-			n += len(facts)
-			q.ends = append(q.ends, n)
+		if last == nil || last.cell.Dataset != c.cell.Dataset || last.cell.Method != c.cell.Method {
+			add(segment{prefetch: p, facts: c.facts})
 		}
-	}
-	for _, c := range cells {
-		if c.cached {
-			continue
-		}
-		q.cells = append(q.cells, c)
-		n += len(c.facts)
-		q.ends = append(q.ends, n)
+		add(segment{cell: c, facts: c.facts})
+		last = c
 	}
 	return q
 }
@@ -531,19 +541,15 @@ func (q *taskQueue) len() int {
 	return q.ends[len(q.ends)-1]
 }
 
-// at returns task ti: the fact index i within either a prefetch span p or
-// a cell c (the other is nil).
-func (q *taskQueue) at(ti int) (p *prefetchSpan, c *gridCell, i int) {
+// at returns task ti: fact i of segment s.
+func (q *taskQueue) at(ti int) (s *segment, i int) {
 	k, _ := slices.BinarySearch(q.ends, ti+1)
 	if k > 0 {
 		i = ti - q.ends[k-1]
 	} else {
 		i = ti
 	}
-	if k < len(q.spans) {
-		return &q.spans[k], nil, i
-	}
-	return nil, q.cells[k-len(q.spans)], i
+	return &q.segs[k], i
 }
 
 // RunCell verifies every fact of one dataset with one model and method,

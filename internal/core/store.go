@@ -47,7 +47,9 @@ func (b *Benchmark) CellKeyAt(c Cell, corpus uint64) results.Key {
 // ResultSink receives completed grid cells as Run streams them. Cells
 // already satisfied by an attached store are delivered first, in grid
 // order, before any work is scheduled; computed cells follow in
-// data-dependent completion order. PutCell is called serially (never
+// completion order, which tracks Run's queue: cells that need no
+// retrieval first, then each dataset's RAG cells after that dataset's
+// evidence prefetch. PutCell is called serially (never
 // concurrently with itself); returning an error fails the run.
 type ResultSink interface {
 	PutCell(c Cell, outs []strategy.Outcome) error

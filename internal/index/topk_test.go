@@ -118,10 +118,10 @@ func TestTopKPrunedRandomized(t *testing.T) {
 	}
 }
 
-// FuzzTopKPruned lets the fuzzer pick the corpus shape, the row layout, k
-// and the query; the invariant is byte equality with the dense reference,
-// rows tie-broken by their doc IDs.
-func FuzzTopKPruned(f *testing.F) {
+// FuzzTopKMatchesReference lets the fuzzer pick the corpus shape, the row
+// layout, k and the query; the invariant is byte equality with the dense
+// reference, rows tie-broken by their doc IDs.
+func FuzzTopKMatchesReference(f *testing.F) {
 	f.Add(uint64(1), 3, 2, "alpha beta")
 	f.Add(uint64(7), 1, 1, "gamma")
 	f.Add(uint64(42), 100, 64, "")

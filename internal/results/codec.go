@@ -69,6 +69,40 @@ func (e *encoder) boolean(v bool) {
 type decoder struct {
 	buf []byte
 	pos int
+	tab *table
+}
+
+// table shares strings and claims among the outcomes decoded through it:
+// a cell's model and method repeat in every outcome, and a dataset's fact
+// IDs, explanations and claims repeat across its cells. Open decodes every
+// snapshot of a store through one table, so the loaded cells hold one copy
+// of each, as the cells Run computes do.
+type table struct {
+	strs map[string]string
+	// rows holds, per outcome count, the outcomes of the last snapshot
+	// decoded with that count. The cells of one dataset list the same
+	// facts in the same order, so outcome i is first compared with row i
+	// of the previous such cell: that skips the string lookups and reuses
+	// the row's claim without building its strings again.
+	rows map[uint64][]strategy.Outcome
+}
+
+func newTable() *table {
+	return &table{strs: map[string]string{}, rows: map[uint64][]strategy.Outcome{}}
+}
+
+// str returns a string equal to b: hint when it is, else the table's,
+// adding one if there is none.
+func (t *table) str(b []byte, hint string) string {
+	if hint == string(b) {
+		return hint
+	}
+	if s, ok := t.strs[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	t.strs[s] = s
+	return s
 }
 
 func (d *decoder) remaining() int { return len(d.buf) - d.pos }
@@ -108,19 +142,25 @@ func (d *decoder) f64() (float64, error) {
 	return math.Float64frombits(v), err
 }
 
-func (d *decoder) str() (string, error) {
+// bytes reads a string field's bytes without copying them.
+func (d *decoder) bytes() ([]byte, error) {
 	n, err := d.u64()
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	if n > uint64(d.remaining()) {
-		return "", errTruncated
+		return nil, errTruncated
 	}
-	b, err := d.raw(int(n))
+	return d.raw(int(n))
+}
+
+// str reads a string field through the decoder's string table.
+func (d *decoder) str(hint string) (string, error) {
+	b, err := d.bytes()
 	if err != nil {
 		return "", err
 	}
-	return string(b), nil
+	return d.tab.str(b, hint), nil
 }
 
 func (d *decoder) boolean() (bool, error) {
@@ -147,6 +187,11 @@ func Encode(fp Fingerprint, outs []strategy.Outcome) []byte {
 // Decode parses a snapshot, verifying magic, version, checksum and exact
 // length. Any malformation yields an error wrapping ErrSnapshot.
 func Decode(data []byte) (Fingerprint, []strategy.Outcome, error) {
+	return decode(data, newTable())
+}
+
+// decode is Decode with the outcomes' strings and claims taken from tab.
+func decode(data []byte, tab *table) (Fingerprint, []strategy.Outcome, error) {
 	const headerLen = 4 + 1 + 8 + 8 // magic + version + fp + count
 	if len(data) < headerLen+8 {
 		return 0, nil, errTruncated
@@ -161,7 +206,7 @@ func Decode(data []byte) (Fingerprint, []strategy.Outcome, error) {
 	if checksum(body) != binary.BigEndian.Uint64(tail) {
 		return 0, nil, errChecksum
 	}
-	d := &decoder{buf: body, pos: 5}
+	d := &decoder{buf: body, pos: 5, tab: tab}
 	fpBits, err := d.u64()
 	if err != nil {
 		return 0, nil, err
@@ -180,14 +225,26 @@ func Decode(data []byte) (Fingerprint, []strategy.Outcome, error) {
 		return 0, nil, errTruncated
 	}
 	outs := make([]strategy.Outcome, count)
+	rows := tab.rows[count]
+	var none strategy.Outcome
 	for i := range outs {
-		if err := decodeOutcome(d, &outs[i]); err != nil {
+		// Hints: the previous outcome of this cell (same model and
+		// method) and row i of the previous cell of this size (same fact).
+		last, row := &none, &none
+		if i > 0 {
+			last = &outs[i-1]
+		}
+		if i < len(rows) {
+			row = &rows[i]
+		}
+		if err := decodeOutcome(d, &outs[i], last, row); err != nil {
 			return 0, nil, err
 		}
 	}
 	if d.remaining() != 0 {
 		return 0, nil, errTrailing
 	}
+	tab.rows[count] = outs
 	return Fingerprint(fpBits), outs, nil
 }
 
@@ -238,11 +295,13 @@ func encodeOutcome(e *encoder, o *strategy.Outcome) {
 	e.str(c.Phrase)
 }
 
-func decodeOutcome(d *decoder, o *strategy.Outcome) error {
+// decodeOutcome reads one outcome; last and row are the hints described
+// at its call, each the zero outcome when absent.
+func decodeOutcome(d *decoder, o *strategy.Outcome, last, row *strategy.Outcome) error {
 	var err error
-	read := func(dst *string) {
+	read := func(dst *string, hint string) {
 		if err == nil {
-			*dst, err = d.str()
+			*dst, err = d.str(hint)
 		}
 	}
 	readBool := func(dst *bool) {
@@ -257,11 +316,11 @@ func decodeOutcome(d *decoder, o *strategy.Outcome) error {
 			*dst = int(v)
 		}
 	}
-	read(&o.FactID)
-	read(&o.Model)
+	read(&o.FactID, row.FactID)
+	read(&o.Model, last.Model)
 	if err == nil {
 		var m string
-		m, err = d.str()
+		m, err = d.str(string(last.Method))
 		o.Method = llm.Method(m)
 	}
 	if err == nil {
@@ -279,29 +338,69 @@ func decodeOutcome(d *decoder, o *strategy.Outcome) error {
 	readInt(&o.PromptTokens)
 	readInt(&o.CompletionTokens)
 	readInt(&o.Attempts)
-	read(&o.Explanation)
+	read(&o.Explanation, row.Explanation)
 	readInt(&o.EvidenceChunks)
-	var c llm.Claim
-	read(&c.Key)
-	read(&c.FactID)
-	read(&c.Dataset)
-	readBool(&c.Gold)
-	if err == nil {
-		c.Popularity, err = d.f64()
+	if err != nil {
+		return err
 	}
-	read(&c.Category)
-	read(&c.Topic)
-	read(&c.Sentence)
-	read(&c.SubjectLabel)
-	read(&c.ObjectLabel)
-	read(&c.Phrase)
+	o.Claim, err = decodeClaim(d, row.Claim)
+	return err
+}
+
+// claimFields is the number of string fields of an encoded claim.
+const claimFields = 9
+
+// decodeClaim reads an outcome's claim. The hint is compared field by field
+// against the encoded bytes and reused when equal; otherwise the claim is
+// built and interned.
+func decodeClaim(d *decoder, hint unique.Handle[llm.Claim]) (unique.Handle[llm.Claim], error) {
+	var raw [claimFields][]byte
+	var gold bool
+	var pop float64
+	var err error
+	read := func(i int) {
+		if err == nil {
+			raw[i], err = d.bytes()
+		}
+	}
+	read(0) // Key
+	read(1) // FactID
+	read(2) // Dataset
+	if err == nil {
+		gold, err = d.boolean()
+	}
+	if err == nil {
+		pop, err = d.f64()
+	}
+	for i := 3; i < claimFields; i++ {
+		read(i) // Category, Topic, Sentence, SubjectLabel, ObjectLabel, Phrase
+	}
+	if err != nil {
+		return unique.Handle[llm.Claim]{}, err
+	}
+	if hint != (unique.Handle[llm.Claim]{}) {
+		c := hint.Value()
+		if c.Key == string(raw[0]) && c.FactID == string(raw[1]) && c.Dataset == string(raw[2]) &&
+			c.Gold == gold && math.Float64bits(c.Popularity) == math.Float64bits(pop) &&
+			c.Category == string(raw[3]) && c.Topic == string(raw[4]) &&
+			c.Sentence == string(raw[5]) && c.SubjectLabel == string(raw[6]) &&
+			c.ObjectLabel == string(raw[7]) && c.Phrase == string(raw[8]) {
+			return hint, nil
+		}
+	}
+	c := llm.Claim{
+		Key: string(raw[0]), FactID: string(raw[1]), Dataset: string(raw[2]),
+		Gold: gold, Popularity: pop,
+		Category: string(raw[3]), Topic: string(raw[4]), Sentence: string(raw[5]),
+		SubjectLabel: string(raw[6]), ObjectLabel: string(raw[7]), Phrase: string(raw[8]),
+	}
 	// The all-zero claim reads back as the zero handle it was written
 	// from. A popularity of -0 compares equal to 0 but is not the zero
 	// claim's, so it keeps a handle and re-encodes to the same bits.
-	if err == nil && (c != (llm.Claim{}) || math.Signbit(c.Popularity)) {
-		o.Claim = unique.Make(c)
+	if c == (llm.Claim{}) && !math.Signbit(pop) {
+		return unique.Handle[llm.Claim]{}, nil
 	}
-	return err
+	return unique.Make(c), nil
 }
 
 func checksum(b []byte) uint64 {

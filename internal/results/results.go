@@ -139,8 +139,9 @@ func NewMemory() *Store {
 // valid cell snapshot into the in-memory table. Snapshots that fail to
 // decode — truncated, corrupt, wrong version — or whose embedded
 // fingerprint does not match their file name are skipped: they count as
-// missing cells and are recomputed and rewritten by the next run. An empty
-// dir returns a pure in-memory store.
+// missing cells and are recomputed and rewritten by the next run. All
+// snapshots decode through one table, so the loaded cells share each
+// repeated string and claim. An empty dir returns a pure in-memory store.
 func Open(dir string) (*Store, error) {
 	if dir == "" {
 		return NewMemory(), nil
@@ -153,6 +154,7 @@ func Open(dir string) (*Store, error) {
 		return nil, fmt.Errorf("results: reading store dir: %w", err)
 	}
 	s := &Store{dir: dir, cells: map[Fingerprint][]strategy.Outcome{}}
+	tab := newTable()
 	for _, ent := range entries {
 		name := ent.Name()
 		if ent.IsDir() {
@@ -176,7 +178,7 @@ func Open(dir string) (*Store, error) {
 		if err != nil {
 			return nil, fmt.Errorf("results: reading snapshot %s: %w", name, err)
 		}
-		fp, outs, err := Decode(data)
+		fp, outs, err := decode(data, tab)
 		if err != nil {
 			continue // corrupt or foreign snapshot: treat the cell as missing
 		}

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 	"unique"
+	"unsafe"
 
 	"factcheck/internal/dataset"
 	"factcheck/internal/llm"
@@ -354,6 +355,49 @@ func TestStorePersistsAndReloads(t *testing.T) {
 	if _, ok := s2.Get(fp + 1); ok {
 		t.Error("foreign fingerprint resolved")
 	}
+}
+
+// TestOpenSharesStrings checks that the cells one Open loads share their
+// repeated strings, and that a claim that repeats the previous cell's key
+// with other fields still decodes to its own value.
+func TestOpenSharesStrings(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := testOutcomes()
+	b := testOutcomes()
+	for i := range b {
+		b[i].Model = "qwen2.5:7b"
+	}
+	c := a[0].Claim.Value()
+	c.Sentence = "Ada Example was not born in Sampleville."
+	b[0].Claim = unique.Make(c)
+	fpA, fpB := Fingerprint(1), Fingerprint(2)
+	for fp, outs := range map[Fingerprint][]strategy.Outcome{fpA: a, fpB: b} {
+		if err := s.Put(fp, outs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotA, _ := s2.Get(fpA)
+	gotB, _ := s2.Get(fpB)
+	if !reflect.DeepEqual(gotA, a) || !reflect.DeepEqual(gotB, b) {
+		t.Fatal("reloaded outcomes differ")
+	}
+	same := func(what, x, y string) {
+		if unsafe.StringData(x) != unsafe.StringData(y) {
+			t.Errorf("%s %q is not shared across cells", what, x)
+		}
+	}
+	same("fact ID", gotA[0].FactID, gotB[0].FactID)
+	same("explanation", gotA[0].Explanation, gotB[0].Explanation)
+	same("method", string(gotA[0].Method), string(gotB[0].Method))
+	same("model", gotB[0].Model, gotB[1].Model)
 }
 
 func TestStoreSkipsCorruptAndMisnamedSnapshots(t *testing.T) {

@@ -144,9 +144,6 @@ type Engine struct {
 
 	hits, misses, evicted atomic.Int64
 
-	// arenas pools per-query top-k scratch state (accumulators, scores,
-	// sort keys), so warm queries allocate nothing.
-	arenas sync.Pool
 	// retrieval accumulates top-k work counters across all queries.
 	retrieval retrievalCounters
 }
@@ -240,15 +237,23 @@ type retrievalCounters struct {
 	docsScored      atomic.Int64
 }
 
+// arenas pools per-query top-k scratch state (accumulators, scores, sort
+// keys), so warm queries allocate nothing. It is shared by all engines: a
+// sync.Pool stays registered with the runtime until the second garbage
+// collection after its last use, so a pool inside an Engine would keep the
+// engine, with the world and pools it references, alive that long after
+// its owner dropped it.
+var arenas sync.Pool
+
 // arena checks a pooled top-k arena out; release returns it.
 func (e *Engine) arena() *index.Arena {
-	if a, ok := e.arenas.Get().(*index.Arena); ok {
+	if a, ok := arenas.Get().(*index.Arena); ok {
 		return a
 	}
 	return &index.Arena{}
 }
 
-func (e *Engine) release(a *index.Arena) { e.arenas.Put(a) }
+func (e *Engine) release(a *index.Arena) { arenas.Put(a) }
 
 // factEntry is one in-flight materialisation. pool is written once by the
 // owner before done is closed; waiters read it only after <-done.

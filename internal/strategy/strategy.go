@@ -85,10 +85,13 @@ type Verifier interface {
 }
 
 // Prefetcher is implemented by verifiers with model-independent per-fact
-// state worth warming ahead of model fan-out. The grid scheduler calls
-// Prefetch once per (method, fact) before any model verifies the fact, so
-// the expensive shared stage (RAG retrieval) runs exactly once instead of
-// once per model racing through the singleflight cache.
+// state worth warming ahead of model fan-out. The grid scheduler queues
+// cells of verifiers that are not Prefetchers first, since they finish
+// without that state. It then prefetches one dataset at a time: Prefetch
+// runs once per (method, fact) over the dataset, and that method's cells
+// on the dataset follow at once. The expensive shared stage (RAG
+// retrieval) thus runs exactly once instead of once per model racing
+// through the singleflight cache.
 type Prefetcher interface {
 	// Prefetch warms per-fact state; it must be safe to call concurrently
 	// and to skip (Verify must work without it).
