@@ -7,9 +7,10 @@
 // Grid execution is streamed: Run flattens the whole grid into one
 // (cell, fact) task queue and drains it on a sched.Pool, so no cell
 // barrier ever stalls independent work. Cells that read no retrieved
-// evidence come first; each dataset's RAG cells follow an evidence-prefetch
-// span that retrieves once per fact ahead of model fan-out, and an
-// optional progress callback reports cells as they complete.
+// evidence come first; then each dataset's RAG work runs as one task per
+// fact that retrieves the fact's evidence once, verifies it with every
+// pending model and releases it, and an optional progress callback
+// reports cells as they complete.
 //
 // Runs are resumable and incremental: with a content-addressed result
 // store attached (WithStore, internal/results), the queue is built only
@@ -287,8 +288,9 @@ type runOptions struct {
 // drains the grid. Cells satisfied by an attached store report first, in
 // grid order; computed cells follow as they complete, roughly in queue
 // order: cells that need no retrieval, smallest dataset first, then each
-// dataset's RAG cells after its retrieval. fn is called serially (never
-// concurrently with itself).
+// dataset's pending RAG cells, which share one task per fact and so
+// complete together once the dataset's last fact is verified. fn is
+// called serially (never concurrently with itself).
 func WithProgress(fn func(Progress)) RunOption {
 	return func(o *runOptions) { o.progress = fn }
 }
@@ -312,8 +314,13 @@ type gridCell struct {
 // queue: every (cell, fact) pair is enqueued up front and drained by
 // Parallelism workers, so slow cells overlap with fast ones instead of
 // serialising behind per-cell barriers. The queue is ordered so that cells
-// finish early: cells that need no retrieval first, then each dataset's
-// evidence prefetch followed by the cells that read it (see queue).
+// finish early: cells that need no retrieval first, then, dataset by
+// dataset, one task per fact that retrieves the fact's evidence, verifies
+// it for every pending RAG cell and releases it (see queue). Only the
+// evidence of facts whose open-model votes tie outlives its task, because
+// RunConsensusMode's arbiters verify exactly those facts again: a cold
+// run retrieves each fact once, consensus after it retrieves nothing, and
+// live evidence stays bounded by the worker count plus the tied facts.
 // Outcomes are assembled back into fact-ordered slices and are
 // byte-identical at any parallelism. On error the run cancels outstanding
 // work, drains in-flight verifications and returns the aggregated failure.
@@ -327,7 +334,9 @@ type gridCell struct {
 // cells are persisted as they finish, so progress survives a kill at any
 // point. WithSink additionally streams every completed cell to a caller
 // sink: cached cells first, in grid order, then computed cells as they
-// complete, those without retrieval ahead of the RAG cells.
+// complete, those without retrieval ahead of the RAG cells. A dataset's
+// pending RAG cells complete together, so a kill during a dataset's RAG
+// work loses all of that dataset's in-flight RAG cells.
 func (b *Benchmark) Run(ctx context.Context, opts ...RunOption) (*ResultSet, error) {
 	var ro runOptions
 	for _, o := range opts {
@@ -440,20 +449,29 @@ func (b *Benchmark) run(ctx context.Context, verifiers map[llm.Method]strategy.V
 
 	pool := sched.New(b.Config.Parallelism)
 
-	q := queue(cells)
+	q := queue(cells, openModels(b.Config.Models))
 	err := pool.Run(ctx, q.len(), func(ctx context.Context, ti int) error {
 		s, i := q.at(ti)
-		c := s.cell
-		if c == nil {
-			return s.prefetch.Prefetch(ctx, s.facts[i])
+		f := s.facts[i]
+		if s.prefetch != nil {
+			if err := s.prefetch.Prefetch(ctx, f); err != nil {
+				return err
+			}
 		}
-		out, err := c.verifier.Verify(ctx, c.model, c.facts[i])
-		if err != nil {
-			return err
+		for _, c := range s.cells {
+			out, err := c.verifier.Verify(ctx, c.model, f)
+			if err != nil {
+				return err
+			}
+			c.outs[i] = out
+			if c.remaining.Add(-1) == 0 {
+				if err := finishCell(c); err != nil {
+					return err
+				}
+			}
 		}
-		c.outs[i] = out
-		if c.remaining.Add(-1) == 0 {
-			return finishCell(c)
+		if s.prefetch != nil && !tied(s.voters, i) {
+			s.prefetch.Release(f)
 		}
 		return nil
 	})
@@ -468,12 +486,31 @@ func (b *Benchmark) run(ctx context.Context, verifiers map[llm.Method]strategy.V
 	return rs, nil
 }
 
-// segment is one run of consecutive tasks: a method's evidence prefetch
-// over one dataset's facts (cell nil) or the facts of one pending cell.
+// segment is one run of consecutive tasks, task i working on facts[i].
+// A plain segment (prefetch nil) verifies the fact for its one cell. A
+// fused segment serves one (dataset, prefetching method): task i
+// prefetches the fact, verifies it for each of cells (that method's
+// pending cells on the dataset, in grid order) and then releases its
+// prefetched state, unless the votes of voters tie on the fact. voters
+// are the method's open-model cells on the dataset, cached ones included:
+// the ensemble whose ties RunConsensusMode's arbiters re-verify.
 type segment struct {
 	prefetch strategy.Prefetcher
-	cell     *gridCell
+	cells    []*gridCell
+	voters   []*gridCell
 	facts    []*dataset.Fact
+}
+
+// tied reports whether the voters' outcomes on fact i split evenly under
+// consensus.Majority.
+func tied(voters []*gridCell, i int) bool {
+	var buf [8]consensus.Vote
+	votes := buf[:0]
+	for _, c := range voters {
+		votes = append(votes, consensus.Vote{Verdict: c.outs[i].Verdict})
+	}
+	_, tie := consensus.Majority(votes)
+	return tie
 }
 
 // taskQueue is Run's task queue, derived from the task index rather than
@@ -485,18 +522,17 @@ type taskQueue struct {
 }
 
 // queue lays out Run's tasks for the cells the store could not satisfy, so
-// that each cell completes as soon as its own work is done. Cells whose
-// verifier is not a strategy.Prefetcher read no shared per-fact state and
-// come first. Then, dataset by dataset, each prefetching method's evidence
-// prefetch over the dataset is followed at once by that method's cells on
-// the dataset, so they run on evidence the span just warmed and complete
-// while later datasets still retrieve. Datasets go smallest first (ties in
-// configuration order) and cells keep grid order within a dataset. A span
-// is queued only where its method still has a pending cell. Dispatch is
-// ascending, so a verification can overtake its fact's prefetch only by
-// the worker count; the singleflight evidence cache keeps retrieval
-// exactly-once then too.
-func queue(cells []*gridCell) *taskQueue {
+// that cells complete early and per-fact evidence lives only while its
+// fact is in flight. Cells whose verifier is not a strategy.Prefetcher
+// read no shared per-fact state and come first, one plain segment each.
+// Then, dataset by dataset, each prefetching method with a pending cell on
+// the dataset gets one fused segment over the dataset's facts, so the
+// evidence of a fact is retrieved once, read by every pending model and
+// released before the worker moves on: live evidence is bounded by the
+// worker count, plus the facts whose votes among the open models tie,
+// which consensus re-reads. Datasets go smallest first (ties in
+// configuration order) and cells keep grid order within a dataset.
+func queue(cells []*gridCell, open []string) *taskQueue {
 	var pending []*gridCell
 	for _, c := range cells {
 		if !c.cached && len(c.facts) > 0 {
@@ -515,7 +551,7 @@ func queue(cells []*gridCell) *taskQueue {
 	}
 	for _, c := range pending {
 		if _, ok := c.verifier.(strategy.Prefetcher); !ok {
-			add(segment{cell: c, facts: c.facts})
+			add(segment{cells: []*gridCell{c}, facts: c.facts})
 		}
 	}
 	var last *gridCell
@@ -524,11 +560,19 @@ func queue(cells []*gridCell) *taskQueue {
 		if !ok {
 			continue
 		}
-		if last == nil || last.cell.Dataset != c.cell.Dataset || last.cell.Method != c.cell.Method {
-			add(segment{prefetch: p, facts: c.facts})
+		if last != nil && last.cell.Dataset == c.cell.Dataset && last.cell.Method == c.cell.Method {
+			s := &q.segs[len(q.segs)-1]
+			s.cells = append(s.cells, c)
+			continue
 		}
-		add(segment{cell: c, facts: c.facts})
 		last = c
+		s := segment{prefetch: p, cells: []*gridCell{c}, facts: c.facts}
+		for _, v := range cells {
+			if v.cell.Dataset == c.cell.Dataset && v.cell.Method == c.cell.Method && slices.Contains(open, v.cell.Model) {
+				s.voters = append(s.voters, v)
+			}
+		}
+		add(s)
 	}
 	return q
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"testing"
 
@@ -10,26 +11,23 @@ import (
 	"factcheck/internal/strategy"
 )
 
-// queuedSegment is one run of a taskQueue as seen through at: a span
-// (cell nil) or a cell, with the number of tasks it covers.
+// queuedSegment is one run of a taskQueue as seen through at, with the
+// number of tasks it covers.
 type queuedSegment struct {
-	prefetch strategy.Prefetcher
-	cell     *gridCell
-	facts    []*dataset.Fact
-	n        int
+	*segment
+	n int
 }
 
 // walkQueue reads every task of q through at, checks that each segment
-// hands out fact indices 0..n-1 in order, and returns the segments.
+// hands out fact indices 0..n-1 in order and covers all its facts, and
+// returns the segments.
 func walkQueue(t *testing.T, name string, q *taskQueue) []queuedSegment {
 	t.Helper()
 	var segs []queuedSegment
-	var cur *segment
 	for ti := 0; ti < q.len(); ti++ {
 		s, i := q.at(ti)
-		if s != cur {
-			segs = append(segs, queuedSegment{prefetch: s.prefetch, cell: s.cell, facts: s.facts})
-			cur = s
+		if len(segs) == 0 || segs[len(segs)-1].segment != s {
+			segs = append(segs, queuedSegment{segment: s})
 		}
 		last := &segs[len(segs)-1]
 		if i != last.n || i >= len(s.facts) {
@@ -37,17 +35,24 @@ func walkQueue(t *testing.T, name string, q *taskQueue) []queuedSegment {
 		}
 		last.n++
 	}
+	for _, s := range segs {
+		if s.n != len(s.facts) {
+			t.Fatalf("%s: segment covers %d of its %d facts", name, s.n, len(s.facts))
+		}
+	}
 	return segs
 }
 
-// TestTaskQueueStreamsCells checks the order Run drains the grid in, over
+// TestTaskQueueFusesRAGWork checks the order Run drains the grid in, over
 // a cold grid, a grid with scattered cached cells, one where every RAG
-// cell of a dataset is cached (no prefetch for it), one with an empty
-// cell, and a fully cached one: every pending (cell, fact) task appears
-// once; cells that read no evidence come before every prefetch span;
-// each span is queued only for a method and dataset with pending cells
-// and comes right before exactly those cells; datasets ascend by size.
-func TestTaskQueueStreamsCells(t *testing.T) {
+// cell of a dataset is cached, one with an empty cell, and a fully cached
+// one: every pending (cell, fact) pair appears exactly once; cells that
+// read no evidence come first, one plain segment each; then each
+// (dataset, prefetching method) with a pending cell has exactly one fused
+// segment, listing exactly its pending cells in grid order and voting
+// with its open-model cells, cached ones included; a fully cached pair
+// has no segment; datasets ascend by size.
+func TestTaskQueueFusesRAGWork(t *testing.T) {
 	b, _ := benchFixture(t)
 	verifiers := map[llm.Method]strategy.Verifier{}
 	for _, method := range b.Config.Methods {
@@ -56,6 +61,10 @@ func TestTaskQueueStreamsCells(t *testing.T) {
 			t.Fatal(err)
 		}
 		verifiers[method] = v
+	}
+	open := openModels(b.Config.Models)
+	if len(open) == len(b.Config.Models) {
+		t.Fatal("fixture has no closed model; the voter rule is untested")
 	}
 	size := func(dn dataset.Name) int { return len(b.Datasets[dn].Facts) }
 	sizes := map[int]bool{}
@@ -84,6 +93,10 @@ func TestTaskQueueStreamsCells(t *testing.T) {
 	}
 	withEmpty := grid(func(int, Cell) bool { return false })
 	withEmpty[7].facts = nil
+	type key struct {
+		dn     dataset.Name
+		method llm.Method
+	}
 	for name, cells := range map[string][]*gridCell{
 		"cold":       grid(func(int, Cell) bool { return false }),
 		"scattered":  grid(func(k int, _ Cell) bool { return k%3 == 1 }),
@@ -91,115 +104,122 @@ func TestTaskQueueStreamsCells(t *testing.T) {
 		"empty-cell": withEmpty,
 		"warm":       grid(func(int, Cell) bool { return true }),
 	} {
-		segs := walkQueue(t, name, queue(cells))
+		segs := walkQueue(t, name, queue(cells, open))
 
-		// Every pending (cell, fact) task appears exactly once, and only
+		// What each (dataset, prefetching method) pair should get: its
+		// pending cells and its open-model voters, in grid order.
+		pendingRAG := map[key][]*gridCell{}
+		voters := map[key][]*gridCell{}
+		for _, c := range cells {
+			if _, ok := c.verifier.(strategy.Prefetcher); !ok {
+				continue
+			}
+			k := key{c.cell.Dataset, c.cell.Method}
+			if !c.cached && len(c.facts) > 0 {
+				pendingRAG[k] = append(pendingRAG[k], c)
+			}
+			if c.cell.Model != llm.GPT4oMini {
+				voters[k] = append(voters[k], c)
+			}
+		}
+
+		// Every pending (cell, fact) pair appears exactly once, and only
 		// pending cells are queued.
 		queued := map[*gridCell]int{}
 		for _, s := range segs {
-			if s.cell != nil {
-				if s.prefetch != nil || s.n != len(s.cell.facts) {
-					t.Errorf("%s: cell %v queued with %d of %d facts", name, s.cell.cell, s.n, len(s.cell.facts))
-				}
-				queued[s.cell]++
+			for _, c := range s.cells {
+				queued[c]++
 			}
 		}
-		type key struct {
-			dn     dataset.Name
-			method llm.Method
-		}
-		pendingRAG := map[key][]*gridCell{}
 		for _, c := range cells {
 			want := 0
 			if !c.cached && len(c.facts) > 0 {
 				want = 1
-				if _, ok := c.verifier.(strategy.Prefetcher); ok {
-					k := key{c.cell.Dataset, c.cell.Method}
-					pendingRAG[k] = append(pendingRAG[k], c)
-				}
 			}
 			if queued[c] != want {
 				t.Errorf("%s: cell %v queued %d times, want %d", name, c.cell, queued[c], want)
 			}
 		}
 
-		// Cells that read no evidence come first, then spans each followed
-		// at once by the cells of its method and dataset, in grid order.
+		// Plain segments of cells that read no evidence come first.
 		k := 0
-		for k < len(segs) && segs[k].cell != nil {
-			if _, ok := segs[k].cell.verifier.(strategy.Prefetcher); ok {
-				t.Errorf("%s: RAG cell %v queued before its prefetch span", name, segs[k].cell.cell)
-			}
-			k++
-		}
-		head := segs[:k]
-		var spanSizes []int
-		spans := map[key]bool{}
-		for k < len(segs) {
-			span := segs[k]
-			if span.cell != nil || span.prefetch == nil {
-				t.Errorf("%s: segment %d is cell %v, want a prefetch span", name, k, span.cell.cell)
-				break
-			}
-			k++
-			j := k
-			for j < len(segs) && segs[j].cell != nil {
-				j++
-			}
-			if j == k {
-				t.Errorf("%s: span %d reads no cell", name, k-1)
+		for ; k < len(segs) && segs[k].prefetch == nil; k++ {
+			s := segs[k]
+			if len(s.cells) != 1 || s.voters != nil {
+				t.Errorf("%s: plain segment %d holds %d cells and %d voters", name, k, len(s.cells), len(s.voters))
 				continue
 			}
-			first := segs[k].cell
-			kk := key{first.cell.Dataset, first.cell.Method}
-			want := pendingRAG[kk]
-			if spans[kk] || len(want) != j-k || &span.facts[0] != &first.facts[0] || span.prefetch != first.verifier.(strategy.Prefetcher) {
-				t.Errorf("%s: span before %v is not the one prefetch of its %d pending cells", name, first.cell, len(want))
+			if _, ok := s.cells[0].verifier.(strategy.Prefetcher); ok {
+				t.Errorf("%s: RAG cell %v queued as a plain segment", name, s.cells[0].cell)
 			}
-			spans[kk] = true
-			for n, s := range segs[k:j] {
-				if n < len(want) && s.cell != want[n] {
-					t.Errorf("%s: %v follows the span of %v, want %v", name, s.cell.cell, kk, want[n].cell)
-				}
-			}
-			spanSizes = append(spanSizes, len(span.facts))
-			k = j
 		}
-		if len(spans) != len(pendingRAG) {
-			t.Errorf("%s: %d spans for %d method/dataset pairs with pending cells", name, len(spans), len(pendingRAG))
+		head := segs[:k]
+
+		// Then one fused segment per pair with a pending cell.
+		fused := map[key]bool{}
+		var fusedSizes []int
+		for _, s := range segs[k:] {
+			if s.prefetch == nil || len(s.cells) == 0 {
+				t.Errorf("%s: segment after the fused ones began is not fused (%d cells)", name, len(s.cells))
+				continue
+			}
+			first := s.cells[0]
+			kk := key{first.cell.Dataset, first.cell.Method}
+			if fused[kk] {
+				t.Errorf("%s: %v has two fused segments", name, kk)
+			}
+			fused[kk] = true
+			if !slices.Equal(s.cells, pendingRAG[kk]) {
+				t.Errorf("%s: fused segment of %v lists %d cells, want its %d pending ones in grid order", name, kk, len(s.cells), len(pendingRAG[kk]))
+			}
+			if !slices.Equal(s.voters, voters[kk]) {
+				t.Errorf("%s: fused segment of %v votes with %d cells, want its %d open-model cells", name, kk, len(s.voters), len(voters[kk]))
+			}
+			if &s.facts[0] != &first.facts[0] || s.prefetch != first.verifier.(strategy.Prefetcher) {
+				t.Errorf("%s: fused segment of %v prefetches other facts or with another verifier", name, kk)
+			}
+			fusedSizes = append(fusedSizes, len(s.facts))
+		}
+		if len(fused) != len(pendingRAG) {
+			t.Errorf("%s: %d fused segments for %d method/dataset pairs with pending cells", name, len(fused), len(pendingRAG))
 		}
 
-		// Datasets ascend by size in both parts, and the cells of one
+		// Datasets ascend by size in both parts, and plain cells of one
 		// dataset keep grid order.
 		pos := map[*gridCell]int{}
 		for i, c := range cells {
 			pos[c] = i
 		}
 		for i := 1; i < len(head); i++ {
-			prev, c := head[i-1].cell, head[i].cell
+			prev, c := head[i-1].cells[0], head[i].cells[0]
 			if len(prev.facts) > len(c.facts) || (len(prev.facts) == len(c.facts) && pos[prev] > pos[c]) {
 				t.Errorf("%s: %v queued after %v", name, c.cell, prev.cell)
 			}
 		}
-		for i := 1; i < len(spanSizes); i++ {
-			if spanSizes[i-1] > spanSizes[i] {
-				t.Errorf("%s: spans over %v facts do not ascend", name, spanSizes)
-				break
-			}
+		if !slices.IsSorted(fusedSizes) {
+			t.Errorf("%s: fused segments over %v facts do not ascend", name, fusedSizes)
 		}
 	}
 }
 
-// recordingPrefetcher wraps a prefetching verifier and logs every
-// Prefetch call.
+// recordingPrefetcher wraps a prefetching verifier, logs every Prefetch
+// call and passes every released fact to release, when set.
 type recordingPrefetcher struct {
 	strategy.Verifier
-	log func(string)
+	log     func(string)
+	release func(*dataset.Fact)
 }
 
 func (r recordingPrefetcher) Prefetch(ctx context.Context, f *dataset.Fact) error {
 	r.log("prefetch")
 	return r.Verifier.(strategy.Prefetcher).Prefetch(ctx, f)
+}
+
+func (r recordingPrefetcher) Release(f *dataset.Fact) {
+	if r.release != nil {
+		r.release(f)
+	}
+	r.Verifier.(strategy.Prefetcher).Release(f)
 }
 
 // TestRunReportsBeforePrefetch drains a grid on one worker and checks that

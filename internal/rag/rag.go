@@ -90,8 +90,10 @@ func DefaultConfig() Config {
 // deterministic, so results are cached per fact: when several models verify
 // the same fact (Table 5's five columns, consensus ensembles) the pipeline
 // retrieves once. The cache is sharded by fact ID and deduplicates
-// concurrent retrievals (singleflight), so the whole-grid scheduler can fan
-// N models out over the same fact and still trigger exactly one retrieval.
+// concurrent retrievals (singleflight). The whole-grid scheduler warms a
+// fact, verifies it with every pending model and then drops it with
+// Invalidate, keeping only facts that consensus will verify again; any
+// later caller simply retrieves again, with identical evidence.
 type Pipeline struct {
 	Searcher       search.Searcher
 	QuestionRanker rerank.Scorer
@@ -257,9 +259,10 @@ func (p *Pipeline) ClearCache() {
 	p.cache.clear()
 }
 
-// Invalidate drops the fact's cached evidence after a corpus epoch bump:
-// the next retrieval for the fact recomputes over the new corpus, while
-// every other fact keeps its warm evidence.
+// Invalidate drops the fact's cached evidence: after a corpus epoch bump,
+// so the next retrieval for the fact recomputes over the new corpus, and
+// when the grid scheduler releases a fact its models have verified. Every
+// other fact keeps its warm evidence.
 func (p *Pipeline) Invalidate(factID string) {
 	p.cache.invalidate(factID)
 }

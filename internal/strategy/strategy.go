@@ -85,17 +85,22 @@ type Verifier interface {
 }
 
 // Prefetcher is implemented by verifiers with model-independent per-fact
-// state worth warming ahead of model fan-out. The grid scheduler queues
-// cells of verifiers that are not Prefetchers first, since they finish
-// without that state. It then prefetches one dataset at a time: Prefetch
-// runs once per (method, fact) over the dataset, and that method's cells
-// on the dataset follow at once. The expensive shared stage (RAG
-// retrieval) thus runs exactly once instead of once per model racing
-// through the singleflight cache.
+// state worth warming ahead of model fan-out and dropping after it. The
+// grid scheduler queues cells of verifiers that are not Prefetchers
+// first, since they finish without that state. It then runs one task per
+// (method, fact) over one dataset at a time: the task calls Prefetch,
+// verifies the fact for each of that method's pending models, and calls
+// Release, unless the fact's open-model votes tie and consensus's arbiters
+// will verify it again. The expensive shared stage (RAG retrieval) thus
+// runs exactly once per fact, and its result lives only while the fact's
+// models need it.
 type Prefetcher interface {
 	// Prefetch warms per-fact state; it must be safe to call concurrently
 	// and to skip (Verify must work without it).
 	Prefetch(ctx context.Context, f *dataset.Fact) error
+	// Release drops the fact's warmed state; a later Verify rebuilds it,
+	// with identical results.
+	Release(f *dataset.Fact)
 }
 
 // ClaimFor builds the structured claim handed to simulated models.
@@ -260,6 +265,13 @@ func (r RAG) Prefetch(ctx context.Context, f *dataset.Fact) error {
 		return fmt.Errorf("rag: prefetch %s: %w", f.ID, err)
 	}
 	return nil
+}
+
+// Release implements Prefetcher by dropping the fact's cached evidence.
+func (r RAG) Release(f *dataset.Fact) {
+	if r.Pipeline != nil {
+		r.Pipeline.Invalidate(f.ID)
+	}
 }
 
 // Verify implements Verifier.
