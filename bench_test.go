@@ -496,6 +496,18 @@ func BenchmarkGridRunSequential(b *testing.B) { benchmarkGridRun(b, 1) }
 // wall-clock win of the scheduler (results stay byte-identical).
 func BenchmarkGridRunPooled(b *testing.B) { benchmarkGridRun(b, runtime.GOMAXPROCS(0)) }
 
+// BenchmarkNewBenchmark times set-up at the published size: the world,
+// the three datasets, the corpus generator, the search engine and the RAG
+// pipeline, everything a cold grid or a daemon start pays before its first
+// verification.
+func BenchmarkNewBenchmark(b *testing.B) {
+	cfg := core.Config{Scale: 1.0}
+	b.ReportAllocs()
+	for b.Loop() {
+		core.NewBenchmark(cfg)
+	}
+}
+
 // benchmarkGridRunStore times a whole-grid run against a result store. The
 // timed region covers opening the store (snapshot load + decode) and the
 // run itself; the benchmark substrates are rebuilt outside the timer. Cold

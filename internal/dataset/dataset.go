@@ -238,36 +238,31 @@ func Build(w *world.World, name Name, scale float64) *Dataset {
 		relSet[r] = true
 	}
 	// Group candidate world facts by subject, restricted to the relation
-	// vocabulary, most popular subjects first.
-	bySubject := map[kg.IRI][]world.Fact{}
-	var subjects []kg.IRI
+	// vocabulary, in first-fact order.
+	bySubject := map[*world.Entity][]world.Fact{}
+	var subjects []*world.Entity
 	for _, f := range w.Facts {
 		if !relSet[f.Relation.Name] {
 			continue
 		}
-		if _, seen := bySubject[f.S.IRI]; !seen {
-			subjects = append(subjects, f.S.IRI)
+		if _, seen := bySubject[f.S]; !seen {
+			subjects = append(subjects, f.S)
 		}
-		bySubject[f.S.IRI] = append(bySubject[f.S.IRI], f)
+		bySubject[f.S] = append(bySubject[f.S], f)
 	}
-	sort.Slice(subjects, func(i, j int) bool {
-		pi, pj := w.ByIRI(subjects[i]).Popularity, w.ByIRI(subjects[j]).Popularity
-		if pi != pj {
-			return pi > pj
-		}
-		return subjects[i] < subjects[j]
-	})
 
 	// Popularity-biased subject order: draw subjects with probability
-	// proportional to popularity^bias via exponential sort keys.
+	// proportional to popularity^bias via exponential sort keys. Ties on
+	// the key fall to the IRI, so the order is total and does not depend
+	// on the order subjects were collected in.
 	type keyed struct {
-		s kg.IRI
+		s *world.Entity
 		k float64
 	}
 	keys := make([]keyed, len(subjects))
 	for i, s := range subjects {
-		p := math.Pow(w.ByIRI(s).Popularity, sp.popularityBias)
-		u := det.Uniform("dataset-subj", string(name), string(s))
+		p := math.Pow(s.Popularity, sp.popularityBias)
+		u := det.Uniform("dataset-subj", string(name), string(s.IRI))
 		// Gumbel trick: sort by log(p) + Gumbel noise for a weighted
 		// permutation without replacement.
 		g := -math.Log(-math.Log(clamp01(u)))
@@ -277,7 +272,7 @@ func Build(w *world.World, name Name, scale float64) *Dataset {
 		if keys[i].k != keys[j].k {
 			return keys[i].k > keys[j].k
 		}
-		return keys[i].s < keys[j].s
+		return keys[i].s.IRI < keys[j].s.IRI
 	})
 
 	d := &Dataset{Name: name, World: w}
@@ -377,8 +372,9 @@ func corrupt(w *world.World, wf world.Fact, relSet map[string]bool, rng *rand.Ra
 // relations are sampled first without changing the candidate set.
 func weightedOrder(facts []world.Fact, weights map[string]float64, seed string) []world.Fact {
 	type keyed struct {
-		f world.Fact
-		k float64
+		f   world.Fact
+		key string
+		k   float64
 	}
 	ks := make([]keyed, len(facts))
 	for i, f := range facts {
@@ -386,14 +382,15 @@ func weightedOrder(facts []world.Fact, weights map[string]float64, seed string) 
 		if w <= 0 {
 			w = 1
 		}
-		u := clamp01(det.Uniform("relorder", seed, f.Key()))
-		ks[i] = keyed{f: f, k: math.Pow(u, 1/w)}
+		key := f.Key()
+		u := clamp01(det.Uniform("relorder", seed, key))
+		ks[i] = keyed{f: f, key: key, k: math.Pow(u, 1/w)}
 	}
 	sort.Slice(ks, func(i, j int) bool {
 		if ks[i].k != ks[j].k {
 			return ks[i].k > ks[j].k
 		}
-		return ks[i].f.Key() < ks[j].f.Key()
+		return ks[i].key < ks[j].key
 	})
 	out := make([]world.Fact, len(facts))
 	for i, k := range ks {

@@ -1,6 +1,10 @@
 package dataset
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -236,5 +240,43 @@ func TestYAGORelationWeighting(t *testing.T) {
 	}
 	if counts["isMarriedTo"] == 0 {
 		t.Fatal("YAGO sampled no isMarriedTo facts despite weighting")
+	}
+}
+
+// datasetsDigest hashes every field Build decides for every fact of the
+// three datasets, in AllNames order.
+func datasetsDigest(w *world.World, scale float64) string {
+	h := sha256.New()
+	var b [8]byte
+	for _, name := range AllNames {
+		for _, f := range Build(w, name, scale).Facts {
+			fmt.Fprintf(h, "%s\x00%s\x00%s\x00%t\x00%s\x00%s\x00",
+				f.ID, f.Triple, f.PredicateName, f.Gold, f.Corruption, f.Topic)
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(f.Popularity))
+			h.Write(b[:])
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestDatasetsGolden pins the three datasets fact by fact: the published
+// size on the default world, and the scale core.TestConfig uses (0.05) on
+// the small world. Every result-store fingerprint and every table hangs
+// off these facts, so a change to the sampling order shows here first.
+func TestDatasetsGolden(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		cfg   world.Config
+		scale float64
+		want  string
+	}{
+		{"default/1.0", world.DefaultConfig(), 1.0, "c68c7eb8a4d5ceb386c6bbd528addaaf2fd129aa658ca5e8c28c803bb5f2b76d"},
+		{"small/0.05", world.SmallConfig(), 0.05, "0540acd56abaef368ec9e959a9028d579f5ae0c4ee5e65a7b398585f7512b02c"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := datasetsDigest(world.New(tc.cfg), tc.scale); got != tc.want {
+				t.Errorf("datasets digest = %s, want %s", got, tc.want)
+			}
+		})
 	}
 }

@@ -93,89 +93,6 @@ func TestNamespacesPrefersLongestMatch(t *testing.T) {
 	}
 }
 
-func TestGraphAddContains(t *testing.T) {
-	g := NewGraph()
-	tr := NewTriple("s", "p", "o")
-	if !g.Add(tr) {
-		t.Fatal("first Add returned false")
-	}
-	if g.Add(tr) {
-		t.Fatal("duplicate Add returned true")
-	}
-	if g.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", g.Len())
-	}
-	if !g.Contains(tr) {
-		t.Fatal("Contains missing the triple")
-	}
-	if g.Contains(NewTriple("s", "p", "other")) {
-		t.Fatal("Contains reports absent triple")
-	}
-}
-
-func TestGraphIndexes(t *testing.T) {
-	g := NewGraph()
-	g.AddAll([]Triple{
-		NewTriple("a", "knows", "b"),
-		NewTriple("a", "knows", "c"),
-		NewTriple("b", "knows", "c"),
-		NewTriple("a", "likes", "c"),
-	})
-	if objs := g.Objects("a", "knows"); len(objs) != 2 {
-		t.Errorf("Objects(a, knows) = %d, want 2", len(objs))
-	}
-	if subs := g.Subjects("knows", NewIRITerm("c")); len(subs) != 2 {
-		t.Errorf("Subjects(knows, c) = %d, want 2", len(subs))
-	}
-	if preds := g.Predicates("a", NewIRITerm("c")); len(preds) != 2 {
-		t.Errorf("Predicates(a, c) = %d, want 2", len(preds))
-	}
-	if got := g.PredicatesOf("a"); !reflect.DeepEqual(got, []IRI{"knows", "likes"}) {
-		t.Errorf("PredicatesOf(a) = %v", got)
-	}
-	if got := g.SubjectsAll(); !reflect.DeepEqual(got, []IRI{"a", "b"}) {
-		t.Errorf("SubjectsAll = %v", got)
-	}
-	if got := g.OutDegree("a"); got != 3 {
-		t.Errorf("OutDegree(a) = %d, want 3", got)
-	}
-}
-
-func TestGraphLabelAndTypes(t *testing.T) {
-	g := NewGraph()
-	g.Add(Triple{S: "urn:x:Paris", P: RDFSLabel, O: NewLangLiteral("Paris", "en")})
-	g.Add(Triple{S: "urn:x:Paris", P: RDFType, O: NewIRITerm("urn:x:City")})
-	if got := g.Label("urn:x:Paris"); got != "Paris" {
-		t.Errorf("Label = %q", got)
-	}
-	if got := g.Label("urn:x/Unlabeled_Thing"); got != "Unlabeled_Thing" {
-		t.Errorf("fallback Label = %q", got)
-	}
-	if got := g.Types("urn:x:Paris"); len(got) != 1 || got[0] != "urn:x:City" {
-		t.Errorf("Types = %v", got)
-	}
-}
-
-func TestGraphTriplesSortedDeterministic(t *testing.T) {
-	g := NewGraph()
-	g.AddAll([]Triple{
-		NewTriple("b", "p", "x"),
-		NewTriple("a", "q", "y"),
-		NewTriple("a", "p", "z"),
-	})
-	ts := g.Triples()
-	want := []string{
-		`<a> <p> <z> .`,
-		`<a> <q> <y> .`,
-		`<b> <p> <x> .`,
-	}
-	for i, tr := range ts {
-		if tr.String() != want[i] {
-			t.Errorf("Triples()[%d] = %s, want %s", i, tr.String(), want[i])
-		}
-	}
-}
-
 func TestNTriplesRoundTrip(t *testing.T) {
 	in := []Triple{
 		NewTriple("http://ex/s", "http://ex/p", "http://ex/o"),
@@ -245,6 +162,20 @@ func TestNTriplesParseErrors(t *testing.T) {
 	}
 }
 
+// TestParseErrorOnOverlongLine: a line past the scanner's bound is a
+// parse error at that line, not a bare bufio error.
+func TestParseErrorOnOverlongLine(t *testing.T) {
+	src := "<http://ex/s> <http://ex/p> <http://ex/o> .\n<s> <p> \"" + strings.Repeat("x", maxLineBytes) + "\" .\n"
+	_, err := ReadNTriples(strings.NewReader(src))
+	pe, ok := err.(*ParseError)
+	if !ok {
+		t.Fatalf("error %T %v, want *ParseError", err, err)
+	}
+	if pe.Line != 2 {
+		t.Errorf("error line = %d, want 2", pe.Line)
+	}
+}
+
 func TestNTriplesSkipsCommentsAndBlanks(t *testing.T) {
 	src := "# a comment\n\n<http://ex/s> <http://ex/p> <http://ex/o> .\n   \n"
 	out, err := ReadNTriples(strings.NewReader(src))
@@ -268,18 +199,45 @@ func TestParseErrorReportsLine(t *testing.T) {
 	}
 }
 
-func TestGraphConcurrentAccess(t *testing.T) {
-	g := NewGraph()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 500; i++ {
-			g.Add(NewTriple(IRI("s"+string(rune('a'+i%26))), "p", IRI("o"+string(rune(i)))))
-		}
-	}()
-	for i := 0; i < 500; i++ {
-		g.Len()
-		g.Objects("sa", "p")
+// FuzzReadNTriples feeds arbitrary bytes to the N-Triples reader. No input
+// may panic it; every input either parses or fails with a *ParseError, and
+// every parsed stream writes back to text that reads as the same triples.
+func FuzzReadNTriples(f *testing.F) {
+	for _, seed := range []string{
+		"",
+		"# comment only\n\n",
+		"<http://ex/s> <http://ex/p> <http://ex/o> .\n",
+		"<s> <p> \"a label\"@en .\n<s> <p> \"3.14\"^^<http://www.w3.org/2001/XMLSchema#double> .",
+		"<s> <p> \"escape \\\"this\\\" and \\\\that\\u00e9\" .\r\n",
+		"<s> <p> \"v\"@ .",
+		"<s> <p> \"v\"@en\t.",
+		"<s> <p> \"tab\\tnew\\nline\" .",
+		"_:b0 <p> <o> .",
+		"<s> <p> \"unterminated .",
+		"<s> <p> \"v\"^^notaniri .",
+		"<s> <p> <o> . trailing",
+		"<s> <p> \"end\\",
+	} {
+		f.Add([]byte(seed))
 	}
-	<-done
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ts, err := ReadNTriples(bytes.NewReader(data))
+		if err != nil {
+			if _, ok := err.(*ParseError); !ok {
+				t.Fatalf("ReadNTriples(%q): error %T %v, want *ParseError", data, err, err)
+			}
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteNTriples(&buf, ts); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadNTriples(&buf)
+		if err != nil {
+			t.Fatalf("ReadNTriples(%q) = %v, whose text %q does not read back: %v", data, ts, buf.String(), err)
+		}
+		if !reflect.DeepEqual(back, ts) {
+			t.Fatalf("ReadNTriples(%q) = %#v, read back as %#v from %q", data, ts, back, buf.String())
+		}
+	})
 }

@@ -2,6 +2,7 @@ package kg
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
@@ -34,13 +35,17 @@ func (e *ParseError) Error() string {
 	return fmt.Sprintf("kg: ntriples line %d: %s", e.Line, e.Msg)
 }
 
+// maxLineBytes bounds one N-Triples line.
+const maxLineBytes = 4 << 20
+
 // ReadNTriples parses an N-Triples stream. Blank lines and #-comments are
 // skipped. Blank nodes are not supported (the benchmark datasets contain
-// none); encountering one is a parse error.
+// none); encountering one is a parse error, and so is a line longer than
+// 4 MiB. Every other error is the reader's.
 func ReadNTriples(r io.Reader) ([]Triple, error) {
 	var out []Triple
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
+	sc.Buffer(make([]byte, 0, 64*1024), maxLineBytes)
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -55,6 +60,9 @@ func ReadNTriples(r io.Reader) ([]Triple, error) {
 		out = append(out, t)
 	}
 	if err := sc.Err(); err != nil {
+		if errors.Is(err, bufio.ErrTooLong) {
+			return nil, &ParseError{Line: lineNo + 1, Msg: fmt.Sprintf("line exceeds %d bytes", maxLineBytes)}
+		}
 		return nil, err
 	}
 	return out, nil

@@ -1,7 +1,8 @@
-// Package kg implements the knowledge-graph substrate FactCheck validates:
-// RDF-style terms and triples, an indexed in-memory triple store, an
-// N-Triples codec, and namespace (prefix) management mirroring the
-// conventions of DBpedia, YAGO and Freebase that the paper's datasets use.
+// Package kg implements the knowledge-graph vocabulary FactCheck validates:
+// RDF-style terms and triples, an N-Triples codec, and namespace (prefix)
+// management mirroring the conventions of DBpedia, YAGO and Freebase that
+// the paper's datasets use. It keeps no triple store: the synthetic world's
+// fact set is the KG snapshot facts are checked against.
 package kg
 
 import (

@@ -27,7 +27,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -1010,27 +1009,6 @@ func verdictResponse(cell core.Cell, out strategy.Outcome, source string) *Verdi
 	}
 }
 
-// maxBodyBytes caps request bodies: the backpressure contract bounds
-// memory end to end, so the decoder must not materialise an arbitrarily
-// large body before validation runs. 1 MiB fits any legal batch with room
-// to spare.
-const maxBodyBytes = 1 << 20
-
-// decodeBody decodes a JSON request body under maxBodyBytes, mapping an
-// oversized body to 413 and malformed JSON to 400.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) *apiError {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			return &apiError{status: http.StatusRequestEntityTooLarge,
-				msg: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)}
-		}
-		return &apiError{status: http.StatusBadRequest, msg: "malformed request body: " + err.Error()}
-	}
-	return nil
-}
-
 func (s *Service) handleVerify(w http.ResponseWriter, r *http.Request) {
 	var req VerifyRequest
 	if aerr := decodeBody(w, r, &req); aerr != nil {
@@ -1463,14 +1441,4 @@ func breakerStateNum(state string) int {
 		return 2
 	}
 	return 0
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func httpError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, map[string]string{"error": msg})
 }

@@ -6,7 +6,9 @@
 //
 // All names are synthetic (syllable-generated); no real-world claims are
 // encoded, so "truth" is exactly membership in the generated fact set — the
-// same snapshot-based semantics the paper adopts (§4.1).
+// same snapshot-based semantics the paper adopts (§4.1). The fact set is
+// the snapshot: the world keeps it as string keys for membership checks
+// and builds no RDF triple store.
 package world
 
 import (

@@ -62,21 +62,20 @@ func SmallConfig() Config {
 	}
 }
 
-// World is the generated universe: entities, true facts and a KG snapshot.
+// World is the generated universe: entities and true facts. The fact set
+// is its KG snapshot: a statement holds exactly when IsTrueFact says so,
+// and no triple store is kept beside it.
 type World struct {
 	Config   Config
 	Entities []*Entity
 	Facts    []Fact
 
 	byType  map[EntityType][]*Entity
-	byIRI   map[kg.IRI]*Entity
 	byLabel map[string]*Entity
 	factSet map[string]bool
 	// objectsOf maps "subjectLocal|relation" to the set of true object
 	// local names, for functional-corruption checks.
 	objectsOf map[string]map[string]bool
-
-	graph *kg.Graph
 }
 
 // New generates the world for cfg. Generation is fully deterministic in
@@ -85,11 +84,9 @@ func New(cfg Config) *World {
 	w := &World{
 		Config:    cfg,
 		byType:    map[EntityType][]*Entity{},
-		byIRI:     map[kg.IRI]*Entity{},
 		byLabel:   map[string]*Entity{},
 		factSet:   map[string]bool{},
 		objectsOf: map[string]map[string]bool{},
-		graph:     kg.NewGraph(),
 	}
 	rng := det.Source(cfg.Seed)
 	ng := newNameGen(rng)
@@ -195,7 +192,6 @@ func New(cfg Config) *World {
 		w.addFact(a, "artist", bands[i%len(bands)])
 	}
 
-	w.buildGraph()
 	return w
 }
 
@@ -225,7 +221,6 @@ func (w *World) makeEntities(et EntityType, n int, name func() string) []*Entity
 		}
 		w.Entities = append(w.Entities, e)
 		w.byType[et] = append(w.byType[et], e)
-		w.byIRI[e.IRI] = e
 		w.byLabel[label] = e
 		out = append(out, e)
 	}
@@ -253,18 +248,6 @@ func (w *World) addFact(s *Entity, rel string, o *Entity) {
 		w.objectsOf[ok] = map[string]bool{}
 	}
 	w.objectsOf[ok][kg.LocalName(o.IRI)] = true
-}
-
-func (w *World) buildGraph() {
-	for _, e := range w.Entities {
-		w.graph.Add(kg.Triple{S: e.IRI, P: kg.RDFSLabel, O: kg.NewLangLiteral(e.Label, "en")})
-		w.graph.Add(kg.Triple{S: e.IRI, P: kg.RDFType, O: kg.NewIRITerm(kg.IRI("urn:world:class/" + string(e.Type)))})
-		w.graph.Add(kg.Triple{S: e.IRI, P: kg.RDFSComment, O: kg.NewLangLiteral(
-			fmt.Sprintf("%s is a %s in the FactCheck synthetic world.", e.Label, strings.ToLower(string(e.Type))), "en")})
-	}
-	for _, f := range w.Facts {
-		w.graph.Add(kg.NewTriple(f.S.IRI, kg.IRI("urn:world:rel/"+f.Relation.Name), f.O.IRI))
-	}
 }
 
 func pick[T any](rng *rand.Rand, s []T) T { return s[rng.IntN(len(s))] }

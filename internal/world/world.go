@@ -1,21 +1,10 @@
 package world
 
-import (
-	"math/rand/v2"
-
-	"factcheck/internal/kg"
-)
-
-// Graph returns the KG snapshot of the world (labels, types, comments and
-// relation triples).
-func (w *World) Graph() *kg.Graph { return w.graph }
+import "math/rand/v2"
 
 // ByType returns the entities of the given type in generation order
 // (most popular first).
 func (w *World) ByType(t EntityType) []*Entity { return w.byType[t] }
-
-// ByIRI resolves an entity by IRI, or nil.
-func (w *World) ByIRI(iri kg.IRI) *Entity { return w.byIRI[iri] }
 
 // ByLabel resolves an entity by its unique label, or nil.
 func (w *World) ByLabel(label string) *Entity { return w.byLabel[label] }

@@ -175,18 +175,33 @@ func TestCorruptPredicateNoAlternative(t *testing.T) {
 	}
 }
 
-func TestGraphSnapshot(t *testing.T) {
+// TestFactSetIsSnapshot: the fact set is the world's KG snapshot. Every
+// generated fact is true under IsTrueFact and TrueObjects, each is
+// generated once, and every entity resolves by its label.
+func TestFactSetIsSnapshot(t *testing.T) {
 	w := small()
-	g := w.Graph()
-	// Every entity has a label, a type and a comment triple; every fact is
-	// in the graph.
-	wantMin := 3*len(w.Entities) + len(w.Facts)
-	if g.Len() < wantMin {
-		t.Fatalf("graph has %d triples, want >= %d", g.Len(), wantMin)
+	seen := map[string]bool{}
+	for _, f := range w.Facts {
+		k := f.Key()
+		if seen[k] {
+			t.Fatalf("fact %s generated twice", k)
+		}
+		seen[k] = true
+		s, o := kg.LocalName(f.S.IRI), kg.LocalName(f.O.IRI)
+		if !w.IsTrueFact(s, f.Relation.Name, o) {
+			t.Fatalf("fact %s not true in its own world", k)
+		}
+		if !w.TrueObjects(s, f.Relation.Name)[o] {
+			t.Fatalf("fact %s missing from TrueObjects", k)
+		}
 	}
-	e := w.Entities[0]
-	if g.Label(e.IRI) != e.Label {
-		t.Errorf("graph label %q != entity label %q", g.Label(e.IRI), e.Label)
+	if len(w.factSet) != len(w.Facts) {
+		t.Errorf("fact set holds %d keys for %d facts", len(w.factSet), len(w.Facts))
+	}
+	for _, e := range w.Entities {
+		if w.ByLabel(e.Label) != e {
+			t.Fatalf("entity %s does not resolve by its label", e.IRI)
+		}
 	}
 }
 
@@ -244,13 +259,10 @@ func TestFactPopularityBlend(t *testing.T) {
 func TestByLookups(t *testing.T) {
 	w := small()
 	e := w.Entities[10]
-	if w.ByIRI(e.IRI) != e {
-		t.Error("ByIRI failed")
-	}
 	if w.ByLabel(e.Label) != e {
 		t.Error("ByLabel failed")
 	}
-	if w.ByIRI("urn:world:does-not-exist") != nil {
-		t.Error("ByIRI returned non-nil for unknown IRI")
+	if w.ByLabel("does-not-exist") != nil {
+		t.Error("ByLabel returned non-nil for unknown label")
 	}
 }
