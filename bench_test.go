@@ -663,11 +663,9 @@ func BenchmarkServeVerify(b *testing.B) {
 			serveVerifyOnce(b, h, mkReq(facts[i%len(facts)].ID))
 		}
 		b.StopTimer()
-		// Carry the server-side latency summary into the bench artefact:
-		// benchjson folds custom units into each benchmark's metrics map,
-		// so BENCH_N.json records exact histogram percentiles (process-wide
-		// endpoint histogram, dominated by this warm loop's b.N requests)
-		// next to the wall-clock ns/op.
+		// Report the server-side latency summary next to the wall-clock
+		// ns/op: exact histogram percentiles of the process-wide endpoint
+		// histogram, dominated by this warm loop's b.N requests.
 		if s, ok := obs.Default.Summaries()["endpoint/verify"]; ok {
 			b.ReportMetric(s.P50MS, "p50_ms")
 			b.ReportMetric(s.P95MS, "p95_ms")

@@ -63,6 +63,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -316,11 +317,46 @@ func (o *outcome) checkRetryAfter(resp *http.Response) {
 	o.retryAfter = ra
 }
 
-// doConsensus fires one consensus lookup.
-func doConsensus(client *http.Client, addr string, j job, opt jobOpts) outcome {
+// request is the HTTP exchange a job makes: its method, URL and JSON body
+// (nil for a consensus lookup), and the status that means served.
+func (j job) request(addr string) (method, url string, payload []byte, ok int, err error) {
+	switch {
+	case j.consensusFact != "":
+		return "GET", addr + "/v1/consensus/" + j.consensusFact + "?mode=" + j.consensusMode, nil, http.StatusOK, nil
+	case j.ingest != nil:
+		payload, err = json.Marshal(serve.IngestRequest{Documents: j.ingest})
+		return "POST", addr + "/v1/documents", payload, http.StatusAccepted, err
+	case len(j.reqs) > 1:
+		payload, err = json.Marshal(serve.BatchRequest{Requests: j.reqs})
+		return "POST", addr + "/v1/verify/batch", payload, http.StatusOK, err
+	default:
+		payload, err = json.Marshal(j.reqs[0])
+		return "POST", addr + "/v1/verify", payload, http.StatusOK, err
+	}
+}
+
+// doJob fires one job and classifies the result: a transport or read
+// failure, a served answer decoded into the digest, a retryable rejection
+// carrying Retry-After, or a contract violation. Ingestion answers 202
+// when served; the oversized probe inverts the contract, so only a 413
+// refusal is acceptable for it.
+func doJob(client *http.Client, addr string, j job, opt jobOpts) outcome {
 	o := outcome{sources: map[string]int{}, verdicts: map[string]string{}}
+	method, url, payload, ok, err := j.request(addr)
+	if err != nil {
+		o.violation = "marshal: " + err.Error()
+		return o
+	}
+	var body io.Reader
+	contentType := ""
+	if payload != nil {
+		body, contentType = bytes.NewReader(payload), "application/json"
+		if j.loris && opt.lorisDelay > 0 {
+			body = &trickleReader{data: payload, delay: opt.lorisDelay}
+		}
+	}
 	start := time.Now()
-	resp, err := send(client, "GET", addr+"/v1/consensus/"+j.consensusFact+"?mode="+j.consensusMode, "", nil, opt.timing)
+	resp, err := send(client, method, url, contentType, body, opt.timing)
 	o.latency = time.Since(start)
 	if err != nil {
 		o.violation = "transport: " + err.Error()
@@ -338,123 +374,52 @@ func doConsensus(client *http.Client, addr string, j job, opt jobOpts) outcome {
 		return o
 	}
 	o.status = resp.StatusCode
-	switch resp.StatusCode {
-	case http.StatusOK:
-	case http.StatusTooManyRequests, http.StatusServiceUnavailable, http.StatusGatewayTimeout:
-		o.checkRetryAfter(resp)
-		return o
-	default:
-		o.violation = fmt.Sprintf("unexpected status %d: %.120s", resp.StatusCode, data)
-		return o
-	}
-	var v serve.ConsensusResponse
-	if err := json.Unmarshal(data, &v); err != nil {
-		o.violation = "malformed consensus response: " + err.Error()
-		return o
-	}
-	if v.Mode != j.consensusMode {
-		o.violation = fmt.Sprintf("consensus mode %q served for requested %q", v.Mode, j.consensusMode)
-		return o
-	}
-	key, line := consensusKeyLine(&v)
-	o.verdicts[key] = line
-	return o
-}
-
-// doIngest fires one POST /v1/documents batch. A 202 means the batch was
-// admitted; 429/503 with Retry-After is legitimate backpressure. The
-// oversized probe inverts the contract: only a 413 refusal is acceptable.
-func doIngest(client *http.Client, addr string, j job, opt jobOpts) outcome {
-	o := outcome{sources: map[string]int{}, verdicts: map[string]string{}}
-	payload, err := json.Marshal(serve.IngestRequest{Documents: j.ingest})
-	if err != nil {
-		o.violation = "marshal: " + err.Error()
-		return o
-	}
-	start := time.Now()
-	resp, err := send(client, "POST", addr+"/v1/documents", "application/json", strings.NewReader(string(payload)), opt.timing)
-	o.latency = time.Since(start)
-	if err != nil {
-		o.violation = "transport: " + err.Error()
-		o.transportErr = err
-		return o
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		o.violation = "read: " + err.Error()
-		o.transportErr = err
-		return o
-	}
-	o.status = resp.StatusCode
-	if j.expect413 {
+	switch {
+	case j.expect413:
 		if resp.StatusCode != http.StatusRequestEntityTooLarge {
 			o.violation = fmt.Sprintf("oversized ingest probe got %d, want 413", resp.StatusCode)
 		}
 		return o
-	}
-	switch resp.StatusCode {
-	case http.StatusAccepted:
-	case http.StatusTooManyRequests, http.StatusServiceUnavailable, http.StatusGatewayTimeout:
+	case resp.StatusCode == ok:
+	case resp.StatusCode == http.StatusTooManyRequests, resp.StatusCode == http.StatusServiceUnavailable,
+		resp.StatusCode == http.StatusGatewayTimeout:
 		o.checkRetryAfter(resp)
-	default:
+		return o
+	case j.ingest != nil:
 		o.violation = fmt.Sprintf("unexpected ingest status %d: %.120s", resp.StatusCode, data)
-	}
-	return o
-}
-
-// doJob fires one job and classifies the result.
-func doJob(client *http.Client, addr string, j job, opt jobOpts) outcome {
-	if j.consensusFact != "" {
-		return doConsensus(client, addr, j, opt)
-	}
-	if j.ingest != nil {
-		return doIngest(client, addr, j, opt)
-	}
-	o := outcome{sources: map[string]int{}, verdicts: map[string]string{}}
-	url := addr + "/v1/verify"
-	var body any = j.reqs[0]
-	if len(j.reqs) > 1 {
-		url = addr + "/v1/verify/batch"
-		body = serve.BatchRequest{Requests: j.reqs}
-	}
-	payload, err := json.Marshal(body)
-	if err != nil {
-		o.violation = "marshal: " + err.Error()
-		return o
-	}
-	var reader io.Reader = strings.NewReader(string(payload))
-	if j.loris && opt.lorisDelay > 0 {
-		reader = &trickleReader{data: payload, delay: opt.lorisDelay}
-	}
-	start := time.Now()
-	resp, err := send(client, "POST", url, "application/json", reader, opt.timing)
-	o.latency = time.Since(start)
-	if err != nil {
-		o.violation = "transport: " + err.Error()
-		o.transportErr = err
-		return o
-	}
-	defer resp.Body.Close()
-	if opt.timing {
-		o.timing = parseServerTiming(resp.Header.Get("Server-Timing"))
-	}
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		o.violation = "read: " + err.Error()
-		o.transportErr = err
-		return o
-	}
-	o.status = resp.StatusCode
-	switch resp.StatusCode {
-	case http.StatusOK:
-	case http.StatusTooManyRequests, http.StatusServiceUnavailable, http.StatusGatewayTimeout:
-		o.checkRetryAfter(resp)
 		return o
 	default:
 		o.violation = fmt.Sprintf("unexpected status %d: %.120s", resp.StatusCode, data)
 		return o
 	}
+	switch {
+	case j.consensusFact != "":
+		o.decodeConsensus(data, j.consensusMode)
+	case j.ingest == nil:
+		o.decodeVerdicts(data, j)
+	}
+	return o
+}
+
+// decodeConsensus records a served consensus answer, which must come from
+// the requested execution mode.
+func (o *outcome) decodeConsensus(data []byte, mode string) {
+	var v serve.ConsensusResponse
+	if err := json.Unmarshal(data, &v); err != nil {
+		o.violation = "malformed consensus response: " + err.Error()
+		return
+	}
+	if v.Mode != mode {
+		o.violation = fmt.Sprintf("consensus mode %q served for requested %q", v.Mode, mode)
+		return
+	}
+	key, line := consensusKeyLine(&v)
+	o.verdicts[key] = line
+}
+
+// decodeVerdicts records a served single or batch verify answer; a batch
+// must answer every request with a verdict.
+func (o *outcome) decodeVerdicts(data []byte, j job) {
 	record := func(v *serve.VerdictResponse) {
 		o.sources[v.Source]++
 		key, line := verdictKeyLine(v)
@@ -470,28 +435,27 @@ func doJob(client *http.Client, addr string, j job, opt jobOpts) outcome {
 		var v serve.VerdictResponse
 		if err := json.Unmarshal(data, &v); err != nil {
 			o.violation = "malformed verdict: " + err.Error()
-			return o
+			return
 		}
 		record(&v)
-		return o
+		return
 	}
 	var b serve.BatchResponse
 	if err := json.Unmarshal(data, &b); err != nil {
 		o.violation = "malformed batch response: " + err.Error()
-		return o
+		return
 	}
 	if len(b.Results) != len(j.reqs) {
 		o.violation = fmt.Sprintf("batch returned %d results for %d requests", len(b.Results), len(j.reqs))
-		return o
+		return
 	}
 	for i, item := range b.Results {
 		if item.Verdict == nil {
 			o.violation = fmt.Sprintf("batch item %d failed: %s", i, item.Error)
-			return o
+			return
 		}
 		record(item.Verdict)
 	}
-	return o
 }
 
 // doJobRetry runs one job under a scenario's client policy: retryable

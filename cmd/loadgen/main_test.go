@@ -198,6 +198,9 @@ func fakeService(t *testing.T) *httptest.Server {
 		json.NewEncoder(w).Encode(resp)
 	})
 	mux.HandleFunc("POST /v1/documents", func(w http.ResponseWriter, r *http.Request) {
+		if r.Header.Get("X-Server-Timing") == "1" {
+			w.Header().Set("Server-Timing", "ingest;dur=0.200, total;dur=0.300")
+		}
 		var req serve.IngestRequest
 		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
 			var tooLarge *http.MaxBytesError
@@ -314,7 +317,7 @@ func TestParseServerTiming(t *testing.T) {
 
 // TestRunServerTiming: -server-timing prints the server attribution table
 // and writes the same digest as a plain run — timing never leaks into the
-// determinism contract.
+// determinism contract — and ingest jobs enter the table like verifies.
 func TestRunServerTiming(t *testing.T) {
 	srv := fakeService(t)
 	dir := t.TempDir()
@@ -351,6 +354,21 @@ func TestRunServerTiming(t *testing.T) {
 	}
 	if !bytes.Equal(a, b) {
 		t.Fatalf("-server-timing changed the digest: %q vs %q", a, b)
+	}
+
+	// The ingest mix: 18 verifies, 6 document batches and the oversized
+	// probe, every one of them traced.
+	out.Reset()
+	ingest := []string{"-addr", srv.URL, "-mix", "ingest", "-n", "24", "-c", "4",
+		"-ingestevery", "4", "-seed", "3", "-server-timing"}
+	if err := run(ingest, &out); err != nil {
+		t.Fatalf("timed ingest run: %v\n%s", err, out.String())
+	}
+	report = out.String()
+	for _, want := range []string{"server-timing: 25 traced responses", "\n  ingest "} {
+		if !strings.Contains(report, want) {
+			t.Errorf("timed ingest report missing %q:\n%s", want, report)
+		}
 	}
 }
 

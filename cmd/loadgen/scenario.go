@@ -7,6 +7,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -86,14 +87,20 @@ func (c *Contract) check(unserved, transportErrs int) []string {
 	return v
 }
 
-// loadScenario reads and validates a scenario file. Unknown fields are
-// an error: a typoed contract key must not silently weaken a gate.
+// loadScenario reads and validates a scenario file.
 func loadScenario(path string) (*Scenario, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	dec := json.NewDecoder(strings.NewReader(string(data)))
+	return parseScenario(path, data)
+}
+
+// parseScenario decodes and validates one scenario; path names it in
+// errors. Unknown fields are an error: a typoed contract key must not
+// silently weaken a gate.
+func parseScenario(path string, data []byte) (*Scenario, error) {
+	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var s Scenario
 	if err := dec.Decode(&s); err != nil {

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -65,6 +66,41 @@ func TestLoadScenario(t *testing.T) {
 	if _, err := loadScenario(filepath.Join(dir, "missing.json")); err == nil {
 		t.Error("missing file loaded")
 	}
+}
+
+// FuzzLoadScenario: a scenario either fails to parse, or survives a
+// marshal → parse round trip unchanged; no input panics the parser.
+// Seeded with the repo's scenarios/*.json.
+func FuzzLoadScenario(f *testing.F) {
+	seeds, err := filepath.Glob("../../scenarios/*.json")
+	if err != nil || len(seeds) == 0 {
+		f.Fatalf("no scenario seeds: %v", err)
+	}
+	for _, p := range seeds {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte(`{"name": "x", "slow_loris": null, "models": []}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := parseScenario("fuzz", data)
+		if err != nil {
+			return
+		}
+		again, err := json.Marshal(s)
+		if err != nil {
+			t.Fatalf("accepted scenario does not marshal: %v", err)
+		}
+		s2, err := parseScenario("fuzz", again)
+		if err != nil {
+			t.Fatalf("re-parse of %s: %v", again, err)
+		}
+		if !reflect.DeepEqual(s, s2) {
+			t.Fatalf("round trip changed the scenario:\n%+v\n%+v", s, s2)
+		}
+	})
 }
 
 func TestScenarioDefaults(t *testing.T) {

@@ -28,7 +28,6 @@ const (
 
 // Standard predicates.
 const (
-	RDFType     = IRI(NSRDF + "type")
 	RDFSLabel   = IRI(NSRDFS + "label")
 	RDFSComment = IRI(NSRDFS + "comment")
 )

@@ -98,15 +98,6 @@ type spanRef struct {
 
 type ctxKey struct{}
 
-// TraceFromContext returns the context's trace, or nil when the request is
-// unsampled (or untraced).
-func TraceFromContext(ctx context.Context) *Trace {
-	if ref, ok := ctx.Value(ctxKey{}).(spanRef); ok {
-		return ref.tr
-	}
-	return nil
-}
-
 // noopEnd is returned by StartSpan on untraced contexts so the warm path
 // never allocates a closure.
 var noopEnd = func() {}

@@ -41,9 +41,6 @@ var stopByDim = func() (byDim [VectorDim][]string) {
 	return byDim
 }()
 
-// IsStopword reports whether tok (already lower-cased) is a stopword.
-func IsStopword(tok string) bool { return stopwords[tok] }
-
 // tokenizer is the one tokenisation state machine behind every lexical
 // consumer: Tokenize turns its tokens into strings, ContentDims hashes them
 // in place. It splits camelCase and snake_case identifiers (common in KG
