@@ -179,30 +179,27 @@ func run(args []string) error {
 		}
 	}
 
-	emit := func(name, s string) {
+	// emit renders and prints an artifact only when it was asked for.
+	emit := func(name string, render func() string) {
 		if all || want[name] {
-			fmt.Println(s)
+			fmt.Println(render())
 		}
 	}
-	emit("table2", b.Table2())
-	emit("table3", b.Table3(500))
-	emit("table4", b.Table4())
+	emit("table2", b.Table2)
+	emit("table3", func() string { return b.Table3(500) })
+	emit("table4", b.Table4)
 	if rs != nil {
-		emit("table5", b.Table5(rs))
+		emit("table5", func() string { return b.Table5(rs) })
 	}
 	if rep != nil {
-		emit("table6", b.Table6(rep))
-		emit("table7", b.Table7(rep))
+		emit("table6", func() string { return b.Table6(rep) })
+		emit("table7", func() string { return b.Table7(rep) })
 	}
 	if rs != nil {
-		emit("table8", b.Table8(rs))
-		emit("table9", b.Table9(rs, llm.MethodDKA))
-		if all || want["figure2"] {
-			fmt.Println(b.ComputeFigure2(rs, rep).String())
-		}
-		if all || want["figure3"] {
-			fmt.Println(b.ComputeFigure3(rs).String())
-		}
+		emit("table8", func() string { return b.Table8(rs) })
+		emit("table9", func() string { return b.Table9(rs, llm.MethodDKA) })
+		emit("figure2", func() string { return b.ComputeFigure2(rs, rep).String() })
+		emit("figure3", func() string { return b.ComputeFigure3(rs).String() })
 		if all || want["figure4"] {
 			fig4, err := b.Figure4(rs)
 			if err != nil {
@@ -210,18 +207,16 @@ func run(args []string) error {
 			}
 			fmt.Println(fig4)
 		}
-		if all || want["topics"] {
-			fmt.Println("DBpedia topic stratification (DKA, open-source models):")
+		emit("topics", func() string {
+			var t strings.Builder
+			t.WriteString("DBpedia topic stratification (DKA, open-source models):\n")
 			for _, s := range b.TopicStrata(rs, dataset.DBpedia, llm.MethodDKA) {
-				fmt.Printf("  %-16s total=%5d errors=%5d rate=%.3f\n",
-					s.Name, s.Total, s.Errors, s.ErrorRate)
+				fmt.Fprintf(&t, "  %-16s total=%5d errors=%5d rate=%.3f\n", s.Name, s.Total, s.Errors, s.ErrorRate)
 			}
-			fmt.Println()
-		}
+			return t.String()
+		})
 	}
-	if all || want["ragstats"] {
-		fmt.Println(b.ComputeRAGStats(300).String())
-	}
+	emit("ragstats", func() string { return b.ComputeRAGStats(300).String() })
 	fmt.Fprintf(os.Stderr, "total %.1fs\n", time.Since(start).Seconds())
 	return nil
 }
@@ -266,20 +261,31 @@ func ingestDocs(b *core.Benchmark, path string, batches int) error {
 	return nil
 }
 
+// readIngestDocs reads the JSONL document file at path.
 func readIngestDocs(path string) ([]search.IngestDoc, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
+	docs, err := parseIngestDocs(f)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return docs, nil
+}
+
+// parseIngestDocs reads one JSON document per record until EOF. An error
+// names the 1-based number of the record that failed.
+func parseIngestDocs(r io.Reader) ([]search.IngestDoc, error) {
 	var docs []search.IngestDoc
-	dec := json.NewDecoder(f)
+	dec := json.NewDecoder(r)
 	for {
 		var d search.IngestDoc
 		if err := dec.Decode(&d); err == io.EOF {
 			return docs, nil
 		} else if err != nil {
-			return nil, fmt.Errorf("%s: record %d: %w", path, len(docs)+1, err)
+			return nil, fmt.Errorf("record %d: %w", len(docs)+1, err)
 		}
 		docs = append(docs, d)
 	}

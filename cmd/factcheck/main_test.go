@@ -1,9 +1,14 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"io"
 	"os"
+	"reflect"
+	"regexp"
+	"strings"
 	"testing"
 
 	"factcheck/internal/core"
@@ -133,4 +138,79 @@ func TestStoreResumeStdoutByteIdentical(t *testing.T) {
 	if warm := captureRun(t, storeArgs); warm != cold {
 		t.Error("warm-store stdout differs from cold run")
 	}
+}
+
+// TestSingleArtifactsConcatenateToAll checks that each artifact run alone
+// prints exactly its section of "all": the single-artifact outputs, in
+// print order, concatenate to the "all" output byte for byte.
+func TestSingleArtifactsConcatenateToAll(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI golden test is slow")
+	}
+	flags := []string{
+		"-scale", "0.05", "-small",
+		"-datasets", "FactBench",
+		"-models", "gemma2:9b,mistral:7b,qwen2.5:7b",
+		"-methods", "DKA,GIV-Z",
+	}
+	all := captureRun(t, append(flags, "all"))
+	var joined strings.Builder
+	for _, a := range []string{"table2", "table3", "table4", "table5", "table6", "table7", "table8",
+		"table9", "figure2", "figure3", "figure4", "topics", "ragstats"} {
+		out := captureRun(t, append(flags[:len(flags):len(flags)], a))
+		if out == "" {
+			t.Errorf("%s printed nothing", a)
+		}
+		joined.WriteString(out)
+	}
+	if joined.String() != all {
+		t.Errorf("single artifacts differ from all\nall:\n%s\njoined:\n%s", all, joined.String())
+	}
+}
+
+// FuzzReadIngestDocs feeds the JSONL document parser arbitrary input. It
+// must never panic, and either fail naming the record number or return
+// documents that, written back one JSON record per line, parse to the
+// same documents.
+func FuzzReadIngestDocs(f *testing.F) {
+	for _, s := range []string{
+		"",
+		`{"fact_id":"factbench-000034","title":"Fresh","text":"Ada was born in Sampletown."}` + "\n",
+		`{"fact_id":"a","url":"https://x.example/1","host":"x.example","title":"T","text":"b"}` + "\n" +
+			`{"fact_id":"c","title":"","text":"Zoë é 😀 \"q\" \\"}`,
+		`{"fact_id":"a","extra":[1,2,{"k":null}],"text":"x"} {"fact_id":"b"}`,
+		"null\n{}\n",
+		`{"fact_id":"a"}` + "\n" + `{"fact_id":`,
+		`{"fact_id":1}`,
+		"[]",
+		"{\"text\":\"bad \xff utf8\"}",
+	} {
+		f.Add(s)
+	}
+	recordErr := regexp.MustCompile(`^record [1-9][0-9]*: `)
+	f.Fuzz(func(t *testing.T, in string) {
+		docs, err := parseIngestDocs(strings.NewReader(in))
+		if err != nil {
+			if !recordErr.MatchString(err.Error()) {
+				t.Fatalf("error %q does not name the record", err)
+			}
+			return
+		}
+		var lines bytes.Buffer
+		for _, d := range docs {
+			b, err := json.Marshal(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lines.Write(b)
+			lines.WriteByte('\n')
+		}
+		again, err := parseIngestDocs(&lines)
+		if err != nil {
+			t.Fatalf("re-marshalled documents rejected: %v", err)
+		}
+		if !reflect.DeepEqual(again, docs) {
+			t.Fatalf("round trip changed the documents:\n got %+v\nwant %+v", again, docs)
+		}
+	})
 }

@@ -67,16 +67,16 @@ func main() {
 	for _, m := range llm.OpenSourceModels {
 		outs = append(outs, rs.Get(dataset.DBpedia, llm.MethodDKA, m)...)
 	}
-	topicOf := map[string]string{}
+	topicOf, popularityOf := map[string]string{}, map[string]float64{}
 	for _, f := range b.Datasets[dataset.DBpedia].Facts {
-		topicOf[f.ID] = f.Topic
+		topicOf[f.ID], popularityOf[f.ID] = f.Topic, f.Popularity
 	}
 	for _, s := range analysis.StratifyByTopic(outs, func(id string) string { return topicOf[id] }) {
 		fmt.Printf("  %-16s n=%5d error-rate=%.3f\n", s.Name, s.Total, s.ErrorRate)
 	}
 
 	fmt.Println("\n== Error rate by fact popularity (head vs tail) ==")
-	for _, s := range analysis.StratifyByPopularity(outs, 4) {
+	for _, s := range analysis.StratifyByPopularity(outs, func(id string) float64 { return popularityOf[id] }, 4) {
 		fmt.Printf("  %-8s n=%5d error-rate=%.3f\n", s.Name, s.Total, s.ErrorRate)
 	}
 	fmt.Println("(tail facts err more: the head-to-tail knowledge effect)")

@@ -263,14 +263,15 @@ func StratifyByTopic(outs []strategy.Outcome, topicOf func(factID string) string
 	return out
 }
 
-// StratifyByPopularity partitions outcomes into popularity quantile bands.
-func StratifyByPopularity(outs []strategy.Outcome, bands int) []Stratum {
+// StratifyByPopularity partitions outcomes into quantile bands of their
+// facts' popularity.
+func StratifyByPopularity(outs []strategy.Outcome, popularityOf func(factID string) float64, bands int) []Stratum {
 	if bands <= 0 {
 		bands = 4
 	}
 	pops := make([]float64, len(outs))
 	for i, o := range outs {
-		pops[i] = o.Claim.Value().Popularity
+		pops[i] = popularityOf(o.FactID)
 	}
 	sorted := append([]float64(nil), pops...)
 	sort.Float64s(sorted)

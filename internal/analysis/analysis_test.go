@@ -2,9 +2,7 @@ package analysis
 
 import (
 	"testing"
-	"unique"
 
-	"factcheck/internal/llm"
 	"factcheck/internal/strategy"
 )
 
@@ -90,10 +88,7 @@ func outcome(model, fact string, correct bool) strategy.Outcome {
 	if correct {
 		v = strategy.True
 	}
-	return strategy.Outcome{
-		Model: model, FactID: fact, Verdict: v, Gold: true, Correct: correct,
-		Claim: unique.Make(llm.Claim{Popularity: 0.5}),
-	}
+	return strategy.Outcome{Model: model, FactID: fact, Verdict: v, Gold: true, Correct: correct}
 }
 
 func TestUpSet(t *testing.T) {
@@ -151,12 +146,13 @@ func TestStratifyByTopic(t *testing.T) {
 
 func TestStratifyByPopularity(t *testing.T) {
 	var outs []strategy.Outcome
+	popularity := map[string]float64{}
 	for i := 0; i < 40; i++ {
 		o := outcome("a", "f"+itoa(i), i%4 != 0)
-		o.Claim = unique.Make(llm.Claim{Popularity: float64(i) / 40})
+		popularity[o.FactID] = float64(i) / 40
 		outs = append(outs, o)
 	}
-	strata := StratifyByPopularity(outs, 4)
+	strata := StratifyByPopularity(outs, func(id string) float64 { return popularity[id] }, 4)
 	if len(strata) != 4 {
 		t.Fatalf("got %d bands", len(strata))
 	}
@@ -174,7 +170,7 @@ func TestStratifyByPopularity(t *testing.T) {
 
 func TestStratifyByPopularityDefaultBands(t *testing.T) {
 	outs := []strategy.Outcome{outcome("a", "f1", true)}
-	if got := StratifyByPopularity(outs, 0); len(got) != 4 {
+	if got := StratifyByPopularity(outs, func(string) float64 { return 0.5 }, 0); len(got) != 4 {
 		t.Errorf("default bands = %d, want 4", len(got))
 	}
 }

@@ -252,9 +252,13 @@ func (b *Benchmark) Table9(rs *ResultSet, method llm.Method) string {
 	return sb.String()
 }
 
-// TopicStrata runs the DBpedia topic-stratification study (paper §7).
+// TopicStrata runs the DBpedia topic-stratification study (paper §7). A
+// dataset outside the benchmark has no strata.
 func (b *Benchmark) TopicStrata(rs *ResultSet, dn dataset.Name, method llm.Method) []analysis.Stratum {
 	d := b.Datasets[dn]
+	if d == nil {
+		return nil
+	}
 	topicOf := map[string]string{}
 	for _, f := range d.Facts {
 		topicOf[f.ID] = f.Topic

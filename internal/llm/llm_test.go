@@ -65,7 +65,7 @@ func TestUpgradeMapComplete(t *testing.T) {
 
 func TestGenerateDeterministic(t *testing.T) {
 	m := MustNew(Gemma2)
-	req := Request{System: "sys", Prompt: "p", Claim: claim(true), Method: MethodDKA}
+	req := Request{System: "sys", Prompt: textPrompt("p"), Claim: claim(true), Method: MethodDKA}
 	a, err := m.Generate(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
@@ -88,7 +88,7 @@ func TestGenerateRespectsContext(t *testing.T) {
 func TestDKAOutputParseable(t *testing.T) {
 	m := MustNew(Mistral)
 	resp, err := m.Generate(context.Background(), Request{
-		System: "s", Prompt: "p", Claim: claim(true), Method: MethodDKA,
+		System: "s", Prompt: textPrompt("p"), Claim: claim(true), Method: MethodDKA,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +102,7 @@ func TestDKAOutputParseable(t *testing.T) {
 func TestUsageAccounting(t *testing.T) {
 	m := MustNew(Llama31)
 	resp, err := m.Generate(context.Background(), Request{
-		System: "system prompt words here", Prompt: "user prompt with several words",
+		System: "system prompt words here", Prompt: textPrompt("user prompt with several words"),
 		Claim: claim(true), Method: MethodDKA,
 	})
 	if err != nil {
@@ -116,7 +116,7 @@ func TestUsageAccounting(t *testing.T) {
 	}
 	// Evidence must be token-charged.
 	withEv, _ := m.Generate(context.Background(), Request{
-		System: "system prompt words here", Prompt: "user prompt with several words",
+		System: "system prompt words here", Prompt: textPrompt("user prompt with several words"),
 		Claim: claim(true), Method: MethodRAG,
 		Evidence: []string{"a long evidence chunk with many additional words to count"},
 	})
@@ -202,7 +202,7 @@ func TestRAGFollowsEvidence(t *testing.T) {
 		cc := c
 		cc.Key = "S|birthPlace|C" + itoa(i)
 		resp, err := m.Generate(context.Background(), Request{
-			System: "s", Prompt: "p", Claim: cc, Method: MethodRAG,
+			System: "s", Prompt: textPrompt("p"), Claim: cc, Method: MethodRAG,
 			Evidence: []string{support, support, support},
 		})
 		if err != nil {
@@ -296,7 +296,7 @@ func TestLatencyOrderingAcrossMethods(t *testing.T) {
 			c := claim(true)
 			c.Key = "L|capital|Q" + itoa(i)
 			r, _ := m.Generate(ctx, Request{
-				System: system, Prompt: prompt, Claim: c, Method: method, Evidence: evidence,
+				System: system, Prompt: textPrompt(prompt), Claim: c, Method: method, Evidence: evidence,
 			})
 			total += r.Usage.Latency.Seconds()
 		}
@@ -323,4 +323,25 @@ func itoa(i int) string {
 		i /= 10
 	}
 	return string(b)
+}
+
+// textPrompt is s as a one-part prompt.
+func textPrompt(s string) Prompt { return PromptOf(NewPart(s)) }
+
+// TestPromptParts pins Prompt: empty parts are left out, the words of its
+// parts add up, and its text is theirs joined.
+func TestPromptParts(t *testing.T) {
+	p := PromptOf(NewPart("Statement: "), Part{}, NewPart("Ada  was born"), NewPart("\nAnswer:"))
+	if got, want := p.String(), "Statement: Ada  was born\nAnswer:"; got != want {
+		t.Errorf("String() = %q, want %q", got, want)
+	}
+	if got := p.Words(); got != 5 {
+		t.Errorf("Words() = %d, want 5", got)
+	}
+	if p.n != 3 {
+		t.Errorf("prompt holds %d parts, want the 3 non-empty ones", p.n)
+	}
+	if PromptOf().String() != "" || PromptOf().Words() != 0 {
+		t.Error("the empty prompt is not empty")
+	}
 }

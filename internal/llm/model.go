@@ -26,7 +26,10 @@ package llm
 
 import (
 	"context"
+	"strings"
 	"time"
+
+	"factcheck/internal/text"
 )
 
 // Method names the verification strategies; they modulate model behaviour.
@@ -45,9 +48,9 @@ var AllMethods = []Method{MethodDKA, MethodGIVZ, MethodGIVF, MethodRAG}
 
 // Claim is the structured view of the statement under verification. A real
 // LLM recovers this from the prompt text; the simulator receives it
-// alongside the prompt as its handle into the synthetic world. Prompt text
-// is still built, tokenised and charged for, and output text is still
-// parsed by the calling strategy.
+// alongside the prompt as its handle into the synthetic world. The prompt
+// is still charged for by its words, and output text is still parsed by
+// the calling strategy.
 type Claim struct {
 	// Key is the canonical world identity "subject|relation|object".
 	Key string
@@ -74,11 +77,67 @@ type Claim struct {
 	Phrase       string
 }
 
+// Part is a span of prompt text with its word count (text.CountWords),
+// counted once where the span is made: a static template part once per
+// process, a fact's sentence once per fact.
+type Part struct {
+	Text  string
+	Words int
+}
+
+// NewPart counts the words of s.
+func NewPart(s string) Part { return Part{Text: s, Words: text.CountWords(s)} }
+
+// maxPromptParts is the most parts a Prompt holds: GIV's constraints,
+// few-shot block, retry flag, statement head, sentence and answer tail.
+const maxPromptParts = 6
+
+// Prompt is a user prompt held as the parts it concatenates, so it is
+// charged without being rendered. Where two parts meet, one of them has
+// ASCII whitespace at the boundary: no word spans two parts, and the
+// prompt's word count is the sum of theirs. The parts live in the value,
+// so building a prompt from memoised parts allocates nothing.
+type Prompt struct {
+	parts [maxPromptParts]Part
+	n     int
+}
+
+// PromptOf returns the prompt made of parts, leaving out empty ones. It
+// panics when more than maxPromptParts remain.
+func PromptOf(parts ...Part) Prompt {
+	var p Prompt
+	for _, pt := range parts {
+		if pt.Text != "" {
+			p.parts[p.n] = pt
+			p.n++
+		}
+	}
+	return p
+}
+
+// Words returns the prompt's word count.
+func (p Prompt) Words() int {
+	n := 0
+	for _, pt := range p.parts[:p.n] {
+		n += pt.Words
+	}
+	return n
+}
+
+// String renders the prompt's text.
+func (p Prompt) String() string {
+	var b strings.Builder
+	for _, pt := range p.parts[:p.n] {
+		b.WriteString(pt.Text)
+	}
+	return b.String()
+}
+
 // Request is a single generation call.
 type Request struct {
-	// System and Prompt are the prompt parts (token-charged).
+	// System and Prompt are the prompt (token-charged).
 	System string
-	Prompt string
+	Prompt Prompt
 	// Claim is the simulator's handle to the statement under verification.
 	Claim Claim
 	// Method tells the simulator which elicitation regime applies.

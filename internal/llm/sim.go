@@ -424,7 +424,7 @@ func (s *Sim) systemTokens(system string) int {
 
 // usage computes the simulated token and latency accounting for a call.
 func (s *Sim) usage(req Request, output string) Usage {
-	pt := s.systemTokens(req.System) + text.CountTokens(req.Prompt)
+	pt := s.systemTokens(req.System) + text.TokensOfWords(req.Prompt.Words())
 	for _, e := range req.Evidence {
 		pt += text.CountTokens(e)
 	}

@@ -31,7 +31,7 @@ func TestMethodAndDatasetModDefaults(t *testing.T) {
 	c := claim(true)
 	c.Dataset = "SomethingElse"
 	resp, err := s.Generate(context.Background(), Request{
-		System: "s", Prompt: "p", Claim: c, Method: MethodGIVZ,
+		System: "s", Prompt: textPrompt("p"), Claim: c, Method: MethodGIVZ,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +106,7 @@ func TestReasonVocabularyPerCategory(t *testing.T) {
 			c.Category = cat
 			c.Popularity = 0.9 // likely known -> mostly correct, some wrong
 			c.Gold = false     // a known false fact yields verdict false
-			resp, err := m.Generate(ctx, Request{System: "s", Prompt: "p", Claim: c, Method: MethodDKA})
+			resp, err := m.Generate(ctx, Request{System: "s", Prompt: textPrompt("p"), Claim: c, Method: MethodDKA})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -137,7 +137,7 @@ func TestSlowResponseTail(t *testing.T) {
 	for i := 0; i < n; i++ {
 		c := claim(true)
 		c.Key = "L|homeCity|z" + itoa(i)
-		r, err := m.Generate(ctx, Request{System: "s", Prompt: "p q r s t", Claim: c, Method: MethodDKA})
+		r, err := m.Generate(ctx, Request{System: "s", Prompt: textPrompt("p q r s t"), Claim: c, Method: MethodDKA})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,9 +1,13 @@
 // Package prompt builds the verification prompts of the benchmark's
 // strategies (paper §3.1–3.2) and parses model outputs back into verdicts.
-// Prompt text is what gets token-charged in the resource accounting, so the
-// templates' lengths matter: DKA is a short direct question, GIV adds a
-// structured schema plus optional dataset constraints and few-shot
-// exemplars, and RAG prepends retrieved context chunks.
+// Prompts are token-charged by their word counts in the resource
+// accounting, so the templates' lengths matter: DKA is a short direct
+// question, GIV adds a structured schema plus optional dataset constraints
+// and few-shot exemplars, and RAG prepends retrieved context chunks. DKA
+// and GIV user prompts are llm.Prompts of parts whose words are counted
+// once (the template parts when the package initialises, the sentence
+// once per fact by the caller), so they are charged without being
+// rendered; RAG's is rendered and counted per call.
 package prompt
 
 import (
@@ -63,30 +67,51 @@ var FewShotExamples = []struct {
 		"After normalising the underscore and camelCase conventions, the statement asserts the historically recorded marriage between Alexander III of Russia and Maria Feodorovna, which holds."},
 }
 
-// ConstraintsFor returns the optional dataset-specific constraint block GIV
-// prompts may enforce (predicate and schema conventions per KG).
-func ConstraintsFor(ds string) string {
-	switch ds {
-	case "FactBench":
-		return "Constraints: statements use DBpedia/Freebase-style predicates; subject and object are named entities; judge the predicate exactly."
-	case "YAGO":
-		return "Constraints: statements use YAGO camelCase predicates (e.g. isMarriedTo); most facts in this source are correct, but do not assume correctness."
-	case "DBpedia":
-		return "Constraints: statements use raw DBpedia infobox properties, which vary in casing and wording; normalise the predicate meaning before judging."
-	default:
-		return ""
+// constraints are the optional dataset-specific constraint blocks GIV
+// prompts may enforce (predicate and schema conventions per KG), each with
+// the blank line that follows it in a prompt.
+var constraints = []struct {
+	dataset string
+	block   llm.Part
+}{
+	{"FactBench", llm.NewPart("Constraints: statements use DBpedia/Freebase-style predicates; subject and object are named entities; judge the predicate exactly.\n\n")},
+	{"YAGO", llm.NewPart("Constraints: statements use YAGO camelCase predicates (e.g. isMarriedTo); most facts in this source are correct, but do not assume correctness.\n\n")},
+	{"DBpedia", llm.NewPart("Constraints: statements use raw DBpedia infobox properties, which vary in casing and wording; normalise the predicate meaning before judging.\n\n")},
+}
+
+// constraintsBlock returns the dataset's constraint block, empty for a
+// dataset without one.
+func constraintsBlock(ds string) llm.Part {
+	for _, c := range constraints {
+		if c.dataset == ds {
+			return c.block
+		}
 	}
+	return llm.Part{}
 }
 
-// DKA renders the Direct Knowledge Assessment prompt.
-func DKA(c llm.Claim) (system, user string) {
-	return DKASystem, "Is the following statement true or false?\n" + c.Sentence
+// ConstraintsFor returns the dataset's constraint text, "" for a dataset
+// without one.
+func ConstraintsFor(ds string) string {
+	return strings.TrimSuffix(constraintsBlock(ds).Text, "\n\n")
 }
 
-// fewShotBlock is GIV-F's exemplar block, rendered once from
-// FewShotExamples when the package initialises.
-var fewShotBlock = renderFewShot()
+// The template parts of DKA and GIV user prompts.
+var (
+	dkaQuestion   = llm.NewPart("Is the following statement true or false?\n")
+	fewShotBlock  = llm.NewPart(renderFewShot())
+	givRetry      = llm.NewPart("Your previous answer did not conform to the required JSON schema. Reply with ONLY the JSON object.\n\n")
+	statementHead = llm.NewPart("Statement: ")
+	answerTail    = llm.NewPart("\nAnswer:")
+)
 
+// DKA returns the Direct Knowledge Assessment prompt of the verbalised
+// statement.
+func DKA(sentence llm.Part) (system string, user llm.Prompt) {
+	return DKASystem, llm.PromptOf(dkaQuestion, sentence)
+}
+
+// renderFewShot renders GIV-F's exemplar block from FewShotExamples.
 func renderFewShot() string {
 	var b strings.Builder
 	b.WriteString("Examples:\n")
@@ -98,30 +123,24 @@ func renderFewShot() string {
 	return b.String()
 }
 
-// givRetry is the non-compliance flag of a GIV re-prompt.
-const givRetry = "Your previous answer did not conform to the required JSON schema. Reply with ONLY the JSON object.\n\n"
-
-// GIV renders the Guided Iterative Verification prompt. fewShot selects the
-// GIV-F variant; attempt > 0 adds the explicit non-compliance flag the
-// paper's re-prompting protocol sends.
-func GIV(c llm.Claim, fewShot bool, attempt int) (system, user string) {
-	cons, sep := ConstraintsFor(c.Dataset), ""
-	if cons != "" {
-		sep = "\n\n"
-	}
-	examples := ""
+// GIV returns the Guided Iterative Verification prompt of the verbalised
+// statement of a fact in the dataset. fewShot selects the GIV-F variant;
+// attempt > 0 adds the explicit non-compliance flag the paper's
+// re-prompting protocol sends.
+func GIV(dataset string, sentence llm.Part, fewShot bool, attempt int) (system string, user llm.Prompt) {
+	var examples, retry llm.Part
 	if fewShot {
 		examples = fewShotBlock
 	}
-	retry := ""
 	if attempt > 0 {
 		retry = givRetry
 	}
-	return GIVSystem, cons + sep + examples + retry + "Statement: " + c.Sentence + "\nAnswer:"
+	return GIVSystem, llm.PromptOf(constraintsBlock(dataset), examples, retry, statementHead, sentence, answerTail)
 }
 
-// RAG renders the retrieval-augmented prompt over the given context chunks.
-func RAG(c llm.Claim, chunks []string) (system, user string) {
+// RAG renders the retrieval-augmented prompt over the given context
+// chunks, as a one-part prompt.
+func RAG(c llm.Claim, chunks []string) (system string, user llm.Prompt) {
 	const head, statement, tail = "Context passages:\n", "\nStatement: ", "\nIs the statement true or false?"
 	n := len(head) + len(statement) + len(c.Sentence) + len(tail)
 	for _, ch := range chunks {
@@ -141,7 +160,7 @@ func RAG(c llm.Claim, chunks []string) (system, user string) {
 	b.WriteString(statement)
 	b.WriteString(c.Sentence)
 	b.WriteString(tail)
-	return RAGSystem, b.String()
+	return RAGSystem, llm.PromptOf(llm.NewPart(b.String()))
 }
 
 // givAnswer is the JSON schema GIV responses must follow.

@@ -7,7 +7,11 @@ import (
 	"strings"
 	"testing"
 
+	"factcheck/internal/dataset"
 	"factcheck/internal/llm"
+	"factcheck/internal/text"
+	"factcheck/internal/verbalize"
+	"factcheck/internal/world"
 )
 
 func testClaim() llm.Claim {
@@ -20,19 +24,26 @@ func testClaim() llm.Claim {
 	}
 }
 
+// sentenceOf returns the claim's sentence as a prompt part.
+func sentenceOf(c llm.Claim) llm.Part { return llm.NewPart(c.Sentence) }
+
 func TestDKAPrompt(t *testing.T) {
-	system, user := DKA(testClaim())
+	system, prompt := DKA(sentenceOf(testClaim()))
 	if system != DKASystem {
 		t.Error("DKA system prompt mismatch")
 	}
-	if !strings.Contains(user, "Ada Example was born in Sampletown.") {
+	if user := prompt.String(); !strings.Contains(user, "Ada Example was born in Sampletown.") {
 		t.Errorf("DKA user prompt missing sentence: %q", user)
 	}
 }
 
 func TestGIVPromptParts(t *testing.T) {
 	c := testClaim()
-	system, zero := GIV(c, false, 0)
+	giv := func(fewShot bool, attempt int) (string, string) {
+		system, user := GIV(c.Dataset, sentenceOf(c), fewShot, attempt)
+		return system, user.String()
+	}
+	system, zero := giv(false, 0)
 	if !strings.Contains(system, `{"verdict": "true" | "false"`) {
 		t.Error("GIV system prompt missing schema")
 	}
@@ -43,7 +54,7 @@ func TestGIVPromptParts(t *testing.T) {
 		t.Error("zero-shot prompt contains examples")
 	}
 
-	_, few := GIV(c, true, 0)
+	_, few := giv(true, 0)
 	if !strings.Contains(few, "Examples:") {
 		t.Error("few-shot prompt missing examples")
 	}
@@ -56,7 +67,7 @@ func TestGIVPromptParts(t *testing.T) {
 		t.Error("few-shot prompt not longer than zero-shot")
 	}
 
-	_, retry := GIV(c, false, 1)
+	_, retry := giv(false, 1)
 	if !strings.Contains(retry, "did not conform") {
 		t.Error("re-prompt missing non-compliance flag")
 	}
@@ -75,10 +86,11 @@ func TestConstraintsForAllDatasets(t *testing.T) {
 
 func TestRAGPrompt(t *testing.T) {
 	chunks := []string{"First passage.", "Second passage."}
-	system, user := RAG(testClaim(), chunks)
+	system, prompt := RAG(testClaim(), chunks)
 	if system != RAGSystem {
 		t.Error("RAG system prompt mismatch")
 	}
+	user := prompt.String()
 	if !strings.Contains(user, "[1] First passage.") || !strings.Contains(user, "[2] Second passage.") {
 		t.Errorf("RAG prompt missing numbered chunks: %q", user)
 	}
@@ -287,7 +299,34 @@ var awkwardSentences = []string{
 	"",
 }
 
-// TestPromptsMatchFmt pins DKA, GIV (zero- and few-shot, attempts 0 and 1,
+// checkRender checks a prompt against the text its template renders: its
+// String() is that text, and its parts' word sum is the text's word count.
+func checkRender(t *testing.T, what string, p llm.Prompt, want string) {
+	t.Helper()
+	if got := p.String(); got != want {
+		t.Errorf("%s = %q, want %q", what, got, want)
+	}
+	if got, want := p.Words(), text.CountWords(want); got != want {
+		t.Errorf("%s: parts hold %d words, the rendered text %d", what, got, want)
+	}
+}
+
+// checkDKAGIV checks the DKA prompt and every GIV prompt (both variants,
+// attempts 0–2) of the claim against the fmt-based renderers.
+func checkDKAGIV(t *testing.T, c llm.Claim) {
+	t.Helper()
+	_, dka := DKA(sentenceOf(c))
+	checkRender(t, fmt.Sprintf("DKA(%q)", c.Sentence), dka, fmtDKA(c))
+	for _, fewShot := range []bool{false, true} {
+		for attempt := 0; attempt < 3; attempt++ {
+			_, giv := GIV(c.Dataset, sentenceOf(c), fewShot, attempt)
+			checkRender(t, fmt.Sprintf("GIV(%s, %q, fewShot=%v, attempt=%d)", c.Dataset, c.Sentence, fewShot, attempt),
+				giv, fmtGIV(c, fewShot, attempt))
+		}
+	}
+}
+
+// TestPromptsMatchFmt pins DKA, GIV (zero- and few-shot, attempts 0–2,
 // every dataset and an unknown one) and RAG (0, 1 and 20 chunks) to the
 // fmt-based renderers they replaced, byte for byte.
 func TestPromptsMatchFmt(t *testing.T) {
@@ -295,17 +334,7 @@ func TestPromptsMatchFmt(t *testing.T) {
 		for _, sent := range awkwardSentences {
 			c := testClaim()
 			c.Dataset, c.Sentence = ds, sent
-			if _, got := DKA(c); got != fmtDKA(c) {
-				t.Errorf("DKA(%s, %q) = %q, want %q", ds, sent, got, fmtDKA(c))
-			}
-			for _, fewShot := range []bool{false, true} {
-				for _, attempt := range []int{0, 1} {
-					if _, got := GIV(c, fewShot, attempt); got != fmtGIV(c, fewShot, attempt) {
-						t.Errorf("GIV(%s, %q, fewShot=%v, attempt=%d) = %q, want %q",
-							ds, sent, fewShot, attempt, got, fmtGIV(c, fewShot, attempt))
-					}
-				}
-			}
+			checkDKAGIV(t, c)
 		}
 	}
 	var chunks []string
@@ -316,9 +345,41 @@ func TestPromptsMatchFmt(t *testing.T) {
 		for _, sent := range awkwardSentences {
 			c := testClaim()
 			c.Sentence = sent
-			if _, got := RAG(c, chunks[:n]); got != fmtRAG(c, chunks[:n]) {
-				t.Errorf("RAG(%q, %d chunks) = %q, want %q", sent, n, got, fmtRAG(c, chunks[:n]))
-			}
+			_, got := RAG(c, chunks[:n])
+			checkRender(t, fmt.Sprintf("RAG(%q, %d chunks)", sent, n), got, fmtRAG(c, chunks[:n]))
 		}
 	}
+}
+
+// TestPromptPartsMatchRender checks every DKA and GIV prompt of the small
+// grid, each fact of each dataset in both GIV variants at attempts 0–2:
+// the parts render the template's bytes, and their word counts sum to the
+// rendered text's, so charging the parts charges what a text model reads.
+func TestPromptPartsMatchRender(t *testing.T) {
+	for _, d := range dataset.Universe(world.New(world.SmallConfig()), 0.05) {
+		for _, f := range d.Facts {
+			checkDKAGIV(t, llm.Claim{Dataset: string(f.Dataset), Sentence: verbalize.Sentence(f)})
+		}
+	}
+}
+
+// FuzzPromptWordsMatchRender holds the parts rule on any sentence and
+// dataset: DKA and GIV prompts render the template's bytes, and their
+// parts' word sum is the rendered text's word count. The seeds put ASCII
+// and Unicode spaces (U+00A0, U+2003, U+0085) at the sentence's edges,
+// where it meets the template.
+func FuzzPromptWordsMatchRender(f *testing.F) {
+	for i, s := range []string{
+		"", " ", "\n", "Ada Example was born in Sampletown.", "  leading", "trailing \t",
+		"\u00a0Ada\u00a0Example\u00a0", "\u2003em\u2003space\u2003", "next\u0085line", "Zoë 東京 😀",
+		"bad \xff utf8", "\xe2\x80", "%d %s \"quoted\" \\",
+	} {
+		f.Add(s, uint8(i))
+	}
+	datasets := []string{"FactBench", "YAGO", "DBpedia", "other"}
+	f.Fuzz(func(t *testing.T, sentence string, ds uint8) {
+		c := testClaim()
+		c.Dataset, c.Sentence = datasets[int(ds)%len(datasets)], sentence
+		checkDKAGIV(t, c)
+	})
 }

@@ -6,13 +6,11 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
-	"unique"
 	"unsafe"
 
 	"factcheck/internal/dataset"
@@ -39,19 +37,6 @@ func testOutcomes() []strategy.Outcome {
 			Attempts:         1,
 			Explanation:      "evidence supports the claim — café documents agree",
 			EvidenceChunks:   7,
-			Claim: unique.Make(llm.Claim{
-				Key:          "person-12|birthPlace|city-3",
-				FactID:       "factbench-000017",
-				Dataset:      "FactBench",
-				Gold:         true,
-				Popularity:   0.73125,
-				Category:     "geo",
-				Topic:        "people",
-				Sentence:     "Ada Example was born in Sampleville.",
-				SubjectLabel: "Ada Example",
-				ObjectLabel:  "Sampleville",
-				Phrase:       "was born in",
-			}),
 		},
 		{
 			FactID:  "yago-000002",
@@ -95,50 +80,8 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCodecClaimRoundTrip pins the interned claim through the codec: the
-// zero handle reads back as the zero handle, a claim whose only non-zero
-// field is a negative-zero or NaN popularity reads back as a claim with
-// those exact bits, and equal claims read back as one handle.
-func TestCodecClaimRoundTrip(t *testing.T) {
-	claims := []unique.Handle[llm.Claim]{
-		{},
-		unique.Make(llm.Claim{Popularity: math.Copysign(0, -1)}),
-		unique.Make(llm.Claim{Popularity: math.NaN()}),
-		unique.Make(llm.Claim{Key: "k", Popularity: math.NaN()}),
-		testOutcomes()[0].Claim,
-	}
-	outs := make([]strategy.Outcome, len(claims))
-	for i, c := range claims {
-		outs[i] = strategy.Outcome{FactID: fmt.Sprint("f-", i), Claim: c}
-	}
-	data := Encode(7, outs)
-	_, got, err := Decode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(Encode(7, got), data) {
-		t.Fatal("re-encoding the decoded outcomes changed the bytes")
-	}
-	if got[0].Claim != (unique.Handle[llm.Claim]{}) {
-		t.Errorf("zero claim decoded as %+v, want the zero handle", got[0].Claim.Value())
-	}
-	for i := 1; i < len(claims); i++ {
-		g, w := got[i].Claim.Value(), claims[i].Value()
-		if math.Float64bits(g.Popularity) != math.Float64bits(w.Popularity) {
-			t.Errorf("claim %d: popularity bits %x, want %x", i, math.Float64bits(g.Popularity), math.Float64bits(w.Popularity))
-		}
-		g.Popularity, w.Popularity = 0, 0
-		if g != w {
-			t.Errorf("claim %d: decoded %+v, want %+v", i, g, w)
-		}
-	}
-	if got[4].Claim != claims[4] {
-		t.Error("decoded claim is not the interned handle of an equal claim")
-	}
-}
-
 // cellOutcomes returns n outcomes shaped like a grid cell's, cycling
-// through empty strings, non-ASCII text and zero-claim outcomes.
+// through empty and non-ASCII explanations.
 func cellOutcomes(n int) []strategy.Outcome {
 	outs := make([]strategy.Outcome, n)
 	for i := range outs {
@@ -154,19 +97,6 @@ func cellOutcomes(n int) []strategy.Outcome {
 			o.Explanation = "Zoë Ångström is associated with a different team than 東京 FC."
 		case 1:
 			o.Explanation = "This is consistent with the recorded facts for Ada Example."
-		}
-		if i%5 != 0 {
-			o.Claim = unique.Make(llm.Claim{
-				Key:          fmt.Sprintf("Person_%d|memberOf|Band_%d", i, i%7),
-				FactID:       o.FactID,
-				Dataset:      "DBpedia",
-				Popularity:   float64(i%10) / 10,
-				Category:     "role",
-				Sentence:     fmt.Sprintf("Person %d is a member of Bänd %d.", i, i%7),
-				SubjectLabel: fmt.Sprintf("Person %d", i),
-				ObjectLabel:  fmt.Sprintf("Bänd %d", i%7),
-				Phrase:       "is a member of",
-			})
 		}
 	}
 	return outs
@@ -189,7 +119,7 @@ func TestEncodeExactSize(t *testing.T) {
 		for i := range outs {
 			encodeOutcome(ref, &outs[i])
 		}
-		ref.u64(checksum(ref.buf))
+		ref.buf = binary.BigEndian.AppendUint32(ref.buf, checksum(ref.buf))
 		if !bytes.Equal(data, ref.buf) {
 			t.Errorf("%d outcomes: Encode differs from the appending encoder", len(outs))
 		}
@@ -219,29 +149,78 @@ func TestCodecDeterministic(t *testing.T) {
 	}
 }
 
-// TestCodecGolden pins the exact wire image of a one-outcome snapshot: any
-// codec change that alters bytes must bump codecVersion (old snapshots are
-// then rejected and recomputed) and update this golden.
-func TestCodecGolden(t *testing.T) {
-	outs := []strategy.Outcome{{
+// goldenOutcomes is the one-outcome snapshot TestCodecGolden pins.
+func goldenOutcomes() []strategy.Outcome {
+	return []strategy.Outcome{{
 		FactID:  "f-1",
 		Model:   "m",
 		Method:  llm.MethodDKA,
 		Verdict: strategy.False,
 		Gold:    true,
 		Latency: 5 * time.Millisecond,
-		Claim:   unique.Make(llm.Claim{Key: "k", Popularity: 0.5}),
 	}}
-	got := hex.EncodeToString(Encode(Fingerprint(0xdeadbeef12345678), outs))
-	const want = "4643525301deadbeef123456780000000000000001000000000000000366" +
-		"2d3100000000000000016d0000000000000003444b410201000000000000" +
-		"4c4b40000000000000000000000000000000000000000000000000000000" +
-		"0000000000000000000000000000000000000000016b0000000000000000" +
-		"0000000000000000003fe000000000000000000000000000000000000000" +
-		"000000000000000000000000000000000000000000000000000000000000" +
-		"000000000003fda1d2f39a8038"
+}
+
+// goldenFP is the fingerprint of the golden snapshots.
+const goldenFP = Fingerprint(0xdeadbeef12345678)
+
+// TestCodecGolden pins the exact wire image of a one-outcome snapshot: any
+// codec change that alters bytes must bump codecVersion (old snapshots are
+// then rejected and recomputed) and update this golden.
+func TestCodecGolden(t *testing.T) {
+	got := hex.EncodeToString(Encode(goldenFP, goldenOutcomes()))
+	const want = "4643525302deadbeef12345678000000000000000100000003662d310000" +
+		"00016d00000003444b4102010000000000004c4b40000000000000000000" +
+		"0000000000000000000000000000000000000000000000000000003dad20" +
+		"9c"
 	if got != want {
 		t.Fatalf("golden mismatch:\n got %s\nwant %s", got, want)
+	}
+}
+
+// v1Golden is the version-1 image of goldenOutcomes, whose outcome also
+// carried the claim {Key: "k", Popularity: 0.5}: the claim's strings, gold
+// flag and popularity followed each outcome, and a 64-bit FNV-1a closed
+// the snapshot.
+const v1Golden = "4643525301deadbeef123456780000000000000001000000000000000366" +
+	"2d3100000000000000016d0000000000000003444b410201000000000000" +
+	"4c4b40000000000000000000000000000000000000000000000000000000" +
+	"0000000000000000000000000000000000000000016b0000000000000000" +
+	"0000000000000000003fe000000000000000000000000000000000000000" +
+	"000000000000000000000000000000000000000000000000000000000000" +
+	"000000000003fda1d2f39a8038"
+
+// TestV1SnapshotRejected checks that a version-1 snapshot is a foreign
+// version: Decode rejects it, and Open skips the file, so the cell counts
+// as missing and is recomputed.
+func TestV1SnapshotRejected(t *testing.T) {
+	data, err := hex.DecodeString(v1Golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Decode(data); !errors.Is(err, errVersion) {
+		t.Fatalf("v1 snapshot: err = %v, want errVersion", err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, goldenFP.String()+cellExt), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.Get(goldenFP); ok || s.Len() != 0 {
+		t.Fatal("v1 snapshot was loaded")
+	}
+	if err := s.Put(goldenFP, goldenOutcomes()); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := s2.Get(goldenFP); !ok || !reflect.DeepEqual(got, goldenOutcomes()) {
+		t.Fatal("the recomputed cell did not replace the v1 snapshot")
 	}
 }
 
@@ -272,25 +251,22 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 
 func TestDecodeRejectsInflatedCount(t *testing.T) {
 	// A crafted snapshot with a huge outcome count and a valid checksum
-	// (FNV is not cryptographic) must be rejected by the structural bound
-	// before the outcome table is allocated, not by an OOM.
+	// (CRC-32C is not cryptographic) must be rejected by the structural
+	// bound before the outcome table is allocated, not by an OOM.
 	data := Encode(1, nil)
-	body := append([]byte{}, data[:len(data)-8]...)
+	body := append([]byte{}, data[:len(data)-checkLen]...)
 	binary.BigEndian.PutUint64(body[13:21], 1<<40) // count field
-	e := &encoder{buf: body}
-	e.u64(checksum(body))
-	if _, _, err := Decode(e.buf); !errors.Is(err, errTruncated) {
+	if _, _, err := Decode(withChecksum(body)); !errors.Is(err, errTruncated) {
 		t.Errorf("inflated count accepted: %v", err)
 	}
 }
 
 func TestDecodeRejectsForeignVersion(t *testing.T) {
 	data := Encode(1, nil)
-	body := append([]byte{}, data[:len(data)-8]...)
+	body := append([]byte{}, data[:len(data)-checkLen]...)
 	body[4] = codecVersion + 1
-	e := &encoder{buf: body}
-	e.u64(checksum(body)) // valid checksum: only the version is foreign
-	if _, _, err := Decode(e.buf); !errors.Is(err, errVersion) {
+	// A valid checksum: only the version is foreign.
+	if _, _, err := Decode(withChecksum(body)); !errors.Is(err, errVersion) {
 		t.Errorf("foreign version accepted: %v", err)
 	}
 }
@@ -358,8 +334,7 @@ func TestStorePersistsAndReloads(t *testing.T) {
 }
 
 // TestOpenSharesStrings checks that the cells one Open loads share their
-// repeated strings, and that a claim that repeats the previous cell's key
-// with other fields still decodes to its own value.
+// repeated strings.
 func TestOpenSharesStrings(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -371,9 +346,6 @@ func TestOpenSharesStrings(t *testing.T) {
 	for i := range b {
 		b[i].Model = "qwen2.5:7b"
 	}
-	c := a[0].Claim.Value()
-	c.Sentence = "Ada Example was not born in Sampleville."
-	b[0].Claim = unique.Make(c)
 	fpA, fpB := Fingerprint(1), Fingerprint(2)
 	for fp, outs := range map[Fingerprint][]strategy.Outcome{fpA: a, fpB: b} {
 		if err := s.Put(fp, outs); err != nil {
@@ -489,20 +461,23 @@ func TestMemoryStoreWritesNothing(t *testing.T) {
 	}
 }
 
+// withChecksum returns body followed by its checksum.
+func withChecksum(body []byte) []byte {
+	return binary.BigEndian.AppendUint32(append([]byte{}, body...), checksum(body))
+}
+
 // FuzzResultsDecode feeds Decode mutated snapshot bodies under a freshly
 // computed checksum, so inputs get past the checksum to the record
 // decoder. Decoding must never panic, and an accepted snapshot must
-// re-encode to bytes that decode and re-encode to the same bytes. Bytes
-// are compared, not values: a decoded Popularity can be NaN.
+// re-encode to bytes that decode and re-encode to the same bytes. The
+// seeds are v2 images without their checksum.
 func FuzzResultsDecode(f *testing.F) {
-	for _, outs := range [][]strategy.Outcome{nil, testOutcomes(), testOutcomes()[1:]} {
+	for _, outs := range [][]strategy.Outcome{nil, testOutcomes(), testOutcomes()[1:], goldenOutcomes(), cellOutcomes(8)} {
 		data := Encode(testKey().Fingerprint(), outs)
-		f.Add(data[:len(data)-8])
+		f.Add(data[:len(data)-checkLen])
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		e := &encoder{buf: append([]byte{}, body...)}
-		e.u64(checksum(body))
-		fp, outs, err := Decode(e.buf)
+		fp, outs, err := Decode(withChecksum(body))
 		if err != nil {
 			if !errors.Is(err, ErrSnapshot) {
 				t.Fatalf("Decode error %v does not wrap ErrSnapshot", err)

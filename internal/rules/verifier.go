@@ -80,7 +80,6 @@ func (a *Augmented) Verify(ctx context.Context, m llm.Model, f *dataset.Fact) (s
 		Latency:     ruleLatency,
 		Attempts:    0,
 		Explanation: "[rule:" + r.Rule + "] " + r.Explanation,
-		Claim:       strategy.ClaimHandle(f),
 	}
 	if r.Verdict == Entailed {
 		out.Verdict = strategy.True

@@ -15,19 +15,24 @@ import (
 	"factcheck/internal/prompt"
 )
 
+// rendered returns the prompt's text as a one-part prompt, its words
+// counted from the rendered text.
+func rendered(p llm.Prompt) llm.Prompt { return llm.PromptOf(llm.NewPart(p.String())) }
+
 // refVerify is verification as it was before the per-fact memo: the claim
-// rebuilt by ClaimFor and interned on every call, and the parsed reason
-// kept as the outcome's explanation.
+// rebuilt by ClaimFor on every call, the user prompt rendered and its
+// words counted per call, and the parsed reason kept as the outcome's
+// explanation.
 func refVerify(ctx context.Context, v Verifier, m llm.Model, f *dataset.Fact) (Outcome, error) {
 	c := ClaimFor(f)
+	sentence := llm.NewPart(c.Sentence)
 	out := Outcome{
-		FactID: f.ID, Model: m.Name(), Method: v.Method(), Verdict: Invalid,
-		Gold: f.Gold, Claim: unique.Make(c),
+		FactID: f.ID, Model: m.Name(), Method: v.Method(), Verdict: Invalid, Gold: f.Gold,
 	}
 	switch v := v.(type) {
 	case DKA:
-		system, user := prompt.DKA(c)
-		resp, err := m.Generate(ctx, llm.Request{System: system, Prompt: user, Claim: c, Method: llm.MethodDKA})
+		system, user := prompt.DKA(sentence)
+		resp, err := m.Generate(ctx, llm.Request{System: system, Prompt: rendered(user), Claim: c, Method: llm.MethodDKA})
 		if err != nil {
 			return Outcome{}, err
 		}
@@ -38,9 +43,9 @@ func refVerify(ctx context.Context, v Verifier, m llm.Model, f *dataset.Fact) (O
 		}
 	case GIV:
 		for attempt := 0; attempt < 3; attempt++ {
-			system, user := prompt.GIV(c, v.FewShot, attempt)
+			system, user := prompt.GIV(c.Dataset, sentence, v.FewShot, attempt)
 			resp, err := m.Generate(ctx, llm.Request{
-				System: system, Prompt: user, Claim: c, Method: out.Method,
+				System: system, Prompt: rendered(user), Claim: c, Method: out.Method,
 				FewShot: v.FewShot, Attempt: attempt,
 			})
 			if err != nil {
@@ -80,8 +85,7 @@ func refVerify(ctx context.Context, v Verifier, m llm.Model, f *dataset.Fact) (O
 // TestConcurrentVerifyMatchesReference verifies the same facts with every
 // benchmark model under every method at once, each model shared by its
 // four methods (run it with -race): each outcome equals the memo-free
-// reference, and every outcome of a fact carries the fact's one interned
-// claim.
+// reference, and each fact's claim handle is its claim interned.
 func TestConcurrentVerifyMatchesReference(t *testing.T) {
 	fx := setup(t)
 	ctx := context.Background()
@@ -131,9 +135,11 @@ func TestConcurrentVerifyMatchesReference(t *testing.T) {
 			if !reflect.DeepEqual(got[j][i], want) {
 				t.Errorf("%s/%s on %s:\n got %+v\nwant %+v", jb.v.Method(), jb.m.Name(), f.ID, got[j][i], want)
 			}
-			if got[j][i].Claim != ClaimHandle(f) {
-				t.Errorf("%s/%s on %s: outcome does not share the fact's claim handle", jb.v.Method(), jb.m.Name(), f.ID)
-			}
+		}
+	}
+	for _, f := range facts {
+		if ClaimHandle(f) != unique.Make(ClaimFor(f)) {
+			t.Errorf("%s: ClaimHandle is not the interned ClaimFor", f.ID)
 		}
 	}
 }

@@ -70,10 +70,6 @@ type Outcome struct {
 	Explanation string
 	// EvidenceChunks counts the context passages used (RAG only).
 	EvidenceChunks int
-	// Claim is the structured claim (kept for downstream analysis),
-	// interned: every outcome of one fact shares one copy. The zero handle
-	// stands for the zero claim.
-	Claim unique.Handle[llm.Claim]
 }
 
 // Verifier verifies facts with a model under a fixed method.
@@ -121,7 +117,8 @@ func ClaimFor(f *dataset.Fact) llm.Claim {
 }
 
 // ClaimHandle returns the fact's interned claim: ClaimFor(f) through
-// unique.Make, built once per fact.
+// unique.Make, built once per fact. Every verification of the fact hands
+// its model this claim.
 func ClaimHandle(f *dataset.Fact) unique.Handle[llm.Claim] { return memoOf(f).claim }
 
 // maxExplanations bounds a fact's explanation table. A simulated model
@@ -131,11 +128,13 @@ const maxExplanations = 16
 
 // factMemo is the model-independent state of a fact's verifications,
 // built on first use and kept on the fact (dataset.Fact.Memo): its
-// interned claim, and one copy of each distinct explanation its outcomes
-// carry, so outcomes share explanation bytes instead of each pinning a
-// parsed response.
+// interned claim, its verbalised sentence as a prompt part with its words
+// counted, and one copy of each distinct explanation its outcomes carry,
+// so outcomes share explanation bytes instead of each pinning a parsed
+// response.
 type factMemo struct {
-	claim unique.Handle[llm.Claim]
+	claim    unique.Handle[llm.Claim]
+	sentence llm.Part
 
 	mu           sync.Mutex
 	n            int
@@ -144,7 +143,10 @@ type factMemo struct {
 
 func memoOf(f *dataset.Fact) *factMemo { return f.Memo(newMemo).(*factMemo) }
 
-func newMemo(f *dataset.Fact) any { return &factMemo{claim: unique.Make(ClaimFor(f))} }
+func newMemo(f *dataset.Fact) any {
+	claim := unique.Make(ClaimFor(f))
+	return &factMemo{claim: claim, sentence: llm.NewPart(claim.Value().Sentence)}
+}
 
 // explanation returns the table's copy of s, adding a copy of s while the
 // table has room.
@@ -178,15 +180,14 @@ func (DKA) Method() llm.Method { return llm.MethodDKA }
 // Verify implements Verifier.
 func (DKA) Verify(ctx context.Context, m llm.Model, f *dataset.Fact) (Outcome, error) {
 	memo := memoOf(f)
-	c := memo.claim.Value()
-	system, user := prompt.DKA(c)
+	system, user := prompt.DKA(memo.sentence)
 	resp, err := m.Generate(ctx, llm.Request{
-		System: system, Prompt: user, Claim: c, Method: llm.MethodDKA,
+		System: system, Prompt: user, Claim: memo.claim.Value(), Method: llm.MethodDKA,
 	})
 	if err != nil {
 		return Outcome{}, fmt.Errorf("dka: %s on %s: %w", m.Name(), f.ID, err)
 	}
-	out := newOutcome(f, m, llm.MethodDKA, memo.claim)
+	out := newOutcome(f, m, llm.MethodDKA)
 	out.Attempts = 1
 	accumulate(&out, resp)
 	if v, reason, ok := prompt.ParseFree(resp.Text); ok {
@@ -222,9 +223,9 @@ func (g GIV) Verify(ctx context.Context, m llm.Model, f *dataset.Fact) (Outcome,
 	memo := memoOf(f)
 	c := memo.claim.Value()
 	method := g.Method()
-	out := newOutcome(f, m, method, memo.claim)
+	out := newOutcome(f, m, method)
 	for attempt := 0; attempt < maxAttempts; attempt++ {
-		system, user := prompt.GIV(c, g.FewShot, attempt)
+		system, user := prompt.GIV(c.Dataset, memo.sentence, g.FewShot, attempt)
 		resp, err := m.Generate(ctx, llm.Request{
 			System: system, Prompt: user, Claim: c, Method: method,
 			FewShot: g.FewShot, Attempt: attempt,
@@ -294,7 +295,7 @@ func (r RAG) Verify(ctx context.Context, m llm.Model, f *dataset.Fact) (Outcome,
 	if err != nil {
 		return Outcome{}, fmt.Errorf("rag: %s on %s: %w", m.Name(), f.ID, err)
 	}
-	out := newOutcome(f, m, llm.MethodRAG, memo.claim)
+	out := newOutcome(f, m, llm.MethodRAG)
 	out.Attempts = 1
 	out.EvidenceChunks = len(chunks)
 	accumulate(&out, resp)
@@ -325,14 +326,13 @@ func ForMethod(m llm.Method, p *rag.Pipeline) (Verifier, error) {
 	}
 }
 
-func newOutcome(f *dataset.Fact, m llm.Model, method llm.Method, claim unique.Handle[llm.Claim]) Outcome {
+func newOutcome(f *dataset.Fact, m llm.Model, method llm.Method) Outcome {
 	return Outcome{
 		FactID:  f.ID,
 		Model:   m.Name(),
 		Method:  method,
 		Verdict: Invalid,
 		Gold:    f.Gold,
-		Claim:   claim,
 	}
 }
 

@@ -7,8 +7,10 @@ import (
 	"factcheck/internal/corpus"
 	"factcheck/internal/dataset"
 	"factcheck/internal/llm"
+	"factcheck/internal/prompt"
 	"factcheck/internal/rag"
 	"factcheck/internal/search"
+	"factcheck/internal/text"
 	"factcheck/internal/world"
 )
 
@@ -162,6 +164,73 @@ func TestRAGVerify(t *testing.T) {
 	if out.Latency < 3*dka.Latency {
 		t.Errorf("RAG latency %.2fs not >> DKA %.2fs", out.Latency.Seconds(), dka.Latency.Seconds())
 	}
+}
+
+// TestRAGChargesEvidenceTwice pins RAG's prompt charge as it stands: the
+// system prompt, the rendered user prompt, which already holds every
+// evidence chunk, and each chunk again as Request.Evidence (llm.Sim's
+// usage). The ROADMAP's evidence-charge audit ("Prompts as parts") is to
+// settle whether a chunk is charged once; its fix changes Table 8 and
+// must flip this test deliberately.
+func TestRAGChargesEvidenceTwice(t *testing.T) {
+	fx := setup(t)
+	ctx := context.Background()
+	for _, f := range fx.fs[:10] {
+		out, err := RAG{Pipeline: fx.p}.Verify(ctx, fx.m, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev, err := fx.p.RetrieveCtx(ctx, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chunks := ev.ChunkTexts()
+		if len(chunks) == 0 {
+			t.Fatalf("%s: no evidence to charge", f.ID)
+		}
+		system, user := prompt.RAG(ClaimFor(f), chunks)
+		want := text.CountTokens(system) + text.CountTokens(user.String())
+		for _, ch := range chunks {
+			want += text.CountTokens(ch)
+		}
+		if out.PromptTokens != want {
+			t.Errorf("%s: PromptTokens = %d, want %d (system + rendered prompt + each chunk again)", f.ID, out.PromptTokens, want)
+		}
+	}
+}
+
+// TestGIVVerifyPromptAllocatesNothing pins GIV-F's allocations with a warm
+// fact memo on facts answered in the schema at the first attempt: two, the
+// simulated model's reason and its answer text. The prompt, few-shot
+// block included, is built from counted parts and allocates nothing
+// (rendering it cost a third allocation of about 1.6 KB). A re-prompted
+// fact also pays json.Unmarshal's allocations for the rambling answer.
+func TestGIVVerifyPromptAllocatesNothing(t *testing.T) {
+	fx := setup(t)
+	ctx := context.Background()
+	v := GIV{FewShot: true}
+	checked := 0
+	for _, f := range fx.fs {
+		out, err := v.Verify(ctx, fx.m, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Attempts != 1 {
+			continue
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := v.Verify(ctx, fx.m, f); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 2 {
+			t.Errorf("%s: GIV-F Verify made %v allocations, want at most 2", f.ID, allocs)
+		}
+		if checked++; checked == 20 {
+			return
+		}
+	}
+	t.Fatalf("only %d facts answered at the first attempt", checked)
 }
 
 func TestRAGVerifyNilPipeline(t *testing.T) {

@@ -335,16 +335,20 @@ func spaceLanes(x uint64) uint64 {
 // CountTokens approximates the LLM token count of s. Real tokenisers emit
 // roughly 1.3 tokens per whitespace word for English; we reproduce that
 // constant so the benchmark's token accounting has realistic magnitudes.
-// Words are counted in place (the same maximal non-space runs
-// strings.Fields returns) — this runs on every prompt and evidence chunk of
-// every simulated call, so it must not allocate the field slice. All-ASCII
-// stretches are classified eight bytes at a time (a word starts in every
-// non-space lane whose predecessor is a space); other bytes go rune by
-// rune through unicode.IsSpace.
-func CountTokens(s string) int {
-	if s == "" {
-		return 0
-	}
+func CountTokens(s string) int { return TokensOfWords(CountWords(s)) }
+
+// TokensOfWords is CountTokens' rule for a text of the given number of
+// words. Word counts add across texts joined at whitespace; token counts
+// do not, because of the ceiling.
+func TokensOfWords(words int) int { return int(math.Ceil(float64(words) * 1.3)) }
+
+// CountWords counts the words of s: the maximal non-space runs
+// strings.Fields returns, counted in place, since this runs on every
+// evidence chunk of every simulated call. All-ASCII stretches are
+// classified eight bytes at a time (a word starts in every non-space lane
+// whose predecessor is a space); other bytes go rune by rune through
+// unicode.IsSpace.
+func CountWords(s string) int {
 	words := 0
 	inField := false
 	for i := 0; i < len(s); {
@@ -378,5 +382,5 @@ func CountTokens(s string) int {
 			inField = true
 		}
 	}
-	return int(math.Ceil(float64(words) * 1.3))
+	return words
 }
