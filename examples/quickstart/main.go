@@ -38,13 +38,13 @@ func main() {
 			mark = "✓"
 		}
 		fmt.Printf("%s [gold=%-5v verdict=%-7s %5.0fms] %s\n",
-			mark, f.Gold, out.Verdict, out.Latency.Seconds()*1000, strategy.ClaimHandle(f).Value().Sentence)
+			mark, f.Gold, out.Verdict, out.Latency.Seconds()*1000, strategy.ClaimFor(f).Sentence)
 		fmt.Printf("   reason: %s\n", out.Explanation)
 	}
 
 	// Compare the three internal-knowledge strategies on one fact.
 	f := facts[0]
-	fmt.Printf("\n== Strategy comparison on %q ==\n", strategy.ClaimHandle(f).Value().Sentence)
+	fmt.Printf("\n== Strategy comparison on %q ==\n", strategy.ClaimFor(f).Sentence)
 	for _, method := range []llm.Method{llm.MethodDKA, llm.MethodGIVZ, llm.MethodGIVF} {
 		v, err := b.Verifier(method)
 		if err != nil {

@@ -2,10 +2,16 @@
 // documents into smaller overlapping passages with a sliding-window
 // strategy (paper §3.2 / Table 4, "Sliding Window (size = 3)"). Windows are
 // measured in sentences, sliding one sentence at a time, so consecutive
-// chunks overlap by size-1 sentences.
+// chunks overlap by size-1 sentences. A document is segmented once
+// (NewSplit), and its chunks are substrings of one string: for the
+// corpus's generated bodies, of the body itself.
 package chunk
 
-import "strings"
+import (
+	"strings"
+	"unicode"
+	"unicode/utf8"
+)
 
 // DefaultWindow is the paper's configured sliding-window size (Table 4).
 const DefaultWindow = 3
@@ -18,28 +24,6 @@ type Chunk struct {
 	Seq int
 	// Text is the passage content.
 	Text string
-}
-
-// SplitSentences performs lightweight sentence segmentation on '.', '!' and
-// '?' boundaries. It is deliberately simple: the synthetic corpus never
-// contains abbreviations with internal periods.
-func SplitSentences(s string) []string {
-	var out []string
-	var cur strings.Builder
-	for _, r := range s {
-		cur.WriteRune(r)
-		if r == '.' || r == '!' || r == '?' {
-			sent := strings.TrimSpace(cur.String())
-			if sent != "" {
-				out = append(out, sent)
-			}
-			cur.Reset()
-		}
-	}
-	if tail := strings.TrimSpace(cur.String()); tail != "" {
-		out = append(out, tail)
-	}
-	return out
 }
 
 // Sliding splits text into overlapping windows of `window` sentences,
@@ -64,23 +48,50 @@ type Split struct {
 	ends []int
 }
 
-// NewSplit segments text once. The result is immutable and safe for
-// concurrent use.
+// NewSplit segments text once: a sentence is each span ending at '.', '!'
+// or '?', and the tail after the last one, trimmed of Unicode white space;
+// empty ones are dropped. It is deliberately simple: the synthetic corpus
+// never contains abbreviations with internal periods. Invalid UTF-8 first
+// has each bad byte replaced with U+FFFD. When the sentences are
+// separated by exactly one space, as in every generated document body,
+// Joined is a substring of the text; otherwise the sentences are joined
+// once. The result is immutable and safe for concurrent use.
 func NewSplit(t string) *Split {
-	sents := SplitSentences(t)
-	if len(sents) == 0 {
+	if !utf8.ValidString(t) {
+		t = string([]rune(t))
+	}
+	var buf [32]int
+	spans := buf[:0] // the start and end of each sentence in t
+	for start := 0; start < len(t); {
+		end := start + strings.IndexAny(t[start:], ".!?") + 1
+		if end == start {
+			end = len(t)
+		}
+		a := end - len(strings.TrimLeftFunc(t[start:end], unicode.IsSpace))
+		if b := a + len(strings.TrimRightFunc(t[a:end], unicode.IsSpace)); a < b {
+			spans = append(spans, a, b)
+		}
+		start = end
+	}
+	if len(spans) == 0 {
 		return &Split{}
 	}
-	sp := &Split{
-		Joined: strings.Join(sents, " "),
-		ends:   make([]int, len(sents)),
+	sp := &Split{ends: make([]int, len(spans)/2)}
+	off, gapless := -1, true
+	for i := 0; i < len(spans); i += 2 {
+		off += 1 + spans[i+1] - spans[i]
+		sp.ends[i/2] = off
+		gapless = gapless && (i == 0 || spans[i] == spans[i-1]+1 && t[spans[i-1]] == ' ')
 	}
-	off := 0
-	for i, s := range sents {
-		off += len(s)
-		sp.ends[i] = off
-		off++ // joining space
+	if gapless {
+		sp.Joined = t[spans[0]:spans[len(spans)-1]]
+		return sp
 	}
+	j := make([]byte, 0, off+1)
+	for i := 0; i < len(spans); i += 2 {
+		j = append(append(j, t[spans[i]:spans[i+1]]...), ' ')
+	}
+	sp.Joined = string(j[:off])
 	return sp
 }
 

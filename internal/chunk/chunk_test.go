@@ -19,8 +19,11 @@ func TestSplitSentences(t *testing.T) {
 		{"Trailing fragment. tail", 2},
 	}
 	for _, tc := range tests {
-		if got := SplitSentences(tc.in); len(got) != tc.want {
-			t.Errorf("SplitSentences(%q) = %d sentences (%v), want %d", tc.in, len(got), got, tc.want)
+		if got := splitSentences(tc.in); len(got) != tc.want {
+			t.Errorf("splitSentences(%q) = %d sentences (%v), want %d", tc.in, len(got), got, tc.want)
+		}
+		if got := NewSplit(tc.in).Sentences(); got != tc.want {
+			t.Errorf("NewSplit(%q).Sentences() = %d, want %d", tc.in, got, tc.want)
 		}
 	}
 }
@@ -49,8 +52,8 @@ func TestSlidingOverlapInvariant(t *testing.T) {
 	chunks := Sliding("d", text, 3)
 	// Consecutive chunks share window-1 sentences.
 	for i := 1; i < len(chunks); i++ {
-		prev := SplitSentences(chunks[i-1].Text)
-		cur := SplitSentences(chunks[i].Text)
+		prev := splitSentences(chunks[i-1].Text)
+		cur := splitSentences(chunks[i].Text)
 		if len(prev) != 3 || len(cur) != 3 {
 			t.Fatalf("window size violated: %d/%d", len(prev), len(cur))
 		}
@@ -93,7 +96,7 @@ func TestSlidingCoverageProperty(t *testing.T) {
 			b.WriteString(string(rune('A' + i%26)))
 			b.WriteString(". ")
 		}
-		sents := SplitSentences(b.String())
+		sents := splitSentences(b.String())
 		chunks := Sliding("d", b.String(), 3)
 		joined := ""
 		for _, c := range chunks {

@@ -16,6 +16,7 @@ package corpus
 
 import (
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -448,10 +449,11 @@ func (b *factBody) build(title, sep string, st Stance, empty bool, x, y int) str
 }
 
 // partDims holds the content-token dimensions of every part of one fact's
-// variant texts: its titles, openings and background sentences. Tokens
-// never span the spaces that join the parts, so a variant's dimensions are
-// its parts' (text.ContentDims), and each part is tokenized once per fact
-// instead of once per variant.
+// variant texts, each part's in ascending order: its titles, openings and
+// background sentences. Tokens never span the spaces that join the parts,
+// so a variant's dimensions are its parts' (text.ContentDims) merged, and
+// each part is tokenized and sorted once per fact instead of once per
+// variant.
 type partDims struct {
 	titles   [numTitles][]int32
 	openings [4][]int32
@@ -466,6 +468,7 @@ func newPartDims(fm *factMeta, b *factBody) *partDims {
 	dims := func(s string) []int32 {
 		lo := len(buf)
 		buf = text.ContentDims(s, buf)
+		slices.Sort(buf[lo:])
 		return buf[lo:len(buf):len(buf)]
 	}
 	for i, t := range fm.titles {
@@ -480,18 +483,32 @@ func newPartDims(fm *factMeta, b *factBody) *partDims {
 	return d
 }
 
-// appendVariant appends the dimensions of the variant text that build
-// returns for title number ti and the body draws to dims.
+// appendVariant appends the ascending dimensions of the variant text that
+// build returns for title number ti and the body draws to dims, merging
+// the variant's two to four sorted parts.
 func (d *partDims) appendVariant(dims []int32, ti int, st Stance, empty bool, x, y int) []int32 {
-	dims = append(dims, d.titles[ti]...)
 	if empty {
-		return dims
+		return append(dims, d.titles[ti]...)
 	}
-	dims = append(append(dims, d.openings[st]...), d.fillers[x]...)
+	var scratch [2][64]int32
+	head := mergeDims(scratch[0][:0], d.titles[ti], d.openings[st])
+	tail := d.fillers[x]
 	if st == StanceNeutral {
-		dims = append(dims, d.fillers[y]...)
+		tail = mergeDims(scratch[1][:0], tail, d.fillers[y])
 	}
-	return dims
+	return mergeDims(dims, head, tail)
+}
+
+// mergeDims appends the merge of the ascending lists a and b to dst.
+func mergeDims(dst, a, b []int32) []int32 {
+	dst = slices.Grow(dst, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		if b[0] < a[0] {
+			a, b = b, a
+		}
+		dst, a = append(dst, a[0]), a[1:]
+	}
+	return append(append(dst, a...), b...)
 }
 
 // trueObjectLabel returns the label of a true object for the fact's
@@ -614,7 +631,7 @@ func (g *Generator) Materialize(f *dataset.Fact) *Pool {
 			title := fm.titles[ti]
 			full := body.build(title, " ", st, empty, x, y)
 			dims = pd.appendVariant(dims[:0], ti, st, empty, x, y)
-			p.Variants = append(p.Variants, Variant{Title: title, Text: full[len(title)+1:], Full: full, Vec: text.SparseEmbedDims(dims)})
+			p.Variants = append(p.Variants, Variant{Title: title, Text: full[len(title)+1:], Full: full, Vec: text.SparseEmbedSorted(dims)})
 			slot[v] = uint8(len(p.Variants))
 		}
 		r.Variant = slot[v] - 1

@@ -26,6 +26,7 @@ package llm
 
 import (
 	"context"
+	"strconv"
 	"strings"
 	"time"
 
@@ -79,14 +80,27 @@ type Claim struct {
 
 // Part is a span of prompt text with its word count (text.CountWords),
 // counted once where the span is made: a static template part once per
-// process, a fact's sentence once per fact.
+// process, a fact's sentence once per fact. A Passages part holds its
+// chunks instead of Text.
 type Part struct {
-	Text  string
-	Words int
+	Text     string
+	Words    int
+	passages []string
 }
 
 // NewPart counts the words of s.
 func NewPart(s string) Part { return Part{Text: s, Words: text.CountWords(s)} }
+
+// Passages returns the part that numbers chunks as context passages, one
+// "[i] chunk\n" line each, without rendering them. Each "[i]" is one word,
+// so the part counts len(chunks) words plus the chunks' own.
+func Passages(chunks []string) Part {
+	words := len(chunks)
+	for _, c := range chunks {
+		words += text.CountWords(c)
+	}
+	return Part{Words: words, passages: chunks}
+}
 
 // maxPromptParts is the most parts a Prompt holds: GIV's constraints,
 // few-shot block, retry flag, statement head, sentence and answer tail.
@@ -107,7 +121,7 @@ type Prompt struct {
 func PromptOf(parts ...Part) Prompt {
 	var p Prompt
 	for _, pt := range parts {
-		if pt.Text != "" {
+		if pt.Text != "" || len(pt.passages) > 0 {
 			p.parts[p.n] = pt
 			p.n++
 		}
@@ -129,6 +143,9 @@ func (p Prompt) String() string {
 	var b strings.Builder
 	for _, pt := range p.parts[:p.n] {
 		b.WriteString(pt.Text)
+		for i, c := range pt.passages {
+			b.WriteString("[" + strconv.Itoa(i+1) + "] " + c + "\n")
+		}
 	}
 	return b.String()
 }

@@ -3,11 +3,12 @@
 // Prompts are token-charged by their word counts in the resource
 // accounting, so the templates' lengths matter: DKA is a short direct
 // question, GIV adds a structured schema plus optional dataset constraints
-// and few-shot exemplars, and RAG prepends retrieved context chunks. DKA
-// and GIV user prompts are llm.Prompts of parts whose words are counted
-// once (the template parts when the package initialises, the sentence
+// and few-shot exemplars, and RAG prepends retrieved context chunks. User
+// prompts are llm.Prompts of parts whose words are counted once (the
+// template parts when the package initialises, DKA's and GIV's sentence
 // once per fact by the caller), so they are charged without being
-// rendered; RAG's is rendered and counted per call.
+// rendered. RAG counts its claim's sentence and its chunks, held as one
+// llm.Passages part, per call.
 package prompt
 
 import (
@@ -90,12 +91,6 @@ func constraintsBlock(ds string) llm.Part {
 	return llm.Part{}
 }
 
-// ConstraintsFor returns the dataset's constraint text, "" for a dataset
-// without one.
-func ConstraintsFor(ds string) string {
-	return strings.TrimSuffix(constraintsBlock(ds).Text, "\n\n")
-}
-
 // The template parts of DKA and GIV user prompts.
 var (
 	dkaQuestion   = llm.NewPart("Is the following statement true or false?\n")
@@ -138,29 +133,17 @@ func GIV(dataset string, sentence llm.Part, fewShot bool, attempt int) (system s
 	return GIVSystem, llm.PromptOf(constraintsBlock(dataset), examples, retry, statementHead, sentence, answerTail)
 }
 
-// RAG renders the retrieval-augmented prompt over the given context
-// chunks, as a one-part prompt.
+// The template parts of RAG user prompts.
+var (
+	ragHead      = llm.NewPart("Context passages:\n")
+	ragStatement = llm.NewPart("\nStatement: ")
+	ragTail      = llm.NewPart("\nIs the statement true or false?")
+)
+
+// RAG returns the retrieval-augmented prompt of the claim over the given
+// context chunks, which it numbers as passages without rendering them.
 func RAG(c llm.Claim, chunks []string) (system string, user llm.Prompt) {
-	const head, statement, tail = "Context passages:\n", "\nStatement: ", "\nIs the statement true or false?"
-	n := len(head) + len(statement) + len(c.Sentence) + len(tail)
-	for _, ch := range chunks {
-		n += len("[0000] \n") + len(ch)
-	}
-	var b strings.Builder
-	b.Grow(n)
-	b.WriteString(head)
-	var num [20]byte
-	for i, ch := range chunks {
-		b.WriteByte('[')
-		b.Write(strconv.AppendInt(num[:0], int64(i+1), 10))
-		b.WriteString("] ")
-		b.WriteString(ch)
-		b.WriteByte('\n')
-	}
-	b.WriteString(statement)
-	b.WriteString(c.Sentence)
-	b.WriteString(tail)
-	return RAGSystem, llm.PromptOf(llm.NewPart(b.String()))
+	return RAGSystem, llm.PromptOf(ragHead, llm.Passages(chunks), ragStatement, llm.NewPart(c.Sentence), ragTail)
 }
 
 // givAnswer is the JSON schema GIV responses must follow.
@@ -171,12 +154,17 @@ type givAnswer struct {
 
 // ParseGIV parses a GIV response. ok is false when the output does not
 // conform to the schema (triggering a re-prompt). The schema's exact shape,
-// which conformant models answer in, is read without encoding/json;
-// anything else goes through json.Unmarshal.
+// which conformant models answer in, is read without encoding/json; an
+// answer that does not start with '{' is rejected outright, since no JSON
+// value but an object can carry a verdict; anything else goes through
+// json.Unmarshal.
 func ParseGIV(out string) (verdict bool, reason string, ok bool) {
 	out = strings.TrimSpace(out)
 	if verdict, reason, ok := parseGIVExact(out); ok {
 		return verdict, reason, true
+	}
+	if !strings.HasPrefix(out, "{") {
+		return false, "", false
 	}
 	var a givAnswer
 	if err := json.Unmarshal([]byte(out), &a); err != nil {

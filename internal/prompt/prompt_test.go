@@ -7,8 +7,11 @@ import (
 	"strings"
 	"testing"
 
+	"factcheck/internal/corpus"
 	"factcheck/internal/dataset"
 	"factcheck/internal/llm"
+	"factcheck/internal/rag"
+	"factcheck/internal/search"
 	"factcheck/internal/text"
 	"factcheck/internal/verbalize"
 	"factcheck/internal/world"
@@ -108,6 +111,7 @@ func TestParseGIV(t *testing.T) {
 		{`{"verdict": "true", "reason": "it holds"}`, true, true},
 		{`{"verdict": "false", "reason": "it does not"}`, false, true},
 		{`  {"verdict": "TRUE", "reason": "case-insensitive"}  `, true, true},
+		{"{\n  \"verdict\": \"false\",\n  \"reason\": \"pretty-printed\"\n}", false, true},
 		{`{"verdict": "maybe", "reason": "x"}`, false, false},
 		{`not json at all`, false, false},
 		{`{"reason": "missing verdict"}`, false, false},
@@ -117,6 +121,37 @@ func TestParseGIV(t *testing.T) {
 		v, _, ok := ParseGIV(tc.in)
 		if ok != tc.ok || (ok && v != tc.verdict) {
 			t.Errorf("ParseGIV(%q) = (%v, %v), want (%v, %v)", tc.in, v, ok, tc.verdict, tc.ok)
+		}
+	}
+}
+
+// TestParseGIVRamblingAllocatesNothing pins the leading-byte reject: the
+// simulator's rambling GIV answers, and other inputs that are no JSON
+// object, fail to parse without allocating (json.Unmarshal made 12
+// allocations on a rambling answer).
+func TestParseGIVRamblingAllocatesNothing(t *testing.T) {
+	m := llm.MustNew(llm.Llama31)
+	var rambling []string
+	for attempt := 0; attempt < 40 && len(rambling) < 5; attempt++ {
+		c := testClaim()
+		c.Key = fmt.Sprint("ramble|", attempt)
+		resp, err := m.Generate(context.Background(), llm.Request{Claim: c, Method: llm.MethodGIVZ})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.HasPrefix(resp.Text, "{") {
+			rambling = append(rambling, resp.Text)
+		}
+	}
+	if len(rambling) == 0 {
+		t.Fatal("the simulator gave no rambling answer")
+	}
+	for _, in := range append(rambling, "null", `["verdict", "true"]`, `"true"`, "  true ", "") {
+		if _, _, ok := ParseGIV(in); ok {
+			t.Errorf("ParseGIV(%q) parsed", in)
+		}
+		if n := testing.AllocsPerRun(20, func() { ParseGIV(in) }); n != 0 {
+			t.Errorf("ParseGIV(%q) makes %v allocations, want 0", in, n)
 		}
 	}
 }
@@ -253,6 +288,12 @@ func TestGIVRoundTripWithSim(t *testing.T) {
 	}
 }
 
+// ConstraintsFor returns the dataset's constraint text, "" for a dataset
+// without one.
+func ConstraintsFor(ds string) string {
+	return strings.TrimSuffix(constraintsBlock(ds).Text, "\n\n")
+}
+
 // fmtDKA, fmtGIV and fmtRAG are the fmt-based renderers DKA, GIV and RAG
 // replaced, kept as the byte-for-byte reference.
 func fmtDKA(c llm.Claim) string {
@@ -351,35 +392,68 @@ func TestPromptsMatchFmt(t *testing.T) {
 	}
 }
 
-// TestPromptPartsMatchRender checks every DKA and GIV prompt of the small
-// grid, each fact of each dataset in both GIV variants at attempts 0–2:
-// the parts render the template's bytes, and their word counts sum to the
-// rendered text's, so charging the parts charges what a text model reads.
+// checkRAG checks the claim's RAG prompt over chunks against fmtRAG.
+func checkRAG(t *testing.T, c llm.Claim, chunks []string) {
+	t.Helper()
+	_, got := RAG(c, chunks)
+	checkRender(t, fmt.Sprintf("RAG(%q, %q)", c.Sentence, chunks), got, fmtRAG(c, chunks))
+}
+
+// TestPromptPartsMatchRender checks every DKA, GIV and RAG prompt of the
+// small grid, each fact of each dataset in both GIV variants at attempts
+// 0–2 and over the evidence the RAG pipeline retrieves for it: the parts
+// render the template's bytes, and their word counts sum to the rendered
+// text's, so charging the parts charges what a text model reads.
 func TestPromptPartsMatchRender(t *testing.T) {
-	for _, d := range dataset.Universe(world.New(world.SmallConfig()), 0.05) {
+	ctx := context.Background()
+	w := world.New(world.SmallConfig())
+	gen := corpus.NewGenerator(w)
+	withEvidence := 0
+	for _, d := range dataset.Universe(w, 0.05) {
+		p := rag.New(search.NewEngine(gen, d))
 		for _, f := range d.Facts {
-			checkDKAGIV(t, llm.Claim{Dataset: string(f.Dataset), Sentence: verbalize.Sentence(f)})
+			c := llm.Claim{Dataset: string(f.Dataset), Sentence: verbalize.Sentence(f)}
+			checkDKAGIV(t, c)
+			ev, err := p.RetrieveCtx(ctx, f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			chunks := ev.ChunkTexts()
+			checkRAG(t, c, chunks)
+			p.Invalidate(f.ID)
+			if len(chunks) > 0 {
+				withEvidence++
+			}
 		}
+	}
+	if withEvidence == 0 {
+		t.Fatal("no RAG prompt carried evidence")
 	}
 }
 
-// FuzzPromptWordsMatchRender holds the parts rule on any sentence and
-// dataset: DKA and GIV prompts render the template's bytes, and their
-// parts' word sum is the rendered text's word count. The seeds put ASCII
-// and Unicode spaces (U+00A0, U+2003, U+0085) at the sentence's edges,
-// where it meets the template.
+// FuzzPromptWordsMatchRender holds the parts rule on any sentence,
+// dataset and chunk list: DKA, GIV and RAG prompts render the template's
+// bytes, and their parts' word sum is the rendered text's word count. The
+// seeds put ASCII and Unicode spaces (U+00A0, U+2003, U+0085) at the edges
+// of the sentence and of the chunks, where they meet the template. The
+// chunk list is the third argument split at '|', n of them kept: n = 0 is
+// the empty list, and an empty field an empty chunk.
 func FuzzPromptWordsMatchRender(f *testing.F) {
 	for i, s := range []string{
 		"", " ", "\n", "Ada Example was born in Sampletown.", "  leading", "trailing \t",
 		"\u00a0Ada\u00a0Example\u00a0", "\u2003em\u2003space\u2003", "next\u0085line", "Zoë 東京 😀",
 		"bad \xff utf8", "\xe2\x80", "%d %s \"quoted\" \\",
 	} {
-		f.Add(s, uint8(i))
+		f.Add(s, uint8(i), "A chunk.|\u00a0lead and trail\u2003| tab\t|\u0085|bad \xff|", uint8(i))
 	}
+	f.Add("Ada.", uint8(0), "", uint8(1))
+	f.Add("Ada.", uint8(1), "||", uint8(3))
 	datasets := []string{"FactBench", "YAGO", "DBpedia", "other"}
-	f.Fuzz(func(t *testing.T, sentence string, ds uint8) {
+	f.Fuzz(func(t *testing.T, sentence string, ds uint8, chunkList string, n uint8) {
 		c := testClaim()
 		c.Dataset, c.Sentence = datasets[int(ds)%len(datasets)], sentence
 		checkDKAGIV(t, c)
+		chunks := strings.Split(chunkList, "|")
+		checkRAG(t, c, chunks[:int(n)%(len(chunks)+1)])
 	})
 }

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"unique"
 	"unsafe"
 
 	"factcheck/internal/dataset"
@@ -85,7 +84,7 @@ func refVerify(ctx context.Context, v Verifier, m llm.Model, f *dataset.Fact) (O
 // TestConcurrentVerifyMatchesReference verifies the same facts with every
 // benchmark model under every method at once, each model shared by its
 // four methods (run it with -race): each outcome equals the memo-free
-// reference, and each fact's claim handle is its claim interned.
+// reference, and each fact's memo holds its ClaimFor claim.
 func TestConcurrentVerifyMatchesReference(t *testing.T) {
 	fx := setup(t)
 	ctx := context.Background()
@@ -138,8 +137,8 @@ func TestConcurrentVerifyMatchesReference(t *testing.T) {
 		}
 	}
 	for _, f := range facts {
-		if ClaimHandle(f) != unique.Make(ClaimFor(f)) {
-			t.Errorf("%s: ClaimHandle is not the interned ClaimFor", f.ID)
+		if memoOf(f).claim != ClaimFor(f) {
+			t.Errorf("%s: the memo's claim is not ClaimFor", f.ID)
 		}
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"strings"
 	"sync"
 	"time"
-	"unique"
 
 	"factcheck/internal/dataset"
 	"factcheck/internal/llm"
@@ -116,24 +115,19 @@ func ClaimFor(f *dataset.Fact) llm.Claim {
 	}
 }
 
-// ClaimHandle returns the fact's interned claim: ClaimFor(f) through
-// unique.Make, built once per fact. Every verification of the fact hands
-// its model this claim.
-func ClaimHandle(f *dataset.Fact) unique.Handle[llm.Claim] { return memoOf(f).claim }
-
 // maxExplanations bounds a fact's explanation table. A simulated model
 // gives a fact at most a dozen distinct explanations over the grid's 20
 // verifications; past the bound an outcome keeps the string it parsed.
 const maxExplanations = 16
 
 // factMemo is the model-independent state of a fact's verifications,
-// built on first use and kept on the fact (dataset.Fact.Memo): its
-// interned claim, its verbalised sentence as a prompt part with its words
-// counted, and one copy of each distinct explanation its outcomes carry,
-// so outcomes share explanation bytes instead of each pinning a parsed
-// response.
+// built on first use and kept on the fact (dataset.Fact.Memo): the claim
+// every verification of the fact hands its model, its verbalised sentence
+// as a prompt part with its words counted, and one copy of each distinct
+// explanation its outcomes carry, so outcomes share explanation bytes
+// instead of each pinning a parsed response.
 type factMemo struct {
-	claim    unique.Handle[llm.Claim]
+	claim    llm.Claim
 	sentence llm.Part
 
 	mu           sync.Mutex
@@ -144,8 +138,8 @@ type factMemo struct {
 func memoOf(f *dataset.Fact) *factMemo { return f.Memo(newMemo).(*factMemo) }
 
 func newMemo(f *dataset.Fact) any {
-	claim := unique.Make(ClaimFor(f))
-	return &factMemo{claim: claim, sentence: llm.NewPart(claim.Value().Sentence)}
+	claim := ClaimFor(f)
+	return &factMemo{claim: claim, sentence: llm.NewPart(claim.Sentence)}
 }
 
 // explanation returns the table's copy of s, adding a copy of s while the
@@ -182,7 +176,7 @@ func (DKA) Verify(ctx context.Context, m llm.Model, f *dataset.Fact) (Outcome, e
 	memo := memoOf(f)
 	system, user := prompt.DKA(memo.sentence)
 	resp, err := m.Generate(ctx, llm.Request{
-		System: system, Prompt: user, Claim: memo.claim.Value(), Method: llm.MethodDKA,
+		System: system, Prompt: user, Claim: memo.claim, Method: llm.MethodDKA,
 	})
 	if err != nil {
 		return Outcome{}, fmt.Errorf("dka: %s on %s: %w", m.Name(), f.ID, err)
@@ -221,7 +215,7 @@ func (g GIV) Verify(ctx context.Context, m llm.Model, f *dataset.Fact) (Outcome,
 		maxAttempts = 3
 	}
 	memo := memoOf(f)
-	c := memo.claim.Value()
+	c := memo.claim
 	method := g.Method()
 	out := newOutcome(f, m, method)
 	for attempt := 0; attempt < maxAttempts; attempt++ {
@@ -285,7 +279,7 @@ func (r RAG) Verify(ctx context.Context, m llm.Model, f *dataset.Fact) (Outcome,
 		return Outcome{}, fmt.Errorf("rag: retrieve %s: %w", f.ID, err)
 	}
 	memo := memoOf(f)
-	c := memo.claim.Value()
+	c := memo.claim
 	chunks := ev.ChunkTexts()
 	system, user := prompt.RAG(c, chunks)
 	resp, err := m.Generate(ctx, llm.Request{

@@ -204,7 +204,8 @@ func TestRAGChargesEvidenceTwice(t *testing.T) {
 // simulated model's reason and its answer text. The prompt, few-shot
 // block included, is built from counted parts and allocates nothing
 // (rendering it cost a third allocation of about 1.6 KB). A re-prompted
-// fact also pays json.Unmarshal's allocations for the rambling answer.
+// fact also pays for each rambling answer's text, which ParseGIV rejects
+// without allocating.
 func TestGIVVerifyPromptAllocatesNothing(t *testing.T) {
 	fx := setup(t)
 	ctx := context.Background()

@@ -36,7 +36,9 @@ func (v SparseVector) Dense() Vector {
 // scratch, so the only allocations are the result's two slices.
 func SparseEmbed(s string) SparseVector {
 	var scratch [embedScratch]int32
-	return SparseEmbedDims(ContentDims(s, scratch[:0]))
+	dims := ContentDims(s, scratch[:0])
+	slices.Sort(dims)
+	return SparseEmbedSorted(dims)
 }
 
 // SparseEmbedTokens is SparseEmbed over an already-tokenised term stream
@@ -47,7 +49,8 @@ func SparseEmbedTokens(toks []string) SparseVector {
 	for i, t := range toks {
 		dims[i] = int32(HashToken(t))
 	}
-	return SparseEmbedDims(dims)
+	slices.Sort(dims)
+	return SparseEmbedSorted(dims)
 }
 
 // smallTFWeights caches tfWeight for the term frequencies nearly every
@@ -69,18 +72,17 @@ func tfWeight(tf int) float32 {
 	return float32(1 + math.Log(float64(float32(tf))))
 }
 
-// SparseEmbedDims is the tail every sparse embedder shares: given the
-// hashed dimension of each content token (ContentDims output, any order),
-// it sorts dims in place, run-length counts the terms and normalises. The
+// SparseEmbedSorted is the tail every sparse embedder shares: given the
+// hashed dimension of each content token (ContentDims output) in
+// ascending order, it run-length counts the terms and normalises. The
 // weights are computed in ascending dimension order — the order Embed's
 // dense loops visit non-zero entries — so every float
 // operation matches the dense path and the result is bit-identical. The
 // result never aliases dims, so callers may pass reusable scratch.
-func SparseEmbedDims(dims []int32) SparseVector {
+func SparseEmbedSorted(dims []int32) SparseVector {
 	if len(dims) == 0 {
 		return SparseVector{}
 	}
-	slices.Sort(dims)
 	nnz := 1
 	for i := 1; i < len(dims); i++ {
 		if dims[i] != dims[i-1] {
