@@ -692,11 +692,11 @@ func BenchmarkSearchEngine(b *testing.B) {
 // benchmarkRerankDocs measures phase 4a of the RAG pipeline in isolation:
 // fetching and reranking a fact's full candidate pool (up to the pipeline's
 // CandidateCap of 120 docs) against the verbalised sentence, then selecting
-// k_d. The dense path re-embeds the reference and every candidate per call,
-// exactly as the retired pipeline did; the sparse path embeds the reference
-// once and consumes the doc table's precomputed vectors. Scores and
-// selection are bit-identical (see internal/rag's golden tests); only the
-// cost differs.
+// k_d. The dense path scores with the reference Score, which re-embeds the
+// reference and every candidate per call; the sparse path embeds the
+// reference once and scores the doc table's precomputed vectors with one
+// ScoreBatch, as the pipeline does. Scores and selection are bit-identical
+// (see internal/rerank's tests); only the cost differs.
 func benchmarkRerankDocs(b *testing.B, sparse bool) {
 	bench := core.NewBenchmark(core.Config{Scale: 0.1, Small: true})
 	ranker := rerank.NewDocumentRanker()
@@ -718,7 +718,7 @@ func benchmarkRerankDocs(b *testing.B, sparse bool) {
 	for i := 0; i < b.N; i++ {
 		docs := make([]scoredDoc, 0, len(items))
 		if sparse {
-			refVec := text.SparseEmbed(sentence)
+			score := ranker.ScoreBatch(text.SparseEmbed(sentence), sentence)
 			for _, it := range items {
 				de, err := bench.Engine.FetchEvidence(it.DocID)
 				if err != nil {
@@ -727,7 +727,7 @@ func benchmarkRerankDocs(b *testing.B, sparse bool) {
 				if de.Empty || de.Text == "" {
 					continue
 				}
-				s := ranker.ScoreVec(refVec, sentence, de.Vec, de.Full)
+				s := score(de.Vec, de.Full)
 				docs = append(docs, scoredDoc{id: de.DocID, score: s})
 			}
 		} else {
@@ -755,32 +755,26 @@ func benchmarkRerankDocs(b *testing.B, sparse bool) {
 	}
 }
 
-// BenchmarkRerankDocs is the tentpole's microbench: the dense/sparse gap on
-// a full candidate-pool document rerank.
+// BenchmarkRerankDocs measures the dense/sparse gap on a full
+// candidate-pool document rerank.
 func BenchmarkRerankDocs(b *testing.B) {
 	b.Run("dense", func(b *testing.B) { benchmarkRerankDocs(b, false) })
 	b.Run("sparse", func(b *testing.B) { benchmarkRerankDocs(b, true) })
 }
 
-// benchmarkColdCell times one cold, store-less verification cell — every
+// BenchmarkColdCell times one cold, store-less verification cell — every
 // fact of the FactBench x RAG x gemma2 slice verified end-to-end with no
 // result store, no verdict cache, and the evidence cache dropped before
 // each iteration, so every timed run pays full retrieval (question
 // generation and ranking, SERP queries, document reranking, chunking) and
 // model simulation for every fact. The static corpus substrate — document
-// pools and inverted indexes — is materialised once outside the timer, as
-// in PR 2's steady-state search benches: that is the serving steady state,
-// where the 512-fact shard store is warm but nothing about a request's
-// verification is cached. The dense baseline re-embeds the reference and
-// every candidate per rerank call, exactly as the retired pipeline did.
-func benchmarkColdCell(b *testing.B, dense bool) {
+// pools and inverted indexes — is materialised once outside the timer:
+// that is the serving steady state, where the shard store is warm but
+// nothing about a request's verification is cached.
+func BenchmarkColdCell(b *testing.B) {
 	cfg := core.Config{Scale: 0.05, Small: true}
 	ctx := context.Background()
 	bench := core.NewBenchmark(cfg)
-	if dense {
-		bench.Pipeline.QuestionRanker = rerank.DenseOnly(bench.Pipeline.QuestionRanker)
-		bench.Pipeline.DocRanker = rerank.DenseOnly(bench.Pipeline.DocRanker)
-	}
 	// Warm pools and indexes; verification state is re-cooled per iteration.
 	if _, err := bench.RunCell(ctx, dataset.FactBench, llm.MethodRAG, llm.Gemma2); err != nil {
 		b.Fatal(err)
@@ -794,12 +788,4 @@ func benchmarkColdCell(b *testing.B, dense bool) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkColdCell is the tentpole's macrobench: the dense/sparse gap on a
-// whole cold verification cell. Outputs are byte-identical across the two
-// paths (golden-tested); the gap is pure scoring-substrate cost.
-func BenchmarkColdCell(b *testing.B) {
-	b.Run("dense", func(b *testing.B) { benchmarkColdCell(b, true) })
-	b.Run("sparse", func(b *testing.B) { benchmarkColdCell(b, false) })
 }

@@ -30,6 +30,7 @@ import (
 	"factcheck/internal/rerank"
 	"factcheck/internal/search"
 	"factcheck/internal/strategy"
+	"factcheck/internal/text"
 	"factcheck/internal/world"
 )
 
@@ -171,8 +172,7 @@ func run(out string, scale float64, small, writeDocs bool, maxDocFacts int) erro
 				for i := range qs {
 					texts[i] = qs[i].Text
 				}
-				// Rank embeds the sentence once for all k_q questions.
-				for _, r := range rerank.Rank(ranker, sentence, texts) {
+				for _, r := range ranker.Rank(text.SparseEmbed(sentence), sentence, texts) {
 					qs[r.Index].Score = r.Score
 				}
 				for _, q := range qs {

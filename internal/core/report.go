@@ -13,6 +13,7 @@ import (
 	"factcheck/internal/rag"
 	"factcheck/internal/rerank"
 	"factcheck/internal/strategy"
+	"factcheck/internal/text"
 )
 
 // CellMetrics are the headline numbers of one evaluation cell.
@@ -225,7 +226,7 @@ func (b *Benchmark) ComputeRAGStats(sample int) RAGStats {
 	st := RAGStats{MinDocs: 1 << 30}
 	var perFact [][]question.Question
 	var counts []float64
-	ranker := b.Pipeline.QuestionRanker
+	ranker := rerank.NewQuestionRanker()
 	for _, dn := range b.Config.Datasets {
 		d := b.Datasets[dn]
 		facts := d.Facts
@@ -240,9 +241,7 @@ func (b *Benchmark) ComputeRAGStats(sample int) RAGStats {
 			for i := range qs {
 				texts[i] = qs[i].Text
 			}
-			// Rank embeds the reference sentence once for all k_q questions
-			// on vector-aware rankers; scores are identical either way.
-			for _, r := range rerank.Rank(ranker, sentence, texts) {
+			for _, r := range ranker.Rank(text.SparseEmbed(sentence), sentence, texts) {
 				qs[r.Index].Score = r.Score
 			}
 			perFact = append(perFact, qs)

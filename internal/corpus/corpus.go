@@ -410,6 +410,14 @@ type factBody struct {
 // numFillers is the number of background sentences a body draws from.
 const numFillers = 5
 
+// The body parts that name no fact: the unrelated opening and background
+// sentences 2 and 3.
+const (
+	unrelatedOpening = "General interest material unrelated to the query. "
+	collectionFiller = "This page is part of a curated collection of reference material."
+	backgroundFiller = "Readers frequently consult this entry for background information."
+)
+
 func (g *Generator) newFactBody(f *dataset.Fact) *factBody {
 	subj := f.Subject.Label
 	refute := ""
@@ -418,7 +426,7 @@ func (g *Generator) newFactBody(f *dataset.Fact) *factBody {
 	}
 	return &factBody{
 		openings: [4]string{
-			StanceUnrelated: "General interest material unrelated to the query. ",
+			StanceUnrelated: unrelatedOpening,
 			StanceNeutral:   subj + " is discussed in this article. ",
 			StanceSupport:   verbalize.Sentence(f) + " Multiple records agree on this point. ",
 			StanceRefute: refute + "Contrary to some claims, it is not the case that " +
@@ -427,8 +435,8 @@ func (g *Generator) newFactBody(f *dataset.Fact) *factBody {
 		fillers: [numFillers]string{
 			subj + " has been covered by several publications over the years.",
 			"Archivists consider the records about " + subj + " largely consistent.",
-			"This page is part of a curated collection of reference material.",
-			"Readers frequently consult this entry for background information.",
+			collectionFiller,
+			backgroundFiller,
 			subj + " appears in multiple regional registries.",
 		},
 	}
@@ -452,35 +460,55 @@ func (b *factBody) build(title, sep string, st Stance, empty bool, x, y int) str
 // variant texts, each part's in ascending order: its titles, openings and
 // background sentences. Tokens never span the spaces that join the parts,
 // so a variant's dimensions are its parts' (text.ContentDims) merged, and
-// each part is tokenized and sorted once per fact instead of once per
-// variant.
+// each part is tokenized and sorted once (per fact, or per process for
+// the parts no fact names) instead of once per variant.
 type partDims struct {
 	titles   [numTitles][]int32
 	openings [4][]int32
 	fillers  [numFillers][]int32
 }
 
-func newPartDims(fm *factMeta, b *factBody) *partDims {
-	d := &partDims{}
-	buf := make([]int32, 0, 256)
-	// A capped slice never sees later appends, and a reallocation leaves
-	// the slices already taken on the old array intact.
-	dims := func(s string) []int32 {
-		lo := len(buf)
-		buf = text.ContentDims(s, buf)
-		slices.Sort(buf[lo:])
-		return buf[lo:len(buf):len(buf)]
+// sharedDims holds the dimensions of the parts no fact names: the filler
+// titles, the unrelated opening and background sentences 2 and 3. They
+// are tokenized and sorted once per process; every fact's partDims starts
+// as a copy, whose slices are only ever read.
+var sharedDims = func() partDims {
+	var d partDims
+	var buf []int32
+	for i, t := range fillerTitles {
+		d.titles[2+i] = sortedDims(&buf, t)
 	}
-	for i, t := range fm.titles {
-		d.titles[i] = dims(t)
-	}
-	for i, o := range b.openings {
-		d.openings[i] = dims(o)
-	}
-	for i, f := range b.fillers {
-		d.fillers[i] = dims(f)
-	}
+	d.openings[StanceUnrelated] = sortedDims(&buf, unrelatedOpening)
+	d.fillers[2] = sortedDims(&buf, collectionFiller)
+	d.fillers[3] = sortedDims(&buf, backgroundFiller)
 	return d
+}()
+
+// newPartDims adds to sharedDims the eight parts that name the fact: the
+// record and profile titles, the neutral, support and refute openings and
+// background sentences 0, 1 and 4.
+func newPartDims(fm *factMeta, b *factBody) *partDims {
+	d := sharedDims
+	buf := make([]int32, 0, 128)
+	d.titles[0] = sortedDims(&buf, fm.titles[0])
+	d.titles[1] = sortedDims(&buf, fm.titles[1])
+	for _, st := range [...]Stance{StanceNeutral, StanceSupport, StanceRefute} {
+		d.openings[st] = sortedDims(&buf, b.openings[st])
+	}
+	for _, i := range [...]int{0, 1, 4} {
+		d.fillers[i] = sortedDims(&buf, b.fillers[i])
+	}
+	return &d
+}
+
+// sortedDims appends the ascending content-token dimensions of s to *buf
+// and returns them as a capped slice: it never sees later appends, and a
+// reallocation of *buf leaves it intact on the old array.
+func sortedDims(buf *[]int32, s string) []int32 {
+	lo := len(*buf)
+	*buf = text.ContentDims(s, *buf)
+	slices.Sort((*buf)[lo:])
+	return (*buf)[lo:len(*buf):len(*buf)]
 }
 
 // appendVariant appends the ascending dimensions of the variant text that

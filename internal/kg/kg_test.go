@@ -53,46 +53,6 @@ func TestLocalName(t *testing.T) {
 	}
 }
 
-func TestNamespacesExpandCompactRoundTrip(t *testing.T) {
-	ns := NewNamespaces()
-	tests := []struct{ curie, iri string }{
-		{"dbr:Paris", NSDBpediaResource + "Paris"},
-		{"dbo:birthPlace", NSDBpediaOntology + "birthPlace"},
-		{"yago:isMarriedTo", NSYAGOResource + "isMarriedTo"},
-		{"rdfs:label", NSRDFS + "label"},
-	}
-	for _, tc := range tests {
-		if got := ns.Expand(tc.curie); string(got) != tc.iri {
-			t.Errorf("Expand(%q) = %q, want %q", tc.curie, got, tc.iri)
-		}
-		if got := ns.Compact(IRI(tc.iri)); got != tc.curie {
-			t.Errorf("Compact(%q) = %q, want %q", tc.iri, got, tc.curie)
-		}
-	}
-}
-
-func TestNamespacesUnknown(t *testing.T) {
-	ns := NewNamespaces()
-	if got := ns.Expand("unknown:thing"); got != "unknown:thing" {
-		t.Errorf("Expand of unknown prefix = %q", got)
-	}
-	if got := ns.Compact("http://other.example/x"); got != "http://other.example/x" {
-		t.Errorf("Compact of unknown namespace = %q", got)
-	}
-	if got := ns.Expand("nocolon"); got != "nocolon" {
-		t.Errorf("Expand without colon = %q", got)
-	}
-}
-
-func TestNamespacesPrefersLongestMatch(t *testing.T) {
-	ns := NewNamespaces()
-	ns.Register("ex", "http://example.org/")
-	ns.Register("exsub", "http://example.org/sub/")
-	if got := ns.Compact("http://example.org/sub/x"); got != "exsub:x" {
-		t.Errorf("Compact = %q, want exsub:x", got)
-	}
-}
-
 func TestNTriplesRoundTrip(t *testing.T) {
 	in := []Triple{
 		NewTriple("http://ex/s", "http://ex/p", "http://ex/o"),

@@ -1,8 +1,7 @@
 // Package kg implements the knowledge-graph vocabulary FactCheck validates:
-// RDF-style terms and triples, an N-Triples codec, and namespace (prefix)
-// management mirroring the conventions of DBpedia, YAGO and Freebase that
-// the paper's datasets use. It keeps no triple store: the synthetic world's
-// fact set is the KG snapshot facts are checked against.
+// RDF-style terms and triples, an N-Triples codec, and the DBpedia and YAGO
+// namespaces the paper's datasets use. It keeps no triple store: the
+// synthetic world's fact set is the KG snapshot facts are checked against.
 package kg
 
 import (
@@ -20,8 +19,6 @@ const (
 	NSDBpediaOntology = "http://dbpedia.org/ontology/"
 	NSDBpediaProperty = "http://dbpedia.org/property/"
 	NSYAGOResource    = "http://yago-knowledge.org/resource/"
-	NSFreebase        = "http://rdf.freebase.com/ns/"
-	NSRDF             = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
 	NSRDFS            = "http://www.w3.org/2000/01/rdf-schema#"
 	NSXSD             = "http://www.w3.org/2001/XMLSchema#"
 )
@@ -126,65 +123,4 @@ func LocalName(iri IRI) string {
 		return s[i+1:]
 	}
 	return s
-}
-
-// Namespaces maps prefixes (e.g. "dbr") to namespace IRIs. It provides the
-// compact/expand round-trip the paper's triple-transformation phase must
-// undo before sentences are readable.
-type Namespaces struct {
-	byPrefix map[string]string
-	ordered  []string // prefixes in registration order for stable output
-}
-
-// NewNamespaces returns a registry preloaded with the benchmark's standard
-// prefixes.
-func NewNamespaces() *Namespaces {
-	n := &Namespaces{byPrefix: map[string]string{}}
-	n.Register("dbr", NSDBpediaResource)
-	n.Register("dbo", NSDBpediaOntology)
-	n.Register("dbp", NSDBpediaProperty)
-	n.Register("yago", NSYAGOResource)
-	n.Register("fb", NSFreebase)
-	n.Register("rdf", NSRDF)
-	n.Register("rdfs", NSRDFS)
-	n.Register("xsd", NSXSD)
-	return n
-}
-
-// Register binds prefix to ns, replacing any previous binding of the prefix.
-func (n *Namespaces) Register(prefix, ns string) {
-	if _, exists := n.byPrefix[prefix]; !exists {
-		n.ordered = append(n.ordered, prefix)
-	}
-	n.byPrefix[prefix] = ns
-}
-
-// Expand converts a CURIE such as "dbr:Paris" into a full IRI. Unknown
-// prefixes (or inputs without a colon) are returned unchanged as IRIs.
-func (n *Namespaces) Expand(curie string) IRI {
-	i := strings.IndexByte(curie, ':')
-	if i < 0 {
-		return IRI(curie)
-	}
-	if ns, ok := n.byPrefix[curie[:i]]; ok {
-		return IRI(ns + curie[i+1:])
-	}
-	return IRI(curie)
-}
-
-// Compact shrinks an IRI to CURIE form when a registered namespace matches,
-// preferring the longest matching namespace.
-func (n *Namespaces) Compact(iri IRI) string {
-	s := string(iri)
-	best, bestNS := "", ""
-	for _, p := range n.ordered {
-		ns := n.byPrefix[p]
-		if strings.HasPrefix(s, ns) && len(ns) > len(bestNS) {
-			best, bestNS = p, ns
-		}
-	}
-	if best == "" {
-		return s
-	}
-	return best + ":" + s[len(bestNS):]
 }

@@ -27,6 +27,17 @@ func (w wireSearcher) FetchEvidence(docID string) (search.DocEvidence, error) {
 	return w.e.FetchEvidence(docID)
 }
 
+// fetchSearcher hides both PoolSearcher and EvidenceFetcher, as the HTTP
+// client does, so a pipeline over it fetches every candidate with plain
+// Fetch and embeds and splits it itself.
+type fetchSearcher struct{ e *search.Engine }
+
+func (w fetchSearcher) Search(factID, query string, n int) ([]search.SERPItem, error) {
+	return w.e.Search(factID, query, n)
+}
+
+func (w fetchSearcher) Fetch(docID string) (search.DocPayload, error) { return w.e.Fetch(docID) }
+
 var (
 	_ search.PoolSearcher    = (*search.Engine)(nil)
 	_ search.EvidenceFetcher = wireSearcher{}
@@ -35,10 +46,15 @@ var (
 // TestRetrieveByReferenceMatchesWire is the differential test of the
 // by-reference path: over every fact of the small world's three datasets
 // and under each config, Evidence ranked in place from pool rows must
-// equal the wire path's, nil Docs included when nothing is selected.
+// equal both wire paths' (FetchEvidence, and plain Fetch with the
+// candidate embedded and split on the fly), nil Docs included when
+// nothing is selected.
 func TestRetrieveByReferenceMatchesWire(t *testing.T) {
 	if _, ok := any(wireSearcher{}).(search.PoolSearcher); ok {
 		t.Fatal("wireSearcher exposes PoolSearcher")
+	}
+	if _, ok := any(fetchSearcher{}).(search.EvidenceFetcher); ok {
+		t.Fatal("fetchSearcher exposes EvidenceFetcher")
 	}
 	w := world.New(world.SmallConfig())
 	var ds []*dataset.Dataset
@@ -53,23 +69,34 @@ func TestRetrieveByReferenceMatchesWire(t *testing.T) {
 		"SelectedDocs 1": func(c *Config) { c.SelectedDocs = 1 },
 		"SelectedDocs 0": func(c *Config) { c.SelectedDocs = 0 },
 		"SERPSize 7":     func(c *Config) { c.SERPSize = 7 },
+		"Window 1":       func(c *Config) { c.Window = 1 },
+		"Window 5":       func(c *Config) { c.Window = 5 },
+		"CandidateCap 7": func(c *Config) { c.CandidateCap = 7 },
+		"SelectedDocs 2": func(c *Config) { c.SelectedDocs = 2 },
+		"Tau 0.1, SelectedQuestions 5": func(c *Config) {
+			c.Tau = 0.1
+			c.SelectedQuestions = 5
+		},
 	}
 	for name, mutate := range configs {
-		byRef, wire := New(e), New(wireSearcher{e})
+		byRef, wire, fetch := New(e), New(wireSearcher{e}), New(fetchSearcher{e})
 		mutate(&byRef.Config)
 		mutate(&wire.Config)
+		mutate(&fetch.Config)
 		for _, d := range ds {
 			for _, f := range d.Facts {
 				got, err := byRef.Retrieve(f)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := wire.Retrieve(f)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s, fact %s: by-reference evidence differs from the wire path:\nby-ref: %+v\nwire:   %+v", name, f.ID, got, want)
+				for path, p := range map[string]*Pipeline{"FetchEvidence": wire, "Fetch": fetch} {
+					want, err := p.Retrieve(f)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s, fact %s: by-reference evidence differs from the %s wire path:\nby-ref: %+v\nwire:   %+v", name, f.ID, path, got, want)
+					}
 				}
 				if name == "SelectedDocs 0" && got.Docs != nil {
 					t.Fatalf("fact %s: nothing selected, Docs = %#v, want nil", f.ID, got.Docs)

@@ -95,10 +95,8 @@ func DefaultConfig() Config {
 // Invalidate, keeping only facts that consensus will verify again; any
 // later caller simply retrieves again, with identical evidence.
 type Pipeline struct {
-	Searcher       search.Searcher
-	QuestionRanker rerank.Scorer
-	DocRanker      rerank.Scorer
-	Config         Config
+	Searcher search.Searcher
+	Config   Config
 
 	cache evidenceCache
 }
@@ -155,14 +153,16 @@ func (c *evidenceCache) clear() {
 	}
 }
 
-// New builds a pipeline with the paper's default rankers and configuration.
+// The paper's two rerankers (Table 4): questions are ranked against the
+// sentence with one, documents with the other.
+var (
+	questionRanker = rerank.NewQuestionRanker()
+	docRanker      = rerank.NewDocumentRanker()
+)
+
+// New builds a pipeline with the paper's default configuration.
 func New(s search.Searcher) *Pipeline {
-	return &Pipeline{
-		Searcher:       s,
-		QuestionRanker: rerank.NewQuestionRanker(),
-		DocRanker:      rerank.NewDocumentRanker(),
-		Config:         DefaultConfig(),
-	}
+	return &Pipeline{Searcher: s, Config: DefaultConfig()}
 }
 
 // Evidence is the retrieval result for one fact.
@@ -267,50 +267,32 @@ func (p *Pipeline) Invalidate(factID string) {
 	p.cache.invalidate(factID)
 }
 
-// retrieve runs phases 1–4. The by-reference path is the production one:
+// retrieve runs phases 1–4. The sentence is embedded once; questions are
+// ranked against it in one call, and one batch scorer ranks documents
+// against it on either path. The by-reference path is the production one:
 // when the searcher hands out pool snapshots (search.PoolSearcher, the
-// in-process engine) and the doc ranker scores in batches, phases 3–4 rank
-// and read rows of one pinned snapshot in place (retrieveRows), and only
-// the k_d kept documents become wire-form payloads. Every other searcher
-// or ranker — the HTTP client, wrappers that hide PoolSearcher, a ranker
-// wrapped in rerank.DenseOnly — takes the wire path (retrieveWire) over
-// SERP items and fetched documents. All paths produce byte-identical
-// Evidence — golden tested, since result-store fingerprints and served
-// verdicts flow from it.
+// in-process engine), phases 3–4 rank and read rows of one pinned snapshot
+// in place (retrieveRows), and only the k_d kept documents become
+// wire-form payloads. Every other searcher — the HTTP client, wrappers that
+// hide PoolSearcher — takes the wire path (retrieveWire) over SERP items
+// and fetched documents. Both paths produce byte-identical Evidence —
+// tested, since result-store fingerprints and served verdicts flow from it.
 func (p *Pipeline) retrieve(ctx context.Context, f *dataset.Fact) (*Evidence, error) {
 	cfg := p.Config
 	ev := &Evidence{}
 
 	// Phase 1: triple transformation.
 	ev.Sentence = verbalize.Sentence(f)
+	sentVec := text.SparseEmbed(ev.Sentence)
 
-	// The sparse path needs a vector-aware ranker for each stage it
-	// accelerates; stages degrade to the dense path independently.
-	qRanker, qVec := p.QuestionRanker.(rerank.VecScorer)
-	dRanker, dVec := p.DocRanker.(rerank.VecScorer)
-	var sentVec text.SparseVector
-	if qVec || dVec {
-		sentVec = text.SparseEmbed(ev.Sentence)
-	}
-
-	// Phase 2: question generation and ranking. The reference sentence is
-	// embedded exactly once for all k_q candidates.
+	// Phase 2: question generation and ranking.
 	endQuestions := phaseSpan(ctx, "rag_questions", questionsHist)
 	qs := question.Generate(f, cfg.NumQuestions)
 	texts := make([]string, len(qs))
 	for i := range qs {
 		texts[i] = qs[i].Text
 	}
-	var ranked []rerank.Ranked
-	if qVec {
-		cands := make([]rerank.Candidate, len(texts))
-		for i, t := range texts {
-			cands[i] = rerank.Candidate{Text: t, Vec: text.SparseEmbed(t)}
-		}
-		ranked = rerank.RankVecs(qRanker, sentVec, ev.Sentence, cands)
-	} else {
-		ranked = rerank.Rank(p.QuestionRanker, ev.Sentence, texts)
-	}
+	ranked := questionRanker.Rank(sentVec, ev.Sentence, texts)
 	for _, r := range ranked {
 		qs[r.Index].Score = r.Score
 	}
@@ -325,13 +307,12 @@ func (p *Pipeline) retrieve(ctx context.Context, f *dataset.Fact) (*Evidence, er
 	}
 	endQuestions()
 
-	ps, byRef := p.Searcher.(search.PoolSearcher)
-	bs, batch := p.DocRanker.(rerank.BatchScorer)
+	score := docRanker.ScoreBatch(sentVec, ev.Sentence)
 	var err error
-	if byRef && batch {
-		err = p.retrieveRows(ctx, f, ev, ps, bs.ScoreBatch(sentVec, ev.Sentence))
+	if ps, ok := p.Searcher.(search.PoolSearcher); ok {
+		err = p.retrieveRows(ctx, f, ev, ps, score)
 	} else {
-		err = p.retrieveWire(ctx, f, ev, sentVec, dRanker, dVec)
+		err = p.retrieveWire(ctx, f, ev, score)
 	}
 	if err != nil {
 		return nil, err
@@ -434,10 +415,9 @@ func (p *Pipeline) retrieveRows(ctx context.Context, f *dataset.Fact, ev *Eviden
 
 // retrieveWire runs phases 3–4 over wire-form values: SERP items, then
 // one fetch per candidate. A searcher that is also a search.EvidenceFetcher
-// serves precomputed vectors and sentence splits to a vector-aware ranker;
-// otherwise each candidate is fetched and embedded (or densely scored) on
-// the fly.
-func (p *Pipeline) retrieveWire(ctx context.Context, f *dataset.Fact, ev *Evidence, sentVec text.SparseVector, dRanker rerank.VecScorer, dVec bool) error {
+// serves precomputed vectors and sentence splits; otherwise each candidate
+// is fetched, embedded and split on the fly.
+func (p *Pipeline) retrieveWire(ctx context.Context, f *dataset.Fact, ev *Evidence, score func(cand text.SparseVector, candText string) float64) error {
 	cfg := p.Config
 
 	// Phase 3: document retrieval and filtering.
@@ -469,33 +449,20 @@ func (p *Pipeline) retrieveWire(ctx context.Context, f *dataset.Fact, ev *Eviden
 	}
 	endSearch()
 
-	// Phase 4a: fetch and rerank documents against the sentence. On the
-	// sparse path each candidate's vector comes precomputed from the doc
-	// table — no document is ever re-embedded — and the batch scorer
-	// amortises the reference's noise-key prefix across the whole pool.
-	// A dense doc ranker keeps retrieval on plain Fetch as well.
+	// Phase 4a: fetch and rerank documents against the sentence. From an
+	// EvidenceFetcher each candidate's vector comes precomputed from the
+	// doc table; a plain Fetch is embedded once here.
 	endRerank := phaseSpan(ctx, "rag_rerank", rerankHist)
-	fetcher, fetchVec := p.Searcher.(search.EvidenceFetcher)
-	fetchVec = fetchVec && dVec
-	var scoreVec func(cand text.SparseVector, candText string) float64
-	if dVec {
-		if bs, ok := dRanker.(rerank.BatchScorer); ok {
-			scoreVec = bs.ScoreBatch(sentVec, ev.Sentence)
-		} else {
-			scoreVec = func(cand text.SparseVector, candText string) float64 {
-				return dRanker.ScoreVec(sentVec, ev.Sentence, cand, candText)
-			}
-		}
-	}
-	// A scored candidate carries one DocEvidence: the full one on the
-	// sparse path, only its DocPayload on the others.
+	fetcher, byEvidence := p.Searcher.(search.EvidenceFetcher)
+	// A scored candidate carries one DocEvidence: the full one from an
+	// EvidenceFetcher, only its DocPayload from Fetch.
 	type scoredDoc struct {
 		ev    search.DocEvidence
 		score float64
 	}
 	docs := make([]scoredDoc, 0, len(serpItems))
 	for _, it := range serpItems {
-		if fetchVec {
+		if byEvidence {
 			de, err := fetcher.FetchEvidence(it.DocID)
 			if err != nil {
 				return fmt.Errorf("rag: fetch %s: %w", it.DocID, err)
@@ -503,7 +470,7 @@ func (p *Pipeline) retrieveWire(ctx context.Context, f *dataset.Fact, ev *Eviden
 			if de.Empty || de.Text == "" {
 				continue // extraction failures carry no usable evidence
 			}
-			docs = append(docs, scoredDoc{ev: de, score: scoreVec(de.Vec, de.Full)})
+			docs = append(docs, scoredDoc{ev: de, score: score(de.Vec, de.Full)})
 			continue
 		}
 		d, err := p.Searcher.Fetch(it.DocID)
@@ -513,17 +480,8 @@ func (p *Pipeline) retrieveWire(ctx context.Context, f *dataset.Fact, ev *Eviden
 		if d.Empty || d.Text == "" {
 			continue
 		}
-		var s float64
-		if dVec {
-			// Vector-aware ranker over a plain searcher (e.g. the HTTP
-			// client): embed the fetched candidate once, reference still
-			// embedded once per fact.
-			full := d.Title + " " + d.Text
-			s = scoreVec(text.SparseEmbed(full), full)
-		} else {
-			s = p.DocRanker.Score(ev.Sentence, d.Title+" "+d.Text)
-		}
-		docs = append(docs, scoredDoc{ev: search.DocEvidence{DocPayload: d}, score: s})
+		full := d.Title + " " + d.Text
+		docs = append(docs, scoredDoc{ev: search.DocEvidence{DocPayload: d}, score: score(text.SparseEmbed(full), full)})
 	}
 	// Sort an index permutation instead of the fat entries (swapping a
 	// scoredDoc's evidence struct dominated the sort).
@@ -548,12 +506,12 @@ func (p *Pipeline) retrieveWire(ctx context.Context, f *dataset.Fact, ev *Eviden
 	endRerank()
 
 	// Phase 4b: sliding-window chunking, served from the doc table's cached
-	// sentence splits on the sparse path.
+	// sentence splits when the searcher is an EvidenceFetcher.
 	endChunk := phaseSpan(ctx, "rag_chunk", chunkHist)
 	for _, i := range order {
 		sd := &docs[i]
 		ev.Docs = append(ev.Docs, sd.ev.DocPayload)
-		if fetchVec {
+		if byEvidence {
 			ev.Chunks = append(ev.Chunks, sd.ev.Chunks(cfg.Window)...)
 		} else {
 			ev.Chunks = append(ev.Chunks, chunk.Sliding(sd.ev.DocID, sd.ev.Text, cfg.Window)...)

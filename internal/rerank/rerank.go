@@ -14,37 +14,6 @@ import (
 	"factcheck/internal/text"
 )
 
-// Scorer scores the relevance of a candidate text to a reference text.
-type Scorer interface {
-	// Score returns a relevance score in (0,1) of candidate w.r.t.
-	// reference; higher is more relevant.
-	Score(reference, candidate string) float64
-	// Name identifies the scorer (model name in the paper's Table 4).
-	Name() string
-}
-
-// VecScorer is a Scorer that can score precomputed sparse embeddings.
-// ScoreVec must return exactly what Score(refText, candText) returns when
-// ref and cand are the sparse embeddings of those texts — the vector form
-// skips re-embedding, not any part of the score. Both raw texts still
-// travel with the vectors because the deterministic noise component is
-// keyed by the text pair, not the embeddings.
-type VecScorer interface {
-	Scorer
-	// ScoreVec scores cand against ref from their sparse embeddings.
-	ScoreVec(ref text.SparseVector, refText string, cand text.SparseVector, candText string) float64
-}
-
-// BatchScorer is a VecScorer that amortises per-reference state across a
-// candidate batch (one reference is scored against up to CandidateCap
-// documents per fact). The returned function must produce exactly what
-// ScoreVec produces for the same reference and candidate.
-type BatchScorer interface {
-	VecScorer
-	// ScoreBatch fixes the reference and returns the per-candidate scorer.
-	ScoreBatch(ref text.SparseVector, refText string) func(cand text.SparseVector, candText string) float64
-}
-
 // CrossEncoder is the lexical stand-in for the paper's neural rerankers.
 // Two calibration profiles mirror the two models the paper configures.
 type CrossEncoder struct {
@@ -71,30 +40,26 @@ func NewDocumentRanker() *CrossEncoder {
 	return &CrossEncoder{name: "ms-marco-MiniLM-L-6-v2", gain: 5.0, bias: -1.2, noise: 0.06}
 }
 
-// Name implements Scorer.
+// Name identifies the ranker (its model name in the paper's Table 4).
 func (c *CrossEncoder) Name() string { return c.name }
 
-// Score implements Scorer: sigmoid(gain*cosine + bias + noise). It embeds
-// both strings densely on every call — the reference implementation the
-// sparse path is golden-tested against.
+// Score returns sigmoid(gain*cosine + bias + noise), the relevance in
+// (0,1) of candidate to reference. It embeds both strings densely on every
+// call: it is the reference ScoreBatch and Rank are tested bit-identical
+// to, not a production path.
 func (c *CrossEncoder) Score(reference, candidate string) float64 {
 	cos := text.Similarity(reference, candidate)
-	return c.calibrate(cos, reference, candidate)
+	n := (det.Uniform("rerank", c.name, reference, candidate) - 0.5) * 2 * c.noise
+	return text.Sigmoid(c.gain*cos + c.bias + n)
 }
 
-// ScoreVec implements VecScorer over precomputed sparse embeddings. The
-// sparse cosine is bit-identical to the dense one (see text.SparseCosine),
-// and the noise is keyed by the same raw text pair, so ScoreVec ==
-// Score(refText, candText) exactly.
-func (c *CrossEncoder) ScoreVec(ref text.SparseVector, refText string, cand text.SparseVector, candText string) float64 {
-	cos := text.SparseCosine(ref, cand)
-	return c.calibrate(cos, refText, candText)
-}
-
-// ScoreBatch implements BatchScorer: the returned function scores
-// candidates against the fixed reference, with the noise stream's
-// ("rerank", model, reference) hash prefix computed once for the whole
-// batch. Every value equals ScoreVec with the same reference.
+// ScoreBatch fixes the reference, given with its sparse embedding, and
+// returns the scorer of candidates against it. The candidate's vector must
+// be text.SparseEmbed of its text; both travel together because the noise
+// is keyed by the raw text pair. The noise stream's ("rerank", model,
+// reference) hash prefix is computed once for the whole batch, and every
+// value equals Score(refText, candText): the sparse cosine is bit-identical
+// to the dense one (see text.SparseCosine).
 func (c *CrossEncoder) ScoreBatch(ref text.SparseVector, refText string) func(cand text.SparseVector, candText string) float64 {
 	key := det.NewKey("rerank", c.name, refText)
 	return func(cand text.SparseVector, candText string) float64 {
@@ -104,68 +69,22 @@ func (c *CrossEncoder) ScoreBatch(ref text.SparseVector, refText string) func(ca
 	}
 }
 
-// calibrate applies the sigmoid calibration and the text-pair-keyed noise
-// shared by both scoring paths.
-func (c *CrossEncoder) calibrate(cos float64, reference, candidate string) float64 {
-	n := (det.Uniform("rerank", c.name, reference, candidate) - 0.5) * 2 * c.noise
-	return text.Sigmoid(c.gain*cos + c.bias + n)
-}
-
 // Ranked pairs an index into the candidate slice with its score.
 type Ranked struct {
 	Index int
 	Score float64
 }
 
-// Rank scores every candidate against the reference and returns them in
-// descending score order (stable on ties by original index). When the
-// scorer is vector-aware the reference is embedded exactly once instead of
-// once per candidate; scores are identical either way.
-func Rank(s Scorer, reference string, candidates []string) []Ranked {
-	if vs, ok := s.(VecScorer); ok {
-		cands := make([]Candidate, len(candidates))
-		for i, c := range candidates {
-			cands[i] = Candidate{Text: c, Vec: text.SparseEmbed(c)}
-		}
-		return RankVecs(vs, text.SparseEmbed(reference), reference, cands)
-	}
+// Rank scores every candidate against the reference, given with its
+// sparse embedding so a caller that scores more against it embeds it once,
+// and returns them in descending score order, stable on ties by original
+// index. Each candidate is embedded once; scores equal Score's.
+func (c *CrossEncoder) Rank(ref text.SparseVector, refText string, candidates []string) []Ranked {
+	score := c.ScoreBatch(ref, refText)
 	out := make([]Ranked, len(candidates))
-	for i, c := range candidates {
-		out[i] = Ranked{Index: i, Score: s.Score(reference, c)}
+	for i, t := range candidates {
+		out[i] = Ranked{Index: i, Score: score(text.SparseEmbed(t), t)}
 	}
-	sortRanked(out)
-	return out
-}
-
-// Candidate pairs a candidate text with its precomputed sparse embedding,
-// the unit of the batch scoring API.
-type Candidate struct {
-	Text string
-	Vec  text.SparseVector
-}
-
-// RankVecs is the batch form of Rank over precomputed embeddings: the
-// reference vector is supplied by the caller (embedded once per fact, not
-// per candidate) and every candidate carries its own precomputed vector —
-// static corpus documents are embedded at materialisation, never re-embedded
-// per rerank. Scores and order are identical to Rank over the same texts.
-func RankVecs(s VecScorer, ref text.SparseVector, refText string, cands []Candidate) []Ranked {
-	score := func(c Candidate) float64 { return s.ScoreVec(ref, refText, c.Vec, c.Text) }
-	if bs, ok := s.(BatchScorer); ok {
-		f := bs.ScoreBatch(ref, refText)
-		score = func(c Candidate) float64 { return f(c.Vec, c.Text) }
-	}
-	out := make([]Ranked, len(cands))
-	for i, c := range cands {
-		out[i] = Ranked{Index: i, Score: score(c)}
-	}
-	sortRanked(out)
-	return out
-}
-
-func sortRanked(out []Ranked) {
-	// Stable on ties by original index, exactly like the retired
-	// sort.SliceStable, without the reflection-based swapper.
 	slices.SortStableFunc(out, func(a, b Ranked) int {
 		switch {
 		case a.Score > b.Score:
@@ -175,28 +94,7 @@ func sortRanked(out []Ranked) {
 		}
 		return 0
 	})
-}
-
-// DenseOnly wraps a scorer so it exposes only the dense Score path, hiding
-// any VecScorer fast path from Rank. It exists for the differential
-// baseline: wrapping both rankers of a rag.Pipeline selects the dense
-// scoring path, which benches and golden tests pin the sparse path
-// byte-identical to.
-func DenseOnly(s Scorer) Scorer { return denseOnly{s} }
-
-type denseOnly struct{ s Scorer }
-
-func (d denseOnly) Score(reference, candidate string) float64 { return d.s.Score(reference, candidate) }
-func (d denseOnly) Name() string                              { return d.s.Name() }
-
-// TopK returns the indices of the k highest-scoring candidates (all if
-// k <= 0 or k exceeds the candidate count).
-func TopK(s Scorer, reference string, candidates []string, k int) []Ranked {
-	r := Rank(s, reference, candidates)
-	if k > 0 && k < len(r) {
-		r = r[:k]
-	}
-	return r
+	return out
 }
 
 // FilterThreshold keeps candidates scoring at least tau, preserving rank

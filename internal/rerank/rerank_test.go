@@ -3,6 +3,8 @@ package rerank
 import (
 	"testing"
 	"testing/quick"
+
+	"factcheck/internal/text"
 )
 
 func TestScoreRange(t *testing.T) {
@@ -54,7 +56,7 @@ func TestRankDescending(t *testing.T) {
 		"Who founded the company?",
 		"The engineer founded the company.",
 	}
-	ranked := Rank(ce, ref, cands)
+	ranked := ce.Rank(text.SparseEmbed(ref), ref, cands)
 	if len(ranked) != 3 {
 		t.Fatalf("ranked %d, want 3", len(ranked))
 	}
@@ -65,23 +67,6 @@ func TestRankDescending(t *testing.T) {
 	}
 	if ranked[0].Index == 0 {
 		t.Error("unrelated candidate ranked first")
-	}
-}
-
-func TestTopK(t *testing.T) {
-	ce := NewDocumentRanker()
-	cands := []string{"a b c", "b c d", "c d e", "x y z"}
-	top := TopK(ce, "a b c", cands, 2)
-	if len(top) != 2 {
-		t.Fatalf("TopK returned %d, want 2", len(top))
-	}
-	all := TopK(ce, "a b c", cands, 0)
-	if len(all) != 4 {
-		t.Fatalf("TopK(0) returned %d, want all 4", len(all))
-	}
-	over := TopK(ce, "a b c", cands, 99)
-	if len(over) != 4 {
-		t.Fatalf("TopK(99) returned %d, want 4", len(over))
 	}
 }
 
@@ -112,7 +97,7 @@ func TestNames(t *testing.T) {
 }
 
 func TestRankStableOnEmptyCandidates(t *testing.T) {
-	if got := Rank(NewQuestionRanker(), "ref", nil); len(got) != 0 {
+	if got := NewQuestionRanker().Rank(text.SparseEmbed("ref"), "ref", nil); len(got) != 0 {
 		t.Errorf("Rank(nil) = %v", got)
 	}
 }

@@ -81,56 +81,9 @@ func TestSparseNNZ(t *testing.T) {
 	}
 }
 
-// overlapMaps is the retired hash-set implementation of Overlap, kept as
-// the differential reference.
-func overlapMaps(a, b string) float64 {
-	sa := map[string]bool{}
-	for _, t := range ContentTokens(a) {
-		sa[t] = true
-	}
-	sb := map[string]bool{}
-	for _, t := range ContentTokens(b) {
-		sb[t] = true
-	}
-	if len(sa) == 0 || len(sb) == 0 {
-		return 0
-	}
-	inter := 0
-	for t := range sa {
-		if sb[t] {
-			inter++
-		}
-	}
-	return float64(inter) / float64(len(sa)+len(sb)-inter)
-}
-
-func TestOverlapMatchesMapReference(t *testing.T) {
-	for _, a := range sparseCases {
-		for _, b := range sparseCases {
-			if got, want := Overlap(a, b), overlapMaps(a, b); got != want {
-				t.Errorf("Overlap(%q, %q) = %v, map reference = %v", a, b, got, want)
-			}
-		}
-	}
-}
-
 var benchPair = [2]string{
 	"Marie Curie was married to Pierre Curie and won the Nobel Prize in Physics.",
 	"Contrary to some claims, it is not the case that Marie Curie was born in Paris; records place her birth in Warsaw.",
-}
-
-func BenchmarkOverlap(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		Overlap(benchPair[0], benchPair[1])
-	}
-}
-
-func BenchmarkOverlapMaps(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		overlapMaps(benchPair[0], benchPair[1])
-	}
 }
 
 func BenchmarkSparseEmbed(b *testing.B) {

@@ -9,7 +9,6 @@ package text
 import (
 	"math"
 	"math/bits"
-	"sort"
 	"unicode"
 	"unicode/utf8"
 )
@@ -265,45 +264,6 @@ func Similarity(a, b string) float64 {
 // Sigmoid maps x to (0,1); used to turn raw scores into the sigmoid-scaled
 // relevance scores the paper's cross-encoder produces.
 func Sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
-
-// Overlap returns the Jaccard overlap of the content-token sets of a and b.
-// It works on sorted, deduplicated token slices with a two-pointer
-// intersection instead of two throwaway hash sets; the quotient of the two
-// integer set sizes is unchanged.
-func Overlap(a, b string) float64 {
-	sa := uniqueSorted(ContentTokens(a))
-	sb := uniqueSorted(ContentTokens(b))
-	if len(sa) == 0 || len(sb) == 0 {
-		return 0
-	}
-	inter := 0
-	i, j := 0, 0
-	for i < len(sa) && j < len(sb) {
-		switch {
-		case sa[i] < sb[j]:
-			i++
-		case sa[i] > sb[j]:
-			j++
-		default:
-			inter++
-			i++
-			j++
-		}
-	}
-	return float64(inter) / float64(len(sa)+len(sb)-inter)
-}
-
-// uniqueSorted sorts toks in place and removes duplicates.
-func uniqueSorted(toks []string) []string {
-	sort.Strings(toks)
-	out := toks[:0]
-	for i, t := range toks {
-		if i == 0 || t != toks[i-1] {
-			out = append(out, t)
-		}
-	}
-	return out
-}
 
 // asciiSpace marks the ASCII bytes unicode.IsSpace accepts.
 var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}

@@ -118,21 +118,6 @@ func TestSigmoid(t *testing.T) {
 	}
 }
 
-func TestOverlap(t *testing.T) {
-	if got := Overlap("cat dog", "cat dog"); got != 1 {
-		t.Errorf("identical overlap = %f, want 1", got)
-	}
-	if got := Overlap("cat dog", "bird fish"); got != 0 {
-		t.Errorf("disjoint overlap = %f, want 0", got)
-	}
-	if got := Overlap("cat dog", "dog bird"); math.Abs(got-1.0/3) > 1e-9 {
-		t.Errorf("partial overlap = %f, want 1/3", got)
-	}
-	if got := Overlap("", "cat"); got != 0 {
-		t.Errorf("empty overlap = %f, want 0", got)
-	}
-}
-
 func TestCountTokens(t *testing.T) {
 	if got := CountTokens(""); got != 0 {
 		t.Errorf("CountTokens(\"\") = %d, want 0", got)

@@ -1,18 +1,14 @@
 // Package verbalize implements phase 1 of the RAG pipeline: transforming a
 // structured KG triple into a human-readable natural-language sentence
 // (paper §3.2, "Triple Transformation"). The paper performs this with an
-// LLM; here a deterministic template engine plays that role, handling the
-// same source-format problems the paper enumerates: KG-specific namespaces,
-// underscore/camelCase notation, and predicates lacking grammatical context.
+// LLM; here a deterministic template engine plays that role, handling
+// underscore/camelCase notation and predicates lacking grammatical context.
 package verbalize
 
 import (
 	"strings"
 
 	"factcheck/internal/dataset"
-	"factcheck/internal/kg"
-	"factcheck/internal/text"
-	"factcheck/internal/world"
 )
 
 // CleanLabel converts a KG-encoded local name into readable text:
@@ -47,67 +43,4 @@ func Sentence(f *dataset.Fact) string {
 		phrase = CleanLabel(f.PredicateName)
 	}
 	return s + " " + phrase + " " + o + "."
-}
-
-// SentenceFromTriple verbalises a raw KG triple without world metadata,
-// used when only the dataset-native encoding is available (e.g. facts read
-// back from N-Triples files). It resolves the base relation by stripping
-// variant decorations from the predicate local name.
-func SentenceFromTriple(t kg.Triple) string {
-	s := CleanLabel(kg.LocalName(t.S))
-	var o string
-	if t.O.IsIRI() {
-		o = CleanLabel(kg.LocalName(t.O.IRI))
-	} else {
-		o = t.O.Value
-	}
-	pred := kg.LocalName(t.P)
-	if r := BaseRelation(pred); r != nil {
-		return s + " " + r.Phrase + " " + o + "."
-	}
-	return s + " " + strings.ToLower(CleanLabel(pred)) + " " + o + "."
-}
-
-// BaseRelation recovers the world relation behind a (possibly variant)
-// predicate surface form, or nil when none matches. Matching is lexical
-// along two routes: token overlap (handles "hasBirthPlace", "birth_place")
-// and concatenated-lowercase containment (handles fully lowercased forms
-// like "birthplace"). The highest-scoring relation wins.
-func BaseRelation(predicate string) *world.Relation {
-	if r := world.RelationByName(predicate); r != nil {
-		return r
-	}
-	ptoks := tokenSet(predicate)
-	pnorm := concatTokens(predicate)
-	var best *world.Relation
-	bestScore := 0
-	for _, r := range world.Relations {
-		score := 0
-		for _, t := range text.Tokenize(r.Name) {
-			if ptoks[t] {
-				score += len(t)
-			}
-		}
-		if bnorm := concatTokens(r.Name); bnorm != "" && strings.Contains(pnorm, bnorm) {
-			if len(bnorm) > score {
-				score = len(bnorm)
-			}
-		}
-		if score > bestScore {
-			best, bestScore = r, score
-		}
-	}
-	return best
-}
-
-func tokenSet(s string) map[string]bool {
-	m := map[string]bool{}
-	for _, t := range text.Tokenize(s) {
-		m[t] = true
-	}
-	return m
-}
-
-func concatTokens(s string) string {
-	return strings.Join(text.Tokenize(s), "")
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"factcheck/internal/dataset"
-	"factcheck/internal/kg"
 	"factcheck/internal/world"
 )
 
@@ -40,68 +39,6 @@ func TestSentenceUsesRelationPhrase(t *testing.T) {
 		}
 		if !strings.HasSuffix(s, ".") {
 			t.Errorf("sentence %q lacks final period", s)
-		}
-	}
-}
-
-func TestSentenceFromTriple(t *testing.T) {
-	tr := kg.NewTriple(
-		kg.IRI(kg.NSDBpediaResource+"Alexander_III_of_Russia"),
-		kg.IRI(kg.NSDBpediaOntology+"birthPlace"),
-		kg.IRI(kg.NSDBpediaResource+"Saint_Petersburg"),
-	)
-	s := SentenceFromTriple(tr)
-	if !strings.Contains(s, "Alexander III of Russia") {
-		t.Errorf("sentence %q does not clean the subject", s)
-	}
-	if !strings.Contains(s, "was born in") {
-		t.Errorf("sentence %q does not use the base relation phrase", s)
-	}
-	if !strings.Contains(s, "Saint Petersburg") {
-		t.Errorf("sentence %q does not clean the object", s)
-	}
-}
-
-func TestSentenceFromTripleLiteralObject(t *testing.T) {
-	tr := kg.Triple{
-		S: kg.IRI(kg.NSDBpediaResource + "Thing"),
-		P: kg.IRI(kg.NSDBpediaProperty + "unknownProperty"),
-		O: kg.NewLiteral("some value"),
-	}
-	s := SentenceFromTriple(tr)
-	if !strings.Contains(s, "some value") {
-		t.Errorf("sentence %q missing literal object", s)
-	}
-}
-
-func TestBaseRelationResolvesVariants(t *testing.T) {
-	tests := []struct{ pred, want string }{
-		{"birthPlace", "birthPlace"},
-		{"birth_place", "birthPlace"},
-		{"hasBirthPlace", "birthPlace"},
-		{"birthPlaceName", "birthPlace"},
-		{"isMarriedTo", "isMarriedTo"},
-	}
-	for _, tc := range tests {
-		r := BaseRelation(tc.pred)
-		if r == nil || r.Name != tc.want {
-			got := "<nil>"
-			if r != nil {
-				got = r.Name
-			}
-			t.Errorf("BaseRelation(%q) = %s, want %s", tc.pred, got, tc.want)
-		}
-	}
-}
-
-func TestBaseRelationForAllDBpediaVariants(t *testing.T) {
-	// Every predicate variant the DBpedia builder can emit must resolve to
-	// some base relation so RAG verbalisation never degrades to raw labels.
-	w := world.New(world.SmallConfig())
-	d := dataset.Build(w, dataset.DBpedia, 0.1)
-	for _, f := range d.Facts {
-		if BaseRelation(f.PredicateName) == nil {
-			t.Errorf("predicate variant %q resolves to no base relation", f.PredicateName)
 		}
 	}
 }
