@@ -2,7 +2,6 @@ package serve
 
 import (
 	"container/list"
-	"strconv"
 	"sync"
 
 	"factcheck/internal/core"
@@ -11,33 +10,41 @@ import (
 )
 
 // cacheShards is the shard count of the verdict LRU. Shards spread both
-// lock contention and the capacity budget; keys hash by det.Hash64 of the
+// lock contention and the capacity budget; slots hash by det.Hash64 of the
 // full (dataset, method, model, fact) coordinate, so one hot fact's
 // verdicts under different models land on different shards.
 const cacheShards = 16
 
 // verdictKey addresses one verdict: a grid cell plus a fact ID, pinned to
-// the fact's corpus epoch. Epoch-keying is what makes ingestion
-// invalidation precise and race-free by construction: a verdict computed
-// over epoch e is only ever served to requests that read epoch e, so an
-// epoch bump strands the old entries (LRU pressure or the ingest builder's
-// sweep reclaims them) instead of requiring any synchronised purge.
+// the fact's corpus epoch. The LRU keeps one slot per (cell, fact) with the
+// epoch stored in it, so a verdict computed over epoch e is only served to
+// requests that read epoch e: a bump turns the slot into a miss with no
+// synchronised purge, and the ingest builder's sweep reclaims it. The
+// singleflight map keys on the whole verdictKey, epoch included.
 type verdictKey struct {
 	cell   core.Cell
 	factID string
 	epoch  uint64
 }
 
-func (k verdictKey) shard() uint64 {
-	return det.Hash64(string(k.cell.Dataset), string(k.cell.Method), k.cell.Model, k.factID,
-		strconv.FormatUint(k.epoch, 10)) % cacheShards
+func (k verdictKey) slot() slotKey { return slotKey{cell: k.cell, factID: k.factID} }
+
+// slotKey addresses one verdict-LRU slot: a (cell, fact) coordinate under
+// any epoch.
+type slotKey struct {
+	cell   core.Cell
+	factID string
+}
+
+func (k slotKey) shard() uint64 {
+	return det.Hash64(string(k.cell.Dataset), string(k.cell.Method), k.cell.Model, k.factID) % cacheShards
 }
 
 // verdictCache is a sharded in-memory LRU of single-fact verdicts, the
 // fastest layer of the service's lookup stack (LRU -> result store ->
 // verify). Whole-cell store snapshots hydrate it on first touch; verdicts
 // computed on demand are inserted directly. Each shard holds capacity/16
-// entries under its own lock.
+// slots under its own lock.
 type verdictCache struct {
 	shards [cacheShards]cacheShard
 }
@@ -45,13 +52,14 @@ type verdictCache struct {
 type cacheShard struct {
 	mu      sync.Mutex
 	cap     int
-	entries map[verdictKey]*list.Element
+	entries map[slotKey]*list.Element
 	order   *list.List // front = most recently used
 }
 
 type cacheEntry struct {
-	key verdictKey
-	out strategy.Outcome
+	key   slotKey
+	epoch uint64
+	out   strategy.Outcome
 }
 
 func newVerdictCache(capacity int) *verdictCache {
@@ -63,35 +71,42 @@ func newVerdictCache(capacity int) *verdictCache {
 	for i := range c.shards {
 		c.shards[i] = cacheShard{
 			cap:     per,
-			entries: map[verdictKey]*list.Element{},
+			entries: map[slotKey]*list.Element{},
 			order:   list.New(),
 		}
 	}
 	return c
 }
 
+// get hits only when the (cell, fact) slot holds a verdict of k's epoch.
 func (c *verdictCache) get(k verdictKey) (strategy.Outcome, bool) {
-	s := &c.shards[k.shard()]
+	sk := k.slot()
+	s := &c.shards[sk.shard()]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	el, ok := s.entries[k]
-	if !ok {
-		return strategy.Outcome{}, false
+	if el, ok := s.entries[sk]; ok && el.Value.(*cacheEntry).epoch == k.epoch {
+		s.order.MoveToFront(el)
+		return el.Value.(*cacheEntry).out, true
 	}
-	s.order.MoveToFront(el)
-	return el.Value.(*cacheEntry).out, true
+	return strategy.Outcome{}, false
 }
 
+// put stores out in k's slot, unless the slot already holds a verdict of a
+// newer epoch: a resolution that read its epoch before a bump never
+// overwrites the fresher verdict.
 func (c *verdictCache) put(k verdictKey, out strategy.Outcome) {
-	s := &c.shards[k.shard()]
+	sk := k.slot()
+	s := &c.shards[sk.shard()]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.entries[k]; ok {
-		el.Value.(*cacheEntry).out = out
-		s.order.MoveToFront(el)
+	if el, ok := s.entries[sk]; ok {
+		if e := el.Value.(*cacheEntry); e.epoch <= k.epoch {
+			e.epoch, e.out = k.epoch, out
+			s.order.MoveToFront(el)
+		}
 		return
 	}
-	s.entries[k] = s.order.PushFront(&cacheEntry{key: k, out: out})
+	s.entries[sk] = s.order.PushFront(&cacheEntry{key: sk, epoch: k.epoch, out: out})
 	if s.order.Len() > s.cap {
 		oldest := s.order.Back()
 		s.order.Remove(oldest)
@@ -99,43 +114,35 @@ func (c *verdictCache) put(k verdictKey, out strategy.Outcome) {
 	}
 }
 
-// getStale returns the (cell, fact) verdict under any epoch, preferring
-// the newest — the degraded-serving fallback when fresh resolution is
-// unavailable (breaker open, model down). It scans the whole cache, which
-// only the unavailability path ever pays for.
+// getStale returns the (cell, fact) verdict under whatever epoch its slot
+// holds, the newest one cached — the degraded-serving fallback when fresh
+// resolution is unavailable (breaker open, model down). It is one lookup
+// and leaves the slot's recency alone.
 func (c *verdictCache) getStale(cell core.Cell, factID string) (strategy.Outcome, bool) {
-	var best strategy.Outcome
-	var bestEpoch uint64
-	found := false
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		for k, el := range s.entries {
-			if k.cell == cell && k.factID == factID && (!found || k.epoch > bestEpoch) {
-				found, bestEpoch = true, k.epoch
-				best = el.Value.(*cacheEntry).out
-			}
-		}
-		s.mu.Unlock()
+	sk := slotKey{cell: cell, factID: factID}
+	s := &c.shards[sk.shard()]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if el, ok := s.entries[sk]; ok {
+		return el.Value.(*cacheEntry).out, true
 	}
-	return best, found
+	return strategy.Outcome{}, false
 }
 
-// sweepStale removes the fact's entries whose epoch predates the given
-// one. Epoch-keyed lookups already make such entries unreachable; the
-// sweep reclaims their memory eagerly instead of waiting for LRU pressure.
-// Returns the number of entries removed.
-func (c *verdictCache) sweepStale(factID string, epoch uint64) int {
+// sweepStale removes the fact's slots in the given cells that hold a
+// verdict older than epoch, and returns how many it removed. Lookups
+// already miss such slots; the sweep reclaims their memory eagerly, one
+// lookup per cell, instead of waiting for LRU pressure.
+func (c *verdictCache) sweepStale(factID string, epoch uint64, cells []core.Cell) int {
 	removed := 0
-	for i := range c.shards {
-		s := &c.shards[i]
+	for _, cell := range cells {
+		sk := slotKey{cell: cell, factID: factID}
+		s := &c.shards[sk.shard()]
 		s.mu.Lock()
-		for k, el := range s.entries {
-			if k.factID == factID && k.epoch < epoch {
-				s.order.Remove(el)
-				delete(s.entries, k)
-				removed++
-			}
+		if el, ok := s.entries[sk]; ok && el.Value.(*cacheEntry).epoch < epoch {
+			s.order.Remove(el)
+			delete(s.entries, sk)
+			removed++
 		}
 		s.mu.Unlock()
 	}

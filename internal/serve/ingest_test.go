@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -11,10 +12,12 @@ import (
 	"testing"
 	"time"
 
+	"factcheck/internal/consensus"
 	"factcheck/internal/core"
 	"factcheck/internal/dataset"
 	"factcheck/internal/llm"
 	"factcheck/internal/search"
+	"factcheck/internal/strategy"
 )
 
 // freshService builds a service over its own private benchmark: ingestion
@@ -221,4 +224,33 @@ func TestIngestWhileServing(t *testing.T) {
 		}
 	}()
 	wg.Wait()
+}
+
+// TestIngestSweepsConsensusVotes: consensus caches DKA votes even when DKA
+// is not a configured method, and a fold for the fact sweeps those votes
+// too, so the sweep reclaims every slot the fact holds.
+func TestIngestSweepsConsensusVotes(t *testing.T) {
+	cfg := core.TestConfig()
+	cfg.Methods = []llm.Method{llm.MethodRAG}
+	b := core.NewBenchmark(cfg)
+	svc := New(b, core.NewMemoryStore(), permissive())
+	t.Cleanup(svc.Drain)
+	svc.verify = func(_ context.Context, cell core.Cell, f *dataset.Fact) (strategy.Outcome, error) {
+		return stubOutcome(cell, f), nil
+	}
+	f := b.Datasets[dataset.FactBench].Facts[0]
+	if _, err := svc.Consensus(context.Background(), f.ID, consensus.ModeEager); err != nil {
+		t.Fatal(err)
+	}
+	votes := svc.cache.len()
+	if votes != len(svc.voters) {
+		t.Fatalf("consensus cached %d votes, want %d", votes, len(svc.voters))
+	}
+	if w := postIngest(t, svc.Handler(), []search.IngestDoc{{FactID: f.ID, Title: "Live", Text: "fresh"}}); w.Code != http.StatusAccepted {
+		t.Fatalf("ingest: status %d: %s", w.Code, w.Body.String())
+	}
+	waitApplied(t, svc, 1)
+	if st := svc.Stats(); st.IngestSwept != uint64(votes) || st.CacheLen != 0 {
+		t.Fatalf("after the fold: swept %d, cache len %d; want %d, 0", st.IngestSwept, st.CacheLen, votes)
+	}
 }

@@ -33,6 +33,7 @@ import (
 	"net"
 	"net/http"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -174,6 +175,11 @@ type Service struct {
 	voters []string
 	plan   consensus.Plan
 
+	// cells lists, per dataset, every cell its facts' verdicts can be
+	// cached under (the configured methods, DKA always for consensus votes,
+	// times the configured models): the cells an ingest sweep visits.
+	cells map[dataset.Name][]core.Cell
+
 	// verify is the single-fact verification function; tests stub it to
 	// count calls. Defaults to the benchmark's VerifyFact.
 	verify func(context.Context, core.Cell, *dataset.Fact) (strategy.Outcome, error)
@@ -282,6 +288,18 @@ func New(bench *core.Benchmark, store *core.Store, cfg Config) *Service {
 		}
 	}
 	s.plan = consensus.NewPlan(s.voters, llm.Cost)
+	methods := bench.Config.Methods
+	if !slices.Contains(methods, llm.MethodDKA) {
+		methods = append(slices.Clip(methods), llm.MethodDKA)
+	}
+	s.cells = make(map[dataset.Name][]core.Cell, len(bench.Datasets))
+	for dn := range bench.Datasets {
+		for _, m := range methods {
+			for _, model := range bench.Config.Models {
+				s.cells[dn] = append(s.cells[dn], core.Cell{Dataset: dn, Method: m, Model: model})
+			}
+		}
+	}
 	s.verify = bench.VerifyFact
 	s.filler = core.NewCellFiller(s.fillCell)
 	s.ingestCh = make(chan []search.IngestDoc, cfg.IngestQueue)
@@ -297,10 +315,10 @@ func New(bench *core.Benchmark, store *core.Store, cfg Config) *Service {
 const ingestRedelivery = 3
 
 // ingestLoop is the background builder: it folds admitted document batches
-// into fresh corpus epoch snapshots one at a time, then sweeps the touched
-// facts' now-stale verdict-LRU entries. Admission never blocks on a fold —
-// the bounded channel is the backpressure boundary — and readers never
-// block at all (the engine publishes each epoch with one pointer store).
+// into fresh corpus epoch snapshots one at a time, then sweeps each touched
+// fact's stale verdict-LRU slots in its dataset's cells. Admission never
+// blocks on a fold — the bounded channel is the backpressure boundary — and
+// readers never block at all (each epoch is published by a pointer store).
 // Transient fold failures are retried up to ingestRedelivery times with a
 // short doubling backoff; a batch still failing after that is dropped and
 // counted, never silently lost.
@@ -323,7 +341,9 @@ func (s *Service) ingestLoop() {
 		}
 		var swept uint64
 		for factID, epoch := range res.Epochs {
-			swept += uint64(s.cache.sweepStale(factID, epoch))
+			if f, ok := s.bench.FactByID(factID); ok {
+				swept += uint64(s.cache.sweepStale(factID, epoch, s.cells[f.Dataset]))
+			}
 		}
 		s.stats.mu.RLock()
 		s.stats.ingestApplied.Add(uint64(len(docs)))

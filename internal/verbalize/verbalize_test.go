@@ -8,21 +8,6 @@ import (
 	"factcheck/internal/world"
 )
 
-func TestCleanLabel(t *testing.T) {
-	tests := []struct{ in, want string }{
-		{"Alexander_III_of_Russia", "Alexander III of Russia"},
-		{"isMarriedTo", "is Married To"},
-		{"birthPlace", "birth Place"},
-		{"Paris", "Paris"},
-		{"two  spaces", "two spaces"},
-	}
-	for _, tc := range tests {
-		if got := CleanLabel(tc.in); got != tc.want {
-			t.Errorf("CleanLabel(%q) = %q, want %q", tc.in, got, tc.want)
-		}
-	}
-}
-
 func TestSentenceUsesRelationPhrase(t *testing.T) {
 	w := world.New(world.SmallConfig())
 	d := dataset.Build(w, dataset.FactBench, 0.1)
