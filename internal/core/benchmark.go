@@ -447,10 +447,21 @@ func (b *Benchmark) run(ctx context.Context, verifiers map[llm.Method]strategy.V
 		}
 	}
 
-	pool := sched.New(b.Config.Parallelism)
+	if err := b.drain(ctx, queue(cells, openModels(b.Config.Models)), finishCell); err != nil {
+		return nil, err
+	}
 
-	q := queue(cells, openModels(b.Config.Models))
-	err := pool.Run(ctx, q.len(), func(ctx context.Context, ti int) error {
+	rs := &ResultSet{Config: b.Config, Outcomes: make(map[Cell][]strategy.Outcome, len(cells))}
+	for _, c := range cells {
+		rs.Outcomes[c.cell] = c.outs
+	}
+	return rs, nil
+}
+
+// drain runs q's tasks on Parallelism workers. finish, unless nil, runs
+// once per cell, on the worker that verifies the cell's last fact.
+func (b *Benchmark) drain(ctx context.Context, q *taskQueue, finish func(*gridCell) error) error {
+	return sched.New(b.Config.Parallelism).Run(ctx, q.len(), func(ctx context.Context, ti int) error {
 		s, i := q.at(ti)
 		f := s.facts[i]
 		if s.prefetch != nil {
@@ -464,8 +475,8 @@ func (b *Benchmark) run(ctx context.Context, verifiers map[llm.Method]strategy.V
 				return err
 			}
 			c.outs[i] = out
-			if c.remaining.Add(-1) == 0 {
-				if err := finishCell(c); err != nil {
+			if finish != nil && c.remaining.Add(-1) == 0 {
+				if err := finish(c); err != nil {
 					return err
 				}
 			}
@@ -475,15 +486,6 @@ func (b *Benchmark) run(ctx context.Context, verifiers map[llm.Method]strategy.V
 		}
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-
-	rs := &ResultSet{Config: b.Config, Outcomes: make(map[Cell][]strategy.Outcome, len(cells))}
-	for _, c := range cells {
-		rs.Outcomes[c.cell] = c.outs
-	}
-	return rs, nil
 }
 
 // segment is one run of consecutive tasks, task i working on facts[i].
@@ -601,29 +603,48 @@ func (q *taskQueue) at(ti int) (s *segment, i int) {
 // Cancellation is drained: RunCell returns only after every started
 // verification has finished.
 func (b *Benchmark) RunCell(ctx context.Context, dn dataset.Name, method llm.Method, modelName string) ([]strategy.Outcome, error) {
-	d, ok := b.Datasets[dn]
-	if !ok {
-		return nil, fmt.Errorf("core: dataset %q not built", dn)
-	}
-	m, err := b.Model(modelName)
+	outs, err := b.RunCells(ctx, []Cell{{Dataset: dn, Method: method, Model: modelName}})
 	if err != nil {
 		return nil, err
 	}
-	v, err := b.Verifier(method)
-	if err != nil {
-		return nil, err
-	}
-	outs := make([]strategy.Outcome, len(d.Facts))
-	err = sched.New(b.Config.Parallelism).Run(ctx, len(d.Facts), func(ctx context.Context, i int) error {
-		out, err := v.Verify(ctx, m, d.Facts[i])
-		if err != nil {
-			return err
+	return outs[0], nil
+}
+
+// RunCells is RunCell for several cells at once, returning each cell's
+// outcomes in the order of cells. Its tasks are laid out as Run lays out
+// its pending cells: the cells of one dataset and prefetching method (RAG)
+// share one pass over the dataset's facts that retrieves each fact's
+// evidence once, verifies it for every such cell and releases it, so a
+// call holds evidence only for the facts in flight.
+func (b *Benchmark) RunCells(ctx context.Context, cells []Cell) ([][]strategy.Outcome, error) {
+	gcs := make([]*gridCell, len(cells))
+	for i, c := range cells {
+		d, ok := b.Datasets[c.Dataset]
+		if !ok {
+			return nil, fmt.Errorf("core: dataset %q not built", c.Dataset)
 		}
-		outs[i] = out
-		return nil
-	})
-	if err != nil {
+		m, err := b.Model(c.Model)
+		if err != nil {
+			return nil, err
+		}
+		v, err := b.Verifier(c.Method)
+		if err != nil {
+			return nil, err
+		}
+		gcs[i] = &gridCell{cell: c, facts: d.Facts, model: m, verifier: v, outs: make([]strategy.Outcome, len(d.Facts))}
+	}
+	// queue fuses a dataset's cells only when they are adjacent after its
+	// stable sort by dataset size.
+	byDataset := slices.Clone(gcs)
+	slices.SortStableFunc(byDataset, func(x, y *gridCell) int { return cmp.Compare(x.cell.Dataset, y.cell.Dataset) })
+	// No voters: nothing re-reads a fact's evidence after the call, so
+	// every fact is released.
+	if err := b.drain(ctx, queue(byDataset, nil), nil); err != nil {
 		return nil, err
+	}
+	outs := make([][]strategy.Outcome, len(gcs))
+	for i, c := range gcs {
+		outs[i] = c.outs
 	}
 	return outs, nil
 }

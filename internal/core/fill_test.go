@@ -2,6 +2,9 @@ package core
 
 import (
 	"fmt"
+	"slices"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -16,7 +19,7 @@ func fillCell(i int) Cell {
 
 func TestCellFillerDedupes(t *testing.T) {
 	var runs atomic.Int32
-	f := NewCellFiller(func(Cell) error { runs.Add(1); return nil })
+	f := NewCellFiller(func([]Cell) error { runs.Add(1); return nil })
 	for i := 0; i < 10; i++ {
 		f.Fill(fillCell(0))
 	}
@@ -34,7 +37,7 @@ func TestCellFillerDedupes(t *testing.T) {
 
 func TestCellFillerRetriesFailures(t *testing.T) {
 	var runs atomic.Int32
-	f := NewCellFiller(func(Cell) error {
+	f := NewCellFiller(func([]Cell) error {
 		if runs.Add(1) == 1 {
 			return fmt.Errorf("boom")
 		}
@@ -51,7 +54,7 @@ func TestCellFillerRetriesFailures(t *testing.T) {
 
 func TestCellFillerSerialises(t *testing.T) {
 	var cur, max atomic.Int32
-	f := NewCellFiller(func(Cell) error {
+	f := NewCellFiller(func([]Cell) error {
 		n := cur.Add(1)
 		for {
 			m := max.Load()
@@ -79,7 +82,7 @@ func TestCellFillerCloseDiscardsQueued(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
 	var runs atomic.Int32
-	f := NewCellFiller(func(Cell) error {
+	f := NewCellFiller(func([]Cell) error {
 		runs.Add(1)
 		close(started)
 		<-release
@@ -103,5 +106,57 @@ func TestCellFillerCloseDiscardsQueued(t *testing.T) {
 	f.mu.Unlock()
 	if pending != 1 {
 		t.Fatalf("%d cells still marked after Close, want 1 (the completed fill)", pending)
+	}
+}
+
+// TestCellFillerBatchesQueuedGroups: while one fill runs, the cells queued
+// behind it are filled in batches of one dataset and method each, cells in
+// admission order, every cell exactly once.
+func TestCellFillerBatchesQueuedGroups(t *testing.T) {
+	started := make(chan struct{})
+	release := make(chan struct{})
+	var mu sync.Mutex
+	var batches []string
+	f := NewCellFiller(func(cells []Cell) error {
+		var names []string
+		for _, c := range cells {
+			names = append(names, fmt.Sprintf("%s/%s/%s", c.Dataset, c.Method, c.Model))
+		}
+		mu.Lock()
+		batches = append(batches, strings.Join(names, " "))
+		first := len(batches) == 1
+		mu.Unlock()
+		if first {
+			close(started)
+			<-release
+		}
+		return nil
+	})
+	rag := func(dn dataset.Name, model string) Cell {
+		return Cell{Dataset: dn, Method: llm.MethodRAG, Model: model}
+	}
+	f.Fill(rag(dataset.YAGO, "m0"))
+	<-started
+	for _, c := range []Cell{
+		rag(dataset.FactBench, "m1"),
+		{Dataset: dataset.FactBench, Method: llm.MethodDKA, Model: "m1"},
+		rag(dataset.DBpedia, "m1"),
+		rag(dataset.FactBench, "m2"),
+		rag(dataset.FactBench, "m1"), // already queued
+		rag(dataset.DBpedia, "m3"),
+	} {
+		f.Fill(c)
+	}
+	close(release)
+	f.Wait()
+	slices.Sort(batches)
+	want := []string{
+		"DBpedia/RAG/m1 DBpedia/RAG/m3",
+		"FactBench/DKA/m1",
+		"FactBench/RAG/m1 FactBench/RAG/m2",
+		"YAGO/RAG/m0",
+	}
+	if !slices.Equal(batches, want) {
+		t.Fatalf("batches %q, want %q", batches, want)
 	}
 }

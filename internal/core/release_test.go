@@ -205,3 +205,82 @@ func TestRunReleasesEvidence(t *testing.T) {
 		t.Errorf("resumed consensus tables differ from a cold run:\n%s\nvs\n%s", b, a)
 	}
 }
+
+// TestTiedEvidenceSurvivesEviction runs the small grid, then retrieves
+// every fact again as the daemon would, unpinned, so that the bounded
+// evidence cache overflows and evicts. The tied facts' evidence is pinned:
+// consensus's arbiters still find every tied fact's evidence and retrieve
+// nothing.
+func TestTiedEvidenceSurvivesEviction(t *testing.T) {
+	cfg := TestConfig()
+	cfg.Parallelism = 2
+	r := runRecordingReleases(t, cfg)
+	tied := tiedRAGFacts(t, r.b, r.rs)
+	if st := r.b.Pipeline.Stats(); st.Pinned != len(tied) || st.Cached != len(tied) {
+		t.Fatalf("after Run: %+v, want exactly the %d tied facts pinned", st, len(tied))
+	}
+	facts := 0
+	for _, dn := range r.b.Config.Datasets {
+		for _, f := range r.b.Datasets[dn].Facts {
+			if _, err := r.b.Pipeline.Retrieve(f); err != nil {
+				t.Fatal(err)
+			}
+			facts++
+		}
+	}
+	st := r.b.Pipeline.Stats()
+	if facts-len(tied) <= search.MaxCachedFacts || st.Evicted == 0 {
+		t.Fatalf("%d untied facts over a bound of %d evicted %d entries; the bound is untested", facts-len(tied), search.MaxCachedFacts, st.Evicted)
+	}
+	if st.Pinned != len(tied) || st.Cached-st.Pinned != st.Bounded || st.Bounded > search.MaxCachedFacts {
+		t.Fatalf("after re-retrieving every fact: %+v, want %d pinned and at most %d bounded", st, len(tied), search.MaxCachedFacts)
+	}
+	for _, mode := range []consensus.Mode{consensus.ModeEager, consensus.ModeAdaptive} {
+		before := r.searcher.total()
+		if _, err := r.b.RunAllConsensusMode(context.Background(), r.rs, mode); err != nil {
+			t.Fatal(err)
+		}
+		if n := r.searcher.total() - before; n != 0 {
+			t.Errorf("%s consensus made %d retrievals after evictions, want 0", mode, n)
+		}
+	}
+}
+
+// TestRunCellsRetrievesOnce runs two RAG cells of a dataset larger than
+// the bounded evidence cache in one RunCells call: every fact is retrieved
+// once for both models and released afterwards, and each cell's outcomes
+// equal a RunCell of it alone.
+func TestRunCellsRetrievesOnce(t *testing.T) {
+	b := NewBenchmark(Config{Scale: 1, Small: true, Parallelism: 2, Datasets: []dataset.Name{dataset.FactBench}})
+	cs := &countingSearcher{Engine: b.Engine, calls: map[string]int{}}
+	b.Pipeline.Searcher = cs
+	facts := b.Datasets[dataset.FactBench].Facts
+	if len(facts) <= search.MaxCachedFacts {
+		t.Fatalf("%d facts do not exceed the evidence bound %d", len(facts), search.MaxCachedFacts)
+	}
+	cells := []Cell{
+		{Dataset: dataset.FactBench, Method: llm.MethodRAG, Model: llm.Gemma2},
+		{Dataset: dataset.FactBench, Method: llm.MethodRAG, Model: llm.Mistral},
+	}
+	outs, err := b.RunCells(context.Background(), cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range facts {
+		if n := cs.calls[f.ID]; n != 1 {
+			t.Fatalf("fact %s retrieved %d times for two cells, want 1", f.ID, n)
+		}
+	}
+	if st := b.Pipeline.Stats(); st.Cached != 0 {
+		t.Fatalf("after RunCells: %+v, want every fact released", st)
+	}
+	for i, c := range cells {
+		want, err := b.RunCell(context.Background(), c.Dataset, c.Method, c.Model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(outs[i], want) {
+			t.Fatalf("%s: RunCells outcomes differ from RunCell's", c.Model)
+		}
+	}
+}

@@ -7,8 +7,8 @@
 // prompts are llm.Prompts of parts whose words are counted once (the
 // template parts when the package initialises, DKA's and GIV's sentence
 // once per fact by the caller), so they are charged without being
-// rendered. RAG counts its claim's sentence and its chunks, held as one
-// llm.Passages part, per call.
+// rendered. RAG's chunks ride in one llm.Passages part that the caller
+// counts once per fact; its claim's sentence is counted per call.
 package prompt
 
 import (
@@ -140,10 +140,10 @@ var (
 	ragTail      = llm.NewPart("\nIs the statement true or false?")
 )
 
-// RAG returns the retrieval-augmented prompt of the claim over the given
-// context chunks, which it numbers as passages without rendering them.
-func RAG(c llm.Claim, chunks []string) (system string, user llm.Prompt) {
-	return RAGSystem, llm.PromptOf(ragHead, llm.Passages(chunks), ragStatement, llm.NewPart(c.Sentence), ragTail)
+// RAG returns the retrieval-augmented prompt of the claim over its
+// context passages, an llm.Passages part counted once per fact.
+func RAG(c llm.Claim, passages llm.Part) (system string, user llm.Prompt) {
+	return RAGSystem, llm.PromptOf(ragHead, passages, ragStatement, llm.NewPart(c.Sentence), ragTail)
 }
 
 // givAnswer is the JSON schema GIV responses must follow.

@@ -89,7 +89,7 @@ func TestConstraintsForAllDatasets(t *testing.T) {
 
 func TestRAGPrompt(t *testing.T) {
 	chunks := []string{"First passage.", "Second passage."}
-	system, prompt := RAG(testClaim(), chunks)
+	system, prompt := RAG(testClaim(), llm.Passages(chunks))
 	if system != RAGSystem {
 		t.Error("RAG system prompt mismatch")
 	}
@@ -386,7 +386,7 @@ func TestPromptsMatchFmt(t *testing.T) {
 		for _, sent := range awkwardSentences {
 			c := testClaim()
 			c.Sentence = sent
-			_, got := RAG(c, chunks[:n])
+			_, got := RAG(c, llm.Passages(chunks[:n]))
 			checkRender(t, fmt.Sprintf("RAG(%q, %d chunks)", sent, n), got, fmtRAG(c, chunks[:n]))
 		}
 	}
@@ -395,7 +395,7 @@ func TestPromptsMatchFmt(t *testing.T) {
 // checkRAG checks the claim's RAG prompt over chunks against fmtRAG.
 func checkRAG(t *testing.T, c llm.Claim, chunks []string) {
 	t.Helper()
-	_, got := RAG(c, chunks)
+	_, got := RAG(c, llm.Passages(chunks))
 	checkRender(t, fmt.Sprintf("RAG(%q, %q)", c.Sentence, chunks), got, fmtRAG(c, chunks))
 }
 

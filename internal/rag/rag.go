@@ -17,6 +17,7 @@ import (
 	"factcheck/internal/chunk"
 	"factcheck/internal/dataset"
 	"factcheck/internal/det"
+	"factcheck/internal/llm"
 	"factcheck/internal/obs"
 	"factcheck/internal/question"
 	"factcheck/internal/rerank"
@@ -90,10 +91,19 @@ func DefaultConfig() Config {
 // deterministic, so results are cached per fact: when several models verify
 // the same fact (Table 5's five columns, consensus ensembles) the pipeline
 // retrieves once. The cache is sharded by fact ID and deduplicates
-// concurrent retrievals (singleflight). The whole-grid scheduler warms a
-// fact, verifies it with every pending model and then drops it with
-// Invalidate, keeping only facts that consensus will verify again; any
-// later caller simply retrieves again, with identical evidence.
+// concurrent retrievals (singleflight). It holds two kinds of entry:
+//
+//   - pinned: evidence that Warm created or touched stays until Invalidate
+//     or ClearCache drops it. The whole-grid scheduler warms a fact,
+//     verifies it with every pending model and then releases it with
+//     Invalidate, keeping only facts that consensus will verify again.
+//   - bounded: evidence that only Retrieve asked for (the daemon's and the
+//     webapp's per-request verifications) is capped at
+//     search.MaxCachedFacts entries in total, the engine's own pool budget,
+//     and the oldest is evicted first.
+//
+// Any later caller of a dropped or evicted fact simply retrieves again,
+// with identical evidence.
 type Pipeline struct {
 	Searcher search.Searcher
 	Config   Config
@@ -101,10 +111,30 @@ type Pipeline struct {
 	cache evidenceCache
 }
 
+// Stats counts the evidence cache's entries.
+type Stats struct {
+	// Cached is the facts the cache holds an entry for, retrievals in
+	// flight included.
+	Cached int `json:"cached"`
+	// Pinned is the part of Cached that only Invalidate or ClearCache
+	// drops.
+	Pinned int `json:"pinned"`
+	// Bounded is the part of Cached that is completed and unpinned, at
+	// most search.MaxCachedFacts. The rest of Cached is unpinned
+	// retrievals in flight, one per concurrent retrieving caller at most.
+	Bounded int `json:"bounded"`
+	// Evicted counts bounded entries dropped to make room for newer ones.
+	Evicted uint64 `json:"evicted"`
+}
+
 // evidenceShards is the shard count of the evidence cache. Sharding keeps
 // lock hold times per shard short under concurrent grid workers; the count
 // comfortably exceeds any realistic worker parallelism.
 const evidenceShards = 32
+
+// evidenceShardCap is the completed unpinned entries one shard holds, so
+// that the whole cache holds at most search.MaxCachedFacts of them.
+const evidenceShardCap = search.MaxCachedFacts / evidenceShards
 
 // evidenceCache is a sharded fact-ID-keyed cache with singleflight
 // semantics: the first caller for a fact owns the retrieval, concurrent
@@ -113,18 +143,29 @@ type evidenceCache struct {
 	shards [evidenceShards]evidenceShard
 }
 
+// evidenceShard is one shard's entries. An entry is in flight until its
+// owner completes it; a completed entry is pinned or sits in fifo, which
+// evicts its oldest entry when a completion would overfill it. In-flight
+// entries are never in fifo, so eviction never breaks singleflight.
 type evidenceShard struct {
 	mu      sync.Mutex
 	entries map[string]*evidenceEntry
+	fifo    [evidenceShardCap]*evidenceEntry // oldest first
+	queued  int                              // entries in fifo
+	pinned  int                              // pinned entries, in flight or not
+	evicted uint64
 }
 
 // evidenceEntry is one in-flight or completed retrieval. ev and err are
 // written once by the owner before done is closed; waiters read them only
-// after <-done.
+// after <-done. pinned and queued are guarded by the shard's mutex.
 type evidenceEntry struct {
-	done chan struct{}
-	ev   *Evidence
-	err  error
+	id     string
+	done   chan struct{}
+	ev     *Evidence
+	err    error
+	pinned bool
+	queued bool
 }
 
 // shard maps a fact ID to its cache shard.
@@ -132,13 +173,101 @@ func (c *evidenceCache) shard(id string) *evidenceShard {
 	return &c.shards[det.Hash64("rag-shard", id)%evidenceShards]
 }
 
-// invalidate drops one fact's entry. An in-flight retrieval keeps its
-// (now unreachable) entry and completes harmlessly: only callers already
-// waiting on it observe the pre-invalidation evidence.
+// get returns the fact's evidence, calling retrieve when no entry holds
+// it. pin makes the entry pinned, whether this call creates it or finds
+// it. A failed retrieval is not cached, so a later call retries.
+func (c *evidenceCache) get(ctx context.Context, id string, pin bool, retrieve func() (*Evidence, error)) (*Evidence, error) {
+	s := c.shard(id)
+	s.mu.Lock()
+	e, ok := s.entries[id]
+	if !ok {
+		e = &evidenceEntry{id: id, done: make(chan struct{})}
+		if s.entries == nil {
+			s.entries = map[string]*evidenceEntry{}
+		}
+		s.entries[id] = e
+	}
+	if pin && !e.pinned {
+		e.pinned = true
+		s.pinned++
+		s.unqueue(e)
+	}
+	s.mu.Unlock()
+	if ok {
+		select {
+		case <-e.done:
+		default:
+			// Retrieval in flight elsewhere: this caller is a follower.
+			_, end := obs.StartSpan(ctx, "rag_wait")
+			<-e.done
+			end()
+		}
+		return e.ev, e.err
+	}
+	e.ev, e.err = retrieve()
+	s.mu.Lock()
+	// An entry that Invalidate or ClearCache dropped in flight is left
+	// unreachable; its waiters still share the result.
+	if s.entries[id] == e {
+		switch {
+		case e.err != nil:
+			s.drop(e)
+		case !e.pinned:
+			s.enqueue(e)
+		}
+	}
+	s.mu.Unlock()
+	close(e.done)
+	return e.ev, e.err
+}
+
+// enqueue appends a completed unpinned entry to fifo, first evicting the
+// oldest entry when fifo is full.
+func (s *evidenceShard) enqueue(e *evidenceEntry) {
+	if s.queued == len(s.fifo) {
+		old := s.fifo[0]
+		s.unqueue(old)
+		delete(s.entries, old.id)
+		s.evicted++
+	}
+	s.fifo[s.queued] = e
+	s.queued++
+	e.queued = true
+}
+
+// unqueue removes e from fifo if it is there, keeping the others' order.
+func (s *evidenceShard) unqueue(e *evidenceEntry) {
+	if !e.queued {
+		return
+	}
+	i := 0
+	for s.fifo[i] != e {
+		i++
+	}
+	copy(s.fifo[i:], s.fifo[i+1:s.queued])
+	s.queued--
+	s.fifo[s.queued] = nil
+	e.queued = false
+}
+
+// drop removes e from the shard's entries and accounting.
+func (s *evidenceShard) drop(e *evidenceEntry) {
+	delete(s.entries, e.id)
+	s.unqueue(e)
+	if e.pinned {
+		s.pinned--
+	}
+}
+
+// invalidate drops one fact's entry, pinned or not. An in-flight retrieval
+// keeps its (now unreachable) entry and completes harmlessly: only callers
+// already waiting on it observe the pre-invalidation evidence.
 func (c *evidenceCache) invalidate(factID string) {
 	s := c.shard(factID)
 	s.mu.Lock()
-	delete(s.entries, factID)
+	if e, ok := s.entries[factID]; ok {
+		s.drop(e)
+	}
 	s.mu.Unlock()
 }
 
@@ -149,8 +278,25 @@ func (c *evidenceCache) clear() {
 		s := &c.shards[i]
 		s.mu.Lock()
 		s.entries = nil
+		s.fifo = [evidenceShardCap]*evidenceEntry{}
+		s.queued, s.pinned = 0, 0
 		s.mu.Unlock()
 	}
+}
+
+// stats sums the shards' counts.
+func (c *evidenceCache) stats() Stats {
+	var st Stats
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.mu.Lock()
+		st.Cached += len(s.entries)
+		st.Pinned += s.pinned
+		st.Bounded += s.queued
+		st.Evicted += s.evicted
+		s.mu.Unlock()
+	}
+	return st
 }
 
 // The paper's two rerankers (Table 4): questions are ranked against the
@@ -184,16 +330,20 @@ type Evidence struct {
 	// Latency is the simulated wall-clock cost of retrieval: SERP calls,
 	// document fetches and cross-encoder scoring.
 	Latency time.Duration
+
+	// texts and passages are the chunks' contents, as strings and as one
+	// counted llm.Passages part, built once when the retrieval completes
+	// and shared by every model that verifies the fact.
+	texts    []string
+	passages llm.Part
 }
 
-// ChunkTexts returns the chunk contents in order.
-func (e *Evidence) ChunkTexts() []string {
-	out := make([]string, len(e.Chunks))
-	for i, c := range e.Chunks {
-		out[i] = c.Text
-	}
-	return out
-}
+// ChunkTexts returns the chunk contents in order. The slice is shared by
+// every caller and must not be modified.
+func (e *Evidence) ChunkTexts() []string { return e.texts }
+
+// Passages returns the chunks as the counted context part of a RAG prompt.
+func (e *Evidence) Passages() llm.Part { return e.passages }
 
 // Retrieve runs the four phases for the fact, consulting the cache first.
 // Concurrent calls for the same fact coalesce into a single retrieval: the
@@ -206,51 +356,22 @@ func (p *Pipeline) Retrieve(f *dataset.Fact) (*Evidence, error) {
 // sampled request trace, the singleflight leader records one span per
 // retrieval phase and a coalesced follower records its wait. The context
 // never cancels a retrieval — evidence is shared across callers, so the
-// owner always runs to completion.
+// owner always runs to completion. Evidence it creates is bounded: it
+// stays cached until newer bounded evidence evicts it, unless Warm pins it
+// first.
 func (p *Pipeline) RetrieveCtx(ctx context.Context, f *dataset.Fact) (*Evidence, error) {
-	s := p.cache.shard(f.ID)
-	s.mu.Lock()
-	e, ok := s.entries[f.ID]
-	if !ok {
-		e = &evidenceEntry{done: make(chan struct{})}
-		if s.entries == nil {
-			s.entries = map[string]*evidenceEntry{}
-		}
-		s.entries[f.ID] = e
-	}
-	s.mu.Unlock()
-	if ok {
-		select {
-		case <-e.done:
-		default:
-			// Retrieval in flight elsewhere: this caller is a follower.
-			_, end := obs.StartSpan(ctx, "rag_wait")
-			<-e.done
-			end()
-		}
-		return e.ev, e.err
-	}
-	e.ev, e.err = p.retrieve(ctx, f)
-	if e.err != nil {
-		// Do not cache failures: drop the entry (unless ClearCache swapped
-		// the map under us) so a later call can retry.
-		s.mu.Lock()
-		if s.entries[f.ID] == e {
-			delete(s.entries, f.ID)
-		}
-		s.mu.Unlock()
-	}
-	close(e.done)
-	return e.ev, e.err
+	return p.cache.get(ctx, f.ID, false, func() (*Evidence, error) { return p.retrieve(ctx, f) })
 }
 
-// Warm ensures the fact's evidence is cached, sharing the same
-// singleflight path as Retrieve. It is the prefetch entry point the grid
-// scheduler uses to retrieve once per fact before fanning models out.
-// Warming builds the fact's index shard as a side effect (the engine
-// materialises pool + posting lists on first query).
+// Warm ensures the fact's evidence is cached and pins it, sharing the same
+// singleflight path as Retrieve: the evidence stays until Invalidate or
+// ClearCache drops it. It is the prefetch entry point the grid scheduler
+// uses to retrieve once per fact before fanning models out. Warming builds
+// the fact's index shard as a side effect (the engine materialises pool +
+// posting lists on first query).
 func (p *Pipeline) Warm(f *dataset.Fact) error {
-	_, err := p.Retrieve(f)
+	ctx := context.Background()
+	_, err := p.cache.get(ctx, f.ID, true, func() (*Evidence, error) { return p.retrieve(ctx, f) })
 	return err
 }
 
@@ -259,12 +380,17 @@ func (p *Pipeline) ClearCache() {
 	p.cache.clear()
 }
 
-// Invalidate drops the fact's cached evidence: after a corpus epoch bump,
-// so the next retrieval for the fact recomputes over the new corpus, and
-// when the grid scheduler releases a fact its models have verified. Every
-// other fact keeps its warm evidence.
+// Invalidate drops the fact's cached evidence, pinned or not: after a
+// corpus epoch bump, so the next retrieval for the fact recomputes over
+// the new corpus, and when the grid scheduler releases a fact its models
+// have verified. Every other fact keeps its warm evidence.
 func (p *Pipeline) Invalidate(factID string) {
 	p.cache.invalidate(factID)
+}
+
+// Stats snapshots the evidence cache's counts.
+func (p *Pipeline) Stats() Stats {
+	return p.cache.stats()
 }
 
 // retrieve runs phases 1–4. The sentence is embedded once; questions are
@@ -318,6 +444,11 @@ func (p *Pipeline) retrieve(ctx context.Context, f *dataset.Fact) (*Evidence, er
 		return nil, err
 	}
 	ev.Latency = p.retrievalLatency(f, len(ev.Queries), ev.Candidates)
+	ev.texts = make([]string, len(ev.Chunks))
+	for i, c := range ev.Chunks {
+		ev.texts[i] = c.Text
+	}
+	ev.passages = llm.Passages(ev.texts)
 	return ev, nil
 }
 

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,6 +17,7 @@ import (
 	"factcheck/internal/core"
 	"factcheck/internal/dataset"
 	"factcheck/internal/llm"
+	"factcheck/internal/obs"
 	"factcheck/internal/search"
 	"factcheck/internal/strategy"
 )
@@ -252,5 +254,91 @@ func TestIngestSweepsConsensusVotes(t *testing.T) {
 	waitApplied(t, svc, 1)
 	if st := svc.Stats(); st.IngestSwept != uint64(votes) || st.CacheLen != 0 {
 		t.Fatalf("after the fold: swept %d, cache len %d; want %d, 0", st.IngestSwept, st.CacheLen, votes)
+	}
+}
+
+// TestIngestedFactUnavailableAnswers503 pins degraded serving after
+// ingestion: the fold sweeps every previous-epoch verdict of a touched
+// fact, so once the fact's dependency is unavailable it answers 503 with
+// Retry-After, never a 500 and never its pre-ingest verdict.
+func TestIngestedFactUnavailableAnswers503(t *testing.T) {
+	svc, b := freshService(t, permissive())
+	var down atomic.Bool
+	svc.verify = func(ctx context.Context, cell core.Cell, f *dataset.Fact) (strategy.Outcome, error) {
+		if down.Load() {
+			return strategy.Outcome{}, downFault{}
+		}
+		return b.VerifyFact(ctx, cell, f)
+	}
+	h := svc.Handler()
+	f := b.Datasets[dataset.FactBench].Facts[0]
+	req := VerifyRequest{Dataset: string(dataset.FactBench), Method: string(llm.MethodRAG), Model: llm.Gemma2, FactID: f.ID}
+	if w := postVerify(t, h, req); w.Code != http.StatusOK {
+		t.Fatalf("first verify: status %d (body %s)", w.Code, w.Body.String())
+	}
+	if w := postIngest(t, h, []search.IngestDoc{{FactID: f.ID, Title: "Live update", Text: "fresh evidence"}}); w.Code != http.StatusAccepted {
+		t.Fatalf("ingest: status %d (body %s)", w.Code, w.Body.String())
+	}
+	waitApplied(t, svc, 1)
+
+	down.Store(true)
+	w := postVerify(t, h, req)
+	if w.Code != http.StatusServiceUnavailable {
+		t.Fatalf("verify after ingest with the dependency down: status %d, want 503 (body %s)", w.Code, w.Body.String())
+	}
+	assertRetryAfter(t, w, "unavailable verify after ingest")
+	if st := svc.Stats(); st.IngestSwept != 1 || st.Unavailable != 1 || st.Degraded != 0 {
+		t.Fatalf("ingest_swept %d unavailable_rejected %d degraded_served %d, want 1, 1, 0", st.IngestSwept, st.Unavailable, st.Degraded)
+	}
+}
+
+// TestEvidenceCountersExposed checks that /statsz and /metricsz report the
+// RAG pipeline's cached evidence: served verifications leave bounded
+// entries, warmed facts pinned ones, and ingestion drops a touched fact's.
+func TestEvidenceCountersExposed(t *testing.T) {
+	svc, b := freshService(t, permissive())
+	h := svc.Handler()
+	facts := b.Datasets[dataset.FactBench].Facts
+	for _, f := range facts[:3] {
+		req := VerifyRequest{Dataset: string(dataset.FactBench), Method: string(llm.MethodRAG), Model: llm.Gemma2, FactID: f.ID}
+		if w := postVerify(t, h, req); w.Code != http.StatusOK {
+			t.Fatalf("verify %s: status %d (body %s)", f.ID, w.Code, w.Body.String())
+		}
+	}
+	for _, f := range facts[3:5] {
+		if err := b.Pipeline.Warm(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if w := postIngest(t, h, []search.IngestDoc{{FactID: facts[0].ID, Title: "Live update", Text: "fresh evidence"}}); w.Code != http.StatusAccepted {
+		t.Fatalf("ingest: status %d", w.Code)
+	}
+	waitApplied(t, svc, 1)
+
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest("GET", "/statsz", nil))
+	var st Stats
+	if err := json.Unmarshal(w.Body.Bytes(), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Evidence.Cached != 4 || st.Evidence.Pinned != 2 || st.Evidence.Bounded != 2 || st.Evidence.Evicted != 0 {
+		t.Fatalf("/statsz evidence = %+v, want 4 cached, 2 pinned, 2 bounded, 0 evicted", st.Evidence)
+	}
+
+	w = httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest("GET", "/metricsz", nil))
+	body := w.Body.String()
+	if err := obs.Lint(strings.NewReader(body)); err != nil {
+		t.Fatalf("exposition fails lint: %v", err)
+	}
+	for _, want := range []string{
+		`factcheck_evidence_cached_facts{lifetime="pinned"} 2` + "\n",
+		`factcheck_evidence_cached_facts{lifetime="bounded"} 2` + "\n",
+		`factcheck_evidence_cached_facts{lifetime="in_flight"} 0` + "\n",
+		"factcheck_evidence_evicted_total 0\n",
+	} {
+		if !strings.Contains(body, want) {
+			t.Errorf("exposition missing %q", want)
+		}
 	}
 }

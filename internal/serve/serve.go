@@ -45,6 +45,7 @@ import (
 	"factcheck/internal/dataset"
 	"factcheck/internal/llm"
 	"factcheck/internal/obs"
+	"factcheck/internal/rag"
 	"factcheck/internal/resilience"
 	"factcheck/internal/sched"
 	"factcheck/internal/search"
@@ -301,7 +302,7 @@ func New(bench *core.Benchmark, store *core.Store, cfg Config) *Service {
 		}
 	}
 	s.verify = bench.VerifyFact
-	s.filler = core.NewCellFiller(s.fillCell)
+	s.filler = core.NewCellFiller(s.fillCells)
 	s.ingestCh = make(chan []search.IngestDoc, cfg.IngestQueue)
 	s.ingestDone = make(chan struct{})
 	go s.ingestLoop()
@@ -517,47 +518,67 @@ func (s *Service) hydrateCell(cell core.Cell, outs []strategy.Outcome, view sear
 	}
 }
 
-// fillCell verifies the rest of a cell and persists the snapshot, so one
-// ad-hoc verdict warms the store for every later consumer (service, CLI,
-// webapp). It runs under the shared core.CellFiller (deduped per cell, one
-// at a time, failures forgotten for retry) and bounds its verification on
-// the shared executor — a fill never multiplies service-wide verification
-// concurrency.
-func (s *Service) fillCell(cell core.Cell) error {
+// fillCells verifies the rest of a batch of cells and persists their
+// snapshots, so one ad-hoc verdict warms the store for every later
+// consumer (service, CLI, webapp). It runs under the shared
+// core.CellFiller (deduped per cell, one batch at a time, failures
+// forgotten for retry) and bounds its verification on the shared executor
+// — a fill never multiplies service-wide verification concurrency. The
+// batch's cells share a dataset and method; they are verified fact by
+// fact, each fact for every cell in one executor task: a RAG batch
+// retrieves a fact's evidence once, and every model of the batch reads it
+// while it is still the newest entry of the pipeline's bounded cache.
+func (s *Service) fillCells(cells []core.Cell) error {
 	view := s.bench.Engine.EpochView()
-	d := s.bench.Datasets[cell.Dataset]
-	outs := make([]strategy.Outcome, len(d.Facts))
+	d := s.bench.Datasets[cells[0].Dataset]
+	outs := make([][]strategy.Outcome, len(cells))
+	for k := range cells {
+		outs[k] = make([]strategy.Outcome, len(d.Facts))
+	}
 	for i, f := range d.Facts {
 		// Verdicts already cached under this corpus epoch are identical to
 		// recomputed ones (determinism), so reuse them instead of
 		// re-verifying.
-		if out, ok := s.cache.get(verdictKey{cell: cell, factID: f.ID, epoch: view.FactEpoch(f.ID)}); ok {
-			outs[i] = out
+		var todo []int
+		for k, cell := range cells {
+			if out, ok := s.cache.get(verdictKey{cell: cell, factID: f.ID, epoch: view.FactEpoch(f.ID)}); ok {
+				outs[k][i] = out
+			} else {
+				todo = append(todo, k)
+			}
+		}
+		if len(todo) == 0 {
 			continue
 		}
-		var out strategy.Outcome
 		err := s.exec.Do(context.Background(), func(ctx context.Context) error {
-			var err error
-			out, err = s.verify(ctx, cell, f)
-			return err
+			for _, k := range todo {
+				out, err := s.verify(ctx, cells[k], f)
+				if err != nil {
+					return err
+				}
+				outs[k][i] = out
+			}
+			return nil
 		})
 		if err != nil {
 			return err
 		}
-		outs[i] = out
 	}
 	// An ingestion that landed mid-fill may have split the outcomes across
 	// corpus epochs; a mixed snapshot must never be persisted under the
 	// pre-ingest fingerprint. Abort — the filler forgets failures, so a
-	// later request refills the cell over the new epoch.
-	if s.bench.Engine.CorpusDigest(cell.Dataset) != view.CorpusDigest(cell.Dataset) {
-		return fmt.Errorf("serve: corpus epoch moved during fill of %s/%s/%s", cell.Dataset, cell.Method, cell.Model)
+	// later request refills the cells over the new epoch.
+	digest := view.CorpusDigest(cells[0].Dataset)
+	if s.bench.Engine.CorpusDigest(cells[0].Dataset) != digest {
+		return fmt.Errorf("serve: corpus epoch moved during fill of %s/%s", cells[0].Dataset, cells[0].Method)
 	}
-	if err := s.store.Put(s.bench.CellKeyAt(cell, view.CorpusDigest(cell.Dataset)).Fingerprint(), outs); err != nil {
-		return err
+	for k, cell := range cells {
+		if err := s.store.Put(s.bench.CellKeyAt(cell, digest).Fingerprint(), outs[k]); err != nil {
+			return err
+		}
+		s.hydrateCell(cell, outs[k], view)
+		s.stats.fills.Add(1)
 	}
-	s.hydrateCell(cell, outs, view)
-	s.stats.fills.Add(1)
 	return nil
 }
 
@@ -702,6 +723,11 @@ type Stats struct {
 	// touched, docs scored).
 	Retrieval search.Stats `json:"retrieval"`
 
+	// Evidence counts the RAG pipeline's cached evidence: facts held,
+	// those pinned until released, completed bounded entries, and bounded
+	// entries evicted.
+	Evidence rag.Stats `json:"evidence"`
+
 	// Latency summarises every layer and endpoint histogram with at least
 	// one observation, keyed "family/label" (e.g. "layer/lru",
 	// "endpoint/verify"): count, mean and exact-at-bucket-resolution
@@ -720,6 +746,7 @@ func (s *Service) Stats() Stats {
 	defer s.stats.mu.Unlock()
 	return Stats{
 		Retrieval:     s.bench.Engine.Stats(),
+		Evidence:      s.bench.Pipeline.Stats(),
 		Latency:       latency,
 		Requests:      s.stats.requests.Load(),
 		RateLimited:   s.stats.rateLimited.Load(),
@@ -1448,6 +1475,11 @@ func (s *Service) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	p.Counter("factcheck_retrieval_search_queries_total", "Search calls served by the top-k kernel.", uint64(r.SearchQueries))
 	p.Counter("factcheck_retrieval_postings_touched_total", "Postings read by the top-k kernel, each distinct document text's once per query.", uint64(r.PostingsTouched))
 	p.Counter("factcheck_retrieval_docs_scored_total", "Documents ranked by the top-k kernel.", uint64(r.DocsScored))
+
+	ev := st.Evidence
+	p.GaugeVec("factcheck_evidence_cached_facts", "Facts with cached RAG evidence: pinned until released, bounded by the search engine's pool budget, or an unpinned retrieval in flight.", "lifetime",
+		[]obs.Labeled{{Label: "pinned", Value: float64(ev.Pinned)}, {Label: "bounded", Value: float64(ev.Bounded)}, {Label: "in_flight", Value: float64(ev.Cached - ev.Pinned - ev.Bounded)}})
+	p.Counter("factcheck_evidence_evicted_total", "Bounded RAG evidence entries evicted for newer ones.", ev.Evicted)
 
 	obs.Default.WriteProm(p)
 }

@@ -20,6 +20,7 @@ import (
 	"factcheck/internal/core"
 	"factcheck/internal/dataset"
 	"factcheck/internal/llm"
+	"factcheck/internal/search"
 	"factcheck/internal/strategy"
 )
 
@@ -376,6 +377,61 @@ func TestFillPersistsCell(t *testing.T) {
 	}
 	if st := svc.Stats(); st.CellFills != 1 {
 		t.Fatalf("cell_fills = %d, want 1", st.CellFills)
+	}
+}
+
+// poolCounter is the engine as a search.PoolSearcher (so retrieval keeps
+// its by-reference path) that counts retrievals: the RAG pipeline takes
+// one pool handle per retrieval.
+type poolCounter struct {
+	*search.Engine
+	n atomic.Int64
+}
+
+func (p *poolCounter) Pool(factID string) (search.Pool, error) {
+	p.n.Add(1)
+	return p.Engine.Pool(factID)
+}
+
+// TestFillBatchRetrievesEachFactOnce: a fill of two RAG cells on a dataset
+// larger than the pipeline's bounded evidence cache retrieves each fact
+// once for both models, and persists both cells with RunCell's outcomes.
+func TestFillBatchRetrievesEachFactOnce(t *testing.T) {
+	b := core.NewBenchmark(core.Config{Scale: 1, Small: true, Parallelism: 2, Datasets: []dataset.Name{dataset.FactBench}})
+	pc := &poolCounter{Engine: b.Engine}
+	b.Pipeline.Searcher = pc
+	facts := b.Datasets[dataset.FactBench].Facts
+	if len(facts) <= search.MaxCachedFacts {
+		t.Fatalf("%d facts do not exceed the evidence bound %d", len(facts), search.MaxCachedFacts)
+	}
+	store := core.NewMemoryStore()
+	svc := New(b, store, permissive())
+	defer svc.Drain()
+	cells := []core.Cell{
+		{Dataset: dataset.FactBench, Method: llm.MethodRAG, Model: llm.Gemma2},
+		{Dataset: dataset.FactBench, Method: llm.MethodRAG, Model: llm.Mistral},
+	}
+	if err := svc.fillCells(cells); err != nil {
+		t.Fatal(err)
+	}
+	if n := pc.n.Load(); n != int64(len(facts)) {
+		t.Fatalf("filling two RAG cells of %d facts made %d retrievals, want %d", len(facts), n, len(facts))
+	}
+	if st := svc.Stats(); st.CellFills != 2 {
+		t.Fatalf("cell_fills = %d, want 2", st.CellFills)
+	}
+	for _, c := range cells {
+		got, ok := store.Get(b.CellKey(c).Fingerprint())
+		if !ok {
+			t.Fatalf("%s: no snapshot stored", c.Model)
+		}
+		want, err := b.RunCell(context.Background(), c.Dataset, c.Method, c.Model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: filled outcomes differ from RunCell's", c.Model)
+		}
 	}
 }
 

@@ -63,7 +63,7 @@ func refVerify(ctx context.Context, v Verifier, m llm.Model, f *dataset.Fact) (O
 			return Outcome{}, err
 		}
 		chunks := ev.ChunkTexts()
-		system, user := prompt.RAG(c, chunks)
+		system, user := prompt.RAG(c, ev.Passages())
 		resp, err := m.Generate(ctx, llm.Request{System: system, Prompt: user, Claim: c, Method: llm.MethodRAG, Evidence: chunks})
 		if err != nil {
 			return Outcome{}, err

@@ -245,10 +245,10 @@ type RAG struct {
 // Method implements Verifier.
 func (RAG) Method() llm.Method { return llm.MethodRAG }
 
-// Prefetch implements Prefetcher by warming the pipeline's evidence cache
-// for the fact — which also materialises the fact's search-index shard
-// (pool + posting lists), so model fan-out hits a fully warm retrieval
-// substrate.
+// Prefetch implements Prefetcher by warming the fact's evidence in the
+// pipeline's cache, pinned there until Release — which also materialises
+// the fact's search-index shard (pool + posting lists), so model fan-out
+// hits a fully warm retrieval substrate.
 func (r RAG) Prefetch(ctx context.Context, f *dataset.Fact) error {
 	if r.Pipeline == nil {
 		return fmt.Errorf("rag: verifier has no pipeline")
@@ -262,7 +262,7 @@ func (r RAG) Prefetch(ctx context.Context, f *dataset.Fact) error {
 	return nil
 }
 
-// Release implements Prefetcher by dropping the fact's cached evidence.
+// Release implements Prefetcher by dropping the fact's pinned evidence.
 func (r RAG) Release(f *dataset.Fact) {
 	if r.Pipeline != nil {
 		r.Pipeline.Invalidate(f.ID)
@@ -281,7 +281,7 @@ func (r RAG) Verify(ctx context.Context, m llm.Model, f *dataset.Fact) (Outcome,
 	memo := memoOf(f)
 	c := memo.claim
 	chunks := ev.ChunkTexts()
-	system, user := prompt.RAG(c, chunks)
+	system, user := prompt.RAG(c, ev.Passages())
 	resp, err := m.Generate(ctx, llm.Request{
 		System: system, Prompt: user, Claim: c, Method: llm.MethodRAG,
 		Evidence: chunks,

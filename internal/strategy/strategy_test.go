@@ -188,7 +188,7 @@ func TestRAGChargesEvidenceTwice(t *testing.T) {
 		if len(chunks) == 0 {
 			t.Fatalf("%s: no evidence to charge", f.ID)
 		}
-		system, user := prompt.RAG(ClaimFor(f), chunks)
+		system, user := prompt.RAG(ClaimFor(f), llm.Passages(chunks))
 		want := text.CountTokens(system) + text.CountTokens(user.String())
 		for _, ch := range chunks {
 			want += text.CountTokens(ch)

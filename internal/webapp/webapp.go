@@ -48,8 +48,9 @@ type App struct {
 
 	// filler dedupes and serialises asynchronous on-demand cell fills (a
 	// cold fact page requests every (method, model) cell at once — one
-	// fill at a time keeps background work bounded by one cell's worker
-	// pool instead of all of them).
+	// batch at a time keeps background work bounded by one worker pool
+	// instead of one per cell, and a batch's RAG cells retrieve each fact
+	// once).
 	filler *core.CellFiller
 
 	// studies memoizes the error-clustering computation per
@@ -86,12 +87,17 @@ func New(b *core.Benchmark, opts ...Option) (*App, error) {
 	if a.store == nil {
 		a.store = core.NewMemoryStore()
 	}
-	a.filler = core.NewCellFiller(func(cell core.Cell) error {
-		outs, err := b.RunCell(context.Background(), cell.Dataset, cell.Method, cell.Model)
+	a.filler = core.NewCellFiller(func(cells []core.Cell) error {
+		outs, err := b.RunCells(context.Background(), cells)
 		if err != nil {
 			return err
 		}
-		return a.store.Put(b.CellKey(cell).Fingerprint(), outs)
+		for i, cell := range cells {
+			if err := a.store.Put(b.CellKey(cell).Fingerprint(), outs[i]); err != nil {
+				return err
+			}
+		}
+		return nil
 	})
 	return a, nil
 }
