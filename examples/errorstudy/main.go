@@ -54,11 +54,11 @@ func main() {
 	fmt.Println("(E4 geographic errors dominate, matching the paper's Table 9)")
 
 	fmt.Println("\n== UpSet: which model subsets get facts right ==")
-	perFact, err := rs.PerFact(dataset.DBpedia, llm.MethodDKA, llm.OpenSourceModels)
+	cols, err := rs.Columns(dataset.DBpedia, llm.MethodDKA, llm.OpenSourceModels)
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, row := range analysis.UpSet(perFact) {
+	for _, row := range analysis.UpSet(llm.OpenSourceModels, cols) {
 		fmt.Printf("  %-52s %5d\n", row.Label(len(llm.OpenSourceModels)), row.Count)
 	}
 

@@ -184,26 +184,43 @@ type UpSetRow struct {
 	Count   int
 }
 
-// UpSet computes exact-intersection counts of correct predictions.
-// outcomes[factIdx] holds one outcome per model for the same fact.
-func UpSet(perFact [][]strategy.Outcome) []UpSetRow {
-	counts := map[string]int{}
-	for _, outs := range perFact {
+// MaxUpSetModels is the most models UpSet counts: a fact's set of correct
+// models is one bit each in a uint64.
+const MaxUpSetModels = 64
+
+// UpSet computes exact-intersection counts of correct predictions. Each
+// block holds one outcome column per model, index-aligned with models
+// (block[j][i] is models[j]'s outcome on fact i), so a caller pools
+// datasets by passing one block each. It panics on more than
+// MaxUpSetModels models.
+func UpSet(models []string, blocks ...[][]strategy.Outcome) []UpSetRow {
+	if len(models) > MaxUpSetModels {
+		panic("analysis: UpSet given more than MaxUpSetModels models")
+	}
+	counts := map[uint64]int{}
+	for _, cols := range blocks {
+		if len(cols) == 0 {
+			continue
+		}
+		for i := range cols[0] {
+			var set uint64
+			for j, col := range cols {
+				if col[i].Correct {
+					set |= 1 << j
+				}
+			}
+			counts[set]++
+		}
+	}
+	rows := make([]UpSetRow, 0, len(counts))
+	for set, n := range counts {
 		var members []string
-		for _, o := range outs {
-			if o.Correct {
-				members = append(members, o.Model)
+		for j, m := range models {
+			if set&(1<<j) != 0 {
+				members = append(members, m)
 			}
 		}
 		sort.Strings(members)
-		counts[strings.Join(members, "+")]++
-	}
-	rows := make([]UpSetRow, 0, len(counts))
-	for key, n := range counts {
-		var members []string
-		if key != "" {
-			members = strings.Split(key, "+")
-		}
 		rows = append(rows, UpSetRow{Members: members, Count: n})
 	}
 	sort.Slice(rows, func(i, j int) bool {

@@ -1,6 +1,11 @@
 package analysis
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"factcheck/internal/strategy"
@@ -92,13 +97,12 @@ func outcome(model, fact string, correct bool) strategy.Outcome {
 }
 
 func TestUpSet(t *testing.T) {
-	perFact := [][]strategy.Outcome{
-		{outcome("a", "f1", true), outcome("b", "f1", true)},   // both
-		{outcome("a", "f2", true), outcome("b", "f2", false)},  // a only
-		{outcome("a", "f3", false), outcome("b", "f3", false)}, // none
-		{outcome("a", "f4", true), outcome("b", "f4", true)},   // both
+	cols := [][]strategy.Outcome{
+		// f1 both, f2 a only, f3 none, f4 both.
+		{outcome("a", "f1", true), outcome("a", "f2", true), outcome("a", "f3", false), outcome("a", "f4", true)},
+		{outcome("b", "f1", true), outcome("b", "f2", false), outcome("b", "f3", false), outcome("b", "f4", true)},
 	}
-	rows := UpSet(perFact)
+	rows := UpSet([]string{"a", "b"}, cols)
 	if len(rows) != 3 {
 		t.Fatalf("got %d rows: %+v", len(rows), rows)
 	}
@@ -119,6 +123,79 @@ func TestUpSet(t *testing.T) {
 	}
 	if !foundNone {
 		t.Error("missing none row")
+	}
+}
+
+// referenceUpSet is the retired UpSet: per fact, it sorts and joins the
+// correct models' names and counts the joined key. It is the oracle for
+// the bitmask count.
+func referenceUpSet(perFact [][]strategy.Outcome) []UpSetRow {
+	counts := map[string]int{}
+	for _, outs := range perFact {
+		var members []string
+		for _, o := range outs {
+			if o.Correct {
+				members = append(members, o.Model)
+			}
+		}
+		sort.Strings(members)
+		counts[strings.Join(members, "+")]++
+	}
+	rows := make([]UpSetRow, 0, len(counts))
+	for key, n := range counts {
+		var members []string
+		if key != "" {
+			members = strings.Split(key, "+")
+		}
+		rows = append(rows, UpSetRow{Members: members, Count: n})
+	}
+	sort.Slice(rows, func(i, j int) bool {
+		if rows[i].Count != rows[j].Count {
+			return rows[i].Count > rows[j].Count
+		}
+		return strings.Join(rows[i].Members, "+") < strings.Join(rows[j].Members, "+")
+	})
+	return rows
+}
+
+// TestUpSetMatchesReference pools random blocks (datasets) of outcome
+// columns for models listed out of name order and compares the rows and
+// their labels with the reference's over the same facts.
+func TestUpSetMatchesReference(t *testing.T) {
+	models := []string{"qwen2.5:7b", "gemma2:9b", "mistral:7b", "llama3.1:8b", "gpt-4o-mini"}
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 50; trial++ {
+		k := 1 + rng.Intn(len(models))
+		var blocks [][][]strategy.Outcome
+		var perFact [][]strategy.Outcome
+		for b := rng.Intn(4); b > 0; b-- {
+			n := rng.Intn(300)
+			// A per-block bias makes some model sets far more common.
+			p := rng.Float64()
+			cols := make([][]strategy.Outcome, k)
+			for j := range cols {
+				cols[j] = make([]strategy.Outcome, n)
+			}
+			for i := 0; i < n; i++ {
+				outs := make([]strategy.Outcome, k)
+				for j := range outs {
+					o := outcome(models[j], fmt.Sprint("f", i), rng.Float64() < p)
+					cols[j][i], outs[j] = o, o
+				}
+				perFact = append(perFact, outs)
+			}
+			blocks = append(blocks, cols)
+		}
+		got, want := UpSet(models[:k], blocks...), referenceUpSet(perFact)
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: %d rows, want %d", trial, len(got), len(want))
+		}
+		for i := range got {
+			if got[i].Count != want[i].Count || !reflect.DeepEqual(got[i].Members, want[i].Members) ||
+				got[i].Label(k) != want[i].Label(k) {
+				t.Fatalf("trial %d row %d: %+v, want %+v", trial, i, got[i], want[i])
+			}
+		}
 	}
 }
 

@@ -96,7 +96,10 @@ const Noise = -1
 // The neighbourhood test is Euclidean(p, q) <= eps decided without the
 // square root: the squared distance, summed exactly as Euclidean sums it,
 // is compared with the largest s whose square root is within eps
-// (sqThreshold), which makes every decision the same.
+// (sqThreshold), which makes every decision the same. Every unordered pair
+// is tested once, before the expansion reads the neighbour lists; those
+// lists take memory in proportion to the number of neighbour pairs, up to
+// n(n-1) indexes when every point is within eps of every other.
 func DBSCAN(points [][]float64, eps float64, minPts int) []int {
 	n := len(points)
 	labels := make([]int, n)
@@ -114,19 +117,19 @@ func DBSCAN(points [][]float64, eps float64, minPts int) []int {
 		}
 		flat = append(flat, p...)
 	}
-	thr := sqThreshold(eps)
+	off, adj := neighbourLists(flat, n, dim, sqThreshold(eps))
 	visited := make([]bool, n)
 	// queued[j] == cluster+1 once j joined the current cluster's queue: a
 	// second entry would find its label already set, so it is never added.
 	queued := make([]int, n)
-	var nb, queue []int
+	var queue []int32
 	cluster := 0
 	for i := 0; i < n; i++ {
 		if visited[i] {
 			continue
 		}
 		visited[i] = true
-		nb = neighbors(flat, n, dim, i, thr, nb[:0])
+		nb := adj[off[i]:off[i+1]]
 		if len(nb)+1 < minPts {
 			continue // noise (may later be absorbed as a border point)
 		}
@@ -143,8 +146,7 @@ func DBSCAN(points [][]float64, eps float64, minPts int) []int {
 			}
 			visited[j] = true
 			labels[j] = cluster
-			nb = neighbors(flat, n, dim, j, thr, nb[:0])
-			if len(nb)+1 >= minPts {
+			if nb := adj[off[j]:off[j+1]]; len(nb)+1 >= minPts {
 				queue = enqueue(queue, nb, queued, cluster+1)
 			}
 		}
@@ -155,7 +157,7 @@ func DBSCAN(points [][]float64, eps float64, minPts int) []int {
 
 // enqueue appends the points of nb not yet stamped into the queue, stamping
 // them.
-func enqueue(queue, nb, queued []int, stamp int) []int {
+func enqueue(queue, nb []int32, queued []int, stamp int) []int32 {
 	for _, j := range nb {
 		if queued[j] != stamp {
 			queued[j] = stamp
@@ -165,71 +167,91 @@ func enqueue(queue, nb, queued []int, stamp int) []int {
 	return queue
 }
 
-// neighbors appends to out, ascending, every j != i whose squared distance
-// to point i is at most thr. flat holds the n points' coordinates row by
-// row. Four candidates are summed per step, each sum in Euclidean's own
-// left-to-right order, so every sum is bit-identical to Euclidean's. A
-// partial sum of non-negative terms never decreases under rounding, so
-// once all four exceed thr halfway through, the step is decided.
-func neighbors(flat []float64, n, dim, i int, thr float64, out []int) []int {
-	p := flat[i*dim : (i+1)*dim]
-	half := len(p) / 2
-	j := 0
-	for ; j+4 <= n; j += 4 {
-		q0 := flat[j*dim:][:len(p)]
-		q1 := flat[(j+1)*dim:][:len(p)]
-		q2 := flat[(j+2)*dim:][:len(p)]
-		q3 := flat[(j+3)*dim:][:len(p)]
-		var s0, s1, s2, s3 float64
-		for k, x := range p[:half] {
-			d0 := x - q0[k]
-			s0 += d0 * d0
-			d1 := x - q1[k]
-			s1 += d1 * d1
-			d2 := x - q2[k]
-			s2 += d2 * d2
-			d3 := x - q3[k]
-			s3 += d3 * d3
+// neighbourLists returns every point's neighbours, ascending, as
+// adj[off[i]:off[i+1]]: each j != i whose squared distance to point i is
+// at most thr. flat holds the n points' coordinates row by row. Each pair
+// i < j is summed once, from i: IEEE subtraction is antisymmetric, so the
+// sum from j would be bit-identical. Four candidates are summed per step,
+// each sum in Euclidean's own left-to-right order. A partial sum of
+// non-negative terms never decreases under rounding, so once all four
+// exceed thr halfway through, the step is decided.
+func neighbourLists(flat []float64, n, dim int, thr float64) (off []int, adj []int32) {
+	// upper[uoff[i]:uoff[i+1]] holds point i's neighbours j > i, ascending.
+	uoff := make([]int, n+1)
+	var upper []int32
+	for i := 0; i < n; i++ {
+		p := flat[i*dim : (i+1)*dim]
+		half := len(p) / 2
+		j := i + 1
+		for ; j+4 <= n; j += 4 {
+			q0 := flat[j*dim:][:len(p)]
+			q1 := flat[(j+1)*dim:][:len(p)]
+			q2 := flat[(j+2)*dim:][:len(p)]
+			q3 := flat[(j+3)*dim:][:len(p)]
+			var s0, s1, s2, s3 float64
+			for k, x := range p[:half] {
+				d0 := x - q0[k]
+				s0 += d0 * d0
+				d1 := x - q1[k]
+				s1 += d1 * d1
+				d2 := x - q2[k]
+				s2 += d2 * d2
+				d3 := x - q3[k]
+				s3 += d3 * d3
+			}
+			if s0 > thr && s1 > thr && s2 > thr && s3 > thr {
+				continue
+			}
+			for k := half; k < len(p); k++ {
+				x := p[k]
+				d0 := x - q0[k]
+				s0 += d0 * d0
+				d1 := x - q1[k]
+				s1 += d1 * d1
+				d2 := x - q2[k]
+				s2 += d2 * d2
+				d3 := x - q3[k]
+				s3 += d3 * d3
+			}
+			for d, s := range [4]float64{s0, s1, s2, s3} {
+				if s <= thr {
+					upper = append(upper, int32(j+d))
+				}
+			}
 		}
-		if s0 > thr && s1 > thr && s2 > thr && s3 > thr {
-			continue
+		for ; j < n; j++ {
+			q := flat[j*dim:][:len(p)]
+			var s float64
+			for k, x := range p {
+				d := x - q[k]
+				s += d * d
+			}
+			if s <= thr {
+				upper = append(upper, int32(j))
+			}
 		}
-		for k := half; k < len(p); k++ {
-			x := p[k]
-			d0 := x - q0[k]
-			s0 += d0 * d0
-			d1 := x - q1[k]
-			s1 += d1 * d1
-			d2 := x - q2[k]
-			s2 += d2 * d2
-			d3 := x - q3[k]
-			s3 += d3 * d3
-		}
-		if s0 <= thr && j != i {
-			out = append(out, j)
-		}
-		if s1 <= thr && j+1 != i {
-			out = append(out, j+1)
-		}
-		if s2 <= thr && j+2 != i {
-			out = append(out, j+2)
-		}
-		if s3 <= thr && j+3 != i {
-			out = append(out, j+3)
+		uoff[i+1] = len(upper)
+	}
+	// Point a's list receives its neighbours i < a as the loop below
+	// reaches them, then its own upper list: ascending throughout.
+	off = make([]int, n+1)
+	for _, j := range upper {
+		off[j+1]++
+	}
+	for i := 0; i < n; i++ {
+		off[i+1] += off[i] + uoff[i+1] - uoff[i]
+	}
+	adj = make([]int32, 2*len(upper))
+	next := append([]int(nil), off[:n]...)
+	for i := 0; i < n; i++ {
+		for _, j := range upper[uoff[i]:uoff[i+1]] {
+			adj[next[i]] = j
+			next[i]++
+			adj[next[j]] = int32(i)
+			next[j]++
 		}
 	}
-	for ; j < n; j++ {
-		q := flat[j*dim:][:len(p)]
-		var s float64
-		for k, x := range p {
-			d := x - q[k]
-			s += d * d
-		}
-		if s <= thr && j != i {
-			out = append(out, j)
-		}
-	}
-	return out
+	return off, adj
 }
 
 // sqThreshold returns the largest s >= 0 with math.Sqrt(s) <= eps, or -1

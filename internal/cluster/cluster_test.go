@@ -372,6 +372,29 @@ func TestDBSCANMatchesReferenceOnEmbeddings(t *testing.T) {
 	}
 }
 
+// TestDBSCANDenseNeighbourhoods pins the neighbour lists' worst case,
+// every point a neighbour of every other: 2,000 identical points, and
+// 2,000 distinct points all within eps of each other.
+func TestDBSCANDenseNeighbourhoods(t *testing.T) {
+	const n = 2000
+	same := make([][]float64, n)
+	near := make([][]float64, n)
+	for i := range same {
+		same[i] = []float64{0.25, -0.5, 0.75}
+		// Spread along a diagonal of length 0.5 < eps.
+		d := 0.5 / math.Sqrt(3) * float64(i) / n
+		near[i] = []float64{0.25 + d, -0.5 + d, 0.75 + d}
+	}
+	for name, pts := range map[string][][]float64{"identical": same, "within eps": near} {
+		for _, minPts := range []int{3, n, n + 1} {
+			got, want := DBSCAN(pts, 0.55, minPts), referenceDBSCAN(pts, 0.55, minPts)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s, minPts %d: labels differ from the reference", name, minPts)
+			}
+		}
+	}
+}
+
 func TestDBSCANZeroDimension(t *testing.T) {
 	pts := [][]float64{{}, {}, {}}
 	if got, want := DBSCAN(pts, 0, 2), referenceDBSCAN(pts, 0, 2); !reflect.DeepEqual(got, want) {

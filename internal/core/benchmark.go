@@ -227,16 +227,12 @@ func (e *MissingCellError) Error() string {
 		e.Cell.Dataset, e.Cell.Method, e.Cell.Model)
 }
 
-// PerFact regroups a cell list of model names into per-fact outcome slices:
-// result[i][j] is model j's outcome on fact i. The rows share one backing
-// array (each capped at its own length). A model whose cell is absent
-// yields a *MissingCellError (renderers fail loudly instead of silently
-// emitting empty artifacts); cells of mismatched length are likewise
-// rejected.
-func (r *ResultSet) PerFact(d dataset.Name, m llm.Method, models []string) ([][]strategy.Outcome, error) {
-	if len(models) == 0 {
-		return nil, nil
-	}
+// Columns returns the cells of a list of model names: result[j] is model
+// j's outcome column, shared with the result set. A model whose cell is
+// absent yields a *MissingCellError (renderers fail loudly instead of
+// silently emitting empty artifacts); cells of mismatched length are
+// likewise rejected.
+func (r *ResultSet) Columns(d dataset.Name, m llm.Method, models []string) ([][]strategy.Outcome, error) {
 	cols := make([][]strategy.Outcome, len(models))
 	for j, name := range models {
 		cell := Cell{Dataset: d, Method: m, Model: name}
@@ -249,6 +245,21 @@ func (r *ResultSet) PerFact(d dataset.Name, m llm.Method, models []string) ([][]
 				d, m, name, len(outs), len(cols[0]))
 		}
 		cols[j] = outs
+	}
+	return cols, nil
+}
+
+// PerFact regroups a cell list of model names into per-fact outcome slices:
+// result[i][j] is model j's outcome on fact i. The rows share one backing
+// array (each capped at its own length). Missing and mismatched cells fail
+// as in Columns.
+func (r *ResultSet) PerFact(d dataset.Name, m llm.Method, models []string) ([][]strategy.Outcome, error) {
+	if len(models) == 0 {
+		return nil, nil
+	}
+	cols, err := r.Columns(d, m, models)
+	if err != nil {
+		return nil, err
 	}
 	k := len(models)
 	flat := make([]strategy.Outcome, len(cols[0])*k)

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"factcheck/internal/analysis"
 	"factcheck/internal/consensus"
 	"factcheck/internal/dataset"
 	"factcheck/internal/llm"
@@ -180,6 +181,20 @@ func TestTableRenderersProduceOutput(t *testing.T) {
 				t.Errorf("%s output missing %q", c.name, w)
 			}
 		}
+	}
+}
+
+// TestFigure4RefusesTooManyModels checks that a model list UpSet cannot
+// count (65 entries, as a -models flag repeating one name could give) is
+// an error, not a panic.
+func TestFigure4RefusesTooManyModels(t *testing.T) {
+	models := make([]string, analysis.MaxUpSetModels+1)
+	for i := range models {
+		models[i] = llm.Gemma2
+	}
+	b := &Benchmark{Config: Config{Models: models, Methods: []llm.Method{llm.MethodDKA}}}
+	if _, err := b.Figure4(&ResultSet{}); err == nil {
+		t.Error("Figure4 accepted 65 models")
 	}
 }
 

@@ -181,18 +181,21 @@ func (f Figure3) String() string {
 // instead of a silently empty figure.
 func (b *Benchmark) Figure4(rs *ResultSet) (string, error) {
 	models := openModels(b.Config.Models)
+	if len(models) > analysis.MaxUpSetModels {
+		return "", fmt.Errorf("core: figure 4: %d models, at most %d supported", len(models), analysis.MaxUpSetModels)
+	}
 	var sb strings.Builder
 	sb.WriteString("Figure 4: intersections of correct predictions across models.\n")
 	for _, method := range b.Config.Methods {
-		var perFact [][]strategy.Outcome
-		for _, dn := range b.Config.Datasets {
-			pf, err := rs.PerFact(dn, method, models)
+		blocks := make([][][]strategy.Outcome, len(b.Config.Datasets))
+		for i, dn := range b.Config.Datasets {
+			cols, err := rs.Columns(dn, method, models)
 			if err != nil {
 				return "", fmt.Errorf("core: figure 4: %w", err)
 			}
-			perFact = append(perFact, pf...)
+			blocks[i] = cols
 		}
-		rows := analysis.UpSet(perFact)
+		rows := analysis.UpSet(models, blocks...)
 		fmt.Fprintf(&sb, "%s:\n", method)
 		for _, r := range rows {
 			fmt.Fprintf(&sb, "  %-56s %6d\n", r.Label(len(models)), r.Count)

@@ -635,35 +635,49 @@ type Pool struct {
 
 // Materialize generates the fact's compact pool — rows, variant texts and
 // embeddings. It is the bulk entry point the search engine's shard store
-// uses. Each distinct variant is built and embedded once, by the first
-// row that draws it; no per-document string is built.
+// uses. The rows are drawn first; then each distinct variant is built and
+// embedded once, in the order rows first drew it, into a slice of exactly
+// the pool's variant count. No per-document string is built.
 func (g *Generator) Materialize(f *dataset.Fact) *Pool {
 	p := &Pool{FactID: f.ID, Slug: slug(f.Subject.Label), Rows: make([]Row, g.PoolSize(f))}
 	if len(p.Rows) == 0 {
 		return p
 	}
-	p.Variants = make([]Variant, 0, min(len(p.Rows), numVariants))
 	dr := g.newDrawer(f, "-d")
-	fm := newFactMeta(f)
-	body := g.newFactBody(f)
-	pd := newPartDims(fm, body)
-	// slot[v] is 1 + the index of variant v in p.Variants, 0 while unbuilt.
+	// draws[k] holds the draws of the k-th distinct variant, in the order
+	// rows first draw them; slot[v] is 1 + the index of variant v there, 0
+	// while undrawn. The texts are built once the count is known.
+	type draw struct {
+		st      Stance
+		empty   bool
+		t, x, y int
+	}
+	var draws [numVariants]draw
 	var slot [numVariants]uint8
-	var dims []int32
+	k := 0
 	for i := range p.Rows {
 		ds := SeqDigits(i)
 		st, fromSKG, empty := dr.classify(ds)
 		r, v, t, x, y := dr.row(ds, st, fromSKG, empty)
 		if slot[v] == 0 {
-			ti := titleNum(st, t)
-			title := fm.titles[ti]
-			full := body.build(title, " ", st, empty, x, y)
-			dims = pd.appendVariant(dims[:0], ti, st, empty, x, y)
-			p.Variants = append(p.Variants, Variant{Title: title, Text: full[len(title)+1:], Full: full, Vec: text.SparseEmbedSorted(dims)})
-			slot[v] = uint8(len(p.Variants))
+			draws[k] = draw{st, empty, t, x, y}
+			k++
+			slot[v] = uint8(k)
 		}
 		r.Variant = slot[v] - 1
 		p.Rows[i] = r
+	}
+	p.Variants = make([]Variant, k)
+	fm := newFactMeta(f)
+	body := g.newFactBody(f)
+	pd := newPartDims(fm, body)
+	var dims []int32
+	for i, d := range draws[:k] {
+		ti := titleNum(d.st, d.t)
+		title := fm.titles[ti]
+		full := body.build(title, " ", d.st, d.empty, d.x, d.y)
+		dims = pd.appendVariant(dims[:0], ti, d.st, d.empty, d.x, d.y)
+		p.Variants[i] = Variant{Title: title, Text: full[len(title)+1:], Full: full, Vec: text.SparseEmbedSorted(dims)}
 	}
 	return p
 }

@@ -138,24 +138,64 @@ func ConsensusAlignment(model []bool, majority []bool) float64 {
 }
 
 // IQRFilter removes outliers outside [Q1-1.5*IQR, Q3+1.5*IQR], returning
-// the filtered sample (paper §4.3 response-time protocol).
+// the filtered sample in input order (paper §4.3 response-time protocol).
+// The quartiles are Percentile's on the sample sorted as sort.Float64s
+// sorts it; each order statistic they read is selected, not sorted for.
 func IQRFilter(xs []float64) []float64 {
 	if len(xs) < 4 {
 		return append([]float64(nil), xs...)
 	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	q1 := Percentile(sorted, 25)
-	q3 := Percentile(sorted, 75)
+	buf := append([]float64(nil), xs...)
+	// at(k) is the sorted sample's k-th value.
+	at := func(k int) float64 {
+		selectNth(buf, k)
+		return buf[k]
+	}
+	q1, q3 := percentile(len(buf), 25, at), percentile(len(buf), 75, at)
 	iqr := q3 - q1
 	lo, hi := q1-1.5*iqr, q3+1.5*iqr
-	var out []float64
+	out := buf[:0]
 	for _, x := range xs {
 		if x >= lo && x <= hi {
 			out = append(out, x)
 		}
 	}
+	if len(out) == 0 {
+		return nil
+	}
 	return out
+}
+
+// selectNth reorders xs so that xs[k] holds the value sort.Float64s would
+// put there: no value before it sorts later and none after it sorts
+// earlier (Hoare's FIND).
+func selectNth(xs []float64, k int) {
+	// less is sort.Float64s's order: NaN before every other value.
+	less := func(a, b float64) bool { return a < b || a != a && b == b }
+	lo, hi := 0, len(xs)-1
+	for lo < hi {
+		pivot := xs[k]
+		i, j := lo, hi
+		for i <= j {
+			for less(xs[i], pivot) {
+				i++
+			}
+			for less(pivot, xs[j]) {
+				j--
+			}
+			if i <= j {
+				xs[i], xs[j] = xs[j], xs[i]
+				i++
+				j--
+			}
+		}
+		if j < k {
+			lo = i
+		}
+		if k < i {
+			hi = j
+		}
+	}
 }
 
 // Percentile computes the p-th percentile (0-100) of a *sorted* sample by
@@ -164,38 +204,33 @@ func Percentile(sorted []float64, p float64) float64 {
 	if len(sorted) == 0 {
 		return math.NaN()
 	}
-	if len(sorted) == 1 {
-		return sorted[0]
+	return percentile(len(sorted), p, func(k int) float64 { return sorted[k] })
+}
+
+// percentile interpolates the p-th percentile of n > 0 values whose k-th
+// smallest is at(k), reading the lower order statistic first.
+func percentile(n int, p float64, at func(int) float64) float64 {
+	if n == 1 {
+		return at(0)
 	}
-	rank := p / 100 * float64(len(sorted)-1)
+	rank := p / 100 * float64(n-1)
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
 	if lo == hi {
-		return sorted[lo]
+		return at(lo)
 	}
 	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return at(lo)*(1-frac) + at(hi)*frac
 }
 
 // MeanResponseTime returns the IQR-filtered mean of the durations in
 // seconds (the paper's θ̄).
 func MeanResponseTime(ds []time.Duration) float64 {
-	if len(ds) == 0 {
-		return 0
-	}
 	xs := make([]float64, len(ds))
 	for i, d := range ds {
 		xs[i] = d.Seconds()
 	}
-	xs = IQRFilter(xs)
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
+	return Mean(IQRFilter(xs))
 }
 
 // Mean returns the arithmetic mean (0 for empty input).

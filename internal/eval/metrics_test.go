@@ -2,6 +2,8 @@ package eval
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -155,6 +157,99 @@ func TestIQRFilterPreservesCleanData(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// sortIQRFilter is the retired IQRFilter: it sorts a copy of the sample to
+// read its quartiles. It is the reference for the selecting one.
+func sortIQRFilter(xs []float64) []float64 {
+	if len(xs) < 4 {
+		return append([]float64(nil), xs...)
+	}
+	sorted := append([]float64(nil), xs...)
+	sort.Float64s(sorted)
+	q1 := Percentile(sorted, 25)
+	q3 := Percentile(sorted, 75)
+	iqr := q3 - q1
+	lo, hi := q1-1.5*iqr, q3+1.5*iqr
+	var out []float64
+	for _, x := range xs {
+		if x >= lo && x <= hi {
+			out = append(out, x)
+		}
+	}
+	return out
+}
+
+// iqrAlphabet holds the sample values the fuzzer draws from: duplicates
+// are common, and NaN, ±Inf, ±0 and an outlier are all in reach.
+var iqrAlphabet = [16]float64{
+	0, math.Copysign(0, -1), 1, 1, 1.5, 2, 2.25, 3, 0.001, -4, 1e6, -1e300,
+	math.NaN(), math.Inf(1), math.Inf(-1), 0.1,
+}
+
+// FuzzIQRFilterMatchesSort pins the selecting IQRFilter to the sorting
+// one: the same values, bit for bit, in the same order.
+func FuzzIQRFilterMatchesSort(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{2, 3, 4})
+	f.Add([]byte{2, 2, 2, 2})
+	f.Add([]byte{2, 3, 4, 5, 6, 7, 10})
+	f.Add([]byte{12, 2, 3, 4, 5, 6})
+	f.Add([]byte{13, 14, 2, 3, 4, 5, 6, 13})
+	f.Add([]byte{0, 1, 0, 1, 0, 1, 0, 1, 9, 8})
+	f.Add([]byte("a longer sample with many duplicate values and a few outliers"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		xs := make([]float64, len(data))
+		for i, b := range data {
+			xs[i] = iqrAlphabet[b%16]
+			if b >= 16 {
+				xs[i] += float64(b) / 64 // a spread of distinct values
+			}
+		}
+		in := append([]float64(nil), xs...)
+		got, want := IQRFilter(xs), sortIQRFilter(xs)
+		if (got == nil) != (want == nil) || len(got) != len(want) {
+			t.Fatalf("%v: got %v, want %v", xs, got, want)
+		}
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%v: got %v, want %v", xs, got, want)
+			}
+		}
+		for i := range xs {
+			if math.Float64bits(xs[i]) != math.Float64bits(in[i]) {
+				t.Fatalf("IQRFilter changed its input: %v, was %v", xs, in)
+			}
+		}
+	})
+}
+
+// TestIQRFilterMatchesSortOnLatencies checks latency-like samples, long
+// right tails included, of every length up to 64 and of 9,000 values.
+func TestIQRFilterMatchesSortOnLatencies(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	lengths := []int{9000}
+	for n := 0; n <= 64; n++ {
+		lengths = append(lengths, n)
+	}
+	for _, n := range lengths {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = 0.2 + rng.ExpFloat64()/10
+			if rng.Intn(4) == 0 {
+				xs[i] = math.Round(xs[i]*100) / 100 // ties
+			}
+		}
+		got, want := IQRFilter(xs), sortIQRFilter(xs)
+		if len(got) != len(want) {
+			t.Fatalf("%d values: %d kept, want %d", n, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%d values: value %d is %v, want %v", n, i, got[i], want[i])
+			}
+		}
 	}
 }
 

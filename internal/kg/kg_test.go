@@ -8,6 +8,15 @@ import (
 	"testing/quick"
 )
 
+// The RDF Schema and XML Schema vocabulary the N-Triples tests write.
+const (
+	NSRDFS = "http://www.w3.org/2000/01/rdf-schema#"
+	NSXSD  = "http://www.w3.org/2001/XMLSchema#"
+
+	RDFSLabel   = IRI(NSRDFS + "label")
+	RDFSComment = IRI(NSRDFS + "comment")
+)
+
 func TestTermString(t *testing.T) {
 	tests := []struct {
 		term Term

@@ -19,14 +19,6 @@ const (
 	NSDBpediaOntology = "http://dbpedia.org/ontology/"
 	NSDBpediaProperty = "http://dbpedia.org/property/"
 	NSYAGOResource    = "http://yago-knowledge.org/resource/"
-	NSRDFS            = "http://www.w3.org/2000/01/rdf-schema#"
-	NSXSD             = "http://www.w3.org/2001/XMLSchema#"
-)
-
-// Standard predicates.
-const (
-	RDFSLabel   = IRI(NSRDFS + "label")
-	RDFSComment = IRI(NSRDFS + "comment")
 )
 
 // TermKind discriminates the object position of a triple.

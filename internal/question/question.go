@@ -9,6 +9,7 @@ package question
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"factcheck/internal/dataset"
@@ -153,14 +154,11 @@ func Summarize(perFact [][]Question) Stats {
 	return st
 }
 
+// median returns the middle value of a non-empty sample, or the mean of
+// the two middle values when its length is even.
 func median(xs []float64) float64 {
 	cp := append([]float64(nil), xs...)
-	// insertion sort is fine for analysis-time use
-	for i := 1; i < len(cp); i++ {
-		for j := i; j > 0 && cp[j] < cp[j-1]; j-- {
-			cp[j], cp[j-1] = cp[j-1], cp[j]
-		}
-	}
+	slices.Sort(cp)
 	n := len(cp)
 	if n%2 == 1 {
 		return cp[n/2]

@@ -1,6 +1,8 @@
 package question
 
 import (
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
@@ -139,6 +141,48 @@ func TestSummarizeEmpty(t *testing.T) {
 	st := Summarize(nil)
 	if st.Total != 0 || st.PerFactMin != 0 {
 		t.Errorf("empty summary = %+v", st)
+	}
+}
+
+// sortedMedian is the reference median: the middle of a fully sorted copy.
+func sortedMedian(xs []float64) float64 {
+	cp := append([]float64(nil), xs...)
+	sort.Float64s(cp)
+	n := len(cp)
+	if n%2 == 1 {
+		return cp[n/2]
+	}
+	return (cp[n/2-1] + cp[n/2]) / 2
+}
+
+func TestMedianMatchesSortedReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	samples := [][]float64{
+		{0.5},
+		{0.9, 0.1},
+		{0.3, 0.7, 0.3},
+		{0.4, 0.4, 0.4, 0.4},
+		{0.8, 0.2, 0.8, 0.2, 0.5},
+		{1, 0, 1, 0, 1, 0},
+	}
+	for _, n := range []int{7, 8, 101, 9000, 9001} {
+		xs := make([]float64, n)
+		for i := range xs {
+			// Two decimals, as question scores round: many duplicates.
+			xs[i] = float64(rng.Intn(101)) / 100
+		}
+		samples = append(samples, xs)
+	}
+	for _, xs := range samples {
+		in := append([]float64(nil), xs...)
+		if got, want := median(xs), sortedMedian(xs); got != want {
+			t.Errorf("%d values: median %v, sorted reference %v", len(xs), got, want)
+		}
+		for i := range xs {
+			if xs[i] != in[i] {
+				t.Fatalf("%d values: median reordered its input", len(xs))
+			}
+		}
 	}
 }
 
