@@ -1,6 +1,21 @@
-// Command factcheckd is the online fact-verification daemon: it serves the
-// internal/serve verdict API over one benchmark instance and one result
-// store, with graceful drain on SIGINT/SIGTERM.
+// Command factcheckd is the online fact-verification daemon. One process
+// holds one benchmark instance, one result store, one fault plan and one
+// internal/serve service, and serves three surfaces over them, with
+// graceful drain on SIGINT/SIGTERM:
+//
+//   - the verdict API: POST /v1/verify, POST /v1/verify/batch,
+//     POST /v1/documents, GET /v1/verdict/{dataset}/{method}/{model}/{fact},
+//     GET /v1/consensus/{fact}?mode=eager|adaptive, GET /v1/facts,
+//     GET /v1/trace/{id}, GET /healthz, GET /readyz, GET /statsz,
+//     GET /metricsz;
+//   - the exploration UI (internal/webapp) at the root: GET /, /facts,
+//     /fact/{id}, /errors. Its verdicts resolve through the service, so
+//     they share the API's LRU, store, executor and /statsz counters;
+//   - the mock web-search API (internal/search, paper §4.1) under /mock/:
+//     GET /mock/search, /mock/document, /mock/facts, /mock/stats,
+//     /mock/healthz. search.NewClient("http://HOST:8095/mock") reaches it.
+//     It reads the live corpus, so documents ingested through
+//     POST /v1/documents show up in its results.
 //
 // Usage:
 //
@@ -21,11 +36,6 @@
 // persisted back for every later consumer (the scale and world flags must
 // match the CLI run — they are part of every cell's fingerprint).
 //
-// Endpoints: POST /v1/verify, POST /v1/verify/batch, POST /v1/documents,
-// GET /v1/verdict/{dataset}/{method}/{model}/{fact},
-// GET /v1/consensus/{fact}?mode=eager|adaptive, GET /v1/facts,
-// GET /v1/trace/{id}, GET /healthz, GET /statsz, GET /metricsz.
-//
 // -trace-sample enables per-request tracing (see internal/obs): sampled
 // responses carry X-Trace-Id and a Server-Timing layer breakdown, and the
 // full span tree is retrievable from /v1/trace/{id} while it stays in the
@@ -35,13 +45,17 @@
 //
 // Chaos and resilience: -fault injects deterministic faults (repeatable;
 // see internal/fault for the clause grammar) keyed by -fault-seed, so a
-// chaos run is exactly reproducible. The resilience stack is always on —
-// transient model failures retry with capped det-jittered backoff and
-// every model sits behind a circuit breaker — tunable with -retries /
-// -retry-base / -breaker-* (negative -retries or -breaker-threshold
-// disables that half). -request-timeout bounds each admitted request end
-// to end (504 + Retry-After on expiry); -read-timeout bounds how long a
-// client may take to send its request (slow-loris defence).
+// chaos run is exactly reproducible. The search-err=P, search-latency=DUR
+// and search-stall=P clauses fault only the /mock/ mount (500 +
+// Retry-After, a fixed delay, a stall until the client gives up), drawn
+// per request over (method, path, query, sequence). The resilience stack
+// is always on — transient model failures retry with capped det-jittered
+// backoff and every model sits behind a circuit breaker — tunable with
+// -retries / -retry-base / -breaker-* (negative -retries or
+// -breaker-threshold disables that half). -request-timeout bounds each
+// admitted request end to end (504 + Retry-After on expiry);
+// -read-timeout bounds how long a client may take to send its request
+// (slow-loris defence).
 package main
 
 import (
@@ -49,6 +63,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -60,7 +75,9 @@ import (
 	"factcheck/internal/fault"
 	"factcheck/internal/prof"
 	"factcheck/internal/resilience"
+	"factcheck/internal/search"
 	"factcheck/internal/serve"
+	"factcheck/internal/webapp"
 )
 
 func main() {
@@ -112,7 +129,7 @@ func parseFlags(args []string) (options, error) {
 	fs.StringVar(&o.pprofAddr, "pprof", "", "serve net/http/pprof on this separate address (e.g. 127.0.0.1:6060; default: off)")
 	fs.DurationVar(&o.cfg.RequestTimeout, "request-timeout", 0, "end-to-end deadline per admitted request; expiry answers 504 + Retry-After (default: off)")
 	fs.DurationVar(&o.readTimeout, "read-timeout", 0, "maximum time a client may take to send its whole request, slow-loris defence (default: off)")
-	fs.Func("fault", "deterministic fault spec, repeatable (comma-separated clauses: model=NAME, err=P, fail-first=N, spike=DUR, spike-rate=P, stall=P, down, store-corrupt=P, ingest-err=P)",
+	fs.Func("fault", "deterministic fault spec, repeatable (comma-separated clauses: model=NAME, err=P, fail-first=N, spike=DUR, spike-rate=P, stall=P, down, store-corrupt=P, ingest-err=P, search-err=P, search-latency=DUR, search-stall=P)",
 		func(v string) error { return o.faults.Parse(v) })
 	fs.StringVar(&o.faults.Seed, "fault-seed", "", "seed keying every fault draw; equal seeds and traffic replay identical faults")
 	fs.IntVar(&o.resil.Retries, "retries", 0, "retries per transient model failure (default 3; negative = off)")
@@ -148,8 +165,10 @@ func parseFlags(args []string) (options, error) {
 	return o, nil
 }
 
-// buildService wires the benchmark, store and service for the options.
-func buildService(o options, logw io.Writer) (*serve.Service, error) {
+// buildService wires one benchmark, store and service for the options
+// and composes the daemon's handler over them: the service's endpoints,
+// the mock search API under /mock/ and the exploration UI at the root.
+func buildService(o options, logw io.Writer) (*serve.Service, http.Handler, error) {
 	start := time.Now()
 	b := core.NewBenchmark(core.Config{
 		Scale: o.scale, Small: o.small, Parallelism: o.par,
@@ -157,7 +176,7 @@ func buildService(o options, logw io.Writer) (*serve.Service, error) {
 	})
 	store, err := core.OpenStore(o.storeDir)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if tamper := b.Faults.StoreTamper(); tamper != nil {
 		store.SetWriteTamper(tamper)
@@ -168,9 +187,26 @@ func buildService(o options, logw io.Writer) (*serve.Service, error) {
 	if o.storeDir != "" {
 		fmt.Fprintf(logw, "factcheckd: store %s: %d cell snapshots loaded\n", o.storeDir, store.Len())
 	}
+	svc := serve.New(b, store, o.cfg)
+	ui, err := webapp.New(b, svc)
+	if err != nil {
+		svc.Drain()
+		return nil, nil, err
+	}
+	mux := http.NewServeMux()
+	api := svc.Handler()
+	for _, p := range []string{"/v1/", "/healthz", "/readyz", "/statsz", "/metricsz"} {
+		mux.Handle(p, api)
+	}
+	// The mock API's own /facts, /stats and /healthz would collide with the
+	// UI's and the service's, hence the prefix; its search faults wrap this
+	// mount alone.
+	mux.Handle("/mock/", fault.HTTPMiddleware(o.faults.Search, o.faults.Seed,
+		http.StripPrefix("/mock", search.NewAPI(b.Engine).Handler())))
+	mux.Handle("/", ui.Handler())
 	fmt.Fprintf(logw, "factcheckd: benchmark built in %.1fs (scale=%.2f, small=%v)\n",
 		time.Since(start).Seconds(), o.scale, o.small)
-	return serve.New(b, store, o.cfg), nil
+	return svc, mux, nil
 }
 
 func run(ctx context.Context, args []string, logw io.Writer) error {
@@ -178,7 +214,7 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 	if err != nil {
 		return err
 	}
-	svc, err := buildService(o, logw)
+	svc, h, err := buildService(o, logw)
 	if err != nil {
 		return err
 	}
@@ -193,9 +229,12 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 	if err := ctx.Err(); err != nil {
 		return err // interrupted during the build: don't start serving
 	}
+	ln, err := net.Listen("tcp", o.addr)
+	if err != nil {
+		return err
+	}
 	srv := &http.Server{
-		Addr:              o.addr,
-		Handler:           svc.Handler(),
+		Handler:           h,
 		ReadHeaderTimeout: 5 * time.Second,
 		// ReadTimeout bounds the whole request read, so a client trickling
 		// its body a byte at a time (slow loris) ties up a connection for at
@@ -203,7 +242,45 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 		// body before resolving.
 		ReadTimeout: o.readTimeout,
 	}
-	// Graceful drain: stop accepting, let in-flight handlers finish, then
-	// wait out background cell fills and the executor.
-	return serve.RunServer(ctx, srv, "factcheckd", logw, svc.StartDrain, svc.Drain)
+	return runServer(ctx, srv, ln, svc, logw)
+}
+
+// drainTimeout bounds how long a graceful shutdown waits for in-flight
+// requests before cutting them off.
+var drainTimeout = 15 * time.Second
+
+// drainer is the service's two-step shutdown.
+type drainer interface {
+	StartDrain()
+	Drain()
+}
+
+// runServer serves srv on ln until ctx is cancelled, then drains
+// gracefully: StartDrain fails /readyz and refuses new admissions (so load
+// balancers route elsewhere while in-flight work finishes), Shutdown stops
+// accepting and waits for in-flight requests (up to drainTimeout), and
+// Drain folds admitted ingest batches and waits out the fill in flight and
+// the executor. The log reports "drain cut off" instead of "drained" when
+// the timeout expired with requests still in flight.
+func runServer(ctx context.Context, srv *http.Server, ln net.Listener, svc drainer, logw io.Writer) error {
+	errc := make(chan error, 1)
+	go func() { errc <- srv.Serve(ln) }()
+	fmt.Fprintf(logw, "factcheckd: serving on %s\n", ln.Addr())
+	select {
+	case err := <-errc:
+		return err
+	case <-ctx.Done():
+	}
+	fmt.Fprintln(logw, "factcheckd: draining...")
+	svc.StartDrain()
+	shCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
+	defer cancel()
+	err := srv.Shutdown(shCtx)
+	svc.Drain()
+	if err != nil {
+		fmt.Fprintf(logw, "factcheckd: drain cut off: %v\n", err)
+		return err
+	}
+	fmt.Fprintln(logw, "factcheckd: drained")
+	return nil
 }

@@ -664,7 +664,7 @@ func (b *Benchmark) RunCells(ctx context.Context, cells []Cell) ([][]strategy.Ou
 // cell and returns the outcome. It is the unit of work of the online
 // serving layer: outcomes are deterministic, so the result is identical to
 // the corresponding entry of a whole-cell RunCell (or grid Run) — which is
-// what lets the service, the CLI and the webapp share one result store.
+// what lets the service and the CLI share one result store.
 func (b *Benchmark) VerifyFact(ctx context.Context, c Cell, f *dataset.Fact) (strategy.Outcome, error) {
 	m, err := b.Model(c.Model)
 	if err != nil {

@@ -6,17 +6,16 @@ import (
 )
 
 // CellFiller coordinates background whole-cell computations that persist
-// to a result store — the mechanism both the webapp and the serving layer
-// use to turn one on-demand verdict into a stored snapshot for every later
-// consumer. It owns the bookkeeping every such consumer needs identically:
-// fills dedupe per cell, run one batch at a time (a cold page or request
-// burst can't stampede many concurrent whole-cell computations), failed
-// fills are forgotten so a later request retries, and Wait drains
-// in-flight fills for shutdown and tests. A batch is every queued cell
-// sharing a dataset and method, so the consumer can verify them fact by
-// fact and retrieve each fact's evidence once for all of them. The
-// compute-and-persist step itself is the caller's run function, so each
-// consumer keeps its own execution strategy.
+// to a result store — the mechanism the serving layer uses to turn one
+// on-demand verdict into a stored snapshot for every later consumer. It
+// owns the fill bookkeeping: fills dedupe per cell, run one batch at a
+// time (a cold page or request burst can't stampede many concurrent
+// whole-cell computations), failed fills are forgotten so a later request
+// retries, and Wait drains in-flight fills for shutdown and tests. A batch
+// is every queued cell sharing a dataset and method, so the caller can
+// verify them fact by fact and retrieve each fact's evidence once for all
+// of them. The compute-and-persist step itself is the caller's run
+// function.
 type CellFiller struct {
 	run func([]Cell) error
 

@@ -1,8 +1,8 @@
 // Package fault is the benchmark's deterministic fault-injection layer: a
 // seeded Injector that wraps the simulated models, the result store's
-// snapshot writes, ingestion folds and plain HTTP handlers with composable
-// faults — transient error rates, fail-N-then-recover, latency spikes,
-// stalls, one-model hard-down, corrupt snapshot bytes.
+// snapshot writes, ingestion folds and the mock search API's HTTP mount
+// with composable faults — transient error rates, fail-N-then-recover,
+// latency spikes, stalls, one-model hard-down, corrupt snapshot bytes.
 //
 // Every fault decision is a det-keyed draw over (plan seed, fault kind,
 // call coordinates, per-coordinate call sequence), so a chaos run is
@@ -93,25 +93,30 @@ type Plan struct {
 	CorruptRate float64
 	// IngestRate fails ingestion folds with transient errors at this rate.
 	IngestRate float64
+	// Search faults the mock search API's HTTP mount (HTTPMiddleware).
+	Search HTTPSpec
 }
 
 // Empty reports whether the plan injects nothing.
 func (p Plan) Empty() bool {
-	return len(p.Models) == 0 && p.CorruptRate == 0 && p.IngestRate == 0
+	return len(p.Models) == 0 && p.CorruptRate == 0 && p.IngestRate == 0 && p.Search.Empty()
 }
 
 // Parse folds one -fault flag value into the plan. A spec is a
 // comma-separated list of k[=v] clauses:
 //
-//	model=NAME      scope the clause list to one model ("*" = all, the default)
-//	err=P           transient error rate
-//	fail-first=N    fail the model's first N calls, then recover
-//	spike=DUR       latency-spike magnitude (real sleep; needs spike-rate)
-//	spike-rate=P    latency-spike rate
-//	stall=P         stall-until-deadline rate
-//	down            hard-down (every call fails non-retryably)
-//	store-corrupt=P corrupt result-store snapshot writes (plan-wide)
-//	ingest-err=P    fail ingestion folds (plan-wide)
+//	model=NAME         scope the clause list to one model ("*" = all, the default)
+//	err=P              transient error rate
+//	fail-first=N       fail the model's first N calls, then recover
+//	spike=DUR          latency-spike magnitude (real sleep; needs spike-rate)
+//	spike-rate=P       latency-spike rate
+//	stall=P            stall-until-deadline rate
+//	down               hard-down (every call fails non-retryably)
+//	store-corrupt=P    corrupt result-store snapshot writes (plan-wide)
+//	ingest-err=P       fail ingestion folds (plan-wide)
+//	search-err=P       answer mock search requests 500 + Retry-After (plan-wide)
+//	search-latency=DUR add this delay to every mock search request (plan-wide)
+//	search-stall=P     stall mock search requests until the client gives up (plan-wide)
 //
 // e.g. -fault "err=0.1,spike=50ms,spike-rate=0.2" -fault "model=mistral:7b,down".
 func (p *Plan) Parse(spec string) error {
@@ -170,6 +175,15 @@ func (p *Plan) Parse(spec string) error {
 			p.CorruptRate, err = rate(k, v)
 		case "ingest-err":
 			p.IngestRate, err = rate(k, v)
+		case "search-err":
+			p.Search.FailRate, err = rate(k, v)
+		case "search-latency":
+			p.Search.Latency, err = time.ParseDuration(v)
+			if err == nil && p.Search.Latency < 0 {
+				err = fmt.Errorf("fault: search-latency=%q must be >= 0", v)
+			}
+		case "search-stall":
+			p.Search.StallRate, err = rate(k, v)
 		default:
 			return fmt.Errorf("fault: unknown clause %q", clause)
 		}
@@ -225,6 +239,15 @@ func (p Plan) String() string {
 	}
 	if p.IngestRate > 0 {
 		parts = append(parts, fmt.Sprintf("ingest-err=%g", p.IngestRate))
+	}
+	if p.Search.FailRate > 0 {
+		parts = append(parts, fmt.Sprintf("search-err=%g", p.Search.FailRate))
+	}
+	if p.Search.Latency > 0 {
+		parts = append(parts, fmt.Sprintf("search-latency=%s", p.Search.Latency))
+	}
+	if p.Search.StallRate > 0 {
+		parts = append(parts, fmt.Sprintf("search-stall=%g", p.Search.StallRate))
 	}
 	return strings.Join(parts, " ")
 }

@@ -72,6 +72,11 @@ func TestParse(t *testing.T) {
 			str:   "store-corrupt=0.5 ingest-err=0.25",
 		},
 		{
+			specs: []string{"search-err=0.5,search-latency=20ms,search-stall=0.1"},
+			want:  Plan{Search: HTTPSpec{FailRate: 0.5, Latency: 20 * time.Millisecond, StallRate: 0.1}},
+			str:   "search-err=0.5 search-latency=20ms search-stall=0.1",
+		},
+		{
 			// Folding several -fault flags accumulates per-model specs;
 			// repeating an identical spec is not a conflict.
 			specs: []string{"model=a,down", "err=0.1", "model=a,down"},
@@ -100,6 +105,8 @@ func TestParse(t *testing.T) {
 		{"fail-first=-1"},                      // negative count
 		{"spike=-5ms"},                         // negative duration
 		{"spike=soon"},                         // not a duration
+		{"search-latency=-1ms"},                // negative duration
+		{"search-latency=soon"},                // not a duration
 		{"bogus=1"},                            // unknown clause
 		{"model="},                             // empty model name
 		{"err=0.1,model=a"},                    // model after the clauses it should scope
@@ -108,7 +115,7 @@ func TestParse(t *testing.T) {
 	// NaN compares false with every bound, so each rate clause must reject
 	// it explicitly; once accepted it injected nothing, and a repeated
 	// identical spec conflicted with itself.
-	for _, k := range []string{"err", "spike-rate", "stall", "store-corrupt", "ingest-err"} {
+	for _, k := range []string{"err", "spike-rate", "stall", "store-corrupt", "ingest-err", "search-err", "search-stall"} {
 		for _, v := range []string{"NaN", "nan", "-nan", "+Inf", "-Inf"} {
 			var p Plan
 			err := p.Parse(k + "=" + v)
@@ -147,6 +154,10 @@ func FuzzFaultPlanParse(f *testing.F) {
 		"model=a,err=1e-3,err=0x1p-2",
 		" , ,model=*,stall=-0",
 		"err=0.1,model=a",
+		"search-err=NaN",
+		"search-stall=NaN",
+		"search-latency=-1ms",
+		"search-err=0.5,search-latency=20ms,search-stall=0.1",
 	} {
 		f.Add(s)
 	}
@@ -162,8 +173,9 @@ func FuzzFaultPlanParse(f *testing.F) {
 				t.Fatalf("Parse(%q): model %s has a rate outside [0, 1]: %+v", spec, m, ms)
 			}
 		}
-		if !inRange(p.CorruptRate) || !inRange(p.IngestRate) {
-			t.Fatalf("Parse(%q): plan-wide rate outside [0, 1]: %+v", spec, p)
+		if !inRange(p.CorruptRate) || !inRange(p.IngestRate) ||
+			!inRange(p.Search.FailRate) || !inRange(p.Search.StallRate) || p.Search.Latency < 0 {
+			t.Fatalf("Parse(%q): plan-wide rate outside [0, 1] or negative latency: %+v", spec, p)
 		}
 		if err := p.Parse(spec); err != nil {
 			t.Fatalf("Parse(%q) accepted once, then rejected: %v", spec, err)

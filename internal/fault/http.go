@@ -8,8 +8,9 @@ import (
 	"factcheck/internal/det"
 )
 
-// HTTPSpec describes faults injected ahead of an HTTP handler (mockapi's
-// manual chaos mode).
+// HTTPSpec describes faults injected ahead of an HTTP handler: the plan's
+// search-err, search-latency and search-stall clauses, applied to the mock
+// search API's mount.
 type HTTPSpec struct {
 	// FailRate answers 500 + Retry-After at this rate.
 	FailRate float64

@@ -97,8 +97,8 @@ func DefaultConfig() Config {
 //     or ClearCache drops it. The whole-grid scheduler warms a fact,
 //     verifies it with every pending model and then releases it with
 //     Invalidate, keeping only facts that consensus will verify again.
-//   - bounded: evidence that only Retrieve asked for (the daemon's and the
-//     webapp's per-request verifications) is capped at
+//   - bounded: evidence that only Retrieve asked for (the daemon's
+//     per-request verifications and fact pages) is capped at
 //     search.MaxCachedFacts entries in total, the engine's own pool budget,
 //     and the oldest is evicted first.
 //

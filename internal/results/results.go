@@ -164,7 +164,7 @@ func Open(dir string) (*Store, error) {
 			// Reap temp files stranded by a kill between CreateTemp and
 			// Rename, so interrupted runs don't grow the directory forever.
 			// Only stale files are removed: another process may share the
-			// store (CLI run + webapp) and hold an in-flight Put whose
+			// store (CLI run + factcheckd) and hold an in-flight Put whose
 			// window is milliseconds — an age threshold keeps the reap from
 			// racing its rename.
 			if strings.HasPrefix(name, "put-") && strings.HasSuffix(name, ".tmp") {

@@ -15,8 +15,8 @@
 //  4. a sharded in-memory verdict LRU layered over the content-addressed
 //     result store (internal/results): whole-cell snapshots hydrate the
 //     LRU on first touch, and on-demand verdicts are persisted back via
-//     asynchronous whole-cell fills, so the CLI, the webapp and the
-//     service all share one store;
+//     asynchronous whole-cell fills, so the CLI and the service (with the
+//     exploration UI it backs) share one store;
 //  5. execution on a shared sched.Executor, capping verification
 //     concurrency independently of how many connections were accepted.
 //
@@ -377,6 +377,20 @@ func (s *Service) StartDrain() { s.draining.Store(true) }
 
 // --- verdict resolution --------------------------------------------------
 
+// Verdict resolves one (cell, fact) verdict through the same stack the
+// HTTP API uses — LRU, coalescing, store probe, executor, fill — for
+// in-process consumers such as the exploration UI, whose traffic then
+// shows up in Stats like any other. It bypasses the rate limiter and the
+// admission queue, which guard HTTP clients.
+func (s *Service) Verdict(ctx context.Context, cell core.Cell, f *dataset.Fact) (strategy.Outcome, error) {
+	idx, ok := s.bench.FactIndex(cell.Dataset)[f.ID]
+	if !ok {
+		return strategy.Outcome{}, fmt.Errorf("serve: unknown fact %s in dataset %s", f.ID, cell.Dataset)
+	}
+	out, _, err := s.verdict(ctx, cell, f, idx)
+	return out, err
+}
+
 // verdict resolves one (cell, fact) verdict through the lookup stack:
 // LRU, singleflight, store snapshot (hydrating the LRU), executor-bounded
 // verification. The source tells which layer answered: "lru", "store" or
@@ -520,7 +534,7 @@ func (s *Service) hydrateCell(cell core.Cell, outs []strategy.Outcome, view sear
 
 // fillCells verifies the rest of a batch of cells and persists their
 // snapshots, so one ad-hoc verdict warms the store for every later
-// consumer (service, CLI, webapp). It runs under the shared
+// consumer (service, CLI, exploration UI). It runs under the shared
 // core.CellFiller (deduped per cell, one batch at a time, failures
 // forgotten for retry) and bounds its verification on the shared executor
 // — a fill never multiplies service-wide verification concurrency. The

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -1083,44 +1082,6 @@ func TestBodySizeLimit(t *testing.T) {
 		if w.Code != http.StatusRequestEntityTooLarge {
 			t.Errorf("POST %s with %d-byte body: status %d, want 413", path, len(huge), w.Code)
 		}
-	}
-}
-
-// TestRunServer: the shared daemon scaffold serves until the context dies,
-// then drains and runs the app hook.
-func TestRunServer(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	srv := &http.Server{Addr: "127.0.0.1:0", Handler: http.NewServeMux()}
-	drained := false
-	var log bytes.Buffer
-	done := make(chan error, 1)
-	started := false
-	go func() {
-		done <- RunServer(ctx, srv, "testd", &log, func() { started = true }, func() { drained = true })
-	}()
-	time.Sleep(20 * time.Millisecond)
-	cancel()
-	if err := <-done; err != nil {
-		t.Fatalf("RunServer: %v", err)
-	}
-	if !started {
-		t.Fatal("drain-start hook not called")
-	}
-	if !drained {
-		t.Fatal("drain hook not called")
-	}
-	for _, want := range []string{"testd: serving on", "testd: draining...", "testd: drained"} {
-		if !strings.Contains(log.String(), want) {
-			t.Errorf("log missing %q: %q", want, log.String())
-		}
-	}
-}
-
-// TestRunServerListenError: a bind failure is reported, not swallowed.
-func TestRunServerListenError(t *testing.T) {
-	srv := &http.Server{Addr: "256.0.0.1:-1", Handler: http.NewServeMux()}
-	if err := RunServer(context.Background(), srv, "testd", io.Discard, nil, nil); err == nil {
-		t.Fatal("RunServer succeeded with an unbindable address")
 	}
 }
 

@@ -7,14 +7,13 @@
 // chunks, per-model verdicts under every method, consensus votes, ontology
 // rule checks), and the error-clustering study.
 //
-// Verdicts are served from the content-addressed result store rather than
-// recomputed per request: a fact page first probes the store for each
-// (method, model) cell snapshot (an O(1) lookup), and on a miss verifies
-// just the requested fact while an asynchronous, deduplicated whole-cell
-// fill populates the store for subsequent requests. Pointing the app at
-// the same -store directory as cmd/factcheck shares one substrate of
-// computed results across both consumers. Determinism makes the switch
-// invisible: a store-served page is byte-identical to a recomputed one.
+// Every verdict the UI shows comes from the online service
+// (serve.Service.Verdict): the verdict LRU, singleflight, the
+// content-addressed result store and the bounded executor, with on-demand
+// verdicts persisted back by the service's whole-cell fills. cmd/factcheckd
+// mounts the app beside the verdict API, so UI and API traffic share one
+// store, one LRU and one /statsz. Determinism makes the layers invisible:
+// a store-served page is byte-identical to a recomputed one.
 package webapp
 
 import (
@@ -33,25 +32,16 @@ import (
 	"factcheck/internal/llm"
 	"factcheck/internal/rules"
 	"factcheck/internal/sched"
+	"factcheck/internal/serve"
 	"factcheck/internal/strategy"
 )
 
 // App serves the exploration UI for one benchmark instance.
 type App struct {
 	bench *core.Benchmark
+	svc   *serve.Service
 	rules *rules.Engine
 	tmpl  *template.Template
-
-	// store backs verdict lookups; a memory-only store when no directory
-	// is configured.
-	store *core.Store
-
-	// filler dedupes and serialises asynchronous on-demand cell fills (a
-	// cold fact page requests every (method, model) cell at once — one
-	// batch at a time keeps background work bounded by one worker pool
-	// instead of one per cell, and a batch's RAG cells retrieve each fact
-	// once).
-	filler *core.CellFiller
 
 	// studies memoizes the error-clustering computation per
 	// (dataset, model) with singleflight semantics.
@@ -59,67 +49,21 @@ type App struct {
 	studies map[studyKey]*study
 }
 
-// Option customises an App.
-type Option func(*App)
-
-// WithStore backs the app's verdict lookups (and on-demand fills) with the
-// given result store — typically the same directory a cmd/factcheck -store
-// run writes, so precomputed grids are served without any verification.
-func WithStore(s *core.Store) Option {
-	return func(a *App) { a.store = s }
-}
-
-// New builds the app over a benchmark instance.
-func New(b *core.Benchmark, opts ...Option) (*App, error) {
+// New builds the app over a benchmark instance and the service built over
+// it, which resolves every verdict the app shows.
+func New(b *core.Benchmark, svc *serve.Service) (*App, error) {
 	t, err := template.New("webapp").Parse(pageTemplates)
 	if err != nil {
 		return nil, fmt.Errorf("webapp: parsing templates: %w", err)
 	}
-	a := &App{
+	return &App{
 		bench:   b,
+		svc:     svc,
 		rules:   rules.NewEngine(b.World),
 		tmpl:    t,
 		studies: map[studyKey]*study{},
-	}
-	for _, o := range opts {
-		o(a)
-	}
-	if a.store == nil {
-		a.store = core.NewMemoryStore()
-	}
-	a.filler = core.NewCellFiller(func(cells []core.Cell) error {
-		outs, err := b.RunCells(context.Background(), cells)
-		if err != nil {
-			return err
-		}
-		for i, cell := range cells {
-			if err := a.store.Put(b.CellKey(cell).Fingerprint(), outs[i]); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	return a, nil
+	}, nil
 }
-
-// cellOutcome returns one (method, model) verdict for one fact. Store hit:
-// an O(1) snapshot lookup. Miss: verify just this fact for the response
-// while an asynchronous whole-cell fill warms the store, so the next
-// request for any fact of the cell is a lookup. Outcomes are deterministic,
-// so both paths return identical values.
-func (a *App) cellOutcome(ctx context.Context, cell core.Cell, f *dataset.Fact) (strategy.Outcome, error) {
-	if outs, ok := a.store.Get(a.bench.CellKey(cell).Fingerprint()); ok {
-		if i, ok := a.bench.FactIndex(cell.Dataset)[f.ID]; ok && i < len(outs) {
-			return outs[i], nil
-		}
-	}
-	a.filler.Fill(cell)
-	return a.bench.VerifyFact(ctx, cell, f)
-}
-
-// WaitFills blocks until every in-flight on-demand cell fill has finished
-// (graceful shutdown, tests).
-func (a *App) WaitFills() { a.filler.Wait() }
 
 // Handler returns the app's HTTP handler.
 func (a *App) Handler() http.Handler {
@@ -128,10 +72,6 @@ func (a *App) Handler() http.Handler {
 	mux.HandleFunc("GET /facts", a.handleFacts)
 	mux.HandleFunc("GET /fact/{id}", a.handleFact)
 	mux.HandleFunc("GET /errors", a.handleErrors)
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		w.WriteHeader(http.StatusOK)
-		fmt.Fprintln(w, "ok")
-	})
 	return mux
 }
 
@@ -275,13 +215,13 @@ func (a *App) handleFact(w http.ResponseWriter, r *http.Request) {
 	data.Chunks = ev.ChunkTexts()
 	data.Filtered = ev.FilteredSKG
 
-	// Verdicts of every model under every method (store-backed, filled on
-	// demand), plus the DKA majority.
+	// Verdicts of every model under every method, through the service,
+	// plus the DKA majority.
 	var dkaOutcomes []strategy.Outcome
 	for _, method := range a.bench.Config.Methods {
 		for _, name := range a.bench.Config.Models {
 			cell := core.Cell{Dataset: f.Dataset, Method: method, Model: name}
-			out, err := a.cellOutcome(ctx, cell, f)
+			out, err := a.svc.Verdict(ctx, cell, f)
 			if err != nil {
 				http.Error(w, err.Error(), http.StatusInternalServerError)
 				return
@@ -376,38 +316,26 @@ func (a *App) errorStudy(dn dataset.Name, model string) (*study, error) {
 }
 
 // computeStudy produces the DKA error clustering for a (dataset, model)
-// pair: outcomes come from the result store when the cell snapshot is
-// present, otherwise the fact slice fans out over a worker pool at the
-// benchmark's parallelism (instead of the old strictly sequential
-// per-request loop). Outcomes are index-addressed, so the clustering input
-// is in fact order — identical to a sequential computation.
+// pair. The fact slice fans out over a worker pool at the benchmark's
+// parallelism, each verdict resolved by the service, so the study is
+// bounded by its executor like any other work and served from its LRU or
+// store when the cell is already there. Outcomes are index-addressed, so
+// the clustering input is in fact order — identical to a sequential
+// computation.
 func (a *App) computeStudy(dn dataset.Name, model string) (analysis.ClusterResult, map[string]string, error) {
-	d := a.bench.Datasets[dn]
-	facts := d.Facts
+	facts := a.bench.Datasets[dn].Facts
 	if len(facts) > errorStudyCap {
 		facts = facts[:errorStudyCap]
 	}
 	cell := core.Cell{Dataset: dn, Method: llm.MethodDKA, Model: model}
 	outs := make([]strategy.Outcome, len(facts))
-	if cached, ok := a.store.Get(a.bench.CellKey(cell).Fingerprint()); ok && len(cached) >= len(facts) {
-		copy(outs, cached[:len(facts)])
-	} else {
-		m, err := a.bench.Model(model)
-		if err != nil {
-			return analysis.ClusterResult{}, nil, err
-		}
-		pool := sched.New(a.bench.Config.Parallelism)
-		err = pool.Run(context.Background(), len(facts), func(ctx context.Context, i int) error {
-			out, err := (strategy.DKA{}).Verify(ctx, m, facts[i])
-			if err != nil {
-				return err
-			}
-			outs[i] = out
-			return nil
-		})
-		if err != nil {
-			return analysis.ClusterResult{}, nil, err
-		}
+	err := sched.New(a.bench.Config.Parallelism).Run(context.Background(), len(facts), func(ctx context.Context, i int) error {
+		var err error
+		outs[i], err = a.svc.Verdict(ctx, cell, facts[i])
+		return err
+	})
+	if err != nil {
+		return analysis.ClusterResult{}, nil, err
 	}
 	var records []analysis.ErrorRecord
 	reasons := map[string]string{}
@@ -472,16 +400,4 @@ func (a *App) render(w http.ResponseWriter, name string, data any) {
 	if err := a.tmpl.ExecuteTemplate(w, name, data); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
-}
-
-// Warm pre-verifies nothing but forces lazy model construction so the first
-// request is fast; safe to skip.
-func (a *App) Warm(ctx context.Context) error {
-	for _, name := range a.bench.Config.Models {
-		if _, err := a.bench.Model(name); err != nil {
-			return err
-		}
-	}
-	_ = ctx
-	return nil
 }

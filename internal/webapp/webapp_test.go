@@ -7,23 +7,49 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"factcheck/internal/core"
 	"factcheck/internal/dataset"
 	"factcheck/internal/llm"
+	"factcheck/internal/serve"
 	"factcheck/internal/strategy"
 )
 
-func server(t *testing.T) (*httptest.Server, *core.Benchmark) {
+// serveApp serves an app over b and a service over b and st; the server
+// closes and the service drains when the test ends.
+func serveApp(t *testing.T, b *core.Benchmark, st *core.Store) (*httptest.Server, *App, *serve.Service) {
 	t.Helper()
-	b := core.NewBenchmark(core.Config{Scale: 0.05, Small: true})
-	app, err := New(b)
+	svc := serve.New(b, st, serve.DefaultConfig())
+	app, err := New(b, svc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv := httptest.NewServer(app.Handler())
-	t.Cleanup(srv.Close)
+	t.Cleanup(func() {
+		srv.Close()
+		svc.Drain()
+	})
+	return srv, app, svc
+}
+
+func server(t *testing.T) (*httptest.Server, *core.Benchmark) {
+	t.Helper()
+	b := core.NewBenchmark(core.Config{Scale: 0.05, Small: true})
+	srv, _, _ := serveApp(t, b, core.NewMemoryStore())
 	return srv, b
+}
+
+// waitFills polls the service until it has persisted want cells. Drain
+// would discard a fill still queued behind the filler's semaphore.
+func waitFills(t *testing.T, svc *serve.Service, want uint64) {
+	t.Helper()
+	for deadline := time.Now().Add(30 * time.Second); svc.Stats().CellFills < want; {
+		if time.Now().After(deadline) {
+			t.Fatalf("cell fills = %d after 30s, want %d", svc.Stats().CellFills, want)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 }
 
 func get(t *testing.T, url string) (int, string) {
@@ -120,28 +146,21 @@ func TestErrorsPage(t *testing.T) {
 	}
 }
 
-func TestHealthz(t *testing.T) {
-	srv, _ := server(t)
-	if code, _ := get(t, srv.URL+"/healthz"); code != http.StatusOK {
-		t.Errorf("healthz status %d", code)
-	}
-}
-
-// storeServer builds an app over a one-model, one-method benchmark with an
-// explicit store handle.
-func storeServer(t *testing.T, st *core.Store) (*httptest.Server, *App, *core.Benchmark) {
-	t.Helper()
-	b := core.NewBenchmark(core.Config{
+// storeBench is a one-model, one-method benchmark.
+func storeBench() *core.Benchmark {
+	return core.NewBenchmark(core.Config{
 		Scale: 0.05, Small: true,
 		Models:  []string{llm.Gemma2},
 		Methods: []llm.Method{llm.MethodDKA},
 	})
-	app, err := New(b, WithStore(st))
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(app.Handler())
-	t.Cleanup(srv.Close)
+}
+
+// storeServer serves an app over a one-model, one-method benchmark with an
+// explicit store handle.
+func storeServer(t *testing.T, st *core.Store) (*httptest.Server, *App, *core.Benchmark) {
+	t.Helper()
+	b := storeBench()
+	srv, app, _ := serveApp(t, b, st)
 	return srv, app, b
 }
 
@@ -174,21 +193,31 @@ func TestFactPageServesFromStore(t *testing.T) {
 
 func TestFactPageFillsStoreOnDemand(t *testing.T) {
 	st := core.NewMemoryStore()
-	srv, app, b := storeServer(t, st)
+	b := storeBench()
+	srv, _, svc := serveApp(t, b, st)
 	f := b.Datasets[dataset.YAGO].Facts[0]
 
 	code, cold := get(t, srv.URL+"/fact/"+f.ID)
 	if code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
-	app.WaitFills()
+	if s := svc.Stats(); s.Computed == 0 {
+		t.Fatalf("cold page computed no verdict through the service: %+v", s)
+	}
 	// Every (method, model) cell the page touched is now in the store.
-	if want := len(b.Config.Methods) * len(b.Config.Models); st.Len() != want {
+	want := len(b.Config.Methods) * len(b.Config.Models)
+	waitFills(t, svc, uint64(want))
+	if st.Len() != want {
 		t.Fatalf("store has %d cells after fill, want %d", st.Len(), want)
 	}
-	// The store-served page is byte-identical to the computed one.
-	if _, warm := get(t, srv.URL+"/fact/"+f.ID); warm != cold {
+	// A fresh service over the same store answers from the snapshot, and
+	// the store-served page is byte-identical to the computed one.
+	warmSrv, _, warmSvc := serveApp(t, b, st)
+	if _, warm := get(t, warmSrv.URL+"/fact/"+f.ID); warm != cold {
 		t.Error("store-backed response differs from computed response")
+	}
+	if s := warmSvc.Stats(); s.StoreHits == 0 || s.Computed != 0 {
+		t.Errorf("warm page: store_hits %d, computed %d; want a store hit and nothing computed", s.StoreHits, s.Computed)
 	}
 }
 
