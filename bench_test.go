@@ -339,7 +339,7 @@ func BenchmarkAblationSourceFilter(b *testing.B) {
 func BenchmarkAblationConsensus(b *testing.B) {
 	_, rs, _ := grid(b)
 	models := []string{llm.Gemma2, llm.Qwen25, llm.Llama31, llm.Mistral}
-	perFact, err := rs.PerFact(dataset.FactBench, llm.MethodDKA, models)
+	cols, err := rs.Columns(dataset.FactBench, llm.MethodDKA, models)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -347,15 +347,15 @@ func BenchmarkAblationConsensus(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var majority, unanimous eval.Confusion
-		for _, outs := range perFact {
+		for f := range cols[0] {
 			votes := 0
-			for _, o := range outs {
-				if o.Verdict == strategy.True {
+			for _, col := range cols {
+				if col[f].Verdict == strategy.True {
 					votes++
 				}
 			}
-			majority.Add(outs[0].Gold, votes >= 3, true)
-			unanimous.Add(outs[0].Gold, votes == 4, true)
+			majority.Add(cols[0][f].Gold, votes >= 3, true)
+			unanimous.Add(cols[0][f].Gold, votes == 4, true)
 		}
 		out = fmt.Sprintf("quorum 3-of-4 -> F1(T)=%.2f F1(F)=%.2f\nquorum 4-of-4 -> F1(T)=%.2f F1(F)=%.2f\n",
 			majority.F1True(), majority.F1False(), unanimous.F1True(), unanimous.F1False())

@@ -27,25 +27,33 @@ func main() {
 		facts = facts[:120]
 	}
 
-	// Collect per-model outcomes under GIV-F.
+	// Collect each model's column of outcomes under GIV-F.
 	verifier := strategy.GIV{FewShot: true}
-	perFact := make([][]strategy.Outcome, len(facts))
-	for _, name := range llm.OpenSourceModels {
+	cols := make([][]strategy.Outcome, len(llm.OpenSourceModels))
+	for j, name := range llm.OpenSourceModels {
 		m, err := b.Model(name)
 		if err != nil {
 			log.Fatal(err)
 		}
-		for i, f := range facts {
+		for _, f := range facts {
 			out, err := verifier.Verify(ctx, m, f)
 			if err != nil {
 				log.Fatal(err)
 			}
-			perFact[i] = append(perFact[i], out)
+			cols[j] = append(cols[j], out)
 		}
+	}
+	// votes returns fact i's outcomes, one per model.
+	votes := func(i int) []strategy.Outcome {
+		outs := make([]strategy.Outcome, len(cols))
+		for j, col := range cols {
+			outs[j] = col[i]
+		}
+		return outs
 	}
 
 	// Consistency analysis selects the tie-breaking judges.
-	rep := consensus.Alignment(perFact)
+	rep := consensus.Alignment(cols)
 	fmt.Printf("tie rate: %.0f%%   consensus alignment (CA_M):\n", 100*rep.TieRate)
 	for _, name := range llm.OpenSourceModels {
 		fmt.Printf("  %-12s %.3f\n", name, rep.CA[name])
@@ -60,7 +68,7 @@ func main() {
 	judge, _ := b.Model(llm.Upgrade[up])
 	arb := &consensus.ModelArbiter{Label: "agg-cons-up", Judge: judge, Verifier: verifier}
 	for i := 0; i < 5; i++ {
-		dec, err := consensus.Decide(ctx, facts[i], perFact[i], arb)
+		dec, err := consensus.Decide(ctx, facts[i], votes(i), arb)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -80,7 +88,7 @@ func main() {
 	for _, arb := range []consensus.Arbiter{upArb, downArb, gptArb} {
 		var conf eval.Confusion
 		for i, f := range facts {
-			dec, err := consensus.Decide(ctx, f, perFact[i], arb)
+			dec, err := consensus.Decide(ctx, f, votes(i), arb)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -185,34 +185,35 @@ type AlignmentReport struct {
 
 // Alignment computes CA_M for each model against the raw (pre-arbitration)
 // majority: ties count as majority "false" per the v_i formulation, matching
-// the proxy role CA plays in arbiter selection.
-func Alignment(perFactOutcomes [][]strategy.Outcome) AlignmentReport {
-	if len(perFactOutcomes) == 0 {
-		return AlignmentReport{CA: map[string]float64{}}
+// the proxy role CA plays in arbiter selection. cols holds one column per
+// model, cols[j][i] being model j's outcome on fact i (as
+// core.ResultSet.Columns returns them), every column of one length.
+func Alignment(cols [][]strategy.Outcome) AlignmentReport {
+	rep := AlignmentReport{CA: map[string]float64{}}
+	if len(cols) == 0 || len(cols[0]) == 0 {
+		return rep
 	}
-	models := map[string][]bool{}
-	var majorities []bool
+	n := len(cols[0])
+	majorities := make([]bool, n)
+	votes := make([]Vote, len(cols))
 	ties := 0
-	for _, outs := range perFactOutcomes {
-		votes := make([]Vote, len(outs))
-		for i, o := range outs {
-			votes[i] = Vote{Model: o.Model, Verdict: o.Verdict}
+	for i := range majorities {
+		for j, col := range cols {
+			votes[j] = Vote{Model: col[i].Model, Verdict: col[i].Verdict}
 		}
 		maj, tie := Majority(votes)
 		if tie {
 			ties++
 		}
-		majorities = append(majorities, maj)
-		for _, o := range outs {
-			models[o.Model] = append(models[o.Model], o.Verdict.Bool())
+		majorities[i] = maj
+	}
+	rep.TieRate = float64(ties) / float64(n)
+	preds := make([]bool, n)
+	for _, col := range cols {
+		for i, o := range col {
+			preds[i] = o.Verdict.Bool()
 		}
-	}
-	rep := AlignmentReport{
-		TieRate: float64(ties) / float64(len(perFactOutcomes)),
-		CA:      map[string]float64{},
-	}
-	for m, preds := range models {
-		rep.CA[m] = eval.ConsensusAlignment(preds, majorities)
+		rep.CA[col[0].Model] = eval.ConsensusAlignment(preds, majorities)
 	}
 	return rep
 }

@@ -2,9 +2,11 @@ package consensus
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"factcheck/internal/dataset"
+	"factcheck/internal/eval"
 	"factcheck/internal/llm"
 	"factcheck/internal/strategy"
 	"factcheck/internal/world"
@@ -122,6 +124,70 @@ func (fx *fixture) perFact() [][]strategy.Outcome {
 	return per
 }
 
+// columns returns the fixture's outcomes as one column per model, in
+// llm.OpenSourceModels order.
+func (fx *fixture) columns() [][]strategy.Outcome {
+	cols := make([][]strategy.Outcome, len(llm.OpenSourceModels))
+	for j, name := range llm.OpenSourceModels {
+		cols[j] = fx.outs[name]
+	}
+	return cols
+}
+
+// perFactAlignment is the retired Alignment over per-fact outcome rows,
+// kept as the reference for the column-reading one.
+func perFactAlignment(perFact [][]strategy.Outcome) AlignmentReport {
+	if len(perFact) == 0 {
+		return AlignmentReport{CA: map[string]float64{}}
+	}
+	models := map[string][]bool{}
+	var majorities []bool
+	ties := 0
+	for _, outs := range perFact {
+		maj, tie := Majority(votesOf(outs))
+		if tie {
+			ties++
+		}
+		majorities = append(majorities, maj)
+		for _, o := range outs {
+			models[o.Model] = append(models[o.Model], o.Verdict.Bool())
+		}
+	}
+	rep := AlignmentReport{
+		TieRate: float64(ties) / float64(len(perFact)),
+		CA:      map[string]float64{},
+	}
+	for m, preds := range models {
+		rep.CA[m] = eval.ConsensusAlignment(preds, majorities)
+	}
+	return rep
+}
+
+// TestAlignmentMatchesPerFact pins Alignment over columns to the retired
+// per-fact regrouping, for every prefix length of the fixture's facts
+// (empty and single-fact included) and for a column subset.
+func TestAlignmentMatchesPerFact(t *testing.T) {
+	fx := setup(t)
+	cols, per := fx.columns(), fx.perFact()
+	for n := 0; n <= len(per); n++ {
+		prefix := make([][]strategy.Outcome, len(cols))
+		for j, col := range cols {
+			prefix[j] = col[:n]
+		}
+		if got, want := Alignment(prefix), perFactAlignment(per[:n]); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d facts: Alignment %+v, per-fact %+v", n, got, want)
+		}
+	}
+	sub := [][]strategy.Outcome{cols[2], cols[0]}
+	subPer := make([][]strategy.Outcome, len(per))
+	for i := range per {
+		subPer[i] = []strategy.Outcome{cols[2][i], cols[0][i]}
+	}
+	if got, want := Alignment(sub), perFactAlignment(subPer); !reflect.DeepEqual(got, want) {
+		t.Fatalf("two columns: Alignment %+v, per-fact %+v", got, want)
+	}
+}
+
 func TestDecideNoTieNeedsNoArbiter(t *testing.T) {
 	fx := setup(t)
 	per := fx.perFact()
@@ -217,7 +283,7 @@ func votesOf(outs []strategy.Outcome) []Vote {
 
 func TestAlignmentReport(t *testing.T) {
 	fx := setup(t)
-	rep := Alignment(fx.perFact())
+	rep := Alignment(fx.columns())
 	if len(rep.CA) != len(llm.OpenSourceModels) {
 		t.Fatalf("CA for %d models, want %d", len(rep.CA), len(llm.OpenSourceModels))
 	}

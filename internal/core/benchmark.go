@@ -249,31 +249,6 @@ func (r *ResultSet) Columns(d dataset.Name, m llm.Method, models []string) ([][]
 	return cols, nil
 }
 
-// PerFact regroups a cell list of model names into per-fact outcome slices:
-// result[i][j] is model j's outcome on fact i. The rows share one backing
-// array (each capped at its own length). Missing and mismatched cells fail
-// as in Columns.
-func (r *ResultSet) PerFact(d dataset.Name, m llm.Method, models []string) ([][]strategy.Outcome, error) {
-	if len(models) == 0 {
-		return nil, nil
-	}
-	cols, err := r.Columns(d, m, models)
-	if err != nil {
-		return nil, err
-	}
-	k := len(models)
-	flat := make([]strategy.Outcome, len(cols[0])*k)
-	per := make([][]strategy.Outcome, len(cols[0]))
-	for i := range per {
-		row := flat[i*k : (i+1)*k : (i+1)*k]
-		for j, outs := range cols {
-			row[j] = outs[i]
-		}
-		per[i] = row
-	}
-	return per, nil
-}
-
 // Progress reports the completion of one grid cell during Run.
 type Progress struct {
 	// Cell identifies the completed (dataset, method, model) cell.

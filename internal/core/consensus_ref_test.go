@@ -15,6 +15,31 @@ import (
 	"factcheck/internal/strategy"
 )
 
+// PerFact regroups a cell list of model names into per-fact outcome slices:
+// result[i][j] is model j's outcome on fact i. The rows share one backing
+// array (each capped at its own length). Missing and mismatched cells fail
+// as in Columns. Only tests regroup; consensus reads Columns.
+func (r *ResultSet) PerFact(d dataset.Name, m llm.Method, models []string) ([][]strategy.Outcome, error) {
+	if len(models) == 0 {
+		return nil, nil
+	}
+	cols, err := r.Columns(d, m, models)
+	if err != nil {
+		return nil, err
+	}
+	k := len(models)
+	flat := make([]strategy.Outcome, len(cols[0])*k)
+	per := make([][]strategy.Outcome, len(cols[0]))
+	for i := range per {
+		row := flat[i*k : (i+1)*k : (i+1)*k]
+		for j, outs := range cols {
+			row[j] = outs[i]
+		}
+		per[i] = row
+	}
+	return per, nil
+}
+
 // referenceConsensus is the retired per-arbiter consensus loop: every fact
 // re-decided once per arbiter by an engine that holds the arbiter, with
 // every vote fetched. It is the differential oracle for RunConsensusMode,
@@ -25,8 +50,12 @@ func referenceConsensus(ctx context.Context, b *Benchmark, rs *ResultSet, dn dat
 	if err != nil {
 		return nil, err
 	}
+	cols, err := rs.Columns(dn, method, models)
+	if err != nil {
+		return nil, err
+	}
 	cell := &ConsensusCell{
-		Alignment: consensus.Alignment(perFact),
+		Alignment: consensus.Alignment(cols),
 		Results:   map[string]eval.Confusion{},
 	}
 	up, down, commercial, err := b.Arbiters(cell.Alignment, method)

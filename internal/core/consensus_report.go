@@ -51,12 +51,12 @@ func (b *Benchmark) RunConsensus(ctx context.Context, rs *ResultSet, dn dataset.
 // arbiter and in fact order, each on its own copy of the tied decision.
 func (b *Benchmark) RunConsensusMode(ctx context.Context, rs *ResultSet, dn dataset.Name, method llm.Method, mode consensus.Mode) (*ConsensusCell, error) {
 	models := openModels(b.Config.Models)
-	perFact, err := rs.PerFact(dn, method, models)
+	cols, err := rs.Columns(dn, method, models)
 	if err != nil {
 		return nil, fmt.Errorf("core: %s/%s consensus: %w", dn, method, err)
 	}
 	cell := &ConsensusCell{
-		Alignment: consensus.Alignment(perFact),
+		Alignment: consensus.Alignment(cols),
 		Results:   map[string]eval.Confusion{},
 	}
 	up, down, commercial, err := b.Arbiters(cell.Alignment, method)
@@ -64,10 +64,15 @@ func (b *Benchmark) RunConsensusMode(ctx context.Context, rs *ResultSet, dn data
 		return nil, err
 	}
 	facts := b.Datasets[dn].Facts
-	// The fact under decision and its votes.
+	// col maps a voter to its column; fact is the fact under decision, i
+	// its row in every column.
+	col := make(map[string]int, len(models))
+	for j, m := range models {
+		col[m] = j
+	}
 	var (
 		fact *dataset.Fact
-		outs []strategy.Outcome
+		i    int
 	)
 	fetch := func(_ context.Context, model string) (strategy.Outcome, error) {
 		return strategy.Outcome{}, fmt.Errorf("core: no %s outcome for fact %s", model, fact.ID)
@@ -77,17 +82,20 @@ func (b *Benchmark) RunConsensusMode(ctx context.Context, rs *ResultSet, dn data
 		Mode:     mode,
 		AllowTie: true,
 		Lookup: func(model string) (strategy.Outcome, bool) {
-			for _, o := range outs {
-				if o.Model == model {
-					return o, true
-				}
+			j, ok := col[model]
+			if !ok {
+				return strategy.Outcome{}, false
 			}
-			return strategy.Outcome{}, false
+			return cols[j][i], true
 		},
 	}
-	decs := make([]consensus.Decision, len(perFact))
-	for i := range perFact {
-		fact, outs = facts[i], perFact[i]
+	var n int
+	if len(cols) > 0 {
+		n = len(cols[0])
+	}
+	decs := make([]consensus.Decision, n)
+	for i = range decs {
+		fact = facts[i]
 		if decs[i], _, err = eng.Decide(ctx, fact, fetch); err != nil {
 			return nil, err
 		}

@@ -146,14 +146,7 @@ func IQRFilter(xs []float64) []float64 {
 		return append([]float64(nil), xs...)
 	}
 	buf := append([]float64(nil), xs...)
-	// at(k) is the sorted sample's k-th value.
-	at := func(k int) float64 {
-		selectNth(buf, k)
-		return buf[k]
-	}
-	q1, q3 := percentile(len(buf), 25, at), percentile(len(buf), 75, at)
-	iqr := q3 - q1
-	lo, hi := q1-1.5*iqr, q3+1.5*iqr
+	lo, hi := iqrFences(buf)
 	out := buf[:0]
 	for _, x := range xs {
 		if x >= lo && x <= hi {
@@ -164,6 +157,20 @@ func IQRFilter(xs []float64) []float64 {
 		return nil
 	}
 	return out
+}
+
+// iqrFences returns the IQR filter's bounds [Q1-1.5*IQR, Q3+1.5*IQR] for
+// a sample of at least 4 values, selecting the quartiles' order statistics
+// in buf, which it reorders.
+func iqrFences(buf []float64) (lo, hi float64) {
+	// at(k) is the sorted sample's k-th value.
+	at := func(k int) float64 {
+		selectNth(buf, k)
+		return buf[k]
+	}
+	q1, q3 := percentile(len(buf), 25, at), percentile(len(buf), 75, at)
+	iqr := q3 - q1
+	return q1 - 1.5*iqr, q3 + 1.5*iqr
 }
 
 // selectNth reorders xs so that xs[k] holds the value sort.Float64s would
@@ -224,13 +231,36 @@ func percentile(n int, p float64, at func(int) float64) float64 {
 }
 
 // MeanResponseTime returns the IQR-filtered mean of the durations in
-// seconds (the paper's θ̄).
+// seconds (the paper's θ̄), bit-identical to Mean(IQRFilter(seconds)).
 func MeanResponseTime(ds []time.Duration) float64 {
-	xs := make([]float64, len(ds))
-	for i, d := range ds {
-		xs[i] = d.Seconds()
+	return filteredMean(len(ds), func(i int) float64 { return ds[i].Seconds() })
+}
+
+// filteredMean returns Mean(IQRFilter(xs)) for the n values x(0), ...,
+// x(n-1), bit for bit, with one scratch slice: the quartiles are selected
+// in it, then the kept values are summed in input order, as Mean sums
+// IQRFilter's output.
+func filteredMean(n int, x func(i int) float64) float64 {
+	var lo, hi float64
+	if n >= 4 {
+		buf := make([]float64, n)
+		for i := range buf {
+			buf[i] = x(i)
+		}
+		lo, hi = iqrFences(buf)
 	}
-	return Mean(IQRFilter(xs))
+	s, kept := 0.0, 0
+	for i := 0; i < n; i++ {
+		// Samples shorter than 4 keep every value, NaN included.
+		if v := x(i); n < 4 || v >= lo && v <= hi {
+			s += v
+			kept++
+		}
+	}
+	if kept == 0 {
+		return 0
+	}
+	return s / float64(kept)
 }
 
 // Mean returns the arithmetic mean (0 for empty input).

@@ -268,6 +268,58 @@ func TestMeanResponseTime(t *testing.T) {
 	}
 }
 
+// TestMeanResponseTimeMatchesFilteredMean pins θ̄'s one-scratch-slice path
+// to Mean(IQRFilter(xs)) bit for bit: over every sample of up to 5 values
+// drawn from iqrAlphabet (NaN, ±Inf and ±0 included), over longer drawn
+// samples, and through MeanResponseTime over latency-like durations of
+// every length up to 64. A NaN mean must be NaN on both sides; its payload
+// bits depend on which operand the compiler makes an addition's
+// destination (they differ under -race), so they are not compared.
+func TestMeanResponseTimeMatchesFilteredMean(t *testing.T) {
+	check := func(xs []float64) {
+		t.Helper()
+		got := filteredMean(len(xs), func(i int) float64 { return xs[i] })
+		want := Mean(IQRFilter(xs))
+		if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+			t.Fatalf("%v: filtered mean %v, Mean(IQRFilter) %v", xs, got, want)
+		}
+	}
+	var draw func(prefix []float64, n int)
+	draw = func(prefix []float64, n int) {
+		check(prefix)
+		if n == 0 {
+			return
+		}
+		for _, x := range iqrAlphabet {
+			draw(append(prefix, x), n-1)
+		}
+	}
+	draw(nil, 5)
+	rng := rand.New(rand.NewSource(58))
+	for trial := 0; trial < 200; trial++ {
+		xs := make([]float64, 6+rng.Intn(60))
+		for i := range xs {
+			xs[i] = iqrAlphabet[rng.Intn(len(iqrAlphabet))] + float64(rng.Intn(4))/64
+		}
+		check(xs)
+	}
+	for n := 0; n <= 64; n++ {
+		ds := make([]time.Duration, n)
+		secs := make([]float64, n)
+		for i := range ds {
+			ds[i] = time.Duration(50+rng.Intn(100)) * time.Millisecond
+			if rng.Intn(10) == 0 {
+				ds[i] *= time.Duration(5 + rng.Intn(50)) // a long right tail
+			}
+			secs[i] = ds[i].Seconds()
+		}
+		got, want := MeanResponseTime(ds), Mean(IQRFilter(secs))
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%v: MeanResponseTime %v, Mean(IQRFilter) %v", ds, got, want)
+		}
+	}
+}
+
 func TestMeanAndStddev(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	if got := Mean(xs); got != 5 {

@@ -8,7 +8,7 @@
 //
 // Many pool rows share one indexed document (a variant: one distinct
 // title and body), so the one ranking kernel, TopK, adds up each
-// document's cosine once and then ranks rows: each row reads its
+// document's cosine once and then selects rows: each row reads its
 // document's cosine and adds its own perturbation (the engine's SERP
 // jitter).
 //
@@ -17,13 +17,16 @@
 // for bit. Accumulation visits query dimensions in ascending order — the
 // same order the dense cosine loop adds products — and dimensions a
 // document lacks contribute nothing, exactly as their +0.0 products add
-// nothing to the dense loop's non-negative partial sums. The selected top
-// k under the total order (score desc, row order asc) is therefore
-// byte-identical to scoring every row densely, sorting and truncating.
+// nothing to the dense loop's non-negative partial sums. The top k under
+// the total order (score desc, row order asc) is therefore the same set,
+// with the same scores bit for bit, as scoring every row densely, sorting
+// and truncating. TopK returns that set in ascending row order, not
+// ranked: callers that need the ranking sort the k hits themselves.
 package index
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 
 	"factcheck/internal/text"
@@ -105,7 +108,7 @@ func (ix *Index) Docs() int { return ix.nDocs }
 // Postings returns the total number of postings (non-zero term weights).
 func (ix *Index) Postings() int { return len(ix.postings) }
 
-// Hit is one ranked row of a top-k selection.
+// Hit is one row of a top-k selection.
 type Hit struct {
 	Row int
 	// Score is the final score: the clamped cosine of the row's document
@@ -118,18 +121,20 @@ type Stats struct {
 	// PostingsTouched counts the postings accumulated: each indexed
 	// document's once, however many rows share it.
 	PostingsTouched int
-	// DocsScored counts the rows ranked.
+	// DocsScored counts the rows scored.
 	DocsScored int
 }
 
 // Arena holds the per-query scratch state of TopK: the per-document
-// accumulators and the per-row scores and sort keys. Reusing one arena
-// across queries makes warm top-k calls allocation-free; the engine pools
-// arenas behind a sync.Pool. An Arena is not safe for concurrent use.
+// accumulators, the per-row scores and selection keys, and the bitset of
+// selected rows. Reusing one arena across queries makes warm top-k calls
+// allocation-free; the engine pools arenas behind a sync.Pool. An Arena
+// is not safe for concurrent use.
 type Arena struct {
 	acc    []float64
 	scores []float64
 	keys   []uint64
+	sel    []uint64
 	// Stats describes the last TopK call on this arena.
 	Stats Stats
 }
@@ -142,21 +147,23 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// TopK appends to dst the k best of the rows rowDoc describes and returns
-// it. Row r reads indexed document rowDoc[r]: its score is that
-// document's cosine to q, clamped to [0,1], plus perturb(r) when perturb
-// is non-nil — every row receives its perturbation, including rows whose
-// document shares no term with the query. Rows are ordered by (score
-// desc, cmp asc, row asc); cmp may be nil. a may be nil; when non-nil,
-// a.Stats reports the call's work.
+// TopK appends to dst the k best of the rows rowDoc describes, in
+// ascending row order, and returns it. Row r reads indexed document
+// rowDoc[r]: its score is that document's cosine to q, clamped to [0,1],
+// plus perturb(r) when perturb is non-nil — every row receives its
+// perturbation, including rows whose document shares no term with the
+// query. The k best are the first k under (score desc, cmp asc, row asc);
+// cmp may be nil. a may be nil; when non-nil, a.Stats reports the call's
+// work.
 //
 // Each document's cosine is accumulated once, term at a time over the
-// query's dimensions in ascending order. The rows are then ranked by one
-// sort of packed keys: the float32-rounded score, ordered so that
-// ascending keys mean descending scores, high, and the row low. float32
-// rounding is monotone, so it can only collapse near-equal scores, never
-// reorder distinct ones; runs of keys that collide in the high word are
-// re-ordered by the exact comparison afterwards.
+// query's dimensions in ascending order. The k best rows are then
+// selected, not sorted, on packed keys: the float32-rounded score, ordered
+// so that ascending keys mean descending scores, high, and the row low.
+// float32 rounding is monotone, so it can only collapse near-equal scores,
+// never reorder distinct ones; when the k-th key's high word is shared by
+// keys on both sides of the cut, only that run is ordered by the exact
+// comparison to decide which of its rows are in.
 func (ix *Index) TopK(q text.SparseVector, k int, rowDoc []int32, perturb func(row int) float64, cmp func(a, b int) int, dst []Hit, a *Arena) []Hit {
 	if a == nil {
 		a = &Arena{}
@@ -200,37 +207,91 @@ func (ix *Index) TopK(q text.SparseVector, k int, rowDoc []int32, perturb func(r
 		scores[r] = s
 		keys[r] = uint64(^orderBits(s))<<32 | uint64(r)
 	}
-	slices.Sort(keys)
-	exact := func(x, y uint64) int {
-		rx, ry := int(uint32(x)), int(uint32(y))
-		switch {
-		case scores[rx] > scores[ry]:
-			return -1
-		case scores[rx] < scores[ry]:
-			return 1
+	// keys[:k] become the k smallest keys. Every key whose high word is
+	// below the k-th's is in the top k and every key whose high word is
+	// above it is out; keys that share the k-th's high word are resolved
+	// below.
+	selectKey(keys, k-1)
+	h := keys[k-1] >> 32
+	hi := k
+	for i := k; i < n; i++ {
+		if keys[i]>>32 == h {
+			keys[hi], keys[i] = keys[i], keys[hi]
+			hi++
 		}
-		if cmp != nil {
-			if c := cmp(rx, ry); c != 0 {
-				return c
+	}
+	if hi > k {
+		// The run straddles the cut: gather its part in keys[:k] just
+		// before it, and order the whole run exactly.
+		lo := k
+		for i := k - 1; i >= 0; i-- {
+			if keys[i]>>32 == h {
+				lo--
+				keys[lo], keys[i] = keys[i], keys[lo]
 			}
 		}
-		return rx - ry
+		slices.SortFunc(keys[lo:hi], func(x, y uint64) int {
+			rx, ry := int(uint32(x)), int(uint32(y))
+			switch {
+			case scores[rx] > scores[ry]:
+				return -1
+			case scores[rx] < scores[ry]:
+				return 1
+			}
+			if cmp != nil {
+				if c := cmp(rx, ry); c != 0 {
+					return c
+				}
+			}
+			return rx - ry
+		})
 	}
-	for s := 0; s < k; {
-		e := s + 1
-		for e < n && keys[e]>>32 == keys[s]>>32 {
-			e++
-		}
-		if e-s > 1 {
-			slices.SortFunc(keys[s:e], exact)
-		}
-		s = e
-	}
+	// Emit the selected rows in row order through a bitset.
+	sel := grow(a.sel, (n+63)/64)
+	a.sel = sel
+	clear(sel)
 	for _, key := range keys[:k] {
-		r := int(uint32(key))
-		dst = append(dst, Hit{Row: r, Score: scores[r]})
+		r := uint32(key)
+		sel[r/64] |= 1 << (r % 64)
+	}
+	for w, word := range sel {
+		for word != 0 {
+			r := w*64 + bits.TrailingZeros64(word)
+			dst = append(dst, Hit{Row: r, Score: scores[r]})
+			word &= word - 1
+		}
 	}
 	return dst
+}
+
+// selectKey reorders keys, which are distinct, so that keys[k] holds the
+// key sorting would put there, no key before it larger and none after it
+// smaller (Hoare's FIND).
+func selectKey(keys []uint64, k int) {
+	lo, hi := 0, len(keys)-1
+	for lo < hi {
+		pivot := keys[k]
+		i, j := lo, hi
+		for i <= j {
+			for keys[i] < pivot {
+				i++
+			}
+			for pivot < keys[j] {
+				j--
+			}
+			if i <= j {
+				keys[i], keys[j] = keys[j], keys[i]
+				i++
+				j--
+			}
+		}
+		if j < k {
+			lo = i
+		}
+		if k < i {
+			hi = j
+		}
+	}
 }
 
 // orderBits maps s, rounded to float32, to a uint32 whose unsigned order

@@ -54,7 +54,7 @@ func TestTopKMatchesDenseScan(t *testing.T) {
 	for _, rows := range [][]int32{identityRows(50), sharedRows(50)} {
 		for _, q := range queries {
 			for _, k := range []int{1, 3, 10, 50, 100, 200} {
-				got := ix.TopK(text.SparseEmbed(q), k, rows, perturb, nil, nil, nil)
+				got := ranked(t, ix.TopK(text.SparseEmbed(q), k, rows, perturb, nil, nil, nil), nil)
 				want := denseTopK(text.Embed(q), vecs, rows, k, perturb, nil)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("q=%q k=%d rows=%d:\ngot  %v\nwant %v", q, k, len(rows), got, want)
@@ -73,15 +73,22 @@ func TestTopKTieBreakByDocID(t *testing.T) {
 	b.Add([]string{"same", "tokens"})
 	ix := b.Build()
 	ids := []string{"f-d0003", "f-d0001", "f-d10000", "f-d0002", "f-d9999", "f-d0000"}
-	hits := ix.TopK(text.SparseEmbed("same tokens"), len(ids), make([]int32, len(ids)), nil, idCmp(ids), nil, nil)
+	hits := ranked(t, ix.TopK(text.SparseEmbed("same tokens"), len(ids), make([]int32, len(ids)), nil, idCmp(ids), nil, nil), idCmp(ids))
 	want := []string{"f-d0000", "f-d0001", "f-d0002", "f-d0003", "f-d10000", "f-d9999"}
 	for i, w := range want {
 		if ids[hits[i].Row] != w {
 			t.Fatalf("hit %d = %q, want %q (tie-break by ID)", i, ids[hits[i].Row], w)
 		}
 	}
-	// Without a comparison, ties fall back to row order.
-	hits = ix.TopK(text.SparseEmbed("same tokens"), 3, make([]int32, len(ids)), nil, nil, nil, nil)
+	// Below every row, the tie-break decides which rows are in: the
+	// first three IDs, and without a comparison the first three rows.
+	hits = ranked(t, ix.TopK(text.SparseEmbed("same tokens"), 3, make([]int32, len(ids)), nil, idCmp(ids), nil, nil), idCmp(ids))
+	for i, w := range want[:3] {
+		if ids[hits[i].Row] != w {
+			t.Fatalf("k=3: hit %d = %q, want %q (tie-break by ID)", i, ids[hits[i].Row], w)
+		}
+	}
+	hits = ranked(t, ix.TopK(text.SparseEmbed("same tokens"), 3, make([]int32, len(ids)), nil, nil, nil, nil), nil)
 	for i, h := range hits {
 		if h.Row != i {
 			t.Fatalf("hit %d is row %d, want row order", i, h.Row)

@@ -1,14 +1,17 @@
 package index
 
 import (
+	"slices"
 	"sort"
+	"testing"
 
 	"factcheck/internal/text"
 )
 
 // The exhaustive per-row rankings TopK is pinned against: every row scored
 // from its own document's vector, the whole list sorted by (score desc,
-// cmp asc) and truncated.
+// cmp asc) and truncated. TopK returns its top k as a set in row order, so
+// tests rank its output (ranked) before comparing.
 
 // Builder collects document vectors for Build, in document order.
 type Builder struct {
@@ -33,6 +36,34 @@ func (b *Builder) Add(terms []string) {
 // Build indexes the added documents.
 func (b *Builder) Build() *Index {
 	return Build(len(b.vecs), func(d int) text.SparseVector { return b.vecs[d] })
+}
+
+// ranked checks that hits is a top-k set as TopK returns it, rows strictly
+// ascending, and returns a copy ordered by (score desc, cmp asc, row asc),
+// the order the references rank in.
+func ranked(t testing.TB, hits []Hit, cmp func(a, b int) int) []Hit {
+	t.Helper()
+	for i := 1; i < len(hits); i++ {
+		if hits[i-1].Row >= hits[i].Row {
+			t.Fatalf("TopK hits not in ascending row order at %d: %v", i, hits)
+		}
+	}
+	out := slices.Clone(hits)
+	slices.SortFunc(out, func(a, b Hit) int {
+		switch {
+		case a.Score > b.Score:
+			return -1
+		case a.Score < b.Score:
+			return 1
+		}
+		if cmp != nil {
+			if c := cmp(a.Row, b.Row); c != 0 {
+				return c
+			}
+		}
+		return a.Row - b.Row
+	})
+	return out
 }
 
 // rankRows orders rows by (score desc, cmp asc) — (score desc, row asc)

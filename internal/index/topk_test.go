@@ -15,12 +15,13 @@ import (
 // that TopK replaced; the properties they pin — byte equality with the
 // exhaustive references over every corpus shape — carry over to TopK.
 
-// topKEqualSparse asserts TopK == the sparse reference, byte for byte
-// (DeepEqual covers Row and the float64 Score bits).
+// topKEqualSparse asserts that TopK's set, ranked, equals the sparse
+// reference byte for byte (DeepEqual covers Row and the float64 Score
+// bits).
 func topKEqualSparse(t *testing.T, ix *Index, docs []text.SparseVector, rows []int32, q text.SparseVector, k int, perturb func(int) float64, cmp func(a, b int) int, label string) {
 	t.Helper()
 	want := sparseTopK(q, docs, rows, k, perturb, cmp)
-	got := ix.TopK(q, k, rows, perturb, cmp, nil, nil)
+	got := ranked(t, ix.TopK(q, k, rows, perturb, cmp, nil, nil), cmp)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: TopK != sparse\nTopK:   %v\nsparse: %v", label, got, want)
 	}
@@ -119,44 +120,120 @@ func TestTopKPrunedRandomized(t *testing.T) {
 }
 
 // FuzzTopKMatchesReference lets the fuzzer pick the corpus shape, the row
-// layout, k and the query; the invariant is byte equality with the dense
-// reference, rows tie-broken by their doc IDs.
+// layout, k and the query; the invariant is that TopK's set, ranked, is
+// byte-equal to the dense reference, rows tie-broken by their doc IDs.
+// spread also picks the perturbation: SERP-sized jitter, none (exact
+// ties), or jitter below float32 resolution, so that rows of one document
+// collide in the float32 key yet differ in their float64 scores.
 func FuzzTopKMatchesReference(f *testing.F) {
 	f.Add(uint64(1), 3, 2, "alpha beta")
 	f.Add(uint64(7), 1, 1, "gamma")
 	f.Add(uint64(42), 100, 64, "")
+	// The k-th key sits inside a float32-collision run that straddles the
+	// cut (TestTopKFuzzSeedsStraddle checks that these still do).
+	for _, s := range collisionSeeds {
+		f.Add(s.seed, s.k, s.spread, s.query)
+	}
 	f.Fuzz(func(t *testing.T, seed uint64, k, spread int, query string) {
 		if k < -1 || k > 1000 || spread < 0 || spread > 256 || len(query) > 200 {
 			t.Skip()
 		}
-		vocab := []string{"alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta"}
-		rng := rand.New(rand.NewPCG(seed, seed^0x9e3779b9))
-		next := func(n int) int { return int(rng.Uint64() % uint64(n)) }
-		n := 1 + next(40)
-		toks, rows := randomCorpus(next, vocab, n, 9, n+spread)
-		b := NewBuilder(n)
-		dense := make([]text.Vector, n)
-		for i, d := range toks {
-			b.Add(d)
-			dense[i] = text.Embed(strings.Join(d, " "))
-		}
-		ix := b.Build()
-		// Sequence numbers are drawn around the four-digit boundary, where
-		// ID order and numeric order part.
-		ids := make([]string, len(rows))
-		for r := range ids {
-			ids[r] = fmt.Sprintf("f-d%04d", 9990+next(30))
-		}
-		perturb := func(r int) float64 { return 0.05 * det.Uniform("serp", query, ids[r]) }
-		if spread%2 == 1 {
-			perturb = nil // exact ties, broken by ID alone
-		}
-		want := denseTopK(text.Embed(query), dense, rows, k, perturb, idCmp(ids))
-		got := ix.TopK(text.SparseEmbed(query), k, rows, perturb, idCmp(ids), nil, nil)
+		c := newFuzzCase(seed, spread)
+		want := denseTopK(text.Embed(query), c.dense, c.rows, k, c.perturb(query), c.cmp)
+		got := ranked(t, c.ix.TopK(text.SparseEmbed(query), k, c.rows, c.perturb(query), c.cmp, nil, nil), c.cmp)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("TopK != dense for seed=%d k=%d spread=%d q=%q\nTopK:  %v\ndense: %v", seed, k, spread, query, got, want)
 		}
 	})
+}
+
+// fuzzCase is the corpus, row layout and doc IDs FuzzTopKMatchesReference
+// draws from its seed and spread.
+type fuzzCase struct {
+	ix    *Index
+	dense []text.Vector
+	rows  []int32
+	ids   []string
+	cmp   func(a, b int) int
+	// scale is the perturbation's magnitude, 0 for none.
+	scale float64
+}
+
+func newFuzzCase(seed uint64, spread int) fuzzCase {
+	vocab := []string{"alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta"}
+	rng := rand.New(rand.NewPCG(seed, seed^0x9e3779b9))
+	next := func(n int) int { return int(rng.Uint64() % uint64(n)) }
+	n := 1 + next(40)
+	toks, rows := randomCorpus(next, vocab, n, 9, n+spread)
+	b := NewBuilder(n)
+	c := fuzzCase{dense: make([]text.Vector, n), rows: rows, ids: make([]string, len(rows))}
+	for i, d := range toks {
+		b.Add(d)
+		c.dense[i] = text.Embed(strings.Join(d, " "))
+	}
+	c.ix = b.Build()
+	// Sequence numbers are drawn around the four-digit boundary, where
+	// ID order and numeric order part.
+	for r := range c.ids {
+		c.ids[r] = fmt.Sprintf("f-d%04d", 9990+next(30))
+	}
+	c.cmp = idCmp(c.ids)
+	switch spread % 4 {
+	case 0:
+		c.scale = 0.05
+	case 2:
+		// Far below float32's resolution near the scores: a document's
+		// rows share their float32 key and differ only in float64.
+		c.scale = 1e-12
+	}
+	return c
+}
+
+// perturb returns the case's perturbation for the query, nil when the
+// rows get none (exact ties, broken by ID alone).
+func (c fuzzCase) perturb(query string) func(int) float64 {
+	if c.scale == 0 {
+		return nil
+	}
+	return func(r int) float64 { return c.scale * det.Uniform("serp", query, c.ids[r]) }
+}
+
+// collisionSeeds are FuzzTopKMatchesReference inputs whose k-th best row
+// shares its float32 key with the (k+1)-th: the run of colliding keys
+// straddles the cut, so TopK must order it exactly to pick its rows.
+var collisionSeeds = []struct {
+	seed      uint64
+	k, spread int
+	query     string
+}{
+	{1, 34, 37, "gamma delta eta"},
+	{2, 38, 37, "alpha beta"},
+	{1, 47, 62, "alpha beta"},
+	{4, 80, 130, "alpha beta"},
+}
+
+// straddles reports whether the k-th and (k+1)-th of the ranked hits share
+// a float32 key.
+func straddles(all []Hit, k int) bool {
+	return k >= 1 && k < len(all) && float32(all[k-1].Score) == float32(all[k].Score)
+}
+
+// TestTopKFuzzSeedsStraddle keeps collisionSeeds honest: each still puts
+// the cut inside a colliding run, with exact ties (no perturbation) and
+// with float64-distinct scores (sub-float32 jitter) both represented.
+func TestTopKFuzzSeedsStraddle(t *testing.T) {
+	modes := map[float64]bool{}
+	for _, s := range collisionSeeds {
+		c := newFuzzCase(s.seed, s.spread)
+		all := denseTopK(text.Embed(s.query), c.dense, c.rows, len(c.rows), c.perturb(s.query), c.cmp)
+		if !straddles(all, s.k) {
+			t.Errorf("seed %+v: the cut at k=%d does not split a float32-collision run", s, s.k)
+		}
+		modes[c.scale] = true
+	}
+	if !modes[0] || !modes[1e-12] {
+		t.Errorf("collision seeds cover perturbation scales %v, want 0 and 1e-12", modes)
+	}
 }
 
 // TestTopKPrunedEdgeCases covers the degenerate inputs: k <= 0, k beyond

@@ -452,12 +452,34 @@ func (p *Pipeline) retrieve(ctx context.Context, f *dataset.Fact) (*Evidence, er
 	return ev, nil
 }
 
+// rowScratch is one by-reference retrieval's scratch: the seen-row
+// bitset, one query's hits, the candidate rows, the scored candidates
+// and the per-variant scores. Nothing in it outlives the retrieval, so
+// retrievals reuse it through rowScratchPool.
+type rowScratch struct {
+	seen      []uint64
+	hits      []search.Hit
+	rows      []int
+	scored    []search.Hit
+	byVariant []float64
+}
+
+// rowScratchPool holds rowScratch values between retrievals. It is
+// package level, so a pooled value keeps no pipeline reachable.
+var rowScratchPool = sync.Pool{New: func() any { return new(rowScratch) }}
+
 // retrieveRows runs phases 3–4 by reference. Every query runs against one
 // snapshot of the fact's pool, taken once, so the evidence is a function
 // of a single corpus epoch even while ingestion lands. Candidates are
 // pool rows, deduplicated in a bitset; the S_KG filter, the usability
 // check, scoring and the (score desc, doc ID asc) order all read rows in
 // place, and payloads and chunks are built only for the rows kept.
+//
+// A query's hits come as a set (search.Pool.Search), and almost nothing
+// reads their order: the rows a query sees first, the S_KG count and the
+// candidate count are set functions, and the rerank's order is total.
+// Only the query whose new candidates cross CandidateCap is ranked, so
+// that the cap keeps its best rows, as it would cut a ranked SERP.
 func (p *Pipeline) retrieveRows(ctx context.Context, f *dataset.Fact, ev *Evidence, ps search.PoolSearcher, score func(cand text.SparseVector, candText string) float64) error {
 	cfg := p.Config
 
@@ -467,11 +489,18 @@ func (p *Pipeline) retrieveRows(ctx context.Context, f *dataset.Fact, ev *Eviden
 	if err != nil {
 		return fmt.Errorf("rag: search %q: %w", ev.Queries[0], err)
 	}
-	seen := make([]uint64, (pool.Len()+63)/64)
-	hits := make([]search.Hit, 0, cfg.SERPSize)
-	rows := make([]int, 0, pool.Len())
+	sc := rowScratchPool.Get().(*rowScratch)
+	defer rowScratchPool.Put(sc)
+	words := (pool.Len() + 63) / 64
+	seen := slices.Grow(sc.seen[:0], words)[:words]
+	clear(seen)
+	rows := sc.rows[:0]
 	for _, q := range ev.Queries {
-		hits = pool.Search(q, cfg.SERPSize, hits[:0])
+		hits := pool.Search(q, cfg.SERPSize, sc.hits[:0])
+		sc.hits = hits
+		// fresh keeps, in place, the hits no earlier query returned and
+		// the S_KG filter passes.
+		fresh := hits[:0]
 		for _, h := range hits {
 			w, bit := h.Row/64, uint64(1)<<(h.Row%64)
 			if seen[w]&bit != 0 {
@@ -482,23 +511,32 @@ func (p *Pipeline) retrieveRows(ctx context.Context, f *dataset.Fact, ev *Eviden
 				ev.FilteredSKG++
 				continue
 			}
+			fresh = append(fresh, h)
+		}
+		ev.Candidates += len(fresh)
+		room := cfg.CandidateCap - len(rows)
+		if room <= 0 {
+			continue
+		}
+		if len(fresh) > room {
+			pool.Rank(fresh)
+			fresh = fresh[:room]
+		}
+		for _, h := range fresh {
 			rows = append(rows, h.Row)
 		}
 	}
-	ev.Candidates = len(rows)
-	if len(rows) > cfg.CandidateCap {
-		rows = rows[:cfg.CandidateCap]
-	}
+	sc.seen, sc.rows = seen, rows
 	endSearch()
 
 	// Phase 4a: rerank the usable candidates against the sentence from
 	// their precomputed vectors. A score is a function of the candidate's
 	// vector and text alone, so rows sharing a variant share one score.
 	endRerank := phaseSpan(ctx, "rag_rerank", rerankHist)
-	scored := make([]search.Hit, 0, len(rows))
+	scored := sc.scored[:0]
 	// byVariant[v] is variant v's score, -1 while unscored (scores are
 	// sigmoid outputs in (0,1)).
-	byVariant := make([]float64, pool.NumVariants())
+	byVariant := slices.Grow(sc.byVariant[:0], pool.NumVariants())[:pool.NumVariants()]
 	for v := range byVariant {
 		byVariant[v] = -1
 	}
@@ -512,16 +550,9 @@ func (p *Pipeline) retrieveRows(ctx context.Context, f *dataset.Fact, ev *Eviden
 		}
 		scored = append(scored, search.Hit{Row: r, Score: byVariant[v]})
 	}
+	sc.scored, sc.byVariant = scored, byVariant
 	// (score desc, doc ID asc) is a total order: doc IDs are unique.
-	slices.SortFunc(scored, func(a, b search.Hit) int {
-		switch {
-		case a.Score > b.Score:
-			return -1
-		case a.Score < b.Score:
-			return 1
-		}
-		return pool.CompareIDs(a.Row, b.Row)
-	})
+	pool.Rank(scored)
 	if len(scored) > cfg.SelectedDocs {
 		scored = scored[:cfg.SelectedDocs]
 	}

@@ -89,6 +89,7 @@ func (m *mutexedFrontend) search(factID, query string, n int) ([]SERPItem, error
 	hits := p.idx.TopK(qv, n, p.rowDoc, func(row int) float64 {
 		return serpJitterScale * key.Uniform(corpus.SeqDigits(p.seq(row)))
 	}, p.cmpIDs, nil, a)
+	Pool{e: m.e, p: p}.Rank(hits)
 	out := make([]SERPItem, len(hits))
 	for i, h := range hits {
 		d := p.payload(h.Row)

@@ -5,8 +5,10 @@
 // web-search API (§4.1), an HTTP service with SERP-style endpoints
 // returning identical results across runs, plus a client so the RAG
 // pipeline can run either in-process or over HTTP. In-process, the
-// pipeline ranks and reads rows of one pinned pool snapshot (Pool); the
-// wire-form SERP items are built only where results leave the process.
+// pipeline selects and reads rows of one pinned pool snapshot (Pool),
+// ranking hits (Pool.Rank) only where their order is read; the wire-form
+// SERP items, always ranked, are built only where results leave the
+// process.
 package search
 
 import (
@@ -653,6 +655,7 @@ func (e *Engine) Search(factID, query string, n int) ([]SERPItem, error) {
 		return nil, err
 	}
 	hits := pl.Search(query, n, nil)
+	pl.Rank(hits)
 	out := make([]SERPItem, len(hits))
 	for i, h := range hits {
 		d := pl.p.payload(h.Row)
@@ -670,7 +673,7 @@ func (e *Engine) Search(factID, query string, n int) ([]SERPItem, error) {
 
 // PoolSearcher is implemented by searchers that hand out in-process pool
 // snapshots. The Engine implements it; the HTTP client does not, so the
-// RAG pipeline ranks rows in place only when retrieval runs in-process.
+// RAG pipeline reads rows in place only when retrieval runs in-process.
 type PoolSearcher interface {
 	// Pool returns a handle on the fact's current pool snapshot.
 	Pool(factID string) (Pool, error)
@@ -685,7 +688,7 @@ type Pool struct {
 	p *factPool
 }
 
-// Hit is one ranked row of a pool snapshot.
+// Hit is one row of a pool snapshot with its score for a query.
 type Hit = index.Hit
 
 // Pool implements PoolSearcher. It counts one store hit (or miss) per
@@ -704,11 +707,12 @@ func (e *Engine) Pool(factID string) (Pool, error) {
 const serpJitterScale = 0.05
 
 // Search appends the pool's top n rows for the query to dst (n <= 0 means
-// DefaultSERPSize) and returns it. Ranking is cosine relevance of the
-// query to title+body with a small deterministic tie-break jitter,
-// mimicking the opaque ordering of a web SERP: the cosine of the query
-// against every row's text plus serpJitterScale·det.Uniform("serp",
-// query, docID), fully sorted by (score desc, doc ID asc) and truncated.
+// DefaultSERPSize) and returns it. Relevance is the cosine of the query
+// to title+body with a small deterministic tie-break jitter, mimicking the
+// opaque ordering of a web SERP: the cosine of the query against every
+// row's text plus serpJitterScale·det.Uniform("serp", query, docID). The
+// hits are the first n rows under (score desc, doc ID asc), appended as a
+// set in ascending row order; Rank orders them as the SERP lists them.
 // The cosine is accumulated once per distinct variant text
 // (index.Index.TopK), not once per row. With a dst of capacity n the call
 // allocates the same whatever n is: no result is copied beyond dst.
@@ -735,15 +739,26 @@ func (pl Pool) Search(query string, n int, dst []Hit) []Hit {
 	return dst
 }
 
+// Rank orders hits of the snapshot by (score desc, doc ID asc), the order
+// of a SERP page: Search's hits, ranked, are the page Engine.Search
+// serves. The order is total, since a pool's doc IDs are unique.
+func (pl Pool) Rank(hits []Hit) {
+	slices.SortFunc(hits, func(a, b Hit) int {
+		switch {
+		case a.Score > b.Score:
+			return -1
+		case a.Score < b.Score:
+			return 1
+		}
+		return pl.p.cmpIDs(a.Row, b.Row)
+	})
+}
+
 // Len returns the number of rows in the snapshot.
 func (pl Pool) Len() int { return pl.p.len() }
 
 // ID returns the row's doc ID.
 func (pl Pool) ID(row int) string { return pl.p.id(row) }
-
-// CompareIDs compares the doc IDs of rows a and b, as strings.Compare
-// would, without building them.
-func (pl Pool) CompareIDs(a, b int) int { return pl.p.cmpIDs(a, b) }
 
 // Host returns the row's host.
 func (pl Pool) Host(row int) string { return pl.p.host(row) }
@@ -906,7 +921,7 @@ type Stats struct {
 	IngestedDocs int    `json:"ingested_docs"`
 	// SearchQueries counts top-k queries (Pool.Search, which Search runs);
 	// PostingsTouched accumulates the variant postings they read and
-	// DocsScored the rows they ranked.
+	// DocsScored the rows they scored.
 	SearchQueries   int64 `json:"search_queries"`
 	PostingsTouched int64 `json:"postings_touched"`
 	DocsScored      int64 `json:"docs_scored"`

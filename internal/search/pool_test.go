@@ -1,17 +1,21 @@
 package search
 
 import (
+	"cmp"
 	"errors"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"factcheck/internal/verbalize"
 )
 
 // TestPoolReadsMatchWire pins the by-reference reads against the wire
-// forms: a Pool.Search hit list names, in order, the documents and scores
-// Engine.Search returns, and every row accessor agrees with Fetch and
-// FetchEvidence for the same document.
+// forms: a Pool.Search hit list is a set in ascending row order which,
+// sorted by (score desc, doc ID asc), names in order the documents and
+// scores Engine.Search returns, and Rank sorts it the same way; every row
+// accessor agrees with Fetch and FetchEvidence for the same document.
 func TestPoolReadsMatchWire(t *testing.T) {
 	e, d := fixture(t)
 	for _, f := range d.Facts[:5] {
@@ -26,6 +30,22 @@ func TestPoolReadsMatchWire(t *testing.T) {
 					t.Fatal(err)
 				}
 				hits := pl.Search(q, n, nil)
+				for i := 1; i < len(hits); i++ {
+					if hits[i-1].Row >= hits[i].Row {
+						t.Fatalf("%s %q n=%d: hits not in ascending row order at %d", f.ID, q, n, i)
+					}
+				}
+				ranked := slices.Clone(hits)
+				pl.Rank(ranked)
+				slices.SortFunc(hits, func(a, b Hit) int {
+					if c := cmp.Compare(b.Score, a.Score); c != 0 {
+						return c
+					}
+					return strings.Compare(pl.ID(a.Row), pl.ID(b.Row))
+				})
+				if !slices.Equal(ranked, hits) {
+					t.Fatalf("%s %q n=%d: Rank order %v, want %v", f.ID, q, n, ranked, hits)
+				}
 				if len(hits) != len(items) {
 					t.Fatalf("%s %q n=%d: %d hits, %d SERP items", f.ID, q, n, len(hits), len(items))
 				}

@@ -283,8 +283,8 @@ func TestSearchWithIngestionMatchesScan(t *testing.T) {
 			}
 			for a := 0; a < pl.Len(); a += 1 + a/50 {
 				for b := pl.Len() - 1; b >= 0; b -= 1 + b/50 {
-					if got, want := pl.CompareIDs(a, b), strings.Compare(pl.ID(a), pl.ID(b)); got != want {
-						t.Fatalf("CompareIDs(%s, %s) = %d, want %d", pl.ID(a), pl.ID(b), got, want)
+					if got, want := pl.p.cmpIDs(a, b), strings.Compare(pl.ID(a), pl.ID(b)); got != want {
+						t.Fatalf("cmpIDs(%s, %s) = %d, want %d", pl.ID(a), pl.ID(b), got, want)
 					}
 				}
 			}

@@ -1488,7 +1488,7 @@ func (s *Service) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	p.Gauge("factcheck_retrieval_ingested_docs", "Live-ingested documents across all facts.", float64(r.IngestedDocs))
 	p.Counter("factcheck_retrieval_search_queries_total", "Search calls served by the top-k kernel.", uint64(r.SearchQueries))
 	p.Counter("factcheck_retrieval_postings_touched_total", "Postings read by the top-k kernel, each distinct document text's once per query.", uint64(r.PostingsTouched))
-	p.Counter("factcheck_retrieval_docs_scored_total", "Documents ranked by the top-k kernel.", uint64(r.DocsScored))
+	p.Counter("factcheck_retrieval_docs_scored_total", "Documents scored by the top-k kernel.", uint64(r.DocsScored))
 
 	ev := st.Evidence
 	p.GaugeVec("factcheck_evidence_cached_facts", "Facts with cached RAG evidence: pinned until released, bounded by the search engine's pool budget, or an unpinned retrieval in flight.", "lifetime",
