@@ -53,7 +53,7 @@ func main() {
 	}
 
 	// Consistency analysis selects the tie-breaking judges.
-	rep := consensus.Alignment(cols)
+	rep := consensus.Alignment(llm.OpenSourceModels, cols)
 	fmt.Printf("tie rate: %.0f%%   consensus alignment (CA_M):\n", 100*rep.TieRate)
 	for _, name := range llm.OpenSourceModels {
 		fmt.Printf("  %-12s %.3f\n", name, rep.CA[name])
@@ -68,7 +68,7 @@ func main() {
 	judge, _ := b.Model(llm.Upgrade[up])
 	arb := &consensus.ModelArbiter{Label: "agg-cons-up", Judge: judge, Verifier: verifier}
 	for i := 0; i < 5; i++ {
-		dec, err := consensus.Decide(ctx, facts[i], votes(i), arb)
+		dec, err := consensus.Decide(ctx, facts[i], llm.OpenSourceModels, votes(i), arb)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -88,7 +88,7 @@ func main() {
 	for _, arb := range []consensus.Arbiter{upArb, downArb, gptArb} {
 		var conf eval.Confusion
 		for i, f := range facts {
-			dec, err := consensus.Decide(ctx, f, votes(i), arb)
+			dec, err := consensus.Decide(ctx, f, llm.OpenSourceModels, votes(i), arb)
 			if err != nil {
 				log.Fatal(err)
 			}

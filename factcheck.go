@@ -63,7 +63,8 @@ type Progress = core.Progress
 // pool drains the verification grid.
 func WithProgress(fn func(Progress)) RunOption { return core.WithProgress(fn) }
 
-// Outcome records one model's verification of one fact under one method.
+// Outcome records one model's verification of one fact under one method,
+// which the Cell holding it names.
 type Outcome = strategy.Outcome
 
 // Store is a content-addressed result store: a durable cache of completed

@@ -88,19 +88,19 @@ func TestOverallUniqueRatioEmpty(t *testing.T) {
 	}
 }
 
-func outcome(model, fact string, correct bool) strategy.Outcome {
+func outcome(fact string, correct bool) strategy.Outcome {
 	v := strategy.False
 	if correct {
 		v = strategy.True
 	}
-	return strategy.Outcome{Model: model, FactID: fact, Verdict: v, Gold: true, Correct: correct}
+	return strategy.Outcome{FactID: fact, Verdict: v, Gold: true, Correct: correct}
 }
 
 func TestUpSet(t *testing.T) {
 	cols := [][]strategy.Outcome{
 		// f1 both, f2 a only, f3 none, f4 both.
-		{outcome("a", "f1", true), outcome("a", "f2", true), outcome("a", "f3", false), outcome("a", "f4", true)},
-		{outcome("b", "f1", true), outcome("b", "f2", false), outcome("b", "f3", false), outcome("b", "f4", true)},
+		{outcome("f1", true), outcome("f2", true), outcome("f3", false), outcome("f4", true)},
+		{outcome("f1", true), outcome("f2", false), outcome("f3", false), outcome("f4", true)},
 	}
 	rows := UpSet([]string{"a", "b"}, cols)
 	if len(rows) != 3 {
@@ -127,15 +127,15 @@ func TestUpSet(t *testing.T) {
 }
 
 // referenceUpSet is the retired UpSet: per fact, it sorts and joins the
-// correct models' names and counts the joined key. It is the oracle for
-// the bitmask count.
-func referenceUpSet(perFact [][]strategy.Outcome) []UpSetRow {
+// correct models' names and counts the joined key, perFact[i][j] being
+// models[j]'s outcome on fact i. It is the oracle for the bitmask count.
+func referenceUpSet(models []string, perFact [][]strategy.Outcome) []UpSetRow {
 	counts := map[string]int{}
 	for _, outs := range perFact {
 		var members []string
-		for _, o := range outs {
+		for j, o := range outs {
 			if o.Correct {
-				members = append(members, o.Model)
+				members = append(members, models[j])
 			}
 		}
 		sort.Strings(members)
@@ -179,14 +179,14 @@ func TestUpSetMatchesReference(t *testing.T) {
 			for i := 0; i < n; i++ {
 				outs := make([]strategy.Outcome, k)
 				for j := range outs {
-					o := outcome(models[j], fmt.Sprint("f", i), rng.Float64() < p)
+					o := outcome(fmt.Sprint("f", i), rng.Float64() < p)
 					cols[j][i], outs[j] = o, o
 				}
 				perFact = append(perFact, outs)
 			}
 			blocks = append(blocks, cols)
 		}
-		got, want := UpSet(models[:k], blocks...), referenceUpSet(perFact)
+		got, want := UpSet(models[:k], blocks...), referenceUpSet(models[:k], perFact)
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: %d rows, want %d", trial, len(got), len(want))
 		}
@@ -201,8 +201,8 @@ func TestUpSetMatchesReference(t *testing.T) {
 
 func TestStratifyByTopic(t *testing.T) {
 	outs := []strategy.Outcome{
-		outcome("a", "f1", true), outcome("a", "f2", false),
-		outcome("a", "f3", true), outcome("a", "f4", true),
+		outcome("f1", true), outcome("f2", false),
+		outcome("f3", true), outcome("f4", true),
 	}
 	topics := map[string]string{"f1": "Education", "f2": "Transportation", "f3": "Education", "f4": "Transportation"}
 	strata := StratifyByTopic(outs, func(id string) string { return topics[id] })
@@ -225,7 +225,7 @@ func TestStratifyByPopularity(t *testing.T) {
 	var outs []strategy.Outcome
 	popularity := map[string]float64{}
 	for i := 0; i < 40; i++ {
-		o := outcome("a", "f"+itoa(i), i%4 != 0)
+		o := outcome("f"+itoa(i), i%4 != 0)
 		popularity[o.FactID] = float64(i) / 40
 		outs = append(outs, o)
 	}
@@ -246,7 +246,7 @@ func TestStratifyByPopularity(t *testing.T) {
 }
 
 func TestStratifyByPopularityDefaultBands(t *testing.T) {
-	outs := []strategy.Outcome{outcome("a", "f1", true)}
+	outs := []strategy.Outcome{outcome("f1", true)}
 	if got := StratifyByPopularity(outs, func(string) float64 { return 0.5 }, 0); len(got) != 4 {
 		t.Errorf("default bands = %d, want 4", len(got))
 	}

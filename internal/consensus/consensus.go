@@ -132,16 +132,19 @@ func (a *ModelArbiter) Break(ctx context.Context, f *dataset.Fact) (strategy.Ver
 }
 
 // Decide combines the per-model outcomes for one fact into a decision,
-// consulting the arbiter only on ties. outcomes must all refer to the same
-// fact.
-func Decide(ctx context.Context, f *dataset.Fact, outcomes []strategy.Outcome, arb Arbiter) (Decision, error) {
+// consulting the arbiter only on ties. models[j] names the voter whose
+// outcome is outcomes[j]; outcomes must all refer to the same fact.
+func Decide(ctx context.Context, f *dataset.Fact, models []string, outcomes []strategy.Outcome, arb Arbiter) (Decision, error) {
+	if len(models) != len(outcomes) {
+		return Decision{}, fmt.Errorf("consensus: %d voters for %d outcomes on %s", len(models), len(outcomes), f.ID)
+	}
 	d := Decision{FactID: f.ID, Gold: f.Gold}
 	maxLat := 0.0
-	for _, o := range outcomes {
+	for j, o := range outcomes {
 		if o.FactID != f.ID {
 			return Decision{}, fmt.Errorf("consensus: outcome fact %s != %s", o.FactID, f.ID)
 		}
-		d.Votes = append(d.Votes, Vote{Model: o.Model, Verdict: o.Verdict})
+		d.Votes = append(d.Votes, Vote{Model: models[j], Verdict: o.Verdict})
 		if s := o.Latency.Seconds(); s > maxLat {
 			maxLat = s
 		}
@@ -186,9 +189,9 @@ type AlignmentReport struct {
 // Alignment computes CA_M for each model against the raw (pre-arbitration)
 // majority: ties count as majority "false" per the v_i formulation, matching
 // the proxy role CA plays in arbiter selection. cols holds one column per
-// model, cols[j][i] being model j's outcome on fact i (as
+// model, cols[j][i] being model models[j]'s outcome on fact i (as
 // core.ResultSet.Columns returns them), every column of one length.
-func Alignment(cols [][]strategy.Outcome) AlignmentReport {
+func Alignment(models []string, cols [][]strategy.Outcome) AlignmentReport {
 	rep := AlignmentReport{CA: map[string]float64{}}
 	if len(cols) == 0 || len(cols[0]) == 0 {
 		return rep
@@ -199,7 +202,7 @@ func Alignment(cols [][]strategy.Outcome) AlignmentReport {
 	ties := 0
 	for i := range majorities {
 		for j, col := range cols {
-			votes[j] = Vote{Model: col[i].Model, Verdict: col[i].Verdict}
+			votes[j] = Vote{Model: models[j], Verdict: col[i].Verdict}
 		}
 		maj, tie := Majority(votes)
 		if tie {
@@ -209,11 +212,11 @@ func Alignment(cols [][]strategy.Outcome) AlignmentReport {
 	}
 	rep.TieRate = float64(ties) / float64(n)
 	preds := make([]bool, n)
-	for _, col := range cols {
+	for j, col := range cols {
 		for i, o := range col {
 			preds[i] = o.Verdict.Bool()
 		}
-		rep.CA[col[0].Model] = eval.ConsensusAlignment(preds, majorities)
+		rep.CA[models[j]] = eval.ConsensusAlignment(preds, majorities)
 	}
 	return rep
 }

@@ -135,8 +135,9 @@ func (fx *fixture) columns() [][]strategy.Outcome {
 }
 
 // perFactAlignment is the retired Alignment over per-fact outcome rows,
-// kept as the reference for the column-reading one.
-func perFactAlignment(perFact [][]strategy.Outcome) AlignmentReport {
+// kept as the reference for the column-reading one; perFact[i][j] is
+// names[j]'s outcome on fact i.
+func perFactAlignment(names []string, perFact [][]strategy.Outcome) AlignmentReport {
 	if len(perFact) == 0 {
 		return AlignmentReport{CA: map[string]float64{}}
 	}
@@ -144,13 +145,13 @@ func perFactAlignment(perFact [][]strategy.Outcome) AlignmentReport {
 	var majorities []bool
 	ties := 0
 	for _, outs := range perFact {
-		maj, tie := Majority(votesOf(outs))
+		maj, tie := Majority(votesOf(names, outs))
 		if tie {
 			ties++
 		}
 		majorities = append(majorities, maj)
-		for _, o := range outs {
-			models[o.Model] = append(models[o.Model], o.Verdict.Bool())
+		for j, o := range outs {
+			models[names[j]] = append(models[names[j]], o.Verdict.Bool())
 		}
 	}
 	rep := AlignmentReport{
@@ -174,16 +175,17 @@ func TestAlignmentMatchesPerFact(t *testing.T) {
 		for j, col := range cols {
 			prefix[j] = col[:n]
 		}
-		if got, want := Alignment(prefix), perFactAlignment(per[:n]); !reflect.DeepEqual(got, want) {
+		if got, want := Alignment(llm.OpenSourceModels, prefix), perFactAlignment(llm.OpenSourceModels, per[:n]); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%d facts: Alignment %+v, per-fact %+v", n, got, want)
 		}
 	}
+	subNames := []string{llm.OpenSourceModels[2], llm.OpenSourceModels[0]}
 	sub := [][]strategy.Outcome{cols[2], cols[0]}
 	subPer := make([][]strategy.Outcome, len(per))
 	for i := range per {
 		subPer[i] = []strategy.Outcome{cols[2][i], cols[0][i]}
 	}
-	if got, want := Alignment(sub), perFactAlignment(subPer); !reflect.DeepEqual(got, want) {
+	if got, want := Alignment(subNames, sub), perFactAlignment(subNames, subPer); !reflect.DeepEqual(got, want) {
 		t.Fatalf("two columns: Alignment %+v, per-fact %+v", got, want)
 	}
 }
@@ -193,11 +195,11 @@ func TestDecideNoTieNeedsNoArbiter(t *testing.T) {
 	per := fx.perFact()
 	ctx := context.Background()
 	for i, outs := range per {
-		_, tie := Majority(votesOf(outs))
+		_, tie := Majority(votesOf(llm.OpenSourceModels, outs))
 		if tie {
 			continue
 		}
-		dec, err := Decide(ctx, fx.d.Facts[i], outs, nil)
+		dec, err := Decide(ctx, fx.d.Facts[i], llm.OpenSourceModels, outs, nil)
 		if err != nil {
 			t.Fatalf("Decide without arbiter on non-tie failed: %v", err)
 		}
@@ -219,12 +221,12 @@ func TestDecideTieUsesArbiter(t *testing.T) {
 	arb := &ModelArbiter{Label: "agg-cons-up", Judge: judge, Verifier: strategy.DKA{}}
 	foundTie := false
 	for i, outs := range per {
-		_, tie := Majority(votesOf(outs))
+		_, tie := Majority(votesOf(llm.OpenSourceModels, outs))
 		if !tie {
 			continue
 		}
 		foundTie = true
-		base, err := Decide(ctx, fx.d.Facts[i], outs, arb)
+		base, err := Decide(ctx, fx.d.Facts[i], llm.OpenSourceModels, outs, arb)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -255,8 +257,8 @@ func TestDecideTieWithoutArbiterFails(t *testing.T) {
 	fx := setup(t)
 	per := fx.perFact()
 	for i, outs := range per {
-		if _, tie := Majority(votesOf(outs)); tie {
-			if _, err := Decide(context.Background(), fx.d.Facts[i], outs, nil); err == nil {
+		if _, tie := Majority(votesOf(llm.OpenSourceModels, outs)); tie {
+			if _, err := Decide(context.Background(), fx.d.Facts[i], llm.OpenSourceModels, outs, nil); err == nil {
 				t.Error("tie without arbiter accepted")
 			}
 			return
@@ -268,22 +270,63 @@ func TestDecideTieWithoutArbiterFails(t *testing.T) {
 func TestDecideRejectsMismatchedFact(t *testing.T) {
 	fx := setup(t)
 	per := fx.perFact()
-	if _, err := Decide(context.Background(), fx.d.Facts[1], per[0], nil); err == nil {
+	if _, err := Decide(context.Background(), fx.d.Facts[1], llm.OpenSourceModels, per[0], nil); err == nil {
 		t.Error("mismatched outcomes accepted")
 	}
 }
 
-func votesOf(outs []strategy.Outcome) []Vote {
+func TestDecideRejectsVoterCountMismatch(t *testing.T) {
+	fx := setup(t)
+	outs := fx.perFact()[0]
+	if _, err := Decide(context.Background(), fx.d.Facts[0], llm.OpenSourceModels[1:], outs, nil); err == nil {
+		t.Error("three voters for four outcomes accepted")
+	}
+	if _, err := Decide(context.Background(), fx.d.Facts[0], llm.OpenSourceModels, outs[1:], nil); err == nil {
+		t.Error("four voters for three outcomes accepted")
+	}
+}
+
+// TestVoterNamesComeFromModels: an outcome does not name its model, so
+// Decide's votes and Alignment's CA keys are exactly the names passed in,
+// whatever models produced the outcomes.
+func TestVoterNamesComeFromModels(t *testing.T) {
+	fx := setup(t)
+	names := []string{"w", "x", "y", "z"}
+	arb := &ModelArbiter{Label: "a", Judge: llm.MustNew(llm.GPT4oMini), Verifier: strategy.DKA{}}
+	for i, outs := range fx.perFact() {
+		dec, err := Decide(context.Background(), fx.d.Facts[i], names, outs, arb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := dec.Votes, votesOf(names, outs); !reflect.DeepEqual(got, want) {
+			t.Fatalf("fact %d: votes %v, want %v", i, got, want)
+		}
+	}
+	rep := Alignment(names, fx.columns())
+	want := Alignment(llm.OpenSourceModels, fx.columns())
+	if len(rep.CA) != len(names) || rep.TieRate != want.TieRate {
+		t.Fatalf("alignment %+v, want %d keys and tie rate %v", rep, len(names), want.TieRate)
+	}
+	for j, m := range llm.OpenSourceModels {
+		if ca, ok := rep.CA[names[j]]; !ok || ca != want.CA[m] {
+			t.Errorf("CA[%s] = %v (present %v), want %s's %v", names[j], ca, ok, m, want.CA[m])
+		}
+	}
+}
+
+// votesOf names each of one fact's outcomes after its voter, names[j]
+// casting outs[j].
+func votesOf(names []string, outs []strategy.Outcome) []Vote {
 	vs := make([]Vote, len(outs))
 	for i, o := range outs {
-		vs[i] = Vote{Model: o.Model, Verdict: o.Verdict}
+		vs[i] = Vote{Model: names[i], Verdict: o.Verdict}
 	}
 	return vs
 }
 
 func TestAlignmentReport(t *testing.T) {
 	fx := setup(t)
-	rep := Alignment(fx.columns())
+	rep := Alignment(llm.OpenSourceModels, fx.columns())
 	if len(rep.CA) != len(llm.OpenSourceModels) {
 		t.Fatalf("CA for %d models, want %d", len(rep.CA), len(llm.OpenSourceModels))
 	}
@@ -307,7 +350,7 @@ func TestAlignmentReport(t *testing.T) {
 }
 
 func TestAlignmentEmpty(t *testing.T) {
-	rep := Alignment(nil)
+	rep := Alignment(nil, nil)
 	if rep.TieRate != 0 || len(rep.CA) != 0 {
 		t.Errorf("empty alignment = %+v", rep)
 	}
@@ -324,7 +367,7 @@ func TestConsensusMitigatesWorstModel(t *testing.T) {
 
 	correct := 0
 	for i, outs := range per {
-		dec, err := Decide(ctx, fx.d.Facts[i], outs, arb)
+		dec, err := Decide(ctx, fx.d.Facts[i], llm.OpenSourceModels, outs, arb)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -30,7 +30,7 @@ func TestEngineDegradeDropsUnavailableVoter(t *testing.T) {
 		if model == "b" {
 			return strategy.Outcome{}, unavailableErr{}
 		}
-		return strategy.Outcome{FactID: f.ID, Model: model, Verdict: verdicts[model]}, nil
+		return strategy.Outcome{FactID: f.ID, Verdict: verdicts[model]}, nil
 	}
 
 	eng := &Engine{Plan: fourPlan(), Mode: ModeEager, AllowTie: true, Degrade: true}
@@ -70,7 +70,7 @@ func TestEngineDegradeShrinksSettledBound(t *testing.T) {
 		if model == "a" {
 			return strategy.Outcome{}, unavailableErr{}
 		}
-		return strategy.Outcome{FactID: f.ID, Model: model, Verdict: verdicts[model]}, nil
+		return strategy.Outcome{FactID: f.ID, Verdict: verdicts[model]}, nil
 	}
 	eng := &Engine{Plan: fourPlan(), Mode: ModeAdaptive, AllowTie: true, Degrade: true}
 	dec, st, err := eng.Decide(context.Background(), f, fetch)
@@ -117,7 +117,7 @@ func TestEngineDegradeTransientStillErrors(t *testing.T) {
 		if model == "b" {
 			return strategy.Outcome{}, retryableErr{}
 		}
-		return strategy.Outcome{FactID: f.ID, Model: model, Verdict: strategy.True}, nil
+		return strategy.Outcome{FactID: f.ID, Verdict: strategy.True}, nil
 	}
 	eng := &Engine{Plan: fourPlan(), Mode: ModeEager, AllowTie: true, Degrade: true}
 	if _, _, err := eng.Decide(context.Background(), f, fetch); err == nil {

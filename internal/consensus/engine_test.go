@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -159,7 +160,7 @@ func planFetch(f *dataset.Fact, verdicts map[string]strategy.Verdict, lats map[s
 		if !ok {
 			return strategy.Outcome{}, fmt.Errorf("no verdict scripted for %s", model)
 		}
-		return strategy.Outcome{FactID: f.ID, Model: model, Verdict: v, Latency: lats[model]}, nil
+		return strategy.Outcome{FactID: f.ID, Verdict: v, Latency: lats[model]}, nil
 	}
 }
 
@@ -298,7 +299,7 @@ func TestEngineErrors(t *testing.T) {
 		if m == "b" {
 			return strategy.Outcome{}, errors.New("boom")
 		}
-		return strategy.Outcome{FactID: f.ID, Model: m, Verdict: strategy.True}, nil
+		return strategy.Outcome{FactID: f.ID, Verdict: strategy.True}, nil
 	})
 	if err == nil || !strings.Contains(err.Error(), "b vote") {
 		t.Errorf("fetch error = %v, want wrapped b-vote error", err)
@@ -306,20 +307,19 @@ func TestEngineErrors(t *testing.T) {
 	// An outcome for the wrong fact is rejected.
 	mismatched := &Engine{Plan: fourPlan(), Mode: ModeEager, AllowTie: true}
 	_, _, err = mismatched.Decide(context.Background(), f, func(_ context.Context, m string) (strategy.Outcome, error) {
-		return strategy.Outcome{FactID: "other", Model: m, Verdict: strategy.True}, nil
+		return strategy.Outcome{FactID: "other", Verdict: strategy.True}, nil
 	})
 	if err == nil || !strings.Contains(err.Error(), "outcome fact") {
 		t.Errorf("mismatched fact error = %v", err)
 	}
 }
 
-// fixtureFetch adapts one fact's precomputed outcomes to a Fetch.
+// fixtureFetch adapts one fact's precomputed outcomes, in
+// llm.OpenSourceModels order, to a Fetch.
 func fixtureFetch(outs []strategy.Outcome) Fetch {
 	return func(_ context.Context, model string) (strategy.Outcome, error) {
-		for _, o := range outs {
-			if o.Model == model {
-				return o, nil
-			}
+		if j := slices.Index(llm.OpenSourceModels, model); j >= 0 {
+			return outs[j], nil
 		}
 		return strategy.Outcome{}, fmt.Errorf("no outcome for %s", model)
 	}
@@ -337,7 +337,7 @@ func TestEngineEagerMatchesDecide(t *testing.T) {
 	plan := NewPlan(llm.OpenSourceModels, llm.Cost)
 	eng := &Engine{Plan: plan, Mode: ModeEager, Arbiter: arb}
 	for i, outs := range per {
-		want, err := Decide(ctx, fx.d.Facts[i], outs, arb)
+		want, err := Decide(ctx, fx.d.Facts[i], llm.OpenSourceModels, outs, arb)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,13 +14,12 @@ import (
 	"factcheck/internal/strategy"
 )
 
-// heldLookup adapts one fact's precomputed outcomes to a Lookup.
+// heldLookup adapts one fact's precomputed outcomes, in
+// llm.OpenSourceModels order, to a Lookup.
 func heldLookup(outs *[]strategy.Outcome) func(string) (strategy.Outcome, bool) {
 	return func(model string) (strategy.Outcome, bool) {
-		for _, o := range *outs {
-			if o.Model == model {
-				return o, true
-			}
+		if j := slices.Index(llm.OpenSourceModels, model); j >= 0 {
+			return (*outs)[j], true
 		}
 		return strategy.Outcome{}, false
 	}
@@ -99,7 +99,7 @@ func concurrentFetch(want int, calls *atomic.Int64, verdicts map[string]strategy
 		case <-time.After(5 * time.Second):
 			return strategy.Outcome{}, fmt.Errorf("fetch of %s waited alone: the wave's misses were not fanned out", model)
 		}
-		return strategy.Outcome{FactID: synthFact().ID, Model: model, Verdict: verdicts[model]}, nil
+		return strategy.Outcome{FactID: synthFact().ID, Verdict: verdicts[model]}, nil
 	}
 }
 
@@ -113,7 +113,7 @@ func TestDecideFansOutMisses(t *testing.T) {
 		return func(model string) (strategy.Outcome, bool) {
 			for _, m := range models {
 				if m == model {
-					return strategy.Outcome{FactID: synthFact().ID, Model: model, Verdict: verdicts[model]}, true
+					return strategy.Outcome{FactID: synthFact().ID, Verdict: verdicts[model]}, true
 				}
 			}
 			return strategy.Outcome{}, false

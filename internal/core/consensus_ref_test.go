@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -55,7 +56,7 @@ func referenceConsensus(ctx context.Context, b *Benchmark, rs *ResultSet, dn dat
 		return nil, err
 	}
 	cell := &ConsensusCell{
-		Alignment: consensus.Alignment(cols),
+		Alignment: consensus.Alignment(models, cols),
 		Results:   map[string]eval.Confusion{},
 	}
 	up, down, commercial, err := b.Arbiters(cell.Alignment, method)
@@ -71,10 +72,8 @@ func referenceConsensus(ctx context.Context, b *Benchmark, rs *ResultSet, dn dat
 		for i, outs := range perFact {
 			outs := outs
 			fetch := func(_ context.Context, model string) (strategy.Outcome, error) {
-				for _, o := range outs {
-					if o.Model == model {
-						return o, nil
-					}
+				if j := slices.Index(models, model); j >= 0 {
+					return outs[j], nil
 				}
 				return strategy.Outcome{}, fmt.Errorf("no %s outcome for fact %s", model, d.Facts[i].ID)
 			}

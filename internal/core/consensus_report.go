@@ -56,7 +56,7 @@ func (b *Benchmark) RunConsensusMode(ctx context.Context, rs *ResultSet, dn data
 		return nil, fmt.Errorf("core: %s/%s consensus: %w", dn, method, err)
 	}
 	cell := &ConsensusCell{
-		Alignment: consensus.Alignment(cols),
+		Alignment: consensus.Alignment(models, cols),
 		Results:   map[string]eval.Confusion{},
 	}
 	up, down, commercial, err := b.Arbiters(cell.Alignment, method)

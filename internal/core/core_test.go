@@ -115,8 +115,10 @@ func TestPerFactRegrouping(t *testing.T) {
 		if row[0].FactID != row[1].FactID {
 			t.Fatal("row mixes facts")
 		}
-		if row[0].Model != llm.Gemma2 || row[1].Model != llm.Mistral {
-			t.Fatal("model order not preserved")
+		for j, m := range models {
+			if row[j] != rs.Outcomes[Cell{Dataset: dataset.FactBench, Method: llm.MethodDKA, Model: m}][i] {
+				t.Fatalf("row %d column %d is not %s's outcome: model order not preserved", i, j, m)
+			}
 		}
 	}
 	_, err = rs.PerFact(dataset.FactBench, llm.MethodDKA, []string{"missing"})

@@ -92,15 +92,16 @@ func tiedRAGFacts(t *testing.T, b *Benchmark, rs *ResultSet) map[string]bool {
 	t.Helper()
 	tied := map[string]bool{}
 	for _, dn := range b.Config.Datasets {
-		perFact, err := rs.PerFact(dn, llm.MethodRAG, openModels(b.Config.Models))
+		models := openModels(b.Config.Models)
+		perFact, err := rs.PerFact(dn, llm.MethodRAG, models)
 		if err != nil {
 			t.Fatal(err)
 		}
 		n := 0
 		for i, outs := range perFact {
 			var votes []consensus.Vote
-			for _, o := range outs {
-				votes = append(votes, consensus.Vote{Model: o.Model, Verdict: o.Verdict})
+			for j, o := range outs {
+				votes = append(votes, consensus.Vote{Model: models[j], Verdict: o.Verdict})
 			}
 			if _, tie := consensus.Majority(votes); tie {
 				tied[b.Datasets[dn].Facts[i].ID] = true

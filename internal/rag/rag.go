@@ -478,8 +478,8 @@ var rowScratchPool = sync.Pool{New: func() any { return new(rowScratch) }}
 // A query's hits come as a set (search.Pool.Search), and almost nothing
 // reads their order: the rows a query sees first, the S_KG count and the
 // candidate count are set functions, and the rerank's order is total.
-// Only the query whose new candidates cross CandidateCap is ranked, so
-// that the cap keeps its best rows, as it would cut a ranked SERP.
+// Only the query whose new candidates cross CandidateCap ranks its best
+// rows, so that the cap keeps them, as it would cut a ranked SERP.
 func (p *Pipeline) retrieveRows(ctx context.Context, f *dataset.Fact, ev *Evidence, ps search.PoolSearcher, score func(cand text.SparseVector, candText string) float64) error {
 	cfg := p.Config
 
@@ -519,8 +519,7 @@ func (p *Pipeline) retrieveRows(ctx context.Context, f *dataset.Fact, ev *Eviden
 			continue
 		}
 		if len(fresh) > room {
-			pool.Rank(fresh)
-			fresh = fresh[:room]
+			fresh = pool.RankTop(fresh, room)
 		}
 		for _, h := range fresh {
 			rows = append(rows, h.Row)
@@ -551,11 +550,9 @@ func (p *Pipeline) retrieveRows(ctx context.Context, f *dataset.Fact, ev *Eviden
 		scored = append(scored, search.Hit{Row: r, Score: byVariant[v]})
 	}
 	sc.scored, sc.byVariant = scored, byVariant
-	// (score desc, doc ID asc) is a total order: doc IDs are unique.
-	pool.Rank(scored)
-	if len(scored) > cfg.SelectedDocs {
-		scored = scored[:cfg.SelectedDocs]
-	}
+	// (score desc, doc ID asc) is a total order, doc IDs being unique, so
+	// its best k_d are the same whichever way they are found.
+	scored = pool.RankTop(scored, cfg.SelectedDocs)
 	endRerank()
 
 	// Phase 4b: sliding-window chunking from the doc table's cached

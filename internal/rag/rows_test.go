@@ -19,8 +19,8 @@ import (
 // rankedRows is phases 3–4 of retrieveRows as they ran while every SERP
 // came ranked: each query's hits sorted by (score desc, doc ID asc), the
 // new candidates appended in that order and the list cut at CandidateCap.
-// It is the oracle for retrieveRows, which ranks only the query whose
-// candidates cross the cap.
+// It is the oracle for retrieveRows, which ranks only the best rows of the
+// query whose candidates cross the cap, and only the k_d best scored.
 func rankedRows(cfg Config, pool search.Pool, ev *Evidence, score func(text.SparseVector, string) float64) {
 	byRank := func(a, b search.Hit) int {
 		switch {
@@ -131,7 +131,8 @@ func rowsMatchRanked(t testing.TB, e *search.Engine, f *dataset.Fact, cfg Config
 }
 
 // TestRetrieveRowsMatchesRanked pins retrieveRows, which ranks only the
-// query whose candidates cross CandidateCap, to the always-ranked oracle
+// best rows of the query whose candidates cross CandidateCap and only the
+// k_d best scored candidates, to the always-ranked oracle
 // over every small-world fact: with the cap cutting inside each query in
 // turn, cutting nowhere, and at the paper's default, with the S_KG filter
 // on and off.

@@ -7,7 +7,6 @@ import (
 	"hash/crc32"
 	"time"
 
-	"factcheck/internal/llm"
 	"factcheck/internal/strategy"
 )
 
@@ -21,14 +20,15 @@ import (
 //	check   uint32                     CRC-32C over everything above
 //
 // Strings are a uint32 length (no outcome string comes near 4 GiB) and
-// the UTF-8 bytes; booleans one byte (0/1). The
+// the UTF-8 bytes; booleans one byte (0/1). The fingerprint names the
+// cell, so outcomes carry no model or method. The
 // encoding has no map iteration, no pointers and no reflection, so equal
 // inputs yield equal bytes — which keeps snapshots diffable and lets tests
-// pin golden images. Version 1 also wrote each outcome's claim and closed
-// with a 64-bit FNV-1a; its files are rejected as a foreign version.
+// pin golden images. Version 2 also wrote each outcome's model and method,
+// version 1 its claim; their files are rejected as a foreign version.
 const (
 	codecMagic   = "FCRS"
-	codecVersion = 2
+	codecVersion = 3
 
 	// headerLen is the length of magic, version, fingerprint and count;
 	// checkLen that of the trailing checksum.
@@ -36,9 +36,9 @@ const (
 	checkLen  = 4
 
 	// minEncodedOutcome is the size of an outcome with every string empty:
-	// 4 string lengths (4 bytes each) + 1 verdict byte + 2 booleans +
-	// 5 int64s. encodeOutcome can never produce fewer bytes.
-	minEncodedOutcome = 4*4 + 1 + 2 + 5*8
+	// 2 string lengths and the chunk count (4 bytes each) + 1 verdict byte
+	// + 2 booleans + 4 int64s. encodeOutcome can never produce fewer bytes.
+	minEncodedOutcome = 3*4 + 1 + 2 + 4*8
 )
 
 // castagnoli is the CRC-32C table. CRC-32C detects every burst error of
@@ -61,10 +61,11 @@ type encoder struct{ buf []byte }
 
 func (e *encoder) raw(b []byte) { e.buf = append(e.buf, b...) }
 func (e *encoder) u8(v uint8)   { e.buf = append(e.buf, v) }
+func (e *encoder) u32(v uint32) { e.buf = binary.BigEndian.AppendUint32(e.buf, v) }
 func (e *encoder) u64(v uint64) { e.buf = binary.BigEndian.AppendUint64(e.buf, v) }
 func (e *encoder) i64(v int64)  { e.u64(uint64(v)) }
 func (e *encoder) str(s string) {
-	e.buf = binary.BigEndian.AppendUint32(e.buf, uint32(len(s)))
+	e.u32(uint32(len(s)))
 	e.buf = append(e.buf, s...)
 }
 func (e *encoder) boolean(v bool) {
@@ -84,11 +85,10 @@ type decoder struct {
 	tab *table
 }
 
-// table shares strings among the outcomes decoded through it: a cell's
-// model and method repeat in every outcome, and a dataset's fact IDs and
-// explanations repeat across its cells. Open decodes every snapshot of a
-// store through one table, so the loaded cells hold one copy of each, as
-// the cells Run computes do.
+// table shares strings among the outcomes decoded through it: a dataset's
+// fact IDs and explanations repeat across its cells. Open decodes every
+// snapshot of a store through one table, so the loaded cells hold one copy
+// of each, as the cells Run computes do.
 type table struct {
 	strs map[string]string
 	// rows holds, per outcome count, the outcomes of the last snapshot
@@ -174,7 +174,7 @@ func Encode(fp Fingerprint, outs []strategy.Outcome) []byte {
 	for i := range outs {
 		encodeOutcome(e, &outs[i])
 	}
-	e.buf = binary.BigEndian.AppendUint32(e.buf, checksum(e.buf))
+	e.u32(checksum(e.buf))
 	return e.buf
 }
 
@@ -214,16 +214,12 @@ func decode(data []byte, tab *table) (Fingerprint, []strategy.Outcome, error) {
 	rows := tab.rows[count]
 	var none strategy.Outcome
 	for i := range outs {
-		// Hints: the previous outcome of this cell (same model and
-		// method) and row i of the previous cell of this size (same fact).
-		last, row := &none, &none
-		if i > 0 {
-			last = &outs[i-1]
-		}
+		// Hint: row i of the previous cell of this size (same fact).
+		row := &none
 		if i < len(rows) {
 			row = &rows[i]
 		}
-		decodeOutcome(d, &outs[i], last, row)
+		decodeOutcome(d, &outs[i], row)
 	}
 	if d.err != nil {
 		return 0, nil, d.err
@@ -242,15 +238,13 @@ func encodedLen(outs []strategy.Outcome) int {
 	n := headerLen + checkLen
 	for i := range outs {
 		o := &outs[i]
-		n += minEncodedOutcome + len(o.FactID) + len(o.Model) + len(o.Method) + len(o.Explanation)
+		n += minEncodedOutcome + len(o.FactID) + len(o.Explanation)
 	}
 	return n
 }
 
 func encodeOutcome(e *encoder, o *strategy.Outcome) {
 	e.str(o.FactID)
-	e.str(o.Model)
-	e.str(string(o.Method))
 	e.u8(uint8(o.Verdict))
 	e.boolean(o.Gold)
 	e.boolean(o.Correct)
@@ -259,15 +253,13 @@ func encodeOutcome(e *encoder, o *strategy.Outcome) {
 	e.i64(int64(o.CompletionTokens))
 	e.i64(int64(o.Attempts))
 	e.str(o.Explanation)
-	e.i64(int64(o.EvidenceChunks))
+	e.u32(uint32(o.EvidenceChunks))
 }
 
-// decodeOutcome reads one outcome; last and row are the hints described
-// at its call, each the zero outcome when absent.
-func decodeOutcome(d *decoder, o *strategy.Outcome, last, row *strategy.Outcome) {
+// decodeOutcome reads one outcome; row is the hint described at its call,
+// the zero outcome when absent.
+func decodeOutcome(d *decoder, o *strategy.Outcome, row *strategy.Outcome) {
 	o.FactID = d.str(row.FactID)
-	o.Model = d.str(last.Model)
-	o.Method = llm.Method(d.str(string(last.Method)))
 	o.Verdict = strategy.Verdict(d.u8())
 	o.Gold = d.u8() != 0
 	o.Correct = d.u8() != 0
@@ -276,7 +268,7 @@ func decodeOutcome(d *decoder, o *strategy.Outcome, last, row *strategy.Outcome)
 	o.CompletionTokens = int(d.u64())
 	o.Attempts = int(d.u64())
 	o.Explanation = d.str(row.Explanation)
-	o.EvidenceChunks = int(d.u64())
+	o.EvidenceChunks = int32(d.u32())
 }
 
 func checksum(b []byte) uint32 { return crc32.Checksum(b, castagnoli) }

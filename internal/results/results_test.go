@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -26,8 +27,6 @@ func testOutcomes() []strategy.Outcome {
 	return []strategy.Outcome{
 		{
 			FactID:           "factbench-000017",
-			Model:            "gemma2:9b",
-			Method:           llm.MethodRAG,
 			Verdict:          strategy.True,
 			Gold:             true,
 			Correct:          true,
@@ -40,8 +39,6 @@ func testOutcomes() []strategy.Outcome {
 		},
 		{
 			FactID:  "yago-000002",
-			Model:   "mistral:7b",
-			Method:  llm.MethodGIVZ,
 			Verdict: strategy.Invalid,
 			Gold:    false,
 		},
@@ -87,8 +84,6 @@ func cellOutcomes(n int) []strategy.Outcome {
 	for i := range outs {
 		o := &outs[i]
 		o.FactID = fmt.Sprintf("dbpedia-%06d", i)
-		o.Model = "qwen2.5:7b"
-		o.Method = llm.MethodGIVF
 		o.Verdict = strategy.Verdict(i % 3)
 		o.Latency = time.Duration(i) * time.Millisecond
 		o.PromptTokens, o.CompletionTokens, o.Attempts = 900+i, 40, 1+i%3
@@ -153,8 +148,6 @@ func TestCodecDeterministic(t *testing.T) {
 func goldenOutcomes() []strategy.Outcome {
 	return []strategy.Outcome{{
 		FactID:  "f-1",
-		Model:   "m",
-		Method:  llm.MethodDKA,
 		Verdict: strategy.False,
 		Gold:    true,
 		Latency: 5 * time.Millisecond,
@@ -169,14 +162,21 @@ const goldenFP = Fingerprint(0xdeadbeef12345678)
 // then rejected and recomputed) and update this golden.
 func TestCodecGolden(t *testing.T) {
 	got := hex.EncodeToString(Encode(goldenFP, goldenOutcomes()))
-	const want = "4643525302deadbeef12345678000000000000000100000003662d310000" +
-		"00016d00000003444b4102010000000000004c4b40000000000000000000" +
-		"0000000000000000000000000000000000000000000000000000003dad20" +
-		"9c"
+	const want = "4643525303deadbeef12345678000000000000000100000003662d310201" +
+		"0000000000004c4b40000000000000000000000000000000000000000000" +
+		"00000000000000000000009300312c"
 	if got != want {
 		t.Fatalf("golden mismatch:\n got %s\nwant %s", got, want)
 	}
 }
+
+// v2Golden is the version-2 image of goldenOutcomes, whose outcome also
+// carried model "m" and method DKA: both strings followed the fact ID,
+// and the chunk count was an int64.
+const v2Golden = "4643525302deadbeef12345678000000000000000100000003662d310000" +
+	"00016d00000003444b4102010000000000004c4b40000000000000000000" +
+	"0000000000000000000000000000000000000000000000000000003dad20" +
+	"9c"
 
 // v1Golden is the version-1 image of goldenOutcomes, whose outcome also
 // carried the claim {Key: "k", Popularity: 0.5}: the claim's strings, gold
@@ -193,13 +193,24 @@ const v1Golden = "4643525301deadbeef123456780000000000000001000000000000000366" 
 // TestV1SnapshotRejected checks that a version-1 snapshot is a foreign
 // version: Decode rejects it, and Open skips the file, so the cell counts
 // as missing and is recomputed.
-func TestV1SnapshotRejected(t *testing.T) {
-	data, err := hex.DecodeString(v1Golden)
+func TestV1SnapshotRejected(t *testing.T) { checkForeignSnapshot(t, v1Golden) }
+
+// TestV2SnapshotRejected is TestV1SnapshotRejected for a version-2 image,
+// whose outcomes hold the same values as version 3's in a different
+// layout: Open must recompute the cell, not misread it.
+func TestV2SnapshotRejected(t *testing.T) { checkForeignSnapshot(t, v2Golden) }
+
+// checkForeignSnapshot checks that the hex snapshot image of goldenFP's
+// cell is rejected as a foreign version by Decode, skipped by Open, and
+// replaced by the recomputed cell's Put.
+func checkForeignSnapshot(t *testing.T, image string) {
+	t.Helper()
+	data, err := hex.DecodeString(image)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := Decode(data); !errors.Is(err, errVersion) {
-		t.Fatalf("v1 snapshot: err = %v, want errVersion", err)
+		t.Fatalf("version-%d snapshot: err = %v, want errVersion", data[4], err)
 	}
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, goldenFP.String()+cellExt), data, 0o644); err != nil {
@@ -210,7 +221,7 @@ func TestV1SnapshotRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, ok := s.Get(goldenFP); ok || s.Len() != 0 {
-		t.Fatal("v1 snapshot was loaded")
+		t.Fatalf("version-%d snapshot was loaded", data[4])
 	}
 	if err := s.Put(goldenFP, goldenOutcomes()); err != nil {
 		t.Fatal(err)
@@ -220,7 +231,7 @@ func TestV1SnapshotRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got, ok := s2.Get(goldenFP); !ok || !reflect.DeepEqual(got, goldenOutcomes()) {
-		t.Fatal("the recomputed cell did not replace the v1 snapshot")
+		t.Fatalf("the recomputed cell did not replace the version-%d snapshot", data[4])
 	}
 }
 
@@ -258,6 +269,19 @@ func TestDecodeRejectsInflatedCount(t *testing.T) {
 	binary.BigEndian.PutUint64(body[13:21], 1<<40) // count field
 	if _, _, err := Decode(withChecksum(body)); !errors.Is(err, errTruncated) {
 		t.Errorf("inflated count accepted: %v", err)
+	}
+	// minEncodedOutcome is exactly an empty outcome's size, so the bound
+	// is tight: a payload of three empty outcomes claiming four is
+	// refused before decoding.
+	empty := make([]strategy.Outcome, 3)
+	data = Encode(1, empty)
+	if n := len(data) - headerLen - checkLen; n != len(empty)*minEncodedOutcome {
+		t.Fatalf("%d empty outcomes encode to %d bytes, want %d", len(empty), n, len(empty)*minEncodedOutcome)
+	}
+	body = append([]byte{}, data[:len(data)-checkLen]...)
+	binary.BigEndian.PutUint64(body[13:21], uint64(len(empty)+1))
+	if _, _, err := Decode(withChecksum(body)); !errors.Is(err, errTruncated) {
+		t.Errorf("count one above the payload accepted: %v", err)
 	}
 }
 
@@ -344,7 +368,7 @@ func TestOpenSharesStrings(t *testing.T) {
 	a := testOutcomes()
 	b := testOutcomes()
 	for i := range b {
-		b[i].Model = "qwen2.5:7b"
+		b[i].Latency++
 	}
 	fpA, fpB := Fingerprint(1), Fingerprint(2)
 	for fp, outs := range map[Fingerprint][]strategy.Outcome{fpA: a, fpB: b} {
@@ -368,8 +392,6 @@ func TestOpenSharesStrings(t *testing.T) {
 	}
 	same("fact ID", gotA[0].FactID, gotB[0].FactID)
 	same("explanation", gotA[0].Explanation, gotB[0].Explanation)
-	same("method", string(gotA[0].Method), string(gotB[0].Method))
-	same("model", gotB[0].Model, gotB[1].Model)
 }
 
 func TestStoreSkipsCorruptAndMisnamedSnapshots(t *testing.T) {
@@ -470,12 +492,20 @@ func withChecksum(body []byte) []byte {
 // computed checksum, so inputs get past the checksum to the record
 // decoder. Decoding must never panic, and an accepted snapshot must
 // re-encode to bytes that decode and re-encode to the same bytes. The
-// seeds are v2 images without their checksum.
+// seeds are v3 images without their checksum, among them one whose chunk
+// counts fill all 32 bits, and the v2 golden body.
 func FuzzResultsDecode(f *testing.F) {
-	for _, outs := range [][]strategy.Outcome{nil, testOutcomes(), testOutcomes()[1:], goldenOutcomes(), cellOutcomes(8)} {
+	wide := testOutcomes()
+	wide[0].EvidenceChunks, wide[1].EvidenceChunks = math.MaxInt32, -1
+	for _, outs := range [][]strategy.Outcome{nil, testOutcomes(), testOutcomes()[1:], goldenOutcomes(), cellOutcomes(8), wide} {
 		data := Encode(testKey().Fingerprint(), outs)
 		f.Add(data[:len(data)-checkLen])
 	}
+	v2, err := hex.DecodeString(v2Golden)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v2[:len(v2)-checkLen])
 	f.Fuzz(func(t *testing.T, body []byte) {
 		fp, outs, err := Decode(withChecksum(body))
 		if err != nil {

@@ -74,8 +74,6 @@ func (a *Augmented) Verify(ctx context.Context, m llm.Model, f *dataset.Fact) (s
 	}
 	out := strategy.Outcome{
 		FactID:      f.ID,
-		Model:       m.Name(),
-		Method:      a.Inner.Method(),
 		Gold:        f.Gold,
 		Latency:     ruleLatency,
 		Attempts:    0,

@@ -742,16 +742,35 @@ func (pl Pool) Search(query string, n int, dst []Hit) []Hit {
 // Rank orders hits of the snapshot by (score desc, doc ID asc), the order
 // of a SERP page: Search's hits, ranked, are the page Engine.Search
 // serves. The order is total, since a pool's doc IDs are unique.
-func (pl Pool) Rank(hits []Hit) {
-	slices.SortFunc(hits, func(a, b Hit) int {
-		switch {
-		case a.Score > b.Score:
-			return -1
-		case a.Score < b.Score:
-			return 1
+func (pl Pool) Rank(hits []Hit) { slices.SortFunc(hits, pl.cmp) }
+
+// RankTop returns the first k hits of Rank's order, ranked, without
+// sorting the rest: hits[:k] ends up holding them, and hits[k:] the others
+// in no particular order. With at most k hits it ranks them all.
+func (pl Pool) RankTop(hits []Hit, k int) []Hit {
+	top := hits[:min(max(k, 0), len(hits))]
+	pl.Rank(top)
+	for i := len(top); i < len(hits) && len(top) > 0; i++ {
+		// A better hit displaces the worst kept one and sinks into place.
+		if j := len(top) - 1; pl.cmp(hits[i], top[j]) < 0 {
+			hits[i], top[j] = top[j], hits[i]
+			for ; j > 0 && pl.cmp(top[j], top[j-1]) < 0; j-- {
+				top[j], top[j-1] = top[j-1], top[j]
+			}
 		}
-		return pl.p.cmpIDs(a.Row, b.Row)
-	})
+	}
+	return top
+}
+
+// cmp is Rank's order: score desc, then doc ID asc.
+func (pl Pool) cmp(a, b Hit) int {
+	switch {
+	case a.Score > b.Score:
+		return -1
+	case a.Score < b.Score:
+		return 1
+	}
+	return pl.p.cmpIDs(a.Row, b.Row)
 }
 
 // Len returns the number of rows in the snapshot.

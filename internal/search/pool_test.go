@@ -3,6 +3,7 @@ package search
 import (
 	"cmp"
 	"errors"
+	"math/rand/v2"
 	"reflect"
 	"slices"
 	"strings"
@@ -10,6 +11,42 @@ import (
 
 	"factcheck/internal/verbalize"
 )
+
+// TestRankTopMatchesRank pins RankTop to the first k of Rank's order, for
+// every k from 0 past the hit count, over hits whose scores tie often so
+// that the doc-ID tie break decides, and checks that hits keeps every
+// hit it was given.
+func TestRankTopMatchesRank(t *testing.T) {
+	e, d := fixture(t)
+	rng := rand.New(rand.NewPCG(1, 2))
+	for _, f := range d.Facts[:5] {
+		pl, err := e.Pool(f.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hits := make([]Hit, pl.Len())
+		for row := range hits {
+			hits[row] = Hit{Row: row, Score: float64(rng.IntN(4))}
+		}
+		rng.Shuffle(len(hits), func(i, j int) { hits[i], hits[j] = hits[j], hits[i] })
+		ranked := slices.Clone(hits)
+		pl.Rank(ranked)
+		for k := 0; k <= len(hits)+1; k++ {
+			got := slices.Clone(hits)
+			top := pl.RankTop(got, k)
+			want := ranked[:min(k, len(ranked))]
+			if !slices.Equal(top, want) {
+				t.Fatalf("%s k=%d: RankTop %v, want %v", f.ID, k, top, want)
+			}
+			slices.SortFunc(got, func(a, b Hit) int { return cmp.Compare(a.Row, b.Row) })
+			for row, h := range got {
+				if h.Row != row {
+					t.Fatalf("%s k=%d: RankTop lost row %d", f.ID, k, row)
+				}
+			}
+		}
+	}
+}
 
 // TestPoolReadsMatchWire pins the by-reference reads against the wire
 // forms: a Pool.Search hit list is a set in ascending row order which,

@@ -32,9 +32,10 @@ func cacheCells() []core.Cell {
 }
 
 // epochOutcome is a verdict that names its own slot and epoch, so a hit on
-// the wrong slot or the wrong epoch shows in its fields.
+// the wrong slot or the wrong epoch shows in its fields: the fact in
+// FactID, the cell in Explanation, the epoch in Attempts.
 func epochOutcome(k verdictKey) strategy.Outcome {
-	return strategy.Outcome{FactID: k.factID, Model: k.cell.Model, Method: k.cell.Method, Attempts: int(k.epoch)}
+	return strategy.Outcome{FactID: k.factID, Explanation: fmt.Sprint(k.cell), Attempts: int(k.epoch)}
 }
 
 func TestCachePutGetUpdate(t *testing.T) {
@@ -288,7 +289,7 @@ func TestCacheConcurrentEpochs(t *testing.T) {
 					c.sweepStale(k.factID, k.epoch, cells)
 				case 3:
 					if out, ok := c.getStale(k.cell, k.factID); ok &&
-						(out.FactID != k.factID || out.Model != k.cell.Model || out.Method != k.cell.Method) {
+						(out.FactID != k.factID || out.Explanation != fmt.Sprint(k.cell)) {
 						errs <- fmt.Errorf("getStale(%v) answered for another slot: %+v", k.slot(), out)
 						return
 					}

@@ -238,7 +238,7 @@ func TestIngestSweepsConsensusVotes(t *testing.T) {
 	svc := New(b, core.NewMemoryStore(), permissive())
 	t.Cleanup(svc.Drain)
 	svc.verify = func(_ context.Context, cell core.Cell, f *dataset.Fact) (strategy.Outcome, error) {
-		return stubOutcome(cell, f), nil
+		return stubOutcome(f), nil
 	}
 	f := b.Datasets[dataset.FactBench].Facts[0]
 	if _, err := svc.Consensus(context.Background(), f.ID, consensus.ModeEager); err != nil {

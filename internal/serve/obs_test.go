@@ -29,7 +29,7 @@ func TestTraceEndToEnd(t *testing.T) {
 	svc := newTestService(t, cfg)
 	defer svc.Drain()
 	svc.verify = func(_ context.Context, cell core.Cell, f *dataset.Fact) (strategy.Outcome, error) {
-		return stubOutcome(cell, f), nil
+		return stubOutcome(f), nil
 	}
 	h := svc.Handler()
 	f := firstFact(dataset.FactBench)
@@ -99,7 +99,7 @@ func TestForceTraceHeader(t *testing.T) {
 	svc := newTestService(t, permissive()) // TraceSample 0
 	defer svc.Drain()
 	svc.verify = func(_ context.Context, cell core.Cell, f *dataset.Fact) (strategy.Outcome, error) {
-		return stubOutcome(cell, f), nil
+		return stubOutcome(f), nil
 	}
 	h := svc.Handler()
 	f := firstFact(dataset.FactBench)
@@ -136,7 +136,7 @@ func TestMetricszExposition(t *testing.T) {
 	svc := newTestService(t, permissive())
 	defer svc.Drain()
 	svc.verify = func(_ context.Context, cell core.Cell, f *dataset.Fact) (strategy.Outcome, error) {
-		return stubOutcome(cell, f), nil
+		return stubOutcome(f), nil
 	}
 	h := svc.Handler()
 	f := firstFact(dataset.FactBench)
@@ -194,7 +194,7 @@ func TestStatszLatencySection(t *testing.T) {
 	svc := newTestService(t, permissive())
 	defer svc.Drain()
 	svc.verify = func(_ context.Context, cell core.Cell, f *dataset.Fact) (strategy.Outcome, error) {
-		return stubOutcome(cell, f), nil
+		return stubOutcome(f), nil
 	}
 	h := svc.Handler()
 	f := firstFact(dataset.FactBench)
@@ -229,7 +229,7 @@ func TestStatsConsistencyUnderLoad(t *testing.T) {
 	svc := newTestService(t, cfg)
 	defer svc.Drain()
 	svc.verify = func(_ context.Context, cell core.Cell, f *dataset.Fact) (strategy.Outcome, error) {
-		return stubOutcome(cell, f), nil
+		return stubOutcome(f), nil
 	}
 	voters := uint64(len(svc.voters))
 	if voters == 0 {
@@ -275,7 +275,7 @@ func TestWarmVerdictZeroAlloc(t *testing.T) {
 	svc := newTestService(t, permissive())
 	defer svc.Drain()
 	svc.verify = func(_ context.Context, cell core.Cell, f *dataset.Fact) (strategy.Outcome, error) {
-		return stubOutcome(cell, f), nil
+		return stubOutcome(f), nil
 	}
 	f := firstFact(dataset.FactBench)
 	cell := core.Cell{Dataset: dataset.FactBench, Method: llm.MethodDKA, Model: llm.Gemma2}
@@ -302,7 +302,7 @@ func BenchmarkWarmVerdict(b *testing.B) {
 	svc := New(testBench(), core.NewMemoryStore(), permissive())
 	defer svc.Drain()
 	svc.verify = func(_ context.Context, cell core.Cell, f *dataset.Fact) (strategy.Outcome, error) {
-		return stubOutcome(cell, f), nil
+		return stubOutcome(f), nil
 	}
 	f := firstFact(dataset.FactBench)
 	cell := core.Cell{Dataset: dataset.FactBench, Method: llm.MethodDKA, Model: llm.Gemma2}

@@ -80,7 +80,7 @@ func TestDegradedStaleServe(t *testing.T) {
 	cell := core.Cell{Dataset: dataset.FactBench, Method: llm.MethodDKA, Model: llm.Gemma2}
 	// A verdict from another corpus epoch: invisible to the warm path
 	// (epoch-keyed), reachable only through the degraded fallback.
-	svc.cache.put(verdictKey{cell: cell, factID: f.ID, epoch: 41}, stubOutcome(cell, f))
+	svc.cache.put(verdictKey{cell: cell, factID: f.ID, epoch: 41}, stubOutcome(f))
 
 	w := postVerify(t, svc.Handler(), dkaRequest(f))
 	if w.Code != http.StatusOK {
@@ -120,7 +120,7 @@ func TestConsensusDegradedSurvivors(t *testing.T) {
 		if cell.Model == llm.Mistral {
 			return strategy.Outcome{}, downFault{}
 		}
-		return stubOutcome(cell, fa), nil
+		return stubOutcome(fa), nil
 	}
 	resp, w := getConsensus(t, svc.Handler(), f.ID, "eager")
 	if resp == nil {
@@ -187,7 +187,7 @@ func TestRetryAfterOnEveryRejection(t *testing.T) {
 		svc.verify = func(_ context.Context, cell core.Cell, fa *dataset.Fact) (strategy.Outcome, error) {
 			close(entered)
 			<-release
-			return stubOutcome(cell, fa), nil
+			return stubOutcome(fa), nil
 		}
 		h := svc.Handler()
 		body, _ := json.Marshal(req)

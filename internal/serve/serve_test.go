@@ -57,11 +57,11 @@ func firstFact(dn dataset.Name) *dataset.Fact {
 	return testBench().Datasets[dn].Facts[0]
 }
 
-// stubOutcome fabricates a deterministic outcome for a (cell, fact) pair.
-func stubOutcome(cell core.Cell, f *dataset.Fact) strategy.Outcome {
+// stubOutcome fabricates a deterministic outcome for a fact, the same in
+// every cell.
+func stubOutcome(f *dataset.Fact) strategy.Outcome {
 	return strategy.Outcome{
-		FactID: f.ID, Model: cell.Model, Method: cell.Method,
-		Verdict: strategy.True, Gold: f.Gold, Correct: f.Gold,
+		FactID: f.ID, Verdict: strategy.True, Gold: f.Gold, Correct: f.Gold,
 		Latency: 100 * time.Millisecond, Attempts: 1,
 	}
 }
@@ -77,7 +77,7 @@ func TestCoalescing(t *testing.T) {
 	svc.verify = func(_ context.Context, cell core.Cell, f *dataset.Fact) (strategy.Outcome, error) {
 		calls.Add(1)
 		<-release
-		return stubOutcome(cell, f), nil
+		return stubOutcome(f), nil
 	}
 	h := svc.Handler()
 	req := VerifyRequest{Dataset: string(dataset.FactBench), Method: string(llm.MethodDKA), Model: llm.Gemma2, FactID: f.ID}
@@ -134,7 +134,7 @@ func TestCoalescedFollowerSurvivesLeaderCancel(t *testing.T) {
 			<-ctx.Done() // the leader's client disconnects
 			return strategy.Outcome{}, ctx.Err()
 		}
-		return stubOutcome(cell, f), nil
+		return stubOutcome(f), nil
 	}
 
 	leaderCtx, cancelLeader := context.WithCancel(context.Background())
@@ -182,7 +182,7 @@ func TestQueueFullBackpressure(t *testing.T) {
 	svc.verify = func(_ context.Context, cell core.Cell, f *dataset.Fact) (strategy.Outcome, error) {
 		close(entered)
 		<-release
-		return stubOutcome(cell, f), nil
+		return stubOutcome(f), nil
 	}
 	h := svc.Handler()
 	f := firstFact(dataset.FactBench)
@@ -217,7 +217,7 @@ func TestRateLimit(t *testing.T) {
 	svc := newTestService(t, cfg)
 	defer svc.Drain()
 	svc.verify = func(_ context.Context, cell core.Cell, f *dataset.Fact) (strategy.Outcome, error) {
-		return stubOutcome(cell, f), nil
+		return stubOutcome(f), nil
 	}
 	h := svc.Handler()
 	f := firstFact(dataset.FactBench)
@@ -260,7 +260,7 @@ func TestBatchAndConsensusRateCharge(t *testing.T) {
 	svc := newTestService(t, cfg)
 	defer svc.Drain()
 	svc.verify = func(_ context.Context, cell core.Cell, f *dataset.Fact) (strategy.Outcome, error) {
-		return stubOutcome(cell, f), nil
+		return stubOutcome(f), nil
 	}
 	h := svc.Handler()
 	f := firstFact(dataset.FactBench)
@@ -324,7 +324,7 @@ func TestDrainCompletesInFlight(t *testing.T) {
 		close(entered)
 		<-release
 		finished.Store(true)
-		return stubOutcome(cell, f), nil
+		return stubOutcome(f), nil
 	}
 	f := firstFact(dataset.FactBench)
 	cell := core.Cell{Dataset: dataset.FactBench, Method: llm.MethodDKA, Model: llm.Gemma2}
@@ -357,7 +357,7 @@ func TestFillPersistsCell(t *testing.T) {
 	var calls atomic.Int32
 	svc.verify = func(_ context.Context, cell core.Cell, f *dataset.Fact) (strategy.Outcome, error) {
 		calls.Add(1)
-		return stubOutcome(cell, f), nil
+		return stubOutcome(f), nil
 	}
 	f := firstFact(dataset.FactBench)
 	req := VerifyRequest{Dataset: string(dataset.FactBench), Method: string(llm.MethodDKA), Model: llm.Gemma2, FactID: f.ID}
@@ -511,7 +511,7 @@ func TestVerdictLookupDoesNotCompute(t *testing.T) {
 	var calls atomic.Int32
 	svc.verify = func(_ context.Context, cell core.Cell, f *dataset.Fact) (strategy.Outcome, error) {
 		calls.Add(1)
-		return stubOutcome(cell, f), nil
+		return stubOutcome(f), nil
 	}
 	f := firstFact(dataset.FactBench)
 	path := fmt.Sprintf("/v1/verdict/%s/%s/%s/%s", dataset.FactBench, llm.MethodDKA, llm.Gemma2, f.ID)
@@ -531,7 +531,7 @@ func TestBatch(t *testing.T) {
 	svc := newTestService(t, permissive())
 	defer svc.Drain()
 	svc.verify = func(_ context.Context, cell core.Cell, f *dataset.Fact) (strategy.Outcome, error) {
-		return stubOutcome(cell, f), nil
+		return stubOutcome(f), nil
 	}
 	h := svc.Handler()
 	f := firstFact(dataset.FactBench)
@@ -767,7 +767,7 @@ func TestConsensusCoalesces(t *testing.T) {
 		calls[cell.Model]++
 		mu.Unlock()
 		<-release
-		return stubOutcome(cell, f), nil // every model votes true: unanimous quorum
+		return stubOutcome(f), nil // every model votes true: unanimous quorum
 	}
 	h := svc.Handler()
 
@@ -859,7 +859,7 @@ func TestConsensusNoVotersRejectedBeforeCharge(t *testing.T) {
 	svc := New(b, core.NewMemoryStore(), scfg)
 	defer svc.Drain()
 	svc.verify = func(_ context.Context, cell core.Cell, f *dataset.Fact) (strategy.Outcome, error) {
-		return stubOutcome(cell, f), nil
+		return stubOutcome(f), nil
 	}
 	h := svc.Handler()
 	f := b.Datasets[dataset.FactBench].Facts[0]
@@ -892,7 +892,7 @@ func TestConsensusStatszCounters(t *testing.T) {
 	svc := newTestService(t, permissive())
 	defer svc.Drain()
 	svc.verify = func(_ context.Context, cell core.Cell, f *dataset.Fact) (strategy.Outcome, error) {
-		out := stubOutcome(cell, f)
+		out := stubOutcome(f)
 		out.Verdict = verdicts[cell.Model]
 		return out, nil
 	}
@@ -1154,7 +1154,7 @@ func TestConsensusProbesLRUOncePerVote(t *testing.T) {
 	var verifies atomic.Int64
 	svc.verify = func(_ context.Context, cell core.Cell, f *dataset.Fact) (strategy.Outcome, error) {
 		verifies.Add(1)
-		return stubOutcome(cell, f), nil
+		return stubOutcome(f), nil
 	}
 	f := firstFact(dataset.FactBench)
 	ctx := context.Background()

@@ -26,7 +26,7 @@ func refVerify(ctx context.Context, v Verifier, m llm.Model, f *dataset.Fact) (O
 	c := ClaimFor(f)
 	sentence := llm.NewPart(c.Sentence)
 	out := Outcome{
-		FactID: f.ID, Model: m.Name(), Method: v.Method(), Verdict: Invalid, Gold: f.Gold,
+		FactID: f.ID, Verdict: Invalid, Gold: f.Gold,
 	}
 	switch v := v.(type) {
 	case DKA:
@@ -44,7 +44,7 @@ func refVerify(ctx context.Context, v Verifier, m llm.Model, f *dataset.Fact) (O
 		for attempt := 0; attempt < 3; attempt++ {
 			system, user := prompt.GIV(c.Dataset, sentence, v.FewShot, attempt)
 			resp, err := m.Generate(ctx, llm.Request{
-				System: system, Prompt: rendered(user), Claim: c, Method: out.Method,
+				System: system, Prompt: rendered(user), Claim: c, Method: v.Method(),
 				FewShot: v.FewShot, Attempt: attempt,
 			})
 			if err != nil {
@@ -69,7 +69,7 @@ func refVerify(ctx context.Context, v Verifier, m llm.Model, f *dataset.Fact) (O
 			return Outcome{}, err
 		}
 		out.Attempts = 1
-		out.EvidenceChunks = len(chunks)
+		out.EvidenceChunks = int32(len(chunks))
 		accumulate(&out, resp)
 		out.Latency += ev.Latency
 		if verdict, reason, ok := prompt.ParseFree(resp.Text); ok {

@@ -48,15 +48,12 @@ func (v Verdict) String() string {
 func (v Verdict) Bool() bool { return v == True }
 
 // Outcome records one model's verification of one fact under one method.
+// Its cell names the model and method. The fields are ordered to pack into
+// 72 bytes with two pointer words, FactID's and Explanation's.
 type Outcome struct {
-	FactID  string
-	Model   string
-	Method  llm.Method
-	Verdict Verdict
-	Gold    bool
-	// Correct is true when the verdict matches the gold label (invalid
-	// verdicts are never correct).
-	Correct bool
+	FactID string
+	// Explanation is the model's stated reason, consumed by error analysis.
+	Explanation string
 	// Latency is the simulated end-to-end response time including
 	// re-prompts and, for RAG, retrieval.
 	Latency time.Duration
@@ -65,10 +62,13 @@ type Outcome struct {
 	CompletionTokens int
 	// Attempts is the number of generation calls made (>1 on re-prompts).
 	Attempts int
-	// Explanation is the model's stated reason, consumed by error analysis.
-	Explanation string
 	// EvidenceChunks counts the context passages used (RAG only).
-	EvidenceChunks int
+	EvidenceChunks int32
+	Verdict        Verdict
+	Gold           bool
+	// Correct is true when the verdict matches the gold label (invalid
+	// verdicts are never correct).
+	Correct bool
 }
 
 // Verifier verifies facts with a model under a fixed method.
@@ -181,7 +181,7 @@ func (DKA) Verify(ctx context.Context, m llm.Model, f *dataset.Fact) (Outcome, e
 	if err != nil {
 		return Outcome{}, fmt.Errorf("dka: %s on %s: %w", m.Name(), f.ID, err)
 	}
-	out := newOutcome(f, m, llm.MethodDKA)
+	out := Outcome{FactID: f.ID, Verdict: Invalid, Gold: f.Gold}
 	out.Attempts = 1
 	accumulate(&out, resp)
 	if v, reason, ok := prompt.ParseFree(resp.Text); ok {
@@ -217,7 +217,7 @@ func (g GIV) Verify(ctx context.Context, m llm.Model, f *dataset.Fact) (Outcome,
 	memo := memoOf(f)
 	c := memo.claim
 	method := g.Method()
-	out := newOutcome(f, m, method)
+	out := Outcome{FactID: f.ID, Verdict: Invalid, Gold: f.Gold}
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		system, user := prompt.GIV(c.Dataset, memo.sentence, g.FewShot, attempt)
 		resp, err := m.Generate(ctx, llm.Request{
@@ -289,9 +289,9 @@ func (r RAG) Verify(ctx context.Context, m llm.Model, f *dataset.Fact) (Outcome,
 	if err != nil {
 		return Outcome{}, fmt.Errorf("rag: %s on %s: %w", m.Name(), f.ID, err)
 	}
-	out := newOutcome(f, m, llm.MethodRAG)
+	out := Outcome{FactID: f.ID, Verdict: Invalid, Gold: f.Gold}
 	out.Attempts = 1
-	out.EvidenceChunks = len(chunks)
+	out.EvidenceChunks = int32(len(chunks))
 	accumulate(&out, resp)
 	out.Latency += ev.Latency
 	if v, reason, ok := prompt.ParseFree(resp.Text); ok {
@@ -317,16 +317,6 @@ func ForMethod(m llm.Method, p *rag.Pipeline) (Verifier, error) {
 		return RAG{Pipeline: p}, nil
 	default:
 		return nil, fmt.Errorf("strategy: unknown method %q", m)
-	}
-}
-
-func newOutcome(f *dataset.Fact, m llm.Model, method llm.Method) Outcome {
-	return Outcome{
-		FactID:  f.ID,
-		Model:   m.Name(),
-		Method:  method,
-		Verdict: Invalid,
-		Gold:    f.Gold,
 	}
 }
 

@@ -71,7 +71,7 @@ func TestDKAVerify(t *testing.T) {
 		if out.Verdict == Invalid {
 			t.Errorf("DKA produced invalid verdict on %s", f.ID)
 		}
-		if out.Method != llm.MethodDKA || out.Model != fx.m.Name() || out.FactID != f.ID {
+		if out.FactID != f.ID || out.Gold != f.Gold {
 			t.Error("outcome metadata wrong")
 		}
 		if out.Attempts != 1 {
@@ -153,7 +153,7 @@ func TestRAGVerify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Method != llm.MethodRAG {
+	if v.Method() != llm.MethodRAG {
 		t.Error("method wrong")
 	}
 	if out.EvidenceChunks == 0 {

@@ -217,7 +217,7 @@ func (a *App) handleFact(w http.ResponseWriter, r *http.Request) {
 
 	// Verdicts of every model under every method, through the service,
 	// plus the DKA majority.
-	var dkaOutcomes []strategy.Outcome
+	var dkaVotes []consensus.Vote
 	for _, method := range a.bench.Config.Methods {
 		for _, name := range a.bench.Config.Models {
 			cell := core.Cell{Dataset: f.Dataset, Method: method, Model: name}
@@ -237,16 +237,12 @@ func (a *App) handleFact(w http.ResponseWriter, r *http.Request) {
 				Reason:   out.Explanation,
 			})
 			if method == llm.MethodDKA && name != llm.GPT4oMini {
-				dkaOutcomes = append(dkaOutcomes, out)
+				dkaVotes = append(dkaVotes, consensus.Vote{Model: name, Verdict: out.Verdict})
 			}
 		}
 	}
-	if len(dkaOutcomes) > 0 {
-		votes := make([]consensus.Vote, len(dkaOutcomes))
-		for i, o := range dkaOutcomes {
-			votes[i] = consensus.Vote{Model: o.Model, Verdict: o.Verdict}
-		}
-		maj, tie := consensus.Majority(votes)
+	if len(dkaVotes) > 0 {
+		maj, tie := consensus.Majority(dkaVotes)
 		data.Majority = strconv.FormatBool(maj)
 		data.Tie = tie
 	}
