@@ -29,8 +29,8 @@ import (
 	"factcheck/internal/question"
 	"factcheck/internal/rerank"
 	"factcheck/internal/search"
-	"factcheck/internal/strategy"
 	"factcheck/internal/text"
+	"factcheck/internal/verbalize"
 	"factcheck/internal/world"
 )
 
@@ -152,7 +152,7 @@ func run(out string, scale float64, small, writeDocs bool, maxDocFacts int) erro
 				Subject:    string(f.Triple.S),
 				Predicate:  string(f.Triple.P),
 				Object:     string(f.Triple.O.IRI),
-				Sentence:   strategy.ClaimFor(f).Sentence,
+				Sentence:   verbalize.Sentence(f),
 				Gold:       f.Gold,
 				Corruption: string(f.Corruption),
 				Popularity: f.Popularity,
@@ -166,7 +166,7 @@ func run(out string, scale float64, small, writeDocs bool, maxDocFacts int) erro
 		qpath := filepath.Join(out, base+"-questions.jsonl")
 		if err := writeStream(qpath, func(enc *json.Encoder) error {
 			for _, f := range d.Facts {
-				sentence := strategy.ClaimFor(f).Sentence
+				sentence := verbalize.Sentence(f)
 				qs := question.Generate(f, question.DefaultK)
 				texts := make([]string, len(qs))
 				for i := range qs {

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"io"
 	"os"
@@ -86,6 +88,22 @@ func captureRun(t *testing.T, args []string) string {
 		t.Fatal(runErr)
 	}
 	return string(out)
+}
+
+// smallStdoutSHA256 is the sha256 of `factcheck -small -scale 0.05`
+// stdout, the grid digest that the benchmark's tiny grid-cold run pins.
+const smallStdoutSHA256 = "7af8b735ad3e660b611d256c0c8223389229ca2c1c5ae6a3511ee34f36dccf62"
+
+// TestSmallGridStdoutPinned pins the whole small grid's stdout, every
+// table and figure, at one worker and at eight: a change to any verdict,
+// token count, latency or report byte shows here.
+func TestSmallGridStdoutPinned(t *testing.T) {
+	for _, par := range []string{"1", "8"} {
+		sum := sha256.Sum256([]byte(captureRun(t, []string{"-small", "-scale", "0.05", "-par", par})))
+		if got := hex.EncodeToString(sum[:]); got != smallStdoutSHA256 {
+			t.Errorf("-par %s: stdout sha256 %s, pinned %s", par, got, smallStdoutSHA256)
+		}
+	}
 }
 
 // TestStoreResumeStdoutByteIdentical is the resume contract's golden test:

@@ -9,7 +9,9 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"factcheck/internal/consensus"
 	"factcheck/internal/core"
@@ -20,6 +22,13 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run prints the walkthrough to w.
+func run(w io.Writer) error {
 	b := core.NewBenchmark(core.Config{Scale: 0.05, Small: true})
 	ctx := context.Background()
 	facts := b.Datasets[dataset.DBpedia].Facts
@@ -33,12 +42,12 @@ func main() {
 	for j, name := range llm.OpenSourceModels {
 		m, err := b.Model(name)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		for _, f := range facts {
 			out, err := verifier.Verify(ctx, m, f)
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			cols[j] = append(cols[j], out)
 		}
@@ -54,47 +63,48 @@ func main() {
 
 	// Consistency analysis selects the tie-breaking judges.
 	rep := consensus.Alignment(llm.OpenSourceModels, cols)
-	fmt.Printf("tie rate: %.0f%%   consensus alignment (CA_M):\n", 100*rep.TieRate)
+	fmt.Fprintf(w, "tie rate: %.0f%%   consensus alignment (CA_M):\n", 100*rep.TieRate)
 	for _, name := range llm.OpenSourceModels {
-		fmt.Printf("  %-12s %.3f\n", name, rep.CA[name])
+		fmt.Fprintf(w, "  %-12s %.3f\n", name, rep.CA[name])
 	}
 	up := rep.MostConsistent(true)
 	down := rep.MostConsistent(false)
-	fmt.Printf("most consistent: %s (upgraded to %s for agg-cons-up)\n", up, llm.Upgrade[up])
-	fmt.Printf("least consistent: %s (upgraded to %s for agg-cons-down)\n\n", down, llm.Upgrade[down])
+	fmt.Fprintf(w, "most consistent: %s (upgraded to %s for agg-cons-up)\n", up, llm.Upgrade[up])
+	fmt.Fprintf(w, "least consistent: %s (upgraded to %s for agg-cons-down)\n\n", down, llm.Upgrade[down])
 
 	// Show the first few vote tables.
-	fmt.Println("== Vote tables ==")
+	fmt.Fprintln(w, "== Vote tables ==")
 	judge, _ := b.Model(llm.Upgrade[up])
 	arb := &consensus.ModelArbiter{Label: "agg-cons-up", Judge: judge, Verifier: verifier}
 	for i := 0; i < 5; i++ {
 		dec, err := consensus.Decide(ctx, facts[i], llm.OpenSourceModels, votes(i), arb)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("%s gold=%-5v -> final=%-5v tie=%-5v votes:", facts[i].ID, dec.Gold, dec.Final, dec.Tie)
+		fmt.Fprintf(w, "%s gold=%-5v -> final=%-5v tie=%-5v votes:", facts[i].ID, dec.Gold, dec.Final, dec.Tie)
 		for _, v := range dec.Votes {
-			fmt.Printf(" %s=%s", v.Model, v.Verdict)
+			fmt.Fprintf(w, " %s=%s", v.Model, v.Verdict)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 
 	// Compare the three arbiter configurations.
-	fmt.Println("\n== Arbiter comparison ==")
+	fmt.Fprintln(w, "\n== Arbiter comparison ==")
 	upArb, downArb, gptArb, err := b.Arbiters(rep, verifier.Method())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	for _, arb := range []consensus.Arbiter{upArb, downArb, gptArb} {
 		var conf eval.Confusion
 		for i, f := range facts {
 			dec, err := consensus.Decide(ctx, f, llm.OpenSourceModels, votes(i), arb)
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			conf.Add(dec.Gold, dec.Final, true)
 		}
-		fmt.Printf("%-16s F1(T)=%.2f F1(F)=%.2f accuracy=%.2f\n",
+		fmt.Fprintf(w, "%-16s F1(T)=%.2f F1(F)=%.2f accuracy=%.2f\n",
 			arb.Name(), conf.F1True(), conf.F1False(), conf.Accuracy())
 	}
+	return nil
 }

@@ -9,7 +9,9 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"factcheck/internal/analysis"
 	"factcheck/internal/core"
@@ -19,6 +21,13 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run prints the walkthrough to w.
+func run(w io.Writer) error {
 	b := core.NewBenchmark(core.Config{
 		Scale: 0.1, Small: true,
 		Models:  llm.OpenSourceModels,
@@ -27,10 +36,10 @@ func main() {
 	ctx := context.Background()
 	rs, err := b.Run(ctx)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Println("== Error clustering (DKA, DBpedia) ==")
+	fmt.Fprintln(w, "== Error clustering (DKA, DBpedia) ==")
 	perModel := map[string]analysis.ClusterResult{}
 	for _, m := range llm.OpenSourceModels {
 		var records []analysis.ErrorRecord
@@ -44,25 +53,25 @@ func main() {
 		}
 		res := analysis.ClusterErrors(records)
 		perModel[m] = res
-		fmt.Printf("%-12s total=%4d  ", m, res.Total)
+		fmt.Fprintf(w, "%-12s total=%4d  ", m, res.Total)
 		for _, cat := range analysis.Categories {
-			fmt.Printf("%s=%-4d ", cat, res.Counts[cat])
+			fmt.Fprintf(w, "%s=%-4d ", cat, res.Counts[cat])
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
-	fmt.Printf("overall unique-error ratio: %.2f\n", analysis.OverallUniqueRatio(perModel))
-	fmt.Println("(E4 geographic errors dominate, matching the paper's Table 9)")
+	fmt.Fprintf(w, "overall unique-error ratio: %.2f\n", analysis.OverallUniqueRatio(perModel))
+	fmt.Fprintln(w, "(E4 geographic errors dominate, matching the paper's Table 9)")
 
-	fmt.Println("\n== UpSet: which model subsets get facts right ==")
+	fmt.Fprintln(w, "\n== UpSet: which model subsets get facts right ==")
 	cols, err := rs.Columns(dataset.DBpedia, llm.MethodDKA, llm.OpenSourceModels)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	for _, row := range analysis.UpSet(llm.OpenSourceModels, cols) {
-		fmt.Printf("  %-52s %5d\n", row.Label(len(llm.OpenSourceModels)), row.Count)
+		fmt.Fprintf(w, "  %-52s %5d\n", row.Label(len(llm.OpenSourceModels)), row.Count)
 	}
 
-	fmt.Println("\n== DBpedia error rate by topic (all open models pooled) ==")
+	fmt.Fprintln(w, "\n== DBpedia error rate by topic (all open models pooled) ==")
 	var outs []strategy.Outcome
 	for _, m := range llm.OpenSourceModels {
 		outs = append(outs, rs.Get(dataset.DBpedia, llm.MethodDKA, m)...)
@@ -72,12 +81,13 @@ func main() {
 		topicOf[f.ID], popularityOf[f.ID] = f.Topic, f.Popularity
 	}
 	for _, s := range analysis.StratifyByTopic(outs, func(id string) string { return topicOf[id] }) {
-		fmt.Printf("  %-16s n=%5d error-rate=%.3f\n", s.Name, s.Total, s.ErrorRate)
+		fmt.Fprintf(w, "  %-16s n=%5d error-rate=%.3f\n", s.Name, s.Total, s.ErrorRate)
 	}
 
-	fmt.Println("\n== Error rate by fact popularity (head vs tail) ==")
+	fmt.Fprintln(w, "\n== Error rate by fact popularity (head vs tail) ==")
 	for _, s := range analysis.StratifyByPopularity(outs, func(id string) float64 { return popularityOf[id] }, 4) {
-		fmt.Printf("  %-8s n=%5d error-rate=%.3f\n", s.Name, s.Total, s.ErrorRate)
+		fmt.Fprintf(w, "  %-8s n=%5d error-rate=%.3f\n", s.Name, s.Total, s.ErrorRate)
 	}
-	fmt.Println("(tail facts err more: the head-to-tail knowledge effect)")
+	fmt.Fprintln(w, "(tail facts err more: the head-to-tail knowledge effect)")
+	return nil
 }

@@ -14,6 +14,7 @@ import (
 	"factcheck/internal/rerank"
 	"factcheck/internal/strategy"
 	"factcheck/internal/text"
+	"factcheck/internal/verbalize"
 )
 
 // CellMetrics are the headline numbers of one evaluation cell.
@@ -235,7 +236,7 @@ func (b *Benchmark) ComputeRAGStats(sample int) RAGStats {
 		}
 		for _, f := range facts {
 			st.Facts++
-			sentence := strategy.ClaimFor(f).Sentence
+			sentence := verbalize.Sentence(f)
 			qs := question.Generate(f, question.DefaultK)
 			texts := make([]string, len(qs))
 			for i := range qs {

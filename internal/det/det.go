@@ -52,11 +52,29 @@ func NewKey(parts ...string) Key {
 	return Key(hashParts(offset64, parts...))
 }
 
+// Extend returns the key of the prefix plus parts: NewKey(a...).Extend(b...)
+// == NewKey(a..., b...).
+func (k Key) Extend(parts ...string) Key { return Key(hashParts(uint64(k), parts...)) }
+
 // Uniform returns the deterministic uniform sample in [0,1) keyed by the
 // prefix plus parts: NewKey(a...).Uniform(b...) == Uniform(a..., b...).
 func (k Key) Uniform(parts ...string) float64 {
 	h := mix64(hashParts(uint64(k), parts...))
+	// Use the top 53 bits for a full-precision float64 mantissa.
 	return float64(h>>11) / float64(1<<53)
+}
+
+// Bool returns true with probability p, keyed by the prefix plus parts:
+// NewKey(a...).Bool(p, b...) == Bool(p, a..., b...).
+func (k Key) Bool(p float64, parts ...string) bool {
+	return k.Uniform(parts...) < p
+}
+
+// Jitter multiplies base by a factor in [1-amp, 1+amp] keyed by the prefix
+// plus parts: NewKey(a...).Jitter(base, amp, b...) == Jitter(base, amp,
+// a..., b...).
+func (k Key) Jitter(base, amp float64, parts ...string) float64 {
+	return base * (1 - amp + 2*amp*k.Uniform(parts...))
 }
 
 // Cont continues the key's last part with s, adding no separator, so a
@@ -94,16 +112,10 @@ func mix64(h uint64) uint64 {
 }
 
 // Uniform returns a deterministic uniform sample in [0,1) keyed by parts.
-func Uniform(parts ...string) float64 {
-	k := Hash64(parts...)
-	// Use the top 53 bits for a full-precision float64 mantissa.
-	return float64(k>>11) / float64(1<<53)
-}
+func Uniform(parts ...string) float64 { return NewKey().Uniform(parts...) }
 
 // Bool returns true with probability p, keyed by parts.
-func Bool(p float64, parts ...string) bool {
-	return Uniform(parts...) < p
-}
+func Bool(p float64, parts ...string) bool { return NewKey().Bool(p, parts...) }
 
 // IntN returns a deterministic integer in [0,n) keyed by parts.
 // It panics if n <= 0.
@@ -135,6 +147,5 @@ func Gaussian(mean, stddev float64, parts ...string) float64 {
 
 // Jitter multiplies base by a deterministic factor in [1-amp, 1+amp].
 func Jitter(base, amp float64, parts ...string) float64 {
-	u := Uniform(parts...)
-	return base * (1 - amp + 2*amp*u)
+	return NewKey().Jitter(base, amp, parts...)
 }

@@ -2,6 +2,7 @@ package det
 
 import (
 	"hash/fnv"
+	"math"
 	"testing"
 )
 
@@ -29,11 +30,15 @@ var keyCases = [][]string{
 
 // TestHash64MatchesFNVReference pins the inlined loop byte-identical to
 // hash/fnv's sum64a — every deterministic draw in the benchmark depends on
-// these exact values.
+// these exact values — and Uniform, which draws through a Key, to the top
+// 53 bits of the reference hash.
 func TestHash64MatchesFNVReference(t *testing.T) {
 	for _, parts := range keyCases {
 		if got, want := Hash64(parts...), refHash64(parts...); got != want {
 			t.Errorf("Hash64(%q) = %x, fnv reference = %x", parts, got, want)
+		}
+		if got, want := Uniform(parts...), float64(refHash64(parts...)>>11)/(1<<53); got != want {
+			t.Errorf("Uniform(%q) = %v, fnv reference = %v", parts, got, want)
 		}
 	}
 }
@@ -48,6 +53,36 @@ func TestKeyUniformMatchesUniform(t *testing.T) {
 			if got != want {
 				t.Errorf("NewKey(%q).Uniform(%q) = %v, Uniform(%q) = %v",
 					parts[:cut], parts[cut:], got, parts, want)
+			}
+		}
+	}
+}
+
+// TestKeyBoolJitterMatchOneShot pins Key.Bool and Key.Jitter to the
+// one-shot draws, and Key.Extend to NewKey, at every prefix/suffix cut: the
+// simulated model continues one (model, claim) key per request and must
+// draw what it drew when it hashed every part per draw.
+func TestKeyBoolJitterMatchOneShot(t *testing.T) {
+	for _, parts := range keyCases {
+		u := Uniform(parts...)
+		for cut := 0; cut <= len(parts); cut++ {
+			k := NewKey(parts[:cut]...)
+			if got, want := NewKey().Extend(parts[:cut]...), k; got != want {
+				t.Errorf("NewKey().Extend(%q) = %x, NewKey = %x", parts[:cut], got, want)
+			}
+			if got, want := k.Extend(parts[cut:]...), NewKey(parts...); got != want {
+				t.Errorf("NewKey(%q).Extend(%q) = %x, NewKey(%q) = %x", parts[:cut], parts[cut:], got, parts, want)
+			}
+			for _, p := range []float64{0, 0.03, 0.5, u, math.Nextafter(u, 1), 1} {
+				if got, want := k.Bool(p, parts[cut:]...), Bool(p, parts...); got != want {
+					t.Errorf("NewKey(%q).Bool(%v, %q) = %v, Bool = %v", parts[:cut], p, parts[cut:], got, want)
+				}
+			}
+			for _, tc := range []struct{ base, amp float64 }{{1.7, 0.18}, {0.25, 0.15}, {3e9, 0.5}, {-2, 1}} {
+				if got, want := k.Jitter(tc.base, tc.amp, parts[cut:]...), Jitter(tc.base, tc.amp, parts...); got != want {
+					t.Errorf("NewKey(%q).Jitter(%v, %v, %q) = %v, Jitter = %v",
+						parts[:cut], tc.base, tc.amp, parts[cut:], got, want)
+				}
 			}
 		}
 	}

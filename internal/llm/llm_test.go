@@ -7,7 +7,7 @@ import (
 )
 
 func claim(gold bool) Claim {
-	return Claim{
+	return NewClaim(Claim{
 		Key:          "Subject_One|birthPlace|City_Two",
 		FactID:       "factbench-000001",
 		Dataset:      "FactBench",
@@ -18,7 +18,14 @@ func claim(gold bool) Claim {
 		SubjectLabel: "Subject One",
 		ObjectLabel:  "City Two",
 		Phrase:       "was born in",
-	}
+	})
+}
+
+// keyedClaim is claim(gold) under key, its shared draws made for key.
+func keyedClaim(gold bool, key string) Claim {
+	c := claim(gold)
+	c.Key = key
+	return NewClaim(c)
 }
 
 func TestRegistry(t *testing.T) {
@@ -130,14 +137,13 @@ func TestKnowledgeAccuracyOnKnownFacts(t *testing.T) {
 	m := MustNew(Gemma2)
 	correct, known := 0, 0
 	for i := 0; i < 2000; i++ {
-		c := claim(i%2 == 0)
-		c.Key = "S|birthPlace|O" + string(rune('a'+i%26)) + itoa(i)
+		c := keyedClaim(i%2 == 0, "S|birthPlace|O"+string(rune('a'+i%26))+itoa(i))
 		c.Popularity = 0.8
-		if !m.Knows(c) {
+		if !m.Knows(&c) {
 			continue
 		}
 		known++
-		if m.Belief(c, MethodDKA) == c.Gold {
+		if m.Belief(&c, MethodDKA) == c.Gold {
 			correct++
 		}
 	}
@@ -156,10 +162,9 @@ func TestPopularityDrivesKnowledge(t *testing.T) {
 		hit := 0
 		const n = 1500
 		for i := 0; i < n; i++ {
-			c := claim(true)
-			c.Key = "P|award|X" + itoa(i)
+			c := keyedClaim(true, "P|award|X"+itoa(i))
 			c.Popularity = pop
-			if m.Knows(c) {
+			if m.Knows(&c) {
 				hit++
 			}
 		}
@@ -185,8 +190,60 @@ func TestReadStance(t *testing.T) {
 		{"", 0},
 	}
 	for _, tc := range tests {
-		if got := ReadStance(c, tc.text); got != tc.want {
+		if got := ReadStance(&c, tc.text); got != tc.want {
 			t.Errorf("ReadStance(%q) = %d, want %d", tc.text, got, tc.want)
+		}
+	}
+}
+
+// refReadStance is ReadStance as it was when it built the assertion
+// string to search for.
+func refReadStance(c *Claim, chunkText string) int {
+	if c.SubjectLabel == "" || !strings.Contains(chunkText, c.SubjectLabel) {
+		return 0
+	}
+	if strings.Contains(chunkText, "not the case that") &&
+		strings.Contains(chunkText, c.ObjectLabel) {
+		return -1
+	}
+	assertion := c.SubjectLabel + " " + c.Phrase + " "
+	if idx := strings.Index(chunkText, assertion); idx >= 0 {
+		if strings.HasPrefix(chunkText[idx+len(assertion):], c.ObjectLabel) {
+			return 1
+		}
+		return -1
+	}
+	return 0
+}
+
+// TestReadStanceMatchesReference holds ReadStance to refReadStance over
+// the golden claims' evidence and over texts where the subject recurs,
+// overlaps itself or ends the text, and labels or phrases are empty.
+func TestReadStanceMatchesReference(t *testing.T) {
+	check := func(c Claim, text string) {
+		t.Helper()
+		if got, want := ReadStance(&c, text), refReadStance(&c, text); got != want {
+			t.Errorf("ReadStance(%q/%q/%q, %q) = %d, reference %d",
+				c.SubjectLabel, c.Phrase, c.ObjectLabel, text, got, want)
+		}
+	}
+	for i, c := range goldenClaims(120) {
+		for _, ev := range goldenEvidence(c, i) {
+			check(c, ev)
+		}
+	}
+	for _, c := range []Claim{
+		{SubjectLabel: "aa", Phrase: "is", ObjectLabel: "b"},
+		{SubjectLabel: "a a", Phrase: "a", ObjectLabel: "a"},
+		{SubjectLabel: "x", Phrase: "", ObjectLabel: ""},
+		{SubjectLabel: "", Phrase: "is", ObjectLabel: "b"},
+	} {
+		for _, text := range []string{
+			"", "aa", "aaa is b", "aa isn't b; aa is c", "a a a a a", "a a a a b",
+			"x  y", "x ", "xx  ", "aa is ", "aa is b", "not the case that aa is b",
+			"aa is b, not the case that", "aaaa is bb",
+		} {
+			check(c, text)
 		}
 	}
 }
@@ -201,6 +258,7 @@ func TestRAGFollowsEvidence(t *testing.T) {
 	for i := 0; i < n; i++ {
 		cc := c
 		cc.Key = "S|birthPlace|C" + itoa(i)
+		cc = NewClaim(cc)
 		resp, err := m.Generate(context.Background(), Request{
 			System: "s", Prompt: textPrompt("p"), Claim: cc, Method: MethodRAG,
 			Evidence: []string{support, support, support},
@@ -223,8 +281,7 @@ func TestGIVConformanceImprovesOnRetry(t *testing.T) {
 	firstFail, retryFail := 0, 0
 	const n = 800
 	for i := 0; i < n; i++ {
-		c := claim(true)
-		c.Key = "S|award|A" + itoa(i)
+		c := keyedClaim(true, "S|award|A"+itoa(i))
 		r0, _ := m.Generate(ctx, Request{Claim: c, Method: MethodGIVZ, Attempt: 0})
 		if !strings.HasPrefix(strings.TrimSpace(r0.Text), "{") {
 			firstFail++
@@ -247,11 +304,10 @@ func TestBeliefStableAcrossInternalMethods(t *testing.T) {
 	// knowledge set itself must not.
 	m := MustNew(Gemma2)
 	for i := 0; i < 100; i++ {
-		c := claim(i%2 == 0)
-		c.Key = "X|spouse|Y" + itoa(i)
-		k := m.Knows(c)
+		c := keyedClaim(i%2 == 0, "X|spouse|Y"+itoa(i))
+		k := m.Knows(&c)
 		for j := 0; j < 3; j++ {
-			if m.Knows(c) != k {
+			if m.Knows(&c) != k {
 				t.Fatal("Knows is not stable")
 			}
 		}
@@ -265,10 +321,9 @@ func TestSharedKnowledgeCorrelation(t *testing.T) {
 	agree, n := 0, 2000
 	var ka, kb int
 	for i := 0; i < n; i++ {
-		c := claim(true)
-		c.Key = "C|employer|E" + itoa(i)
+		c := keyedClaim(true, "C|employer|E"+itoa(i))
 		c.Popularity = 0.3
-		x, y := a.Knows(c), b.Knows(c)
+		x, y := a.Knows(&c), b.Knows(&c)
 		if x {
 			ka++
 		}
@@ -293,8 +348,7 @@ func TestLatencyOrderingAcrossMethods(t *testing.T) {
 	lat := func(method Method, system, prompt string, evidence []string) float64 {
 		total := 0.0
 		for i := 0; i < 50; i++ {
-			c := claim(true)
-			c.Key = "L|capital|Q" + itoa(i)
+			c := keyedClaim(true, "L|capital|Q"+itoa(i))
 			r, _ := m.Generate(ctx, Request{
 				System: system, Prompt: textPrompt(prompt), Claim: c, Method: method, Evidence: evidence,
 			})

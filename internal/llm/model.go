@@ -51,7 +51,8 @@ var AllMethods = []Method{MethodDKA, MethodGIVZ, MethodGIVF, MethodRAG}
 // LLM recovers this from the prompt text; the simulator receives it
 // alongside the prompt as its handle into the synthetic world. The prompt
 // is still charged for by its words, and output text is still parsed by
-// the calling strategy.
+// the calling strategy. A claim handed to a simulated model is built by
+// NewClaim.
 type Claim struct {
 	// Key is the canonical world identity "subject|relation|object".
 	Key string
@@ -76,6 +77,9 @@ type Claim struct {
 	SubjectLabel string
 	ObjectLabel  string
 	Phrase       string
+
+	// shared holds the draws every model reads, made by NewClaim.
+	shared sharedDraws
 }
 
 // Part is a span of prompt text with its word count (text.CountWords),

@@ -70,11 +70,10 @@ func TestTopicAffectsKnowledge(t *testing.T) {
 		hits := 0
 		const n = 2000
 		for i := 0; i < n; i++ {
-			c := claim(true)
-			c.Key = "T|award|K" + itoa(i)
+			c := keyedClaim(true, "T|award|K"+itoa(i))
 			c.Popularity = 0.3
 			c.Topic = topic
-			if m.Knows(c) {
+			if m.Knows(&c) {
 				hits++
 			}
 		}
@@ -101,8 +100,7 @@ func TestReasonVocabularyPerCategory(t *testing.T) {
 		// Sample several claims per category; the model must emit a reason
 		// containing category vocabulary whenever it answers "false".
 		for i := 0; i < 60 && !found; i++ {
-			c := claim(true)
-			c.Key = "R|" + cat + "|x" + itoa(i)
+			c := keyedClaim(true, "R|"+cat+"|x"+itoa(i))
 			c.Category = cat
 			c.Popularity = 0.9 // likely known -> mostly correct, some wrong
 			c.Gold = false     // a known false fact yields verdict false
@@ -135,8 +133,7 @@ func TestSlowResponseTail(t *testing.T) {
 	var base, maxLat float64
 	const n = 400
 	for i := 0; i < n; i++ {
-		c := claim(true)
-		c.Key = "L|homeCity|z" + itoa(i)
+		c := keyedClaim(true, "L|homeCity|z"+itoa(i))
 		r, err := m.Generate(ctx, Request{System: "s", Prompt: textPrompt("p q r s t"), Claim: c, Method: MethodDKA})
 		if err != nil {
 			t.Fatal(err)
@@ -229,8 +226,9 @@ func fmtRender(s *Sim, req Request, verdict, conformant bool) string {
 // verdict and conformance outcome, over reasons carrying quotes,
 // backslashes, control characters, non-ASCII text and invalid UTF-8 (the
 // reasons quote the claim's labels), and over plain printable ASCII, which
-// GIV answers render without strconv.Quote. It also holds quoteVerbatim
-// to strconv.Quote on every single byte and on the labels.
+// GIV answers render without strconv.Quote. It holds the reason parts'
+// verbatim check to quoteVerbatim of their text, and quoteVerbatim to
+// strconv.Quote on every single byte and on the labels.
 func TestRenderMatchesFmt(t *testing.T) {
 	s := MustNew(Gemma2)
 	labels := []string{
@@ -249,14 +247,18 @@ func TestRenderMatchesFmt(t *testing.T) {
 			for _, verdict := range []bool{false, true} {
 				for _, conformant := range []bool{false, true} {
 					for k, cat := range categories {
-						c := claim(verdict)
-						c.Key = fmt.Sprintf("k%d-%d", i, k)
+						c := keyedClaim(verdict, fmt.Sprintf("k%d-%d", i, k))
 						c.SubjectLabel, c.ObjectLabel, c.Category = subj, labels[(i+1)%len(labels)], cat
 						req := Request{Claim: c, Method: m}
-						if got, want := s.reason(c, verdict, m), refReason(s, c, verdict, m); got != want {
+						km := newDrawKeys(s.p.Name, &req).method
+						r := s.reason(&c, km, verdict)
+						if got, want := r.join(""), refReason(s, c, verdict, m); got != want {
 							t.Errorf("reason(%s, %q, verdict=%v) = %q, want %q", m, subj, verdict, got, want)
 						}
-						if got, want := s.render(req, verdict, conformant), fmtRender(s, req, verdict, conformant); got != want {
+						if got, want := r.verbatim(), quoteVerbatim(r.join("")); got != want {
+							t.Errorf("reason(%s, %q, verdict=%v): parts verbatim %v, text verbatim %v", m, subj, verdict, got, want)
+						}
+						if got, want := s.render(&req, km, verdict, conformant), fmtRender(s, req, verdict, conformant); got != want {
 							t.Errorf("render(%s, %q, verdict=%v, conformant=%v) = %q, want %q",
 								m, subj, verdict, conformant, got, want)
 						}
@@ -295,5 +297,60 @@ func TestSystemTokensMemo(t *testing.T) {
 		if e := s.sysTokens[i].Load(); e == nil || !strings.HasPrefix(e.prompt, fmt.Sprintf("system prompt %d ", i)) {
 			t.Errorf("memo slot %d holds %+v, want prompt %d", i, e, i)
 		}
+	}
+}
+
+// BenchmarkSimGenerate measures one Generate call per method, GIV-Z on
+// its first attempt and on a re-prompt, and RAG with ten evidence chunks
+// (report allocations per call: the answer's text is the one). Its claims
+// are the golden ones whose labels GIV quotes verbatim, as it does the
+// synthetic world's.
+func BenchmarkSimGenerate(b *testing.B) {
+	m := MustNew(Gemma2)
+	ctx := context.Background()
+	var claims []Claim
+	for _, c := range goldenClaims(360) {
+		if quoteVerbatim(c.SubjectLabel) && quoteVerbatim(c.ObjectLabel) {
+			claims = append(claims, c)
+		}
+	}
+	prompts := make([]Prompt, len(claims))
+	evidence := make([][]string, len(claims))
+	for i, c := range claims {
+		prompts[i] = PromptOf(NewPart("Statement: "), NewPart(c.Sentence))
+		for k := 0; k < 10; k++ {
+			evidence[i] = append(evidence[i], goldenEvidence(c, i+k)[0])
+		}
+	}
+	for _, tc := range []struct {
+		name     string
+		method   Method
+		attempt  int
+		evidence bool
+	}{
+		{"DKA", MethodDKA, 0, false},
+		{"GIV-Z", MethodGIVZ, 0, false},
+		{"GIV-Z-retry", MethodGIVZ, 1, false},
+		{"GIV-F", MethodGIVF, 0, false},
+		{"RAG-10", MethodRAG, 0, true},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			i := 0
+			for b.Loop() {
+				j := i % len(claims)
+				req := Request{
+					System: goldenSystems[0], Prompt: prompts[j], Claim: claims[j],
+					Method: tc.method, Attempt: tc.attempt,
+				}
+				if tc.evidence {
+					req.Evidence = evidence[j]
+				}
+				if _, err := m.Generate(ctx, req); err != nil {
+					b.Fatal(err)
+				}
+				i++
+			}
+		})
 	}
 }

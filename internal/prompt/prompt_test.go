@@ -135,6 +135,7 @@ func TestParseGIVRamblingAllocatesNothing(t *testing.T) {
 	for attempt := 0; attempt < 40 && len(rambling) < 5; attempt++ {
 		c := testClaim()
 		c.Key = fmt.Sprint("ramble|", attempt)
+		c = llm.NewClaim(c)
 		resp, err := m.Generate(context.Background(), llm.Request{Claim: c, Method: llm.MethodGIVZ})
 		if err != nil {
 			t.Fatal(err)
@@ -236,6 +237,7 @@ func FuzzParseGIV(f *testing.F) {
 			for attempt := 0; attempt < 3; attempt++ {
 				c := testClaim()
 				c.Key, c.Gold, c.Category = fmt.Sprint("seed|", cat, "|", attempt), gold, cat
+				c = llm.NewClaim(c)
 				for _, method := range []llm.Method{llm.MethodGIVZ, llm.MethodGIVF} {
 					resp, err := m.Generate(context.Background(), llm.Request{Claim: c, Method: method, Attempt: attempt})
 					if err != nil {

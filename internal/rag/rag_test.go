@@ -187,7 +187,7 @@ func TestEvidenceStanceAlignsWithGold(t *testing.T) {
 			Phrase:       f.Relation.Phrase,
 		}
 		for _, c := range ev.Chunks {
-			switch llm.ReadStance(claim, c.Text) {
+			switch llm.ReadStance(&claim, c.Text) {
 			case 1:
 				if f.Gold {
 					trueSup++

@@ -170,8 +170,8 @@ func TestExplanationTableBounded(t *testing.T) {
 		}
 	}
 	memo := memoOf(f)
-	if memo.n != maxExplanations {
-		t.Fatalf("table holds %d explanations, want the bound %d", memo.n, maxExplanations)
+	if n := memo.n.Load(); n != maxExplanations {
+		t.Fatalf("table holds %d explanations, want the bound %d", n, maxExplanations)
 	}
 	repeat := fmt.Sprintf("Reason number %d.", 1)
 	if got := memo.explanation(repeat); unsafe.StringData(got) != unsafe.StringData(memo.explanations[0]) {

@@ -8,8 +8,10 @@ package strategy
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"factcheck/internal/dataset"
@@ -100,7 +102,7 @@ type Prefetcher interface {
 
 // ClaimFor builds the structured claim handed to simulated models.
 func ClaimFor(f *dataset.Fact) llm.Claim {
-	return llm.Claim{
+	return llm.NewClaim(llm.Claim{
 		Key:          f.Key(),
 		FactID:       f.ID,
 		Dataset:      string(f.Dataset),
@@ -112,7 +114,7 @@ func ClaimFor(f *dataset.Fact) llm.Claim {
 		SubjectLabel: f.Subject.Label,
 		ObjectLabel:  f.Object.Label,
 		Phrase:       f.Relation.Phrase,
-	}
+	})
 }
 
 // maxExplanations bounds a fact's explanation table. A simulated model
@@ -126,12 +128,16 @@ const maxExplanations = 16
 // as a prompt part with its words counted, and one copy of each distinct
 // explanation its outcomes carry, so outcomes share explanation bytes
 // instead of each pinning a parsed response.
+//
+// The table's slots below n are never rewritten. Inserts fill slot n and
+// then publish it by storing n+1, under mu; lookups read n and scan the
+// slots below it without locking.
 type factMemo struct {
 	claim    llm.Claim
 	sentence llm.Part
 
 	mu           sync.Mutex
-	n            int
+	n            atomic.Int32
 	explanations [maxExplanations]string
 }
 
@@ -148,19 +154,22 @@ func (m *factMemo) explanation(s string) string {
 	if s == "" {
 		return s
 	}
+	seen := int(m.n.Load())
+	if i := slices.Index(m.explanations[:seen], s); i >= 0 {
+		return m.explanations[i]
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for _, e := range m.explanations[:m.n] {
-		if e == s {
-			return e
-		}
+	n := int(m.n.Load())
+	if i := slices.Index(m.explanations[seen:n], s); i >= 0 {
+		return m.explanations[seen+i]
 	}
-	if m.n == maxExplanations {
+	if n == maxExplanations {
 		return s
 	}
 	s = strings.Clone(s)
-	m.explanations[m.n] = s
-	m.n++
+	m.explanations[n] = s
+	m.n.Store(int32(n + 1))
 	return s
 }
 
